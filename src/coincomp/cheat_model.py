@@ -17,7 +17,10 @@ Two variants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 STD = "std"
 PRIME = "prime"
@@ -42,6 +45,8 @@ class CheatModel:
     def __post_init__(self):
         if self.variant not in (STD, PRIME):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"a and b must be finite, got a = {self.a}, b = {self.b}")
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if self.b < 1:
@@ -56,33 +61,38 @@ class CheatModel:
             return 1.0 / (2.0 + 2.0 * self.a)
         return min(0.5, (1.0 / self.a) ** (1.0 / self.b))
 
-    def check_eps(self, eps: float) -> None:
-        """Raise ValueError naming the violated bound if eps is out of domain."""
+    def check_eps(self, eps) -> None:
+        """Raise ValueError naming the violated bound; arrays by their extremes."""
+        if isinstance(eps, np.ndarray):
+            for e in (eps.min(), eps.max()):
+                self.check_eps(float(e))
+            return
         if self.variant == PRIME:
-            if eps < 0.0:
+            if not eps >= 0.0:
                 raise ValueError(f"prime model requires eps >= 0, got {eps}")
-            if eps > self.eps_max:
+            if not eps <= self.eps_max:
                 raise ValueError(f"eps = {eps} exceeds eps_max = {self.eps_max}")
             return
-        if abs(eps) > 0.5:
+        if not abs(eps) <= 0.5:
             raise ValueError(f"standard model requires |eps| <= 1/2, got {eps}")
         if self.a * abs(eps) ** self.b > 1.0:
             raise ValueError(f"a*|eps|^b = {self.a * abs(eps) ** self.b} > 1 "
                              f"at eps = {eps}: pc is not a probability")
 
 
-def triple(model: CheatModel, eps: float) -> OutcomeTriple:
-    """Outcome probabilities (p0, p1, pc) a cheater biasing by eps achieves."""
+def triple(model: CheatModel, eps) -> OutcomeTriple:
+    """Outcome probabilities (p0, p1, pc) at eps, a float or a float array."""
     model.check_eps(eps)
     if model.variant == PRIME:
         p0 = 0.5 + eps
         p1 = 0.5 - (1.0 + model.a) * eps
         pc = model.a * eps
         # p1 vanishes exactly at eps_max; shave the <= 1 ulp rounding dust
-        if p1 < 0.0:
-            if p1 < -1e-12:
-                raise AssertionError(f"prime p1 = {p1} went negative")
-            p1 = 0.0
+        low = p1.min() if isinstance(p1, np.ndarray) else p1
+        if low < 0.0:
+            if low < -1e-12:
+                raise AssertionError(f"prime p1 = {low} went negative")
+            p1 = (p1 + abs(p1)) / 2.0  # max(p1, 0) elementwise, exact
         return OutcomeTriple(p0, p1, pc)
     pc = model.a * abs(eps) ** model.b
     return OutcomeTriple((1.0 - pc) * (0.5 + eps), (1.0 - pc) * (0.5 - eps), pc)

@@ -34,7 +34,8 @@ def _read_tree(path: str) -> game_tree.GameTree:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload))
+    # NaN and Infinity are not JSON; refusing them raises ValueError, exit 1
+    print(json.dumps(payload, allow_nan=False))
 
 
 def _cmd_tree_gen(args) -> int:
@@ -301,3 +302,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

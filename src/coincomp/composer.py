@@ -91,6 +91,9 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
     Biases exceeding 1/2 in magnitude (possible when b != 2) are clamped
     and reported through the clipped flag.
     """
+    for name, value in (("a", a), ("b", b), ("eps_tot", eps_tot)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if b <= 1.0:
         raise ValueError(f"leading_order requires b > 1, got {b}; linear "
                          "detection is solved exactly by the walk module")

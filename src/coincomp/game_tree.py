@@ -69,11 +69,15 @@ def parse_tree(text: str) -> GameTree:
     """Parse the JSON tree document.
 
     Schema: a node is {"leaf": 0|1} or {"flip": {"up": node, "down": node}}.
+    Trees deeper than MAX_DEPTH are rejected.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise TreeParseError(f"invalid JSON: nested too deeply for a tree of "
+                             f"depth <= {MAX_DEPTH}") from None
     return _parse_node(doc, "")
 
 
@@ -97,6 +101,9 @@ def _parse_node(obj, path: str) -> Node:
         if set(inner) != {"up", "down"}:
             extra = sorted(set(inner) - {"up", "down"})
             raise TreeParseError(f"{where}: unexpected keys {extra}")
+        if len(path) >= MAX_DEPTH:
+            raise TreeParseError(f"{where}: a flip here makes the tree deeper "
+                                 f"than {MAX_DEPTH}")
         return Flip(_parse_node(inner["up"], path + "U"),
                     _parse_node(inner["down"], path + "D"))
     raise TreeParseError(f"{where}: expected exactly one of 'leaf' or 'flip'")

@@ -29,7 +29,7 @@ from . import cheat_model, rng
 from .cheat_model import CheatModel
 from .composer import Strategy
 from .game_tree import GameTree, Leaf
-from .walk import WalkGame, WalkPolicy, _check_policy
+from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
 
@@ -152,15 +152,11 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         step_cap = 64 * n * n
     if step_cap < 4 * n * n:
         raise ValueError(f"step_cap must be >= 4*N^2 = {4 * n * n}, got {step_cap}")
-    _check_policy(game, policy)
+    t = cheat_model.triple(game.model, check_policy(game, policy))
 
     # per-site thresholds indexed by z + n; boundary rows are never consulted
-    thr_up = np.zeros(2 * n + 1)
-    thr_dn = np.zeros(2 * n + 1)
-    for z in game.interior():
-        t = cheat_model.triple(game.model, policy[z])
-        thr_up[z + n] = t.p0
-        thr_dn[z + n] = t.p0 + t.p1
+    thr_up = np.pad(t.p0, 1)
+    thr_dn = np.pad(t.p0 + t.p1, 1)
 
     def block(lo: int, hi: int):
         m = hi - lo

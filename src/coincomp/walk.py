@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, replace
 from itertools import product
 
+import numpy as np
+
 from . import cheat_model
 from .cheat_model import CheatModel
 
@@ -51,7 +53,8 @@ class WalkGame:
     def interior(self) -> range:
         return range(-self.n + 1, self.n)
 
-    def target(self, z: int) -> float:
+    def target(self, z):
+        """Honest continuation value (N+z)/(2N) at a site or an int array of sites."""
         return (self.n + z) / (2.0 * self.n)
 
 
@@ -77,15 +80,17 @@ class WalkSolution:
         }
 
 
-def _check_policy(game: WalkGame, policy: WalkPolicy) -> None:
+def check_policy(game: WalkGame, policy: WalkPolicy) -> np.ndarray:
+    """Validate a site-keyed policy; return its eps over the interior as an array."""
     sites = set(game.interior())
     if set(policy) != sites:
         missing = sorted(sites - set(policy))
         extra = sorted(set(policy) - sites)
         raise ValueError(f"policy sites do not match interior: missing {missing}, "
                          f"unexpected {extra}")
-    for z in sorted(sites):
-        game.model.check_eps(policy[z])
+    eps = np.array([policy[z] for z in game.interior()], dtype=float)
+    game.model.check_eps(eps)
+    return eps
 
 
 def evaluate_policy(game: WalkGame, policy: WalkPolicy,
@@ -97,17 +102,13 @@ def evaluate_policy(game: WalkGame, policy: WalkPolicy,
     rows keep it nonsingular; the pivots and the per-equation residuals are
     checked anyway and a failure raises RuntimeError.
     """
-    _check_policy(game, policy)
+    t = cheat_model.triple(game.model, check_policy(game, policy))
     n = game.n
     m = 2 * n - 1
-    p0 = [0.0] * m
-    p1 = [0.0] * m
-    pc = [0.0] * m
-    rhs = [0.0] * m
-    for i, z in enumerate(game.interior()):
-        t = cheat_model.triple(game.model, policy[z])
-        p0[i], p1[i], pc[i] = t.p0, t.p1, t.pc
-        rhs[i] = t.pc * game.target(z)
+    sites = range(-n, n + 1)
+    targ = game.target(np.array(sites))
+    p0, p1 = t.p0.tolist(), t.p1.tolist()
+    rhs = (t.pc * targ[1:-1]).tolist()
     rhs[m - 1] += p0[m - 1] * 1.0  # W(N) = 1; W(-N) = 0 adds nothing
 
     # forward elimination on rows [1, -p0] with subdiagonal -p1
@@ -122,58 +123,54 @@ def evaluate_policy(game: WalkGame, policy: WalkPolicy,
                                "system is numerically singular")
         cp[i] = -p0[i] / piv
         dp[i] = (rhs[i] - (-p1[i]) * dp[i - 1]) / piv
-    x = [0.0] * m
-    x[m - 1] = dp[m - 1]
+    w = [0.0] * (m + 1) + [1.0]  # W(z) at index z + N
+    w[m] = dp[m - 1]
     for i in range(m - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+        w[i + 1] = dp[i] - cp[i] * w[i + 2]
 
-    w = {z: x[i] for i, z in enumerate(game.interior())}
-    w[-n] = 0.0
-    w[n] = 1.0
+    wv = np.array(w)
+    r = wv[1:-1] - (t.p0 * wv[2:] + t.p1 * wv[:-2] + t.pc * targ[1:-1])
+    i = int(abs(r).argmax())
+    if abs(r[i]) > _RESIDUAL_TOL:
+        raise RuntimeError(f"solver residual {r[i]} at site {i - n + 1} exceeds "
+                           f"{_RESIDUAL_TOL}")
 
-    for i, z in enumerate(game.interior()):
-        r = w[z] - (p0[i] * w[z + 1] + p1[i] * w[z - 1] + pc[i] * game.target(z))
-        if abs(r) > _RESIDUAL_TOL:
-            raise RuntimeError(f"solver residual {r} at site {z} exceeds "
-                               f"{_RESIDUAL_TOL}")
-
-    delta = {z: w[z] - game.target(z) for z in range(-n, n + 1)}
+    delta = wv - targ
     bound = (2.0 + game.model.a) / (2.0 * game.model.a * n)
-    bound_ok = all(delta[z] <= bound + 1e-12 for z in delta)
-    return WalkSolution(w, delta, policy, delta[0], bound, bound_ok, iterations)
+    return WalkSolution(dict(zip(sites, w)), dict(zip(sites, delta.tolist())),
+                        policy, float(delta[n]), bound,
+                        bool((delta <= bound + 1e-12).all()), iterations)
 
 
-def _site_best(game: WalkGame, wp: float, wm: float, targ: float) -> float:
-    """eps maximizing p0*wp + p1*wm + pc*targ at one site, tie to honest."""
+def improve_policy(game: WalkGame, w: dict[int, float]) -> WalkPolicy:
+    """Greedy one-step policy against the value function w, tie to honest."""
     model = game.model
-    a = model.a
+    n = game.n
+    wv = np.array([w[z] for z in range(-n, n + 1)])
+    wp, wm, targ = wv[2:], wv[:-2], game.target(np.arange(1 - n, n))
 
-    def q(eps: float) -> float:
+    def q(eps):
         t = cheat_model.triple(model, eps)
         return t.p0 * wp + t.p1 * wm + t.pc * targ
 
     if model.variant == cheat_model.PRIME:
         e = model.eps_max
-        return e if q(e) > q(0.0) else 0.0
-
-    # standard, b = 1: q is the quadratic
-    # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2
-    # on [0, e_hi]; maximize over endpoints and the interior vertex
-    e_hi = min(0.5, 1.0 / a)
-    cands = [0.0, e_hi]
-    curv = -a * (wp - wm)
-    if curv < 0.0:
-        vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
-        if 0.0 < vertex < e_hi:
-            cands.append(vertex)
-    best = max(q(e) for e in cands)
-    return min(e for e in cands if q(e) == best)
-
-
-def improve_policy(game: WalkGame, w: dict[int, float]) -> WalkPolicy:
-    """Greedy one-step policy against the value function w."""
-    return {z: _site_best(game, w[z + 1], w[z - 1], game.target(z))
-            for z in game.interior()}
+        best = np.where(q(e) > q(0.0), e, 0.0)
+    else:
+        # standard, b = 1: q is the quadratic
+        # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2
+        # on [0, e_hi]; maximize over endpoints and the vertex where concave.
+        # A vertex outside (0, e_hi) clips to an endpoint and ties with it.
+        a = model.a
+        e_hi = min(0.5, 1.0 / a)
+        curv = -a * (wp - wm)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
+        vertex = np.where(curv < 0.0, vertex.clip(0.0, e_hi), 0.0)
+        q0, q_hi, q_v = q(0.0), q(e_hi), q(vertex)
+        top = np.maximum(np.maximum(q0, q_hi), q_v)
+        best = np.where(q0 == top, 0.0, np.where(q_v == top, vertex, e_hi))
+    return dict(zip(game.interior(), best.tolist()))
 
 
 def honest_policy(game: WalkGame) -> WalkPolicy:
@@ -224,8 +221,7 @@ def brute_force_optimize(game: WalkGame) -> WalkSolution:
         sol = evaluate_policy(game, policy, iterations=count)
         if best is None or sol.w[0] > best.w[0]:
             best = sol
-    return WalkSolution(best.w, best.delta, best.policy, best.bias, best.bound,
-                        best.bound_ok, count)
+    return replace(best, iterations=count)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -28,6 +29,12 @@ class TestValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             CheatModel(1.0, 1.0, "double-prime")
+
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (math.inf, 1.0),
+                                     (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            CheatModel(a, b)
 
 
 class TestStandardTriple:
@@ -115,6 +122,51 @@ class TestPrimeTriple:
         t = cheat_model.triple(m, frac * m.eps_max)
         assert t.p0 >= 0.0 and t.p1 >= 0.0 and t.pc >= 0.0
         assert math.isclose(t.p0 + t.p1 + t.pc, 1.0, rel_tol=0, abs_tol=1e-12)
+
+
+class TestArrayTriple:
+    @staticmethod
+    def _grid(model):
+        lo = 0.0 if model.variant == PRIME else -model.eps_max
+        return np.append(np.linspace(lo, model.eps_max, 37), model.eps_max)
+
+    @pytest.mark.parametrize("model", [CheatModel(0.5, 1.0, PRIME),
+                                       CheatModel(3.0, 1.0, PRIME),
+                                       CheatModel(1.0, 1.0), CheatModel(0.3, 1.0)])
+    def test_linear_matches_scalar_bit_for_bit(self, model):
+        # the walk solver relies on this for b = 1
+        eps = self._grid(model)
+        t = cheat_model.triple(model, eps)
+        for i, e in enumerate(eps.tolist()):
+            s = cheat_model.triple(model, e)
+            assert (t.p0[i], t.p1[i], t.pc[i]) == s.as_tuple()
+
+    def test_power_law_matches_scalar_to_rounding(self):
+        # numpy's power may round |eps|**b differently from the scalar one
+        model = CheatModel(2.0, 3.0)
+        eps = self._grid(model)
+        t = cheat_model.triple(model, eps)
+        for i, e in enumerate(eps.tolist()):
+            s = cheat_model.triple(model, e)
+            for got, want in zip((t.p0[i], t.p1[i], t.pc[i]), s.as_tuple()):
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=1e-300)
+
+    @pytest.mark.parametrize("model,bad", [
+        (CheatModel(1.0, 1.0, PRIME), -0.01),
+        (CheatModel(1.0, 1.0, PRIME), 0.26),
+        (CheatModel(1.0, 1.0), -0.6),
+        (CheatModel(4.0, 1.0), 0.3),
+        (CheatModel(1.0, 1.0), math.nan),
+    ])
+    def test_array_checked_by_extremes(self, model, bad):
+        eps = np.array([0.0, 0.1, bad, 0.2])
+        with pytest.raises(ValueError):
+            cheat_model.triple(model, eps)
+
+    def test_nan_scalar_rejected(self):
+        for model in (CheatModel(1.0, 1.0, PRIME), CheatModel(1.0, 2.0)):
+            with pytest.raises(ValueError):
+                cheat_model.triple(model, math.nan)
 
 
 class TestDominance:

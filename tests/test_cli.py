@@ -1,7 +1,11 @@
 """Command-line behavior: payloads, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -96,6 +100,18 @@ class TestTreeAnalyze:
         path.write_text('{"leaf": 5}')
         code, _, _ = run(capsys, "tree", "analyze", "--in", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("flips", [53, 3000])
+    def test_too_deep_document_exits_1(self, capsys, tmp_path, flips):
+        text = '{"leaf":0}'
+        for _ in range(flips):
+            text = '{"flip":{"up":' + text + ',"down":{"leaf":1}}}'
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "tree", "analyze", "--in", str(path))
+        assert code == 1
+        assert out == ""
+        assert "deep" in err
 
     def test_lemma_disagreement_exits_2(self, capsys, bo3_file, monkeypatch):
         monkeypatch.setattr(game_tree, "lemma_sum", lambda tree: 0.9)
@@ -336,6 +352,38 @@ class TestSimulate:
         assert code == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["compose", "--a", "1", "--b", "nan", "--eps-tot", "0.1"],
+        ["compose", "--a", "inf", "--b", "2", "--eps-tot", "0.1"],
+        ["compose", "--a", "1", "--b", "2", "--eps-tot", "nan"],
+        ["walk", "solve", "--n", "3", "--model", "prime:a=inf"],
+        ["walk", "solve", "--n", "3", "--model", "std:a=1,b=nan"],
+    ], ids=["compose-b-nan", "compose-a-inf", "compose-eps-nan",
+            "walk-prime-a-inf", "walk-std-b-nan"])
+    def test_exits_1_without_output(self, capsys, bo3_file, argv):
+        if argv[0] == "compose":
+            argv = argv[:1] + ["--tree", bo3_file] + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_policy_entry_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text('{"0": NaN}')
+        code, out, _ = run(capsys, "simulate", "--walk", "--n", "1",
+                           "--model", "prime:a=1", "--policy", str(path),
+                           "--trials", "100")
+        assert code == 1
+        assert out == ""
+
+    def test_emit_refuses_nan(self, capsys):
+        with pytest.raises(ValueError):
+            cli._emit({"x": float("nan")})
+        assert capsys.readouterr().out == ""
+
+
 class TestTopLevel:
     def test_no_arguments_exits_1(self, capsys):
         code, _, _ = run(capsys)
@@ -357,3 +405,18 @@ class TestTopLevel:
             cli.entry()
         assert exc.value.code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("module", ["coincomp", "coincomp.cli"])
+    def test_module_entry_points(self, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "walk", "solve", "--n", "2",
+             "--model", "prime:a=1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["n"] == 2
+        assert doc["bound_ok"] is True

@@ -94,6 +94,14 @@ class TestLeadingOrder:
         with pytest.raises(ValueError, match="walk"):
             composer.leading_order(bo3, 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("a,b,eps_tot", [
+        (math.inf, 2.0, 0.1), (1.0, math.nan, 0.1), (1.0, math.inf, 0.1),
+        (1.0, 2.0, math.nan),
+    ])
+    def test_non_finite_inputs_rejected(self, bo3, a, b, eps_tot):
+        with pytest.raises(ValueError, match="finite"):
+            composer.leading_order(bo3, a, b, eps_tot)
+
     def test_unfair_tree_rejected(self):
         tree = game_tree.gen_full(2, [0, 0, 0, 1])
         with pytest.raises(ValueError):

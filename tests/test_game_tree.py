@@ -63,6 +63,26 @@ class TestParse:
         with pytest.raises(TreeParseError, match="DU"):
             game_tree.parse_tree(doc)
 
+    @staticmethod
+    def _left_spine(flips):
+        text = '{"leaf":0}'
+        for _ in range(flips):
+            text = '{"flip":{"up":' + text + ',"down":{"leaf":1}}}'
+        return text
+
+    def test_depth_cap_accepted(self):
+        tree = game_tree.parse_tree(self._left_spine(game_tree.MAX_DEPTH))
+        assert game_tree.depth(tree) == game_tree.MAX_DEPTH
+
+    def test_depth_cap_exceeded_names_path(self):
+        with pytest.raises(TreeParseError, match="'" + "U" * 52 + "'"):
+            game_tree.parse_tree(self._left_spine(game_tree.MAX_DEPTH + 1))
+
+    def test_very_deep_document_is_a_parse_error(self):
+        # json.loads itself recurses; RecursionError must not escape
+        with pytest.raises(TreeParseError):
+            game_tree.parse_tree(self._left_spine(3000))
+
     @given(tree_documents())
     def test_round_trip(self, doc):
         text = json.dumps(doc)

@@ -1,11 +1,13 @@
 """Exact walk-game solves: evaluation, policy iteration, bound checks."""
 
+import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coincomp import walk
+from coincomp import cheat_model, simulate, walk
 from coincomp.cheat_model import PRIME, STD, CheatModel
 
 
@@ -127,6 +129,43 @@ class TestImprovePolicy:
         improved = walk.improve_policy(g, sol.w)
         assert all(v == g.model.eps_max for v in improved.values())
 
+    @staticmethod
+    def _reference_site_best(game, wp, wm, targ):
+        # the per-site scalar maximizer, kept as the reference
+        model = game.model
+
+        def q(eps):
+            t = cheat_model.triple(model, eps)
+            return t.p0 * wp + t.p1 * wm + t.pc * targ
+
+        if model.variant == PRIME:
+            e = model.eps_max
+            return e if q(e) > q(0.0) else 0.0
+        a = model.a
+        e_hi = min(0.5, 1.0 / a)
+        cands = [0.0, e_hi]
+        curv = -a * (wp - wm)
+        if curv < 0.0:
+            vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
+            if 0.0 < vertex < e_hi:
+                cands.append(vertex)
+        best = max(q(e) for e in cands)
+        return min(e for e in cands if q(e) == best)
+
+    @given(st.sampled_from([PRIME, STD]), st.sampled_from([0.3, 1.0, 2.0]),
+           st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                    min_size=1, max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, variant, a, values):
+        # arbitrary w, not only solver output: curvature of either sign,
+        # and dyadic values that make exact ties
+        n = (len(values) + 2) // 2
+        g = walk.WalkGame(n, CheatModel(a, 1.0, variant))
+        w = {z: values[(z + n) % len(values)] for z in range(-n, n + 1)}
+        want = {z: self._reference_site_best(g, w[z + 1], w[z - 1], g.target(z))
+                for z in g.interior()}
+        assert walk.improve_policy(g, w) == want
+
     def test_std_actions_respect_domain(self):
         g = std_game(6)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
@@ -235,3 +274,75 @@ class TestSweep:
             p = walk.optimize(prime_game(n)).bias
             s = walk.optimize(std_game(n)).bias
             assert s <= p + 1e-12
+
+
+class TestPinnedAnswers:
+    """Byte-level pins of the solver's output; any ulp change trips them."""
+
+    DIGESTS = {
+        (PRIME, 0.5): "6c9692a3ee6bbca5aced526d7d5315a83a45e7d574e4656b97216ad92440ee1e",
+        (PRIME, 1.0): "5caaa15ff5f310e75da9026f93e31c74f3c87fbb70e36a32da55ea0b58b251a1",
+        (PRIME, 2.0): "7d3a2388e8c257946ec65e1e7c6d3a290c1262ae5d691cf39ca8b0ab5e480cdf",
+        (STD, 0.5): "d5425d9df8e13acd99a9157ae39fafa382ebb155f40c591a2f64ab2d78c54430",
+        (STD, 1.0): "5111401912e0aa602c8895219d99043983b411329038da51d3b58d4fde8af85a",
+        (STD, 2.0): "a99fdb3299e1585005f8e789f0dbfc60d25a652f2431deb4b1ffe32f8d67f5ed",
+    }
+
+    @pytest.mark.parametrize("variant,a", sorted(DIGESTS))
+    def test_optimize_json_digest(self, variant, a):
+        h = hashlib.sha256()
+        for n in (1, 2, 7, 40, 150, 420):
+            sol = walk.optimize(walk.WalkGame(n, CheatModel(a, 1.0, variant)))
+            h.update((json.dumps(sol.to_json_dict()) + "\n").encode())
+        assert h.hexdigest() == self.DIGESTS[(variant, a)]
+
+    @pytest.mark.parametrize("variant,counts", [
+        (PRIME, (12782, 7218, 18858, 0)),
+        (STD, (11747, 8253, 19025, 0)),
+    ])
+    def test_simulate_walk_counts(self, variant, counts):
+        g = walk.WalkGame(10, CheatModel(1.0, 1.0, variant))
+        r = simulate.simulate_walk(g, walk.optimize(g).policy, 20000, 3)
+        assert (r.wins, r.losses, r.catches, r.overruns) == counts
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("variant", [PRIME, STD])
+    def test_few_triple_calls_per_sweep(self, variant, monkeypatch):
+        calls = []
+        real = cheat_model.triple
+
+        def counting(model, eps):
+            calls.append(eps)
+            return real(model, eps)
+
+        monkeypatch.setattr(cheat_model, "triple", counting)
+        sol = walk.optimize(walk.WalkGame(200, CheatModel(1.0, 1.0, variant)))
+        assert len(calls) <= 4 * sol.iterations
+
+    def test_solution_holds_python_scalars(self):
+        sol = walk.optimize(std_game(5))
+        assert type(sol.bias) is float
+        assert type(sol.bound_ok) is bool
+        for d in (sol.w, sol.delta, sol.policy):
+            assert all(type(z) is int and type(v) is float for z, v in d.items())
+        assert list(sol.w) == list(range(-5, 6))
+
+    def test_check_policy_returns_interior_array(self):
+        g = prime_game(3)
+        policy = {z: g.model.eps_max * (z > 0) for z in g.interior()}
+        eps = walk.check_policy(g, policy)
+        assert eps.tolist() == [0.0, 0.0, 0.0, 0.25, 0.25]
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 0.3])
+    def test_check_policy_rejects_bad_eps(self, bad):
+        g = prime_game(3)
+        policy = walk.honest_policy(g)
+        policy[1] = bad
+        with pytest.raises(ValueError):
+            walk.check_policy(g, policy)
+
+    def test_check_policy_names_missing_and_extra_sites(self):
+        g = prime_game(2)
+        with pytest.raises(ValueError, match=r"missing \[-1, 1\], unexpected \[5\]"):
+            walk.check_policy(g, {0: 0.0, 5: 0.0})
