@@ -34,7 +34,7 @@ import numpy as np
 
 from . import cheat_model
 from .cheat_model import CheatModel, OutcomeTriple
-from .game_tree import Flip, GameTree, Leaf, annotate
+from .game_tree import GameTree, TreeAnnotation, annotate
 
 Strategy = dict[str, float]
 
@@ -64,22 +64,21 @@ class CompositionResult:
         }
 
 
-def _fair_internal(tree: GameTree):
+def _fair_annotation(tree: GameTree) -> TreeAnnotation:
     ann = annotate(tree)
-    internal = ann.internal()
-    if not internal:
+    if ann.up[-1] < 0:
         raise ValueError("tree has no internal node; nothing to compose")
     if abs(ann.p_w_root - 0.5) > 1e-12:
         raise ValueError(f"tree is not fair: P_W(root) = {ann.p_w_root}")
-    return internal
+    return ann
 
 
-def _weight_sum(internal, b: float) -> float:
+def _weight_sum(ann: TreeAnnotation, b: float) -> float:
     expo = b / (b - 1.0)
     total = 0.0
-    for _, info in internal:
-        if info.delta != 0.0:
-            total += 2.0 ** (-info.depth) * abs(info.delta) ** expo
+    for d, gap in zip(ann.depth, ann.delta):
+        if gap:  # None on leaves, 0.0 where a node cannot move the outcome
+            total += 2.0 ** (-d) * abs(gap) ** expo
     return total
 
 
@@ -101,23 +100,22 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
         raise ValueError(f"a must be positive, got {a}")
     if abs(eps_tot) > 0.5:
         raise ValueError(f"|eps_tot| must be <= 1/2, got {eps_tot}")
-    internal = _fair_internal(tree)
-    s = _weight_sum(internal, b)
+    ann = _fair_annotation(tree)
+    s = _weight_sum(ann, b)
     if s == 0.0:
         raise ValueError("every Delta is zero; no strategy can move the outcome")
 
     expo = 1.0 / (b - 1.0)
     strategy: Strategy = {}
     clipped = False
-    for path, info in internal:
-        if info.delta == 0.0:
-            strategy[path] = 0.0
+    for at, gap in zip(ann.path, ann.delta):
+        if gap is None:
             continue
-        eps = eps_tot * math.copysign(abs(info.delta) ** expo, info.delta) / s
+        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
         if abs(eps) > 0.5:
             eps = math.copysign(0.5, eps)
             clipped = True
-        strategy[path] = eps
+        strategy[at] = eps
 
     a_new = a * s ** (1.0 - b)
     lam = math.copysign(a * b * (abs(eps_tot) / s) ** (b - 1.0), eps_tot)
@@ -129,8 +127,7 @@ def a_new_of_b(tree: GameTree, a: float, b: float) -> float:
     """Composed sensitivity a * S**(1-b) without building the strategy."""
     if b <= 1.0:
         raise ValueError(f"a_new_of_b requires b > 1, got {b}")
-    internal = _fair_internal(tree)
-    s = _weight_sum(internal, b)
+    s = _weight_sum(_fair_annotation(tree), b)
     if s == 0.0:
         raise ValueError("every Delta is zero; a_new is undefined")
     return a * s ** (1.0 - b)
@@ -148,26 +145,25 @@ def derivative_in_b(tree: GameTree, a: float, b: float, h: float = 0.01) -> floa
 def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> OutcomeTriple:
     """Exact game outcome (p0, p1, pc) under a full per-node strategy.
 
-    No leading-order approximation: one recursive pass weighting children by
+    No leading-order approximation: one bottom-up pass weighting children by
     the per-node triple and accumulating catch mass along the way.
     """
     if model.variant != cheat_model.STD:
         raise ValueError("exact_outcome expects a standard-variant model")
-
-    def rec(node, path: str) -> tuple[float, float, float]:
-        if isinstance(node, Leaf):
-            return (1.0, 0.0, 0.0) if node.label == 0 else (0.0, 1.0, 0.0)
-        if path not in strategy:
-            raise ValueError(f"strategy is missing node '{path}'")
-        t = cheat_model.triple(model, strategy[path])
-        u = rec(node.up, path + "U")
-        d = rec(node.down, path + "D")
-        return (t.p0 * u[0] + t.p1 * d[0],
-                t.p0 * u[1] + t.p1 * d[1],
-                t.pc + t.p0 * u[2] + t.p1 * d[2])
-
-    p0, p1, pc = rec(tree, "")
-    return OutcomeTriple(p0, p1, pc)
+    ann = annotate(tree)
+    out: list[tuple[float, float, float]] = []
+    for at, w, u, dn in zip(ann.path, ann.p_w, ann.up, ann.down):
+        if u < 0:
+            out.append((w, 1.0 - w, 0.0))
+            continue
+        if at not in strategy:
+            raise ValueError(f"strategy is missing node '{at}'")
+        t = cheat_model.triple(model, strategy[at])
+        u0, u1, uc = out[u]
+        d0, d1, dc = out[dn]
+        out.append((t.p0 * u0 + t.p1 * d0, t.p0 * u1 + t.p1 * d1,
+                    t.pc + t.p0 * uc + t.p1 * dc))
+    return OutcomeTriple(*out[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
 # dropped pair is dominated by a kept one (win >= it, catch <= it), and both
 # coordinates are monotone under composition with the parent flip, so the
 # dropped pair can never beat the kept one downstream.  Per-strategy
-# arithmetic is ordered exactly as in exact_outcome's recursion, which keeps
+# arithmetic is ordered exactly as in exact_outcome's pass, which keeps
 # this search bit-identical to the literal enumeration, including which
 # grid points count as feasible.
 # ---------------------------------------------------------------------------
@@ -203,10 +199,10 @@ class _Frontier:
         self.down_idx = down_idx
 
     @classmethod
-    def leaf(cls, label: int) -> "_Frontier":
+    def leaf(cls, p_w: float) -> "_Frontier":
         none = np.full(1, -1, dtype=np.int32)
-        return cls(np.array([1.0 if label == 0 else 0.0]), np.zeros(1),
-                   none.copy(), none.copy(), none.copy())
+        return cls(np.array([p_w]), np.zeros(1), none.copy(), none.copy(),
+                   none.copy())
 
     def __len__(self) -> int:
         return len(self.w)
@@ -311,10 +307,11 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     """
     if model.variant != cheat_model.STD:
         raise ValueError("brute force searches the standard model grid only")
-    if grid_step < 1e-3:
-        raise ValueError(f"grid_step must be >= 1e-3, got {grid_step}")
+    if not 1e-3 <= grid_step <= 0.5:
+        raise ValueError(f"grid_step must be a finite number in [1e-3, 0.5], "
+                         f"got {grid_step}")
     ann = annotate(tree)
-    n_internal = len(ann.internal())
+    n_internal = sum(u >= 0 for u in ann.up)
     if n_internal == 0:
         raise ValueError("tree has no internal node; nothing to search")
     if n_internal > 5:
@@ -327,19 +324,14 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     triples = [cheat_model.triple(model, e).as_tuple() for e in grid]
     target = ann.p_w_root + eps_tot * (1.0 - grid_step)
 
-    assert isinstance(tree, Flip)
-    frontier_of: dict[int, _Frontier] = {}
-
-    def build(node: GameTree) -> _Frontier:
-        if isinstance(node, Leaf):
-            f = _Frontier.leaf(node.label)
-        else:
-            f = _combine(grid, triples, build(node.up), build(node.down))
-        frontier_of[id(node)] = f
-        return f
-
-    f_up = build(tree.up)
-    f_down = build(tree.down)
+    # per node below the root, in postorder; the root is combined below
+    # against the target instead of materializing its frontier
+    frontier: list[_Frontier] = []
+    for w, u, dn in zip(ann.p_w[:-1], ann.up, ann.down):
+        frontier.append(_Frontier.leaf(w) if u < 0
+                        else _combine(grid, triples, frontier[u], frontier[dn]))
+    f_up = frontier[ann.up[-1]]
+    f_down = frontier[ann.down[-1]]
 
     best = None  # (pc, eps_idx, up_entry, down_entry)
     for e_idx, (p0, p1, pc) in enumerate(triples):
@@ -381,27 +373,19 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
         raise ValueError(f"no grid strategy reaches win excess "
                          f"{eps_tot * (1.0 - grid_step)}")
 
-    strategy: Strategy = {}
-
-    def honest_fill(node: GameTree, path: str) -> None:
-        if isinstance(node, Flip):
-            strategy[path] = 0.0
-            honest_fill(node.up, path + "U")
-            honest_fill(node.down, path + "D")
-
-    def descend(node: GameTree, path: str, entry: int) -> None:
-        if isinstance(node, Leaf):
-            return
-        if entry < 0:
-            honest_fill(node, path)
-            return
-        f = frontier_of[id(node)]
-        strategy[path] = grid[int(f.eps_idx[entry])]
-        descend(node.up, path + "U", int(f.up_idx[entry]))
-        descend(node.down, path + "D", int(f.down_idx[entry]))
-
-    min_pc, e_idx, u_entry, d_entry = best
-    strategy[""] = grid[e_idx]
-    descend(tree.up, "U", u_entry)
-    descend(tree.down, "D", d_entry)
+    # top-down over the reversed postorder: each node's frontier entry is
+    # set by its parent first; -1 marks a subtree the cheater plays honestly
+    entry = [-1] * len(ann.path)
+    min_pc, e_idx, entry[ann.up[-1]], entry[ann.down[-1]] = best
+    strategy: Strategy = {"": grid[e_idx]}
+    for i in range(len(frontier) - 1, -1, -1):
+        u, k = ann.up[i], entry[i]
+        if u < 0:
+            continue
+        if k < 0:
+            strategy[ann.path[i]] = 0.0
+            continue
+        f = frontier[i]
+        strategy[ann.path[i]] = grid[int(f.eps_idx[k])]
+        entry[u], entry[ann.down[i]] = int(f.up_idx[k]), int(f.down_idx[k])
     return strategy, min_pc

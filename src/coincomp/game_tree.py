@@ -12,17 +12,22 @@ cheater gains by winning the flip at x.
 
 Depths are capped at 52 so every 2**-D and every P_W is an exact dyadic
 rational in 64-bit floats; the identities tested elsewhere then hold to
-machine precision instead of approximately.
+machine precision instead of approximately.  Generators also refuse trees
+of more than MAX_NODES nodes, so that a call ends in seconds instead of
+running for minutes or exhausting memory.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import rng
 
 MAX_DEPTH = 52
+MAX_NODES = 1 << 20  # node budget for generated trees
 
 
 class TreeParseError(ValueError):
@@ -53,13 +58,28 @@ class NodeInfo:
 
 @dataclass(frozen=True)
 class TreeAnnotation:
-    """Per-node facts keyed by the root-to-node path ('' = root, then U/D)."""
+    """Per-node lists in postorder (children before parents, root last).
 
-    nodes: dict[str, NodeInfo]
+    path[i] runs from the root ('' = root, then U/D); leaves have delta None
+    and child positions up/down of -1.
+    """
+
+    path: list[str]
+    depth: list[int]
+    p_w: list[float]
+    delta: list[float | None]
+    up: list[int]
+    down: list[int]
+
+    @cached_property
+    def nodes(self) -> dict[str, NodeInfo]:
+        """Path -> NodeInfo, in postorder."""
+        return {p: NodeInfo(d, w, x)
+                for p, d, w, x in zip(self.path, self.depth, self.p_w, self.delta)}
 
     @property
     def p_w_root(self) -> float:
-        return self.nodes[""].p_w
+        return self.p_w[-1]
 
     def internal(self) -> list[tuple[str, NodeInfo]]:
         return [(p, info) for p, info in self.nodes.items() if info.delta is not None]
@@ -120,12 +140,6 @@ def _to_obj(node: Node):
     return {"flip": {"up": _to_obj(node.up), "down": _to_obj(node.down)}}
 
 
-def depth(tree: GameTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(depth(tree.up), depth(tree.down))
-
-
 def gen_best_of(n: int) -> GameTree:
     """Early-terminating majority game over n flips (n odd).
 
@@ -137,6 +151,10 @@ def gen_best_of(n: int) -> GameTree:
     if n > MAX_DEPTH:
         raise ValueError(f"n={n} exceeds the depth cap {MAX_DEPTH}")
     need = (n + 1) // 2
+    size = 2 * math.comb(n + 1, need) - 1
+    if size > MAX_NODES:
+        raise ValueError(f"best-of-{n} has {size} nodes, over the budget of "
+                         f"{MAX_NODES}")
 
     def build(up_wins: int, down_wins: int) -> Node:
         if up_wins == need:
@@ -178,10 +196,14 @@ def mirror(tree: GameTree) -> GameTree:
     return Flip(mirror(tree.up), mirror(tree.down))
 
 
-def _random_node(budget: int, stream: rng.Stream) -> Node:
+def _random_node(budget: int, stream: rng.Stream, room: list[int]) -> Node:
+    # room[0] counts down the nodes still allowed
+    room[0] -= 1
+    if room[0] < 0:
+        raise ValueError(f"random tree passes the budget of {MAX_NODES} nodes")
     if budget > 0 and stream.next_double() >= 1.0 / 3.0:
-        up = _random_node(budget - 1, stream)
-        down = _random_node(budget - 1, stream)
+        up = _random_node(budget - 1, stream, room)
+        down = _random_node(budget - 1, stream, room)
         return Flip(up, down)
     return Leaf(stream.next_u64() & 1)
 
@@ -194,7 +216,7 @@ def gen_random(max_depth: int, seed: int) -> GameTree:
     """
     if max_depth < 0 or max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {max_depth}")
-    return _random_node(max_depth, rng.Stream(seed))
+    return _random_node(max_depth, rng.Stream(seed), [MAX_NODES])
 
 
 def gen_random_fair(max_depth: int, seed: int) -> GameTree:
@@ -208,30 +230,34 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth {max_depth} exceeds the depth cap {MAX_DEPTH}")
-    sub = _random_node(max_depth - 1, rng.Stream(seed))
+    sub = _random_node(max_depth - 1, rng.Stream(seed), [(MAX_NODES - 1) // 2])
     return Flip(sub, mirror(sub))
 
 
 def annotate(tree: GameTree) -> TreeAnnotation:
-    """Compute depth, P_W and Delta for every node in one bottom-up pass."""
-    if depth(tree) > MAX_DEPTH:
-        raise ValueError(f"tree depth exceeds {MAX_DEPTH}; dyadic exactness "
-                         "would be lost")
-    nodes: dict[str, NodeInfo] = {}
+    """Compute depth, P_W and Delta for every node in one bottom-up pass.
 
-    def walk(node: Node, d: int, path: str) -> float:
+    The one traversal of a Flip/Leaf tree; every analysis reads its lists.
+    """
+    rows = []  # (path, depth, p_w, delta, up, down) per node, in postorder
+
+    def walk(node: Node, d: int, at: str) -> tuple[int, float]:
         if isinstance(node, Leaf):
-            p = 1.0 if node.label == 0 else 0.0
-            nodes[path] = NodeInfo(d, p, None)
-            return p
-        pu = walk(node.up, d + 1, path + "U")
-        pd = walk(node.down, d + 1, path + "D")
-        p = (pu + pd) / 2.0
-        nodes[path] = NodeInfo(d, p, pu - pd)
-        return p
+            w = 1.0 if node.label == 0 else 0.0
+            rows.append((at, d, w, None, -1, -1))
+        else:
+            u, pu = walk(node.up, d + 1, at + "U")
+            dn, pd = walk(node.down, d + 1, at + "D")
+            w = (pu + pd) / 2.0
+            rows.append((at, d, w, pu - pd, u, dn))
+        return len(rows) - 1, w
 
     walk(tree, 0, "")
-    return TreeAnnotation(nodes)
+    ann = TreeAnnotation(*map(list, zip(*rows)))
+    if max(ann.depth) > MAX_DEPTH:
+        raise ValueError(f"tree depth exceeds {MAX_DEPTH}; dyadic exactness "
+                         "would be lost")
+    return ann
 
 
 def lemma_sum(tree: GameTree) -> float:
@@ -241,8 +267,9 @@ def lemma_sum(tree: GameTree) -> float:
     """
     ann = annotate(tree)
     total = 0.0
-    for _, info in ann.internal():
-        total += 2.0 ** (-info.depth) * info.delta * info.delta
+    for d, gap in zip(ann.depth, ann.delta):
+        if gap is not None:
+            total += 2.0 ** (-d) * gap * gap
     return total
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import cheat_model, rng
 from .cheat_model import CheatModel
 from .composer import Strategy
-from .game_tree import GameTree, Leaf
+from .game_tree import GameTree, annotate
 from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
@@ -88,38 +88,27 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    # flatten to arrays: per node, draw thresholds and child indices
-    is_leaf, label, thr_up, thr_dn, up_ix, dn_ix = [], [], [], [], [], []
-
-    def flatten(node, path: str) -> int:
-        idx = len(is_leaf)
-        for arr in (is_leaf, label, thr_up, thr_dn, up_ix, dn_ix):
-            arr.append(0)
-        if isinstance(node, Leaf):
-            is_leaf[idx] = True
-            label[idx] = node.label
-        else:
-            if path not in strategy:
-                raise ValueError(f"strategy is missing node '{path}'")
-            t = cheat_model.triple(model, strategy[path])
-            thr_up[idx] = t.p0
-            thr_dn[idx] = t.p0 + t.p1
-            up_ix[idx] = flatten(node.up, path + "U")
-            dn_ix[idx] = flatten(node.down, path + "D")
-        return idx
-
-    flatten(tree, "")
-    a_leaf = np.asarray(is_leaf, dtype=bool)
-    a_label = np.asarray(label, dtype=np.int8)
+    # per node, in the annotation's postorder: draw thresholds (0 on leaves)
+    ann = annotate(tree)
+    thr_up, thr_dn = [0.0] * len(ann.path), [0.0] * len(ann.path)
+    for i, (at, u) in enumerate(zip(ann.path, ann.up)):
+        if u >= 0:
+            if at not in strategy:
+                raise ValueError(f"strategy is missing node '{at}'")
+            t = cheat_model.triple(model, strategy[at])
+            thr_up[i], thr_dn[i] = t.p0, t.p0 + t.p1
     a_up = np.asarray(thr_up)
     a_dn = np.asarray(thr_dn)
-    a_upix = np.asarray(up_ix, dtype=np.int32)
-    a_dnix = np.asarray(dn_ix, dtype=np.int32)
+    a_upix = np.asarray(ann.up, dtype=np.int32)
+    a_dnix = np.asarray(ann.down, dtype=np.int32)
+    a_leaf = a_upix < 0
+    a_win = np.asarray(ann.p_w) == 1.0  # read on leaves only
+    root = len(ann.path) - 1
 
     def block(lo: int, hi: int):
         m = hi - lo
         streams = rng.np_stream_seeds(seed, lo, hi)
-        cur = np.zeros(m, dtype=np.int32)
+        cur = np.full(m, root, dtype=np.int32)
         caught = np.zeros(m, dtype=bool)
         act = np.nonzero(~a_leaf[cur])[0]
         k = 0
@@ -135,7 +124,7 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
             act = stepped[~a_leaf[cur[stepped]]]
             k += 1
         n_catch = int(caught.sum())
-        n_win = int((~caught & (a_label[cur] == 0)).sum())
+        n_win = int((~caught & a_win[cur]).sum())
         return (n_win, m - n_win - n_catch, n_catch, 0)
 
     wins, losses, catches, overruns = _run_blocks(block, trials, workers)

@@ -1,5 +1,7 @@
 """Command-line behavior: payloads, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coincomp import cli, composer, game_tree, walk
 from coincomp.cheat_model import OutcomeTriple
@@ -76,6 +79,17 @@ class TestTreeGen:
     def test_even_n_exits_1(self, capsys):
         code, _, _ = run(capsys, "tree", "gen", "--kind", "best-of", "--n", "4")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "best-of", "--n", "51"],
+        ["--kind", "best-of", "--n", "21"],
+        ["--kind", "random-fair", "--depth", "52", "--seed", "1"],
+    ], ids=["best-of-51", "best-of-21", "random-fair-52"])
+    def test_over_node_budget_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, "tree", "gen", *argv)
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
 
 
 class TestTreeAnalyze:
@@ -159,6 +173,15 @@ class TestCompose:
         doc = json.loads(out)
         assert doc["brute_force"]["min_pc"] >= 0.0
         assert set(doc["brute_force"]["strategy"]) == {""}
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "0", "-0.01", "0.7"])
+    def test_bad_grid_exits_1_naming_grid_step(self, capsys, bo3_file, grid):
+        code, out, err = run(capsys, "compose", "--tree", bo3_file, "--a", "1",
+                             "--b", "2", "--eps-tot", "0.05", "--brute-force",
+                             f"--grid={grid}")
+        assert code == 1
+        assert out == ""
+        assert "grid_step" in err
 
     def test_linear_b_exits_1_pointing_at_walk(self, capsys, bo3_file):
         code, _, err = run(capsys, "compose", "--tree", bo3_file,
@@ -250,6 +273,18 @@ class TestWalkSweep:
         code, _, err = run(capsys, "walk", "sweep", "--n-max", "2",
                            "--model", "prime:a=1", "--csv")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-max", "2", "--model", "std:a=1,b=2"],
+        ["--n-max", "0", "--model", "prime:a=1"],
+        ["--n-max", "-3", "--model", "prime:a=1", "--csv"],
+    ], ids=["std-b-2", "n-max-0", "n-max-negative"])
+    def test_malformed_sweep_exits_1(self, capsys, argv):
+        # b = 2 was silently solved as b = 1, and --n-max 0 printed no rows
+        code, out, err = run(capsys, "walk", "sweep", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestSimulate:
@@ -420,3 +455,141 @@ class TestTopLevel:
         doc = json.loads(proc.stdout)
         assert doc["n"] == 2
         assert doc["bound_ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# Property guard: malformed input of any kind exits 1, never 2, and leaves
+# stdout empty or valid JSON.
+# ---------------------------------------------------------------------------
+
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "-Infinity"]
+NOT_POSITIVE = st.one_of(st.sampled_from(NON_FINITE),
+                         st.floats(max_value=0.0, allow_nan=False).map(repr))
+NOT_POSITIVE_INT = st.one_of(st.sampled_from(NON_FINITE + ["1.5", "", "x"]),
+                             st.integers(max_value=0).map(str))
+
+# (base argv, flag, malformed values); the base is valid on its own and
+# cheap, "TREE" stands for a canonical best-of-3 document
+_TREE_SIM = ["simulate", "--tree", "TREE", "--model", "std:a=1,b=2",
+             "--strategy", "honest", "--trials", "20"]
+_WALK_SIM = ["simulate", "--walk", "--n", "2", "--model", "prime:a=1",
+             "--policy", "honest", "--trials", "20", "--step-cap", "64"]
+_COMPOSE = ["compose", "--tree", "TREE", "--a", "1", "--b", "2",
+            "--eps-tot", "0.05", "--exact", "--brute-force", "--grid", "0.1"]
+FLAG_CASES = [
+    (_COMPOSE, "--a", NOT_POSITIVE),
+    (_COMPOSE, "--b", st.one_of(NOT_POSITIVE, st.floats(0.0, 1.0).map(repr))),
+    (_COMPOSE, "--eps-tot", st.one_of(
+        st.sampled_from(NON_FINITE),
+        st.floats(min_value=0.5, exclude_min=True, allow_infinity=False)
+        .flatmap(lambda x: st.sampled_from([repr(x), repr(-x)])))),
+    (_COMPOSE, "--grid", NOT_POSITIVE),
+    (["walk", "solve", "--n", "2", "--model", "prime:a=1"], "--n", NOT_POSITIVE_INT),
+    (["walk", "sweep", "--n-max", "2", "--model", "prime:a=1"], "--n-max",
+     NOT_POSITIVE_INT),
+    (["tree", "gen", "--kind", "best-of", "--n", "3"], "--n", NOT_POSITIVE_INT),
+    (_TREE_SIM, "--trials", NOT_POSITIVE_INT),
+    (_WALK_SIM, "--trials", NOT_POSITIVE_INT),
+    (_WALK_SIM, "--n", NOT_POSITIVE_INT),
+    (_WALK_SIM, "--step-cap", NOT_POSITIVE_INT),
+]
+
+_BAD_NUMBER = st.one_of(NOT_POSITIVE, st.sampled_from(["", "x", "1e", "0x1"]))
+BAD_WALK_MODELS = st.one_of(
+    st.sampled_from(["", "std", "prime", "quantum:a=1", "prime:b=1", "std:a=1",
+                     "prime:a=1,a=2", "prime:a=1,c=1", "std:a=1,b=2", "prime:a=1,b=2",
+                     ":a=1", "prime:a"]),
+    _BAD_NUMBER.map(lambda x: f"prime:a={x}"),
+    _BAD_NUMBER.map(lambda x: f"std:a={x},b=1"),
+    _BAD_NUMBER.map(lambda x: f"std:a=1,b={x}"),
+)
+
+
+def _is_tree(doc, depth=0) -> bool:
+    """Independent schema check, used to keep valid trees out of the guard."""
+    if not isinstance(doc, dict) or len(doc) != 1 or depth > 52:
+        return False
+    if "leaf" in doc:
+        return doc["leaf"] in (0, 1) and not isinstance(doc["leaf"], bool)
+    inner = doc.get("flip")
+    return (isinstance(inner, dict) and set(inner) == {"up", "down"}
+            and _is_tree(inner["up"], depth + 1)
+            and _is_tree(inner["down"], depth + 1))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["leaf", "flip", "up", "down", "x"]), kids,
+                      max_size=3),
+    max_leaves=8)
+BAD_TREE_TEXTS = st.one_of(
+    st.text(max_size=20).filter(lambda t: not t.strip().startswith(("{", "["))),
+    _JSON.filter(lambda d: not _is_tree(d)).map(json.dumps),
+    st.integers(53, 3000).map(  # a left spine deeper than MAX_DEPTH
+        lambda n: '{"flip":{"up":' * n + '{"leaf":0}' + ',"down":{"leaf":1}}}' * n),
+)
+# well-formed trees that compose cannot take: unfair, and no internal node
+UNCOMPOSABLE_TREE_TEXTS = st.sampled_from(
+    ['{"flip":{"up":{"leaf":0},"down":{"leaf":0}}}', '{"leaf":0}'])
+
+_BO3_INTERNAL = ["", "U", "D", "UD", "DU"]
+_BAD_EPS = st.sampled_from([float("nan"), float("inf"), 0.7, -0.9, "x", True, None,
+                            [0.1]])
+BAD_STRATEGY_TEXTS = st.one_of(
+    st.text(max_size=12).filter(lambda t: not t.strip().startswith(("{", "["))),
+    st.sampled_from(["[]", "1", '"honest"', '{"strategy": 3}']),
+    # a strict subset of the internal nodes: some node is missing
+    st.lists(st.sampled_from(_BO3_INTERNAL), unique=True, max_size=4).map(
+        lambda keys: json.dumps({k: 0.01 for k in keys})),
+    # every node present, one entry malformed
+    st.tuples(st.sampled_from(_BO3_INTERNAL), _BAD_EPS).map(
+        lambda kv: json.dumps({**{k: 0.01 for k in _BO3_INTERNAL}, kv[0]: kv[1]})),
+)
+
+
+def _guard_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), workers=st.sampled_from(["-1", "0", "1", "2"]))
+def test_malformed_input_exits_1(tmp_path_factory, data, workers):
+    folder = tmp_path_factory.mktemp("guard")
+    tree_file = folder / "tree.json"
+    tree_file.write_text(CANONICAL_BEST_OF_3)
+    kind = data.draw(st.sampled_from(["flag", "model", "tree", "strategy"]))
+    if kind == "flag":
+        base, flag, values = data.draw(st.sampled_from(FLAG_CASES))
+        i = base.index(flag)
+        argv = base[:i] + [f"{flag}={data.draw(values)}"] + base[i + 2:]
+    elif kind == "model":
+        base = data.draw(st.sampled_from([
+            ["walk", "solve", "--n", "2"], ["walk", "sweep", "--n-max", "2"],
+            ["simulate", "--walk", "--n", "2", "--policy", "honest",
+             "--trials", "20"]]))
+        argv = base + [f"--model={data.draw(BAD_WALK_MODELS)}"]
+    elif kind == "tree":
+        tree_file = folder / "bad.json"
+        if data.draw(st.booleans()):
+            tree_file.write_text(data.draw(BAD_TREE_TEXTS))
+            argv = data.draw(st.sampled_from([
+                ["tree", "analyze", "--in", "TREE"], _COMPOSE, _TREE_SIM]))
+        else:
+            tree_file.write_text(data.draw(UNCOMPOSABLE_TREE_TEXTS))
+            argv = _COMPOSE
+    else:
+        (folder / "strategy.json").write_text(data.draw(BAD_STRATEGY_TEXTS))
+        model = data.draw(st.sampled_from(["std:a=1,b=2", "prime:a=1"]))
+        argv = ["simulate", "--tree", "TREE", "--model", model,
+                "--strategy", str(folder / "strategy.json"), "--trials", "20"]
+    if argv[0] == "simulate":
+        argv = argv + [f"--workers={workers}"]
+    argv = [str(tree_file) if a == "TREE" else a for a in argv]
+    code, out, err = _guard_run(argv)
+    assert code == 1, (argv, err)
+    assert out == "" or json.loads(out) is not None
+    assert err.startswith("error:")

@@ -1,12 +1,14 @@
 """Leading-order composition, exact evaluation, and the grid-search oracle."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coincomp import composer, game_tree
+from coincomp import composer, game_tree, simulate
 from coincomp.cheat_model import CheatModel
 from conftest import SMALL_SUITE
 
@@ -294,6 +296,19 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             composer.brute_force_min_pc(bo3, CheatModel(1.0, 2.0), 0.05, 5e-4)
 
+    @pytest.mark.parametrize("grid_step", [math.nan, math.inf, -math.inf, 0.0,
+                                           -0.1, 0.7, 0.5000001])
+    def test_grid_step_outside_range_rejected(self, bo3, grid_step):
+        with pytest.raises(ValueError, match="grid_step"):
+            composer.brute_force_min_pc(bo3, CheatModel(1.0, 2.0), 0.05, grid_step)
+
+    def test_coarsest_grid_accepted(self):
+        # steps -1/2, 0, 1/2: the only cheat is a certain catch
+        strat, min_pc = composer.brute_force_min_pc(
+            SMALL_SUITE["one_flip"], CheatModel(1.0, 2.0), 0.05, 0.5)
+        assert strat == {"": 0.5}
+        assert min_pc == 0.25
+
     def test_never_beats_leading_order_by_more_than_slack(self, small_tree):
         # grid answer >= true optimum ~ a_new eps_tot^2 minus grid slack
         m = CheatModel(1.0, 2.0)
@@ -301,6 +316,48 @@ class TestBruteForce:
         res = composer.leading_order(small_tree, 1.0, 2.0, 0.05)
         _, min_pc = composer.brute_force_min_pc(small_tree, m, 0.05, grid_step)
         assert min_pc >= res.predicted_pc - 3.0 * m.a * grid_step
+
+
+class TestPinnedTreeAnswers:
+    """Byte-level pins of every tree analysis; any ulp change trips them."""
+
+    @staticmethod
+    def _trees():
+        trees = [(f"best-of-{n}", game_tree.gen_best_of(n)) for n in range(3, 16, 2)]
+        trees += [(f"full({d})", game_tree.gen_full(d, [0, 1] * 2 ** (d - 1)))
+                  for d in (4, 10)]
+        trees += [(f"random-fair(8,{s})", game_tree.gen_random_fair(8, s))
+                  for s in range(6)]
+        return trees
+
+    def test_annotation_and_composition_digest(self):
+        h = hashlib.sha256()
+        for name, tree in self._trees():
+            rec = {"tree": name, "lemma_sum": game_tree.lemma_sum(tree),
+                   "nodes": {p: [i.depth, i.p_w, i.delta]
+                             for p, i in game_tree.annotate(tree).nodes.items()}}
+            for b in (1.5, 2.0, 3.0):
+                res = composer.leading_order(tree, 1.0, b, 0.05)
+                exact = composer.exact_outcome(tree, CheatModel(1.0, b),
+                                               res.strategy)
+                rec[f"b={b}"] = [res.to_json_dict(), exact.as_tuple()]
+            h.update((json.dumps(rec, sort_keys=True) + "\n").encode())
+        assert h.hexdigest() == ("a7d33783b158f5c9da883f5a8d1b6bb3"
+                                 "2a677d853633609d752083ee7b8ec1b6")
+
+    def test_simulate_tree_counts(self):
+        tree = game_tree.gen_best_of(15)
+        strategy = composer.leading_order(tree, 1.0, 2.0, 0.1).strategy
+        r = simulate.simulate_tree(tree, CheatModel(1.0, 2.0), strategy, 20000, 7)
+        assert (r.wins, r.losses, r.catches, r.overruns) == (11863, 7940, 197, 0)
+
+    def test_brute_force_best_of_3(self):
+        strategy, min_pc = composer.brute_force_min_pc(
+            game_tree.gen_best_of(3), CheatModel(1.0, 2.0), 0.05, 1e-3)
+        assert min_pc == 0.002646773543068613
+        assert strategy == {"": 0.026000000000000002, "D": 0.026000000000000002,
+                            "DU": 0.051000000000000004, "U": 0.026000000000000002,
+                            "UD": 0.051000000000000004}
 
 
 @settings(max_examples=30, deadline=None)

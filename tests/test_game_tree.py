@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coincomp import game_tree
-from coincomp.game_tree import Flip, Leaf, TreeParseError
+from coincomp.game_tree import Flip, Leaf, NodeInfo, TreeParseError
 
 
 CANONICAL_BEST_OF_3 = (
@@ -72,7 +72,7 @@ class TestParse:
 
     def test_depth_cap_accepted(self):
         tree = game_tree.parse_tree(self._left_spine(game_tree.MAX_DEPTH))
-        assert game_tree.depth(tree) == game_tree.MAX_DEPTH
+        assert max(game_tree.annotate(tree).depth) == game_tree.MAX_DEPTH
 
     def test_depth_cap_exceeded_names_path(self):
         with pytest.raises(TreeParseError, match="'" + "U" * 52 + "'"):
@@ -208,6 +208,62 @@ class TestAnnotate:
             tree = Flip(tree, Leaf(1))
         ann = game_tree.annotate(tree)
         assert math.isfinite(ann.p_w_root)
+
+    def test_lists_are_postorder(self, fair_tree):
+        ann = game_tree.annotate(fair_tree)
+        assert ann.path[-1] == ""
+        for i, (gap, u, dn) in enumerate(zip(ann.delta, ann.up, ann.down)):
+            if gap is None:
+                assert (u, dn) == (-1, -1)
+            else:
+                # up subtree, then down subtree, then the node itself
+                assert u < dn < i
+                assert ann.path[u] == ann.path[i] + "U"
+                assert ann.path[dn] == ann.path[i] + "D"
+                assert ann.depth[u] == ann.depth[dn] == ann.depth[i] + 1
+
+    def test_nodes_view_matches_lists(self, fair_tree):
+        ann = game_tree.annotate(fair_tree)
+        assert list(ann.nodes) == ann.path
+        assert list(ann.nodes.values()) == [
+            NodeInfo(d, w, x) for d, w, x in zip(ann.depth, ann.p_w, ann.delta)]
+        assert [p for p, _ in ann.internal()] == [
+            p for p, x in zip(ann.path, ann.delta) if x is not None]
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+    def test_best_of_size_formula_counts_nodes(self, n):
+        size = 2 * math.comb(n + 1, (n + 1) // 2) - 1
+        assert len(game_tree.annotate(game_tree.gen_best_of(n)).path) == size
+
+    def test_best_of_19_fits(self):
+        assert isinstance(game_tree.gen_best_of(19), Flip)
+
+    @pytest.mark.parametrize("n", [21, 23, 51])
+    def test_best_of_over_budget_rejected(self, n):
+        with pytest.raises(ValueError, match="budget"):
+            game_tree.gen_best_of(n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budget_is_exact_and_keeps_trees(self, monkeypatch, seed):
+        tree = game_tree.gen_random_fair(8, seed)
+        size = len(game_tree.annotate(tree).path)
+        monkeypatch.setattr(game_tree, "MAX_NODES", size)
+        assert game_tree.gen_random_fair(8, seed) == tree
+        # Flip(T, mirror(T)) has an odd size, so size - 2 is one node short
+        monkeypatch.setattr(game_tree, "MAX_NODES", size - 2)
+        with pytest.raises(ValueError, match="budget"):
+            game_tree.gen_random_fair(8, seed)
+
+    def test_random_counts_every_node(self, monkeypatch):
+        tree = game_tree.gen_random(8, 4)
+        size = len(game_tree.annotate(tree).path)
+        monkeypatch.setattr(game_tree, "MAX_NODES", size)
+        assert game_tree.gen_random(8, 4) == tree
+        monkeypatch.setattr(game_tree, "MAX_NODES", size - 1)
+        with pytest.raises(ValueError, match="budget"):
+            game_tree.gen_random(8, 4)
 
 
 class TestLemmaSum:
