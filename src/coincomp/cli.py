@@ -61,7 +61,7 @@ def _cmd_tree_gen(args) -> int:
 def _cmd_tree_analyze(args) -> int:
     tree = _read_tree(args.infile)
     ann = game_tree.annotate(tree)
-    total = game_tree.lemma_sum(tree)
+    total = ann.lemma_sum()
     p = ann.p_w_root
     expected = 4.0 * p * (1.0 - p)
     if abs(total - expected) > 1e-9:

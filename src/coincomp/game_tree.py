@@ -12,9 +12,9 @@ cheater gains by winning the flip at x.
 
 Depths are capped at 52 so every 2**-D and every P_W is an exact dyadic
 rational in 64-bit floats; the identities tested elsewhere then hold to
-machine precision instead of approximately.  Generators also refuse trees
-of more than MAX_NODES nodes, so that a call ends in seconds instead of
-running for minutes or exhausting memory.
+machine precision instead of approximately.  Generators and the parser
+also refuse trees of more than MAX_NODES nodes, so that a call ends in
+seconds instead of running for minutes or exhausting memory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from . import rng
 
 MAX_DEPTH = 52
-MAX_NODES = 1 << 20  # node budget for generated trees
+MAX_NODES = 1 << 20  # node budget for generated and parsed trees
 
 
 class TreeParseError(ValueError):
@@ -84,12 +84,20 @@ class TreeAnnotation:
     def internal(self) -> list[tuple[str, NodeInfo]]:
         return [(p, info) for p, info in self.nodes.items() if info.delta is not None]
 
+    def lemma_sum(self) -> float:
+        """Sum over internal nodes of 2**-D(x) * Delta(x)**2 (see lemma_sum)."""
+        total = 0.0
+        for d, gap in zip(self.depth, self.delta):
+            if gap is not None:
+                total += 2.0 ** (-d) * gap * gap
+        return total
+
 
 def parse_tree(text: str) -> GameTree:
     """Parse the JSON tree document.
 
     Schema: a node is {"leaf": 0|1} or {"flip": {"up": node, "down": node}}.
-    Trees deeper than MAX_DEPTH are rejected.
+    Trees deeper than MAX_DEPTH or larger than MAX_NODES are rejected.
     """
     try:
         doc = json.loads(text)
@@ -98,11 +106,16 @@ def parse_tree(text: str) -> GameTree:
     except RecursionError:
         raise TreeParseError(f"invalid JSON: nested too deeply for a tree of "
                              f"depth <= {MAX_DEPTH}") from None
-    return _parse_node(doc, "")
+    return _parse_node(doc, "", [MAX_NODES])
 
 
-def _parse_node(obj, path: str) -> Node:
+def _parse_node(obj, path: str, room: list[int]) -> Node:
+    # room[0] counts down the nodes still allowed
     where = f"node at path '{path}'"
+    room[0] -= 1
+    if room[0] < 0:
+        raise TreeParseError(f"{where}: the document passes the budget of "
+                             f"{MAX_NODES} nodes")
     if not isinstance(obj, dict):
         raise TreeParseError(f"{where}: expected an object, got {type(obj).__name__}")
     if set(obj) == {"leaf"}:
@@ -124,8 +137,8 @@ def _parse_node(obj, path: str) -> Node:
         if len(path) >= MAX_DEPTH:
             raise TreeParseError(f"{where}: a flip here makes the tree deeper "
                                  f"than {MAX_DEPTH}")
-        return Flip(_parse_node(inner["up"], path + "U"),
-                    _parse_node(inner["down"], path + "D"))
+        return Flip(_parse_node(inner["up"], path + "U", room),
+                    _parse_node(inner["down"], path + "D", room))
     raise TreeParseError(f"{where}: expected exactly one of 'leaf' or 'flip'")
 
 
@@ -265,12 +278,7 @@ def lemma_sum(tree: GameTree) -> float:
 
     Equals 4*p*(1-p) with p = P_W(root); in particular 1 for fair trees.
     """
-    ann = annotate(tree)
-    total = 0.0
-    for d, gap in zip(ann.depth, ann.delta):
-        if gap is not None:
-            total += 2.0 ** (-d) * gap * gap
-    return total
+    return annotate(tree).lemma_sum()
 
 
 def leaf_win_mass(tree: GameTree) -> float:

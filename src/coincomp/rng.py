@@ -14,7 +14,8 @@ All arithmetic is modulo 2**64.  Trial i of a simulation with master seed
 `seed` uses its own stream seeded with mix(seed, i) = finalize(seed + i *
 GOLDEN), so trials can be evaluated in any order, in any grouping, and the
 draws never change.  Doubles take the top 53 bits: (x >> 11) * 2**-53,
-uniform on [0, 1).
+uniform on [0, 1), so a double is below 1/2 exactly when x < HALF_U64 =
+2**63: a fair coin can read the top bit and skip forming the double.
 
 Two implementations are provided and must agree bit for bit: a plain
 integer one (reference, used by the tree generators) and a numpy one
@@ -31,6 +32,7 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 DOUBLE_SCALE = 2.0 ** -53
+HALF_U64 = 1 << 63  # to_double(x) < 0.5 exactly when x < HALF_U64
 
 
 def finalize(z: int) -> int:
@@ -69,26 +71,45 @@ class Stream:
 
 _NP_MIX1 = np.uint64(MIX1)
 _NP_MIX2 = np.uint64(MIX2)
+_NP_GOLDEN = np.uint64(GOLDEN)
 
 
 def np_finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _NP_MIX2
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))  # a new array: the input is left as it was
+    z *= _NP_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _NP_MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def np_stream_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
     """mix(seed, i) for i in [lo, hi) as a uint64 array."""
     idx = np.arange(lo, hi, dtype=np.uint64)
-    base = np.uint64(seed & MASK) + idx * np.uint64(GOLDEN)
+    base = np.uint64(seed & MASK) + idx * _NP_GOLDEN
     return np_finalize(base)
 
 
-def np_draw_u64(stream_seeds: np.ndarray, k: int) -> np.ndarray:
-    """k-th output (0-based) of each stream."""
-    step = np.uint64(((k + 1) * GOLDEN) & MASK)
-    return np_finalize(stream_seeds + step)
+def _np_offset(k) -> np.ndarray:
+    # k * GOLDEN mod 2**64 for an int or an int array.  k is cast to uint64
+    # first: a mixed int64/uint64 operation would promote to float64 and lose
+    # bits.  The ufunc wraps silently, where numpy scalar arithmetic warns.
+    return np.multiply(np.asarray(k, dtype=np.uint64), _NP_GOLDEN)
 
 
-def np_draw_double(stream_seeds: np.ndarray, k: int) -> np.ndarray:
+def np_skip(stream_seeds: np.ndarray, k) -> np.ndarray:
+    """Seeds of the streams whose output j is output k + j of each stream."""
+    return stream_seeds + _np_offset(k)
+
+
+def np_draw_u64(stream_seeds: np.ndarray, k) -> np.ndarray:
+    """k-th output (0-based) of each stream.
+
+    k is an int or an array of ints in [0, 2**64 - 1), broadcast against the
+    stream seeds.
+    """
+    return np_finalize(stream_seeds + _np_offset(k + 1))
+
+
+def np_draw_double(stream_seeds: np.ndarray, k) -> np.ndarray:
     return (np_draw_u64(stream_seeds, k) >> np.uint64(11)) * DOUBLE_SCALE

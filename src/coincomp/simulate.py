@@ -15,6 +15,24 @@ which is the honest continuation the analytic solver folds into its
 terminal payoff.  Walk trials still unabsorbed after step_cap steps are
 counted as overruns and settled by one final draw against the honest value
 (N+z)/(2N), so every trial contributes to exactly one count.
+
+A walk block runs in two phases.  Phase 1 steps the uncaught trials, one
+draw per trial per pass, over compacted arrays that shrink as trials are
+absorbed or caught.  A trial caught by draw k - 1 leaves with its site and
+its next draw index k.  Phase 2 plays the caught trials' fair coin many
+steps per pass: it draws a (walks x width) block of outputs at each walk's
+own draw indices, turns them into +-1 steps, cumsums them into paths and
+reads each walk's absorption from the first column where |z| = N.  Columns
+at or past step_cap are zeroed, and a walk that reaches the cap, including
+one caught by the last allowed draw, is settled by draw step_cap as before.
+When every site's thresholds are exactly fair (0.5, 1.0), as under the
+honest policy, no trial can be caught and all of them start in phase 2 at
+draw 0.  The two phases make the same draws as one loop over all trials
+would: each trial still reads output k of its own stream at step k, a fair
+step compares that output against 1/2 (through its top bit, which is the
+same test: see rng.HALF_U64), and the draws a path makes after its
+absorption or past the cap are never read.  So every count, and with it
+every report, is bit-identical to the one-loop form.
 """
 
 from __future__ import annotations
@@ -32,6 +50,7 @@ from .game_tree import GameTree, annotate
 from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
+_FAIR_DRAWS = 1 << 15  # draws per fair-coin pass: its temporaries stay near 1 MiB
 
 
 @dataclass(frozen=True)
@@ -146,34 +165,98 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     # per-site thresholds indexed by z + n; boundary rows are never consulted
     thr_up = np.pad(t.p0, 1)
     thr_dn = np.pad(t.p0 + t.p1, 1)
+    # fair thresholds at every site (the honest policy) can never catch, so
+    # every trial is a fair-coin walk from its first draw
+    all_fair = bool(np.all(t.p0 == 0.5) and np.all(t.p0 + t.p1 == 1.0))
+    # no walk gets near 2**62 steps; the bound keeps step counts in int64
+    cap = min(step_cap, 1 << 62)
+    rows = max(1, _FAIR_DRAWS // n)  # fair walks per pass
+
+    def settle(streams, z, k) -> int:
+        # overruns: draw k of each stream against the honest payoff at z
+        if not streams.size:
+            return 0
+        u = rng.np_draw_double(streams, k)
+        return int(np.count_nonzero(u < (n + z) / (2.0 * n)))
+
+    def uncaught(streams):
+        # One step per pass until each trial is absorbed, caught or at the
+        # cap.  A trial caught by draw k - 1 is handed on to `fair` as its
+        # stream skipped to draw k, its site and the steps left before the cap.
+        z = np.zeros(streams.size, dtype=np.int32)
+        wins = 0
+        caught = []  # one (streams, sites, steps left) triple per catching step
+        k = 0
+        while streams.size and k < cap:
+            u = rng.np_draw_double(streams, k)
+            k += 1
+            zi = z + n
+            go_up = u < thr_up[zi]
+            move = go_up | (u < thr_dn[zi])
+            z += go_up
+            z -= move & ~go_up
+            if not move.all():
+                hit = ~move
+                caught.append((rng.np_skip(streams[hit], k), z[hit],
+                               np.full(np.count_nonzero(hit), cap - k)))
+            wins += int(np.count_nonzero(z == n))
+            live = move & (z != n) & (z != -n)
+            streams, z = streams[live], z[live]
+        return wins + settle(streams, z, cap), streams.size, caught
+
+    def fair(streams, z, left):
+        # Fair-coin walks from sites z whose next draw is output 0 of their
+        # stream, with `left` steps before the cap.  A batch of at most
+        # `rows` walks advances `width` steps per pass, and walks that end
+        # make room for queued ones, so a pass holds about _FAIR_DRAWS draws.
+        queue, queued = (streams, z, left), 0
+        batch = tuple(col[:0] for col in queue)
+        wins = over = 0
+        while True:
+            room = rows - batch[0].size
+            if room > 0 and queued < streams.size:
+                batch = tuple(np.concatenate((b, col[queued:queued + room]))
+                              for b, col in zip(batch, queue))
+                queued += room
+            s, z, left = batch
+            if not s.size:
+                return wins, over
+            width = max(n, _FAIR_DRAWS // s.size)
+            cols = np.arange(width)
+            # up when the double is below 1/2, read from the top bit
+            up = rng.np_draw_u64(s[:, None], cols) < rng.HALF_U64
+            steps = up.view(np.int8) * np.int8(2)
+            steps -= np.int8(1)
+            capped = left <= width
+            if capped.any():
+                steps[cols >= left[:, None]] = 0
+            path = np.cumsum(steps, axis=1, dtype=np.int32)
+            path += z[:, None]
+            hit = np.abs(path) == n
+            at = np.arange(s.size), hit.argmax(axis=1)  # first |z| = N
+            done = hit[at]
+            wins += int(np.count_nonzero(done & (path[at] > 0)))
+            capped &= ~done
+            over += int(np.count_nonzero(capped))
+            wins += settle(s[capped], path[capped, -1], left[capped])
+            live = ~(done | capped)
+            batch = (rng.np_skip(s[live], width), path[live, -1],
+                     left[live] - width)
 
     def block(lo: int, hi: int):
         m = hi - lo
         streams = rng.np_stream_seeds(seed, lo, hi)
-        z = np.zeros(m, dtype=np.int32)
-        caught = np.zeros(m, dtype=bool)
-        win = np.zeros(m, dtype=bool)
-        act = np.arange(m)
-        for k in range(step_cap):
-            if not act.size:
-                break
-            u = rng.np_draw_double(streams[act], k)
-            zi = z[act] + n
-            fair = caught[act]
-            go_up = u < np.where(fair, 0.5, thr_up[zi])
-            go_dn = ~go_up & (u < np.where(fair, 1.0, thr_dn[zi]))
-            z[act] += go_up.astype(np.int32) - go_dn.astype(np.int32)
-            caught[act[~go_up & ~go_dn]] = True
-            znew = z[act]
-            win[act[znew == n]] = True
-            act = act[(znew != n) & (znew != -n)]
-        over = int(act.size)
-        if act.size:
-            # settle overruns by the honest payoff at the current site
-            u = rng.np_draw_double(streams[act], step_cap)
-            win[act[u < (n + z[act]) / (2.0 * n)]] = True
-        n_win = int(win.sum())
-        return (n_win, m - n_win, int(caught.sum()), over)
+        if all_fair:
+            wins = over = catches = 0
+            walks = [(streams, np.zeros(m, dtype=np.int32), np.full(m, cap))]
+        else:
+            wins, over, walks = uncaught(streams)
+            catches = sum(w[0].size for w in walks)
+        if walks:
+            w, o = fair(*(np.concatenate(col) for col in zip(*walks)))
+            wins += w
+            over += o
+        return (wins, m - wins, catches, over)
 
     wins, losses, catches, overruns = _run_blocks(block, trials, workers)
     return _report(trials, wins, losses, catches, overruns, seed)

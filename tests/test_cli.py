@@ -127,8 +127,31 @@ class TestTreeAnalyze:
         assert out == ""
         assert "deep" in err
 
+    def test_document_over_node_budget_exits_1(self, capsys, bo3_file,
+                                                monkeypatch):
+        monkeypatch.setattr(game_tree, "MAX_NODES", 10)
+        for argv in (("tree", "analyze", "--in", bo3_file),
+                     ("compose", "--tree", bo3_file, "--a", "1", "--b", "2",
+                      "--eps-tot", "0.1"),
+                     ("simulate", "--tree", bo3_file, "--strategy", "honest",
+                      "--model", "std:a=1,b=2", "--trials", "10")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "budget of 10 nodes" in err
+
+    def test_analyze_annotates_once(self, capsys, bo3_file, monkeypatch):
+        calls = []
+        real = game_tree.annotate
+        monkeypatch.setattr(game_tree, "annotate",
+                            lambda tree: calls.append(tree) or real(tree))
+        code, _, _ = run(capsys, "tree", "analyze", "--in", bo3_file)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_lemma_disagreement_exits_2(self, capsys, bo3_file, monkeypatch):
-        monkeypatch.setattr(game_tree, "lemma_sum", lambda tree: 0.9)
+        monkeypatch.setattr(game_tree.TreeAnnotation, "lemma_sum",
+                            lambda self: 0.9)
         code, _, err = run(capsys, "tree", "analyze", "--in", bo3_file)
         assert code == 2
         assert "invariant" in err

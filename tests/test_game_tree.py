@@ -83,6 +83,16 @@ class TestParse:
         with pytest.raises(TreeParseError):
             game_tree.parse_tree(self._left_spine(3000))
 
+    def test_node_budget(self, monkeypatch):
+        # best-of-3 has 11 nodes: a budget of 11 keeps the parse, 10 stops it
+        # at the eleventh node in preorder, the last leaf
+        tree = game_tree.parse_tree(CANONICAL_BEST_OF_3)
+        monkeypatch.setattr(game_tree, "MAX_NODES", 11)
+        assert game_tree.parse_tree(CANONICAL_BEST_OF_3) == tree
+        monkeypatch.setattr(game_tree, "MAX_NODES", 10)
+        with pytest.raises(TreeParseError, match="'DD'.*budget of 10 nodes"):
+            game_tree.parse_tree(CANONICAL_BEST_OF_3)
+
     @given(tree_documents())
     def test_round_trip(self, doc):
         text = json.dumps(doc)
@@ -284,3 +294,7 @@ class TestLemmaSum:
     def test_single_leaf_sum_is_zero(self):
         assert game_tree.lemma_sum(Leaf(0)) == 0.0
         assert game_tree.lemma_sum(Leaf(1)) == 0.0
+
+    def test_annotation_method_is_the_sum(self, fair_tree):
+        ann = game_tree.annotate(fair_tree)
+        assert ann.lemma_sum() == game_tree.lemma_sum(fair_tree)

@@ -98,3 +98,79 @@ def test_double_mean_is_plausible():
     s = rng.Stream(3)
     xs = [s.next_double() for _ in range(10000)]
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
+
+
+def _stream_output(seed, k):
+    # output k of a stream: next_u64() once its state has advanced k times
+    return rng.Stream((seed + k * rng.GOLDEN) & rng.MASK).next_u64()
+
+
+def test_array_indices_match_stepped_streams():
+    seeds = rng.np_stream_seeds(5, 0, 8)
+    streams = [rng.Stream(rng.mix(5, i)) for i in range(8)]
+    expected = [[s.next_u64() for _ in range(6)] for s in streams]
+    got = rng.np_draw_u64(seeds[:, None], np.arange(6))
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+
+
+_EDGE_SEEDS = [0, 1, (1 << 63) - 1, 1 << 63, rng.MASK - rng.GOLDEN, rng.MASK - 1,
+               rng.MASK]
+_EDGE_STEPS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 7, (1 << 63) - 1,
+               1 << 63, rng.MASK - 1]
+
+
+def test_array_indices_wrap_like_the_stream():
+    # indices past 2**32 and seeds near 2**64 make every sum wrap mod 2**64
+    seeds = np.array(_EDGE_SEEDS, dtype=np.uint64)
+    got = rng.np_draw_u64(seeds[:, None], np.array(_EDGE_STEPS, dtype=np.uint64))
+    assert got.tolist() == [[_stream_output(s, k) for k in _EDGE_STEPS]
+                            for s in _EDGE_SEEDS]
+    # an int64 index array draws the same outputs as a uint64 one
+    small = [k for k in _EDGE_STEPS if k < 1 << 63]
+    assert rng.np_draw_u64(seeds[:, None], np.array(small, dtype=np.int64)).tolist() \
+        == [[_stream_output(s, k) for k in small] for s in _EDGE_SEEDS]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=rng.MASK), min_size=1,
+                max_size=4),
+       st.lists(st.integers(min_value=0, max_value=rng.MASK - 1), min_size=1,
+                max_size=4))
+def test_array_indices_match_stream(seeds, steps):
+    got = rng.np_draw_u64(np.array(seeds, dtype=np.uint64)[:, None],
+                          np.array(steps, dtype=np.uint64))
+    assert got.tolist() == [[_stream_output(s, k) for k in steps] for s in seeds]
+    doubles = rng.np_draw_double(np.array(seeds, dtype=np.uint64)[:, None],
+                                 np.array(steps, dtype=np.uint64))
+    assert doubles.tolist() == [[rng.to_double(_stream_output(s, k)) for k in steps]
+                                for s in seeds]
+
+
+@given(st.integers(min_value=0, max_value=rng.MASK),
+       st.integers(min_value=0, max_value=1 << 40),
+       st.integers(min_value=0, max_value=1 << 40))
+def test_skip_moves_the_stream_start(seed, k, j):
+    seeds = np.array([seed], dtype=np.uint64)
+    assert rng.np_draw_u64(rng.np_skip(seeds, k), j).tolist() == \
+        rng.np_draw_u64(seeds, k + j).tolist() == [_stream_output(seed, k + j)]
+
+
+def test_top_bit_is_the_fair_coin():
+    # a double is below 1/2 exactly when its u64 is below 2**63
+    half = rng.HALF_U64
+    edges = [0, half - (1 << 11) - 1, half - (1 << 11), half - 1, half,
+             half + 1, half + (1 << 11), rng.MASK]
+    xs = np.array(edges, dtype=np.uint64)
+    below = ((xs >> np.uint64(11)) * rng.DOUBLE_SCALE < 0.5).tolist()
+    assert below == [x < half for x in edges]
+    assert below == [rng.to_double(x) < 0.5 for x in edges]
+    seeds = rng.np_stream_seeds(3, 0, 4096)
+    for k in (0, 1, 1 << 40):
+        assert np.array_equal(rng.np_draw_u64(seeds, k) < half,
+                              rng.np_draw_double(seeds, k) < 0.5)
+
+
+def test_finalize_leaves_its_input():
+    z = np.arange(1, 9, dtype=np.uint64)
+    rng.np_finalize(z)
+    assert z.tolist() == list(range(1, 9))

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coincomp import composer, game_tree, simulate, walk
-from coincomp.cheat_model import CheatModel, PRIME
+from coincomp import cheat_model, composer, game_tree, rng, simulate, walk
+from coincomp.cheat_model import CheatModel, PRIME, STD
 
 
 def within_4se(report, key, exact):
@@ -158,3 +160,136 @@ class TestWalk:
         sol = walk.optimize(g)
         r = simulate.simulate_walk(g, sol.policy, 200_000, 8)
         assert within_4se(r, "win", sol.bias + 0.5)
+
+
+def reference_simulate_walk(game, policy, trials, seed, step_cap=None,
+                            workers=1):
+    """The per-step walk simulator that the two-phase one replaced.
+
+    Kept as the reference: one numpy pass per step over every unabsorbed
+    trial, with caught trials masked onto fair thresholds.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n = game.n
+    if step_cap is None:
+        step_cap = 64 * n * n
+    if step_cap < 4 * n * n:
+        raise ValueError(f"step_cap must be >= 4*N^2 = {4 * n * n}, got {step_cap}")
+    t = cheat_model.triple(game.model, walk.check_policy(game, policy))
+
+    # per-site thresholds indexed by z + n; boundary rows are never consulted
+    thr_up = np.pad(t.p0, 1)
+    thr_dn = np.pad(t.p0 + t.p1, 1)
+
+    def block(lo: int, hi: int):
+        m = hi - lo
+        streams = rng.np_stream_seeds(seed, lo, hi)
+        z = np.zeros(m, dtype=np.int32)
+        caught = np.zeros(m, dtype=bool)
+        win = np.zeros(m, dtype=bool)
+        act = np.arange(m)
+        for k in range(step_cap):
+            if not act.size:
+                break
+            u = rng.np_draw_double(streams[act], k)
+            zi = z[act] + n
+            fair = caught[act]
+            go_up = u < np.where(fair, 0.5, thr_up[zi])
+            go_dn = ~go_up & (u < np.where(fair, 1.0, thr_dn[zi]))
+            z[act] += go_up.astype(np.int32) - go_dn.astype(np.int32)
+            caught[act[~go_up & ~go_dn]] = True
+            znew = z[act]
+            win[act[znew == n]] = True
+            act = act[(znew != n) & (znew != -n)]
+        over = int(act.size)
+        if act.size:
+            # settle overruns by the honest payoff at the current site
+            u = rng.np_draw_double(streams[act], step_cap)
+            win[act[u < (n + z[act]) / (2.0 * n)]] = True
+        n_win = int(win.sum())
+        return (n_win, m - n_win, int(caught.sum()), over)
+
+    wins, losses, catches, overruns = simulate._run_blocks(block, trials, workers)
+    return simulate._report(trials, wins, losses, catches, overruns, seed)
+
+
+# simulate_walk(N = 30, std, a = 0.5, its optimal policy, 5,000 trials, seed 4)
+# as (wins, losses, catches, overruns), computed by the per-step simulator
+PINNED_N30_STD = (2842, 2158, 4958, 0)
+
+
+@st.composite
+def walk_cases(draw):
+    n = draw(st.integers(1, 12))
+    variant = draw(st.sampled_from([PRIME, STD]))
+    game = walk.WalkGame(n, CheatModel(draw(st.sampled_from([0.5, 1.0, 2.0])),
+                                       1.0, variant))
+    sites = list(game.interior())
+    low = 0.0 if variant == PRIME else -1.0
+    fracs = draw(st.one_of(
+        st.just([0.0] * len(sites)),
+        st.just([1.0] * len(sites)),
+        st.lists(st.floats(low, 1.0), min_size=len(sites), max_size=len(sites))))
+    policy = {z: f * game.model.eps_max for z, f in zip(sites, fracs)}
+    step_cap = draw(st.one_of(st.none(),
+                              st.integers(4 * n * n, 4 * n * n + 20)))
+    # the reference pays a numpy pass per step over a whole block, so the
+    # multi-block trial count stays at small N
+    trials = draw(st.sampled_from([1, 7] + ([65_537] if n <= 6 else [])))
+    seed = draw(st.one_of(st.integers(0, 1 << 32),
+                          st.integers(1 << 63, (1 << 64) - 1)))
+    return game, policy, trials, seed, step_cap, draw(st.sampled_from([1, 2]))
+
+
+def _catch_step(game, policy, seed, trial, step_cap):
+    """Draw index at which the trial is caught, replayed on the scalar stream."""
+    s = rng.Stream(rng.mix(seed, trial))
+    z = 0
+    for k in range(step_cap):
+        t = cheat_model.triple(game.model, policy[z])
+        u = s.next_double()
+        if u < t.p0:
+            z += 1
+        elif u < t.p0 + t.p1:
+            z -= 1
+        else:
+            return k
+        if abs(z) == game.n:
+            return None
+    return None
+
+
+class TestWalkMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(walk_cases())
+    def test_reports_identical(self, case):
+        game, policy, trials, seed, step_cap, workers = case
+        assert simulate.simulate_walk(game, policy, trials, seed, step_cap,
+                                      workers) == \
+            reference_simulate_walk(game, policy, trials, seed, step_cap, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caught_on_last_allowed_step(self, workers):
+        # trial 4915 is caught by draw step_cap - 1: it leaves the catching
+        # phase with no step left and settles as an overrun
+        game = walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME))
+        policy = {z: 0.02 for z in game.interior()}
+        seed, cap = (1 << 63) + 12345, 16
+        assert _catch_step(game, policy, seed, 4915, cap) == cap - 1
+        r = simulate.simulate_walk(game, policy, 65_537, seed, cap, workers)
+        assert r == reference_simulate_walk(game, policy, 65_537, seed, cap)
+        assert r.overruns > 0
+
+    @pytest.mark.parametrize("n,variant,a", [(5, PRIME, 2.0), (10, STD, 1.0),
+                                             (30, PRIME, 0.5)])
+    def test_optimal_and_honest_policies(self, n, variant, a):
+        game = walk.WalkGame(n, CheatModel(a, 1.0, variant))
+        for policy in (walk.optimize(game).policy, walk.honest_policy(game)):
+            assert simulate.simulate_walk(game, policy, 3_000, 11) == \
+                reference_simulate_walk(game, policy, 3_000, 11)
+
+    def test_pinned_n30_std(self):
+        game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
+        r = simulate.simulate_walk(game, walk.optimize(game).policy, 5_000, 4)
+        assert (r.wins, r.losses, r.catches, r.overruns) == PINNED_N30_STD
