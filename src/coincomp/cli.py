@@ -131,6 +131,23 @@ def _cmd_walk_sweep(args) -> int:
     return 0
 
 
+def _number_map(arg: str, kind: str) -> dict[str, float]:
+    """A JSON file's object of numbers, unwrapped from a top-level `kind` key."""
+    try:
+        data = json.loads(Path(arg).read_text())
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{kind} file {arg}: invalid JSON: {exc}") from exc
+    if isinstance(data, dict) and isinstance(data.get(kind), dict):
+        data = data[kind]
+    if not isinstance(data, dict):
+        raise _InputError(f"{kind} file {arg}: expected an object")
+    for key, value in data.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise _InputError(f"{kind} file {arg}: eps for {key!r} is not "
+                              "a number")
+    return {key: float(value) for key, value in data.items()}
+
+
 def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
     if arg == "honest":
         ann = game_tree.annotate(tree)
@@ -141,21 +158,7 @@ def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
         except ValueError:
             raise _InputError(f"bad --strategy shorthand {arg!r}") from None
         return composer.leading_order(tree, model.a, model.b, eps_tot).strategy
-    try:
-        data = json.loads(Path(arg).read_text())
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"strategy file {arg}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict) and isinstance(data.get("strategy"), dict):
-        data = data["strategy"]
-    if not isinstance(data, dict):
-        raise _InputError(f"strategy file {arg}: expected an object")
-    out: composer.Strategy = {}
-    for key, value in data.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _InputError(f"strategy file {arg}: eps for {key!r} is not "
-                              "a number")
-        out[str(key)] = float(value)
-    return out
+    return _number_map(arg, "strategy")
 
 
 def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:
@@ -163,24 +166,12 @@ def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:
         return walk.optimize(game).policy
     if arg == "honest":
         return walk.honest_policy(game)
-    try:
-        data = json.loads(Path(arg).read_text())
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"policy file {arg}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict) and isinstance(data.get("policy"), dict):
-        data = data["policy"]
-    if not isinstance(data, dict):
-        raise _InputError(f"policy file {arg}: expected an object")
     out: walk.WalkPolicy = {}
-    for key, value in data.items():
+    for key, eps in _number_map(arg, "policy").items():
         try:
-            site = int(key)
+            out[int(key)] = eps
         except ValueError:
             raise _InputError(f"policy file {arg}: bad site {key!r}") from None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _InputError(f"policy file {arg}: eps for site {key!r} is "
-                              "not a number")
-        out[site] = float(value)
     return out
 
 
@@ -293,9 +284,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -178,6 +178,12 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
 # arithmetic is ordered exactly as in exact_outcome's pass, which keeps
 # this search bit-identical to the literal enumeration, including which
 # grid points count as feasible.
+#
+# A child behind a branch of probability zero cannot change the outcome, so
+# it enters the one combination expression as a one-entry frontier
+# (w = 0, c = 0, index -1): p * 0.0 adds exactly +0.0, as it does in
+# exact_outcome for any child value, and index -1 tells the reconstruction
+# to play that subtree honestly.
 # ---------------------------------------------------------------------------
 
 
@@ -185,8 +191,9 @@ class _Frontier:
     """Nondominated (w, c) pairs of one subtree, both strictly ascending.
 
     eps_idx / up_idx / down_idx record, per pair, the grid choice at this
-    node and the child pairs that produced it (-1 where a zero-probability
-    branch made the child irrelevant; reconstruction fills honest zeros).
+    node and the child pairs that produced it (-1 where the child entered
+    as the one-entry frontier of a zero-probability branch; reconstruction
+    fills honest zeros).
     """
 
     __slots__ = ("w", "c", "eps_idx", "up_idx", "down_idx")
@@ -221,47 +228,30 @@ def _prune(w, c, eps_idx, up_idx, down_idx) -> _Frontier:
     return _Frontier(w[sel], c[sel], eps_idx[sel], up_idx[sel], down_idx[sel])
 
 
-def _combine(grid, triples, up: _Frontier, down: _Frontier) -> _Frontier:
-    nu, nd = len(up), len(down)
-    sizes = []
-    for p0, p1, pc in triples:
-        if p0 > 0.0 and p1 > 0.0:
-            sizes.append(nu * nd)
-        elif p1 == 0.0 and p0 > 0.0:
-            sizes.append(nu)
-        elif p0 == 0.0 and p1 > 0.0:
-            sizes.append(nd)
-        else:
-            sizes.append(1)
-    if sum(sizes) > _MAX_COMBOS:
+def _branches(triples, up: _Frontier, down: _Frontier) -> list:
+    """Per grid point, its triple and the (w, c, index) each child enters with."""
+    absent = (np.zeros(1), np.zeros(1), np.full(1, -1, dtype=np.int32))
+    u = (up.w, up.c, np.arange(len(up), dtype=np.int32))
+    d = (down.w, down.c, np.arange(len(down), dtype=np.int32))
+    return [(t, u if t[0] > 0.0 else absent, d if t[1] > 0.0 else absent)
+            for t in triples]
+
+
+def _combine(triples, up: _Frontier, down: _Frontier) -> _Frontier:
+    branches = _branches(triples, up, down)
+    total = sum(len(u[0]) * len(d[0]) for _, u, d in branches)
+    if total > _MAX_COMBOS:
         raise ValueError(f"tree too large for brute force at this grid step "
-                         f"({sum(sizes)} grid combinations at one node)")
+                         f"({total} grid combinations at one node)")
 
     ws, cs, es, us, ds = [], [], [], [], []
-    for e_idx, (p0, p1, pc) in enumerate(triples):
-        if p0 > 0.0 and p1 > 0.0:
-            # down-major layout so stable sorts see (eps, down, up) order
-            ws.append(((p1 * down.w)[:, None] + (p0 * up.w)[None, :]).ravel())
-            cs.append(((p1 * down.c)[:, None] + (pc + p0 * up.c)[None, :]).ravel())
-            us.append(np.tile(np.arange(nu, dtype=np.int32), nd))
-            ds.append(np.repeat(np.arange(nd, dtype=np.int32), nu))
-        elif p1 == 0.0 and p0 > 0.0:
-            # the down branch is unreachable: one representative combo
-            ws.append(p0 * up.w + 0.0)
-            cs.append((pc + p0 * up.c) + 0.0)
-            us.append(np.arange(nu, dtype=np.int32))
-            ds.append(np.full(nu, -1, dtype=np.int32))
-        elif p0 == 0.0 and p1 > 0.0:
-            ws.append(p1 * down.w + 0.0)
-            cs.append(pc + p1 * down.c)
-            us.append(np.full(nd, -1, dtype=np.int32))
-            ds.append(np.arange(nd, dtype=np.int32))
-        else:
-            ws.append(np.array([0.0]))
-            cs.append(np.array([pc]))
-            us.append(np.full(1, -1, dtype=np.int32))
-            ds.append(np.full(1, -1, dtype=np.int32))
-        es.append(np.full(sizes[e_idx], e_idx, dtype=np.int32))
+    for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
+        # down-major layout so stable sorts see (eps, down, up) order
+        ws.append(((p1 * dw)[:, None] + (p0 * uw)[None, :]).ravel())
+        cs.append(((p1 * dc)[:, None] + (pc + p0 * uc)[None, :]).ravel())
+        us.append(np.tile(ui, len(di)))
+        ds.append(np.repeat(di, len(ui)))
+        es.append(np.full(len(ui) * len(di), e_idx, dtype=np.int32))
 
     return _prune(np.concatenate(ws), np.concatenate(cs), np.concatenate(es),
                   np.concatenate(us), np.concatenate(ds))
@@ -274,9 +264,13 @@ def _first_feasible(p1: float, down_w: np.ndarray, rhs_base: np.ndarray,
     searchsorted on the divided threshold can be off by an ulp, so the result
     is corrected in both directions against the exact comparison the plain
     enumeration would use.  Returns len(down_w) where nothing is feasible.
+    At p1 = 0 the down side is the one-entry frontier of an unreachable
+    branch: the division yields +-inf or nan, and the corrections settle
+    whatever index that gives in at most one step.
     """
     nd = len(down_w)
-    j = np.searchsorted(down_w, (target - rhs_base) / p1, side="left")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.searchsorted(down_w, (target - rhs_base) / p1, side="left")
     for _ in range(64):
         jp = np.where(j > 0, j - 1, 0)
         back = (j > 0) & (rhs_base + p1 * down_w[jp] >= target)
@@ -329,45 +323,21 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     frontier: list[_Frontier] = []
     for w, u, dn in zip(ann.p_w[:-1], ann.up, ann.down):
         frontier.append(_Frontier.leaf(w) if u < 0
-                        else _combine(grid, triples, frontier[u], frontier[dn]))
-    f_up = frontier[ann.up[-1]]
-    f_down = frontier[ann.down[-1]]
+                        else _combine(triples, frontier[u], frontier[dn]))
 
     best = None  # (pc, eps_idx, up_entry, down_entry)
-    for e_idx, (p0, p1, pc) in enumerate(triples):
-        if p0 > 0.0 and p1 > 0.0:
-            rhs = p0 * f_up.w
-            j = _first_feasible(p1, f_down.w, rhs, target)
-            ok = j < len(f_down)
-            if not ok.any():
-                continue
-            jj = np.where(ok, j, 0)
-            cand = (pc + p0 * f_up.c) + p1 * f_down.c[jj]
-            cand[~ok] = np.inf
-            i = int(np.argmin(cand))
-            this = (float(cand[i]), e_idx, i, int(jj[i]))
-        elif p1 == 0.0 and p0 > 0.0:
-            ok = (p0 * f_up.w + 0.0) >= target
-            if not ok.any():
-                continue
-            cand = (pc + p0 * f_up.c) + 0.0
-            cand[~ok] = np.inf
-            i = int(np.argmin(cand))
-            this = (float(cand[i]), e_idx, i, -1)
-        elif p0 == 0.0 and p1 > 0.0:
-            ok = (p1 * f_down.w + 0.0) >= target
-            if not ok.any():
-                continue
-            cand = pc + p1 * f_down.c
-            cand[~ok] = np.inf
-            i = int(np.argmin(cand))
-            this = (float(cand[i]), e_idx, -1, i)
-        else:
-            if not 0.0 >= target:
-                continue
-            this = (pc, e_idx, -1, -1)
-        if best is None or this[0] < best[0]:
-            best = this
+    branches = _branches(triples, frontier[ann.up[-1]], frontier[ann.down[-1]])
+    for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
+        j = _first_feasible(p1, dw, p0 * uw, target)
+        ok = j < len(dw)
+        if not ok.any():
+            continue
+        jj = np.where(ok, j, 0)
+        cand = (pc + p0 * uc) + p1 * dc[jj]
+        cand[~ok] = np.inf
+        i = int(np.argmin(cand))
+        if best is None or cand[i] < best[0]:
+            best = (float(cand[i]), e_idx, int(ui[i]), int(di[jj[i]]))
 
     if best is None:
         raise ValueError(f"no grid strategy reaches win excess "

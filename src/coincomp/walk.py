@@ -164,7 +164,8 @@ def improve_policy(game: WalkGame, w: dict[int, float]) -> WalkPolicy:
         a = model.a
         e_hi = min(0.5, 1.0 / a)
         curv = -a * (wp - wm)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero or subnormal curv sends the vertex to +-inf or nan; clipped
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
         vertex = np.where(curv < 0.0, vertex.clip(0.0, e_hi), 0.0)
         q0, q_hi, q_v = q(0.0), q(e_hi), q(vertex)

@@ -570,6 +570,21 @@ BAD_STRATEGY_TEXTS = st.one_of(
         lambda kv: json.dumps({**{k: 0.01 for k in _BO3_INTERNAL}, kv[0]: kv[1]})),
 )
 
+_N2_SITES = ["-1", "0", "1"]  # interior of the walk at N = 2
+BAD_POLICY_TEXTS = st.one_of(
+    st.text(max_size=12).filter(lambda t: not t.strip().startswith(("{", "["))),
+    st.sampled_from(["[]", "1", '"optimal"', '{"policy": 3}']),
+    # a strict subset of the interior sites: some site is missing
+    st.lists(st.sampled_from(_N2_SITES), unique=True, max_size=2).map(
+        lambda keys: json.dumps({k: 0.01 for k in keys})),
+    # every site present, one entry malformed
+    st.tuples(st.sampled_from(_N2_SITES), _BAD_EPS).map(
+        lambda kv: json.dumps({**{k: 0.01 for k in _N2_SITES}, kv[0]: kv[1]})),
+    # every site present plus a key that is not a site
+    st.sampled_from(["x", "1.5", "", "2", "-3"]).map(
+        lambda key: json.dumps({**{k: 0.01 for k in _N2_SITES}, key: 0.01})),
+)
+
 
 def _guard_run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -584,7 +599,8 @@ def test_malformed_input_exits_1(tmp_path_factory, data, workers):
     folder = tmp_path_factory.mktemp("guard")
     tree_file = folder / "tree.json"
     tree_file.write_text(CANONICAL_BEST_OF_3)
-    kind = data.draw(st.sampled_from(["flag", "model", "tree", "strategy"]))
+    kind = data.draw(st.sampled_from(["flag", "model", "tree", "strategy",
+                                      "policy"]))
     if kind == "flag":
         base, flag, values = data.draw(st.sampled_from(FLAG_CASES))
         i = base.index(flag)
@@ -604,6 +620,11 @@ def test_malformed_input_exits_1(tmp_path_factory, data, workers):
         else:
             tree_file.write_text(data.draw(UNCOMPOSABLE_TREE_TEXTS))
             argv = _COMPOSE
+    elif kind == "policy":
+        (folder / "policy.json").write_text(data.draw(BAD_POLICY_TEXTS))
+        model = data.draw(st.sampled_from(["std:a=1,b=1", "prime:a=1"]))
+        argv = ["simulate", "--walk", "--n", "2", "--model", model,
+                "--policy", str(folder / "policy.json"), "--trials", "20"]
     else:
         (folder / "strategy.json").write_text(data.draw(BAD_STRATEGY_TEXTS))
         model = data.draw(st.sampled_from(["std:a=1,b=2", "prime:a=1"]))

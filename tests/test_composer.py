@@ -253,7 +253,8 @@ class TestBruteForce:
 
     def test_matches_literal_on_other_exponents(self):
         tree = SMALL_SUITE["full2_a"]
-        for a, b in [(0.5, 2.0), (1.0, 3.0), (2.0, 1.5)]:
+        # (4, 2) puts pc = 1 at eps = +-1/2: both branch probabilities are zero
+        for a, b in [(0.5, 2.0), (1.0, 3.0), (2.0, 1.5), (4.0, 2.0)]:
             m = CheatModel(a, b)
             want_strat, want_pc = literal_grid_min(tree, m, 0.05, 0.1)
             got_strat, got_pc = composer.brute_force_min_pc(tree, m, 0.05, 0.1)
@@ -291,6 +292,15 @@ class TestBruteForce:
         tree = game_tree.gen_best_of(5)
         with pytest.raises(ValueError):
             composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 0.1)
+
+    @pytest.mark.parametrize("grid_step, combos", [(1e-3, 189036645),
+                                                   (2e-3, 23714912)])
+    def test_combination_cap(self, grid_step, combos):
+        pair = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
+        tree = game_tree.Flip(game_tree.Flip(pair, pair), game_tree.Leaf(0))
+        with pytest.raises(ValueError,
+                           match=rf"\({combos} grid combinations at one node\)"):
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, grid_step)
 
     def test_too_fine_grid_rejected(self, bo3):
         with pytest.raises(ValueError):
