@@ -168,10 +168,14 @@ def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:
         return walk.honest_policy(game)
     out: walk.WalkPolicy = {}
     for key, eps in _number_map(arg, "policy").items():
+        # one spelling per site, so no two keys can name the same site
         try:
-            out[int(key)] = eps
+            site = int(key)
         except ValueError:
-            raise _InputError(f"policy file {arg}: bad site {key!r}") from None
+            site = None
+        if str(site) != key:
+            raise _InputError(f"policy file {arg}: bad site {key!r}")
+        out[site] = eps
     return out
 
 

@@ -142,6 +142,28 @@ def derivative_in_b(tree: GameTree, a: float, b: float, h: float = 0.01) -> floa
     return (a_new_of_b(tree, a, b + h) - a_new_of_b(tree, a, b - h)) / (2.0 * h)
 
 
+def strategy_triples(ann: TreeAnnotation, model: CheatModel,
+                     strategy: Strategy) -> tuple[list[float], ...]:
+    """Per-node p0, p1 and pc of a tree strategy, as lists in postorder.
+
+    The one reader of a tree strategy: its keys must be exactly the paths
+    of the internal nodes.  Leaves read 0.0.
+    """
+    size = len(ann.path)
+    p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
+    for i, (at, u) in enumerate(zip(ann.path, ann.up)):
+        if u >= 0:
+            if at not in strategy:
+                raise ValueError(f"strategy is missing node '{at}'")
+            p0[i], p1[i], pc[i] = cheat_model.triple(model, strategy[at]).as_tuple()
+    if len(strategy) > size - ann.up.count(-1):
+        extra = sorted(set(strategy).difference(
+            at for at, u in zip(ann.path, ann.up) if u >= 0))
+        raise ValueError(f"strategy names {len(extra)} paths that are not "
+                         f"internal nodes, first '{extra[0]}'")
+    return p0, p1, pc
+
+
 def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> OutcomeTriple:
     """Exact game outcome (p0, p1, pc) under a full per-node strategy.
 
@@ -152,17 +174,14 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
         raise ValueError("exact_outcome expects a standard-variant model")
     ann = annotate(tree)
     out: list[tuple[float, float, float]] = []
-    for at, w, u, dn in zip(ann.path, ann.p_w, ann.up, ann.down):
+    for w, u, dn, p0, p1, pc in zip(ann.p_w, ann.up, ann.down,
+                                    *strategy_triples(ann, model, strategy)):
         if u < 0:
             out.append((w, 1.0 - w, 0.0))
             continue
-        if at not in strategy:
-            raise ValueError(f"strategy is missing node '{at}'")
-        t = cheat_model.triple(model, strategy[at])
         u0, u1, uc = out[u]
         d0, d1, dc = out[dn]
-        out.append((t.p0 * u0 + t.p1 * d0, t.p0 * u1 + t.p1 * d1,
-                    t.pc + t.p0 * uc + t.p1 * dc))
+        out.append((p0 * u0 + p1 * d0, p0 * u1 + p1 * d1, pc + p0 * uc + p1 * dc))
     return OutcomeTriple(*out[-1])
 
 

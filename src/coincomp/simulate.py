@@ -16,23 +16,25 @@ terminal payoff.  Walk trials still unabsorbed after step_cap steps are
 counted as overruns and settled by one final draw against the honest value
 (N+z)/(2N), so every trial contributes to exactly one count.
 
-A walk block runs in two phases.  Phase 1 steps the uncaught trials, one
-draw per trial per pass, over compacted arrays that shrink as trials are
-absorbed or caught.  A trial caught by draw k - 1 leaves with its site and
-its next draw index k.  Phase 2 plays the caught trials' fair coin many
-steps per pass: it draws a (walks x width) block of outputs at each walk's
-own draw indices, turns them into +-1 steps, cumsums them into paths and
-reads each walk's absorption from the first column where |z| = N.  Columns
-at or past step_cap are zeroed, and a walk that reaches the cap, including
-one caught by the last allowed draw, is settled by draw step_cap as before.
-When every site's thresholds are exactly fair (0.5, 1.0), as under the
-honest policy, no trial can be caught and all of them start in phase 2 at
-draw 0.  The two phases make the same draws as one loop over all trials
-would: each trial still reads output k of its own stream at step k, a fair
-step compares that output against 1/2 (through its top bit, which is the
-same test: see rng.HALF_U64), and the draws a path makes after its
-absorption or past the cap are never read.  So every count, and with it
-every report, is bit-identical to the one-loop form.
+Both games share one phase-1 loop.  A game is a set of per-node arrays:
+the annotation's postorder for a tree, sites -N..N as nodes 0..2N for a
+walk.  The loop steps the uncaught trials, one draw per trial per pass,
+over compacted arrays that shrink as trials stop or are caught, and a
+trial caught by draw k - 1 leaves with its node and its next draw index k.
+A caught tree trial is counted as a catch and ends there.  A caught walk
+trial goes on to phase 2, which plays the fair coin many steps per pass:
+it draws a (walks x width) block of outputs at each walk's own draw
+indices, turns them into +-1 steps, cumsums them into paths and reads each
+walk's absorption from the first column where |z| = N.  Columns at or past
+step_cap are zeroed, and a walk that reaches the cap, including one caught
+by the last allowed draw, is settled by draw step_cap.  When every site's
+thresholds are exactly fair (0.5, 1.0), as under the honest policy, no
+trial can be caught and all of them start in phase 2 at draw 0.  Each trial
+still reads output k of its own stream at step k, a fair step compares that
+output against 1/2 (through its top bit, which is the same test: see
+rng.HALF_U64), and the draws a path makes after its absorption or past the
+cap are never read, so every count is the one a one-draw-per-pass loop over
+all trials would give.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import cheat_model, rng
 from .cheat_model import CheatModel
-from .composer import Strategy
+from .composer import Strategy, strategy_triples
 from .game_tree import GameTree, annotate
 from .walk import WalkGame, WalkPolicy, check_policy
 
@@ -101,6 +103,37 @@ def _run_blocks(fn, trials: int, workers: int):
     return [sum(col) for col in zip(*parts)]
 
 
+def _phase1(graph, streams, start: int, cap: int):
+    """Step trials from node `start` until each stops, is caught or has made
+    `cap` draws.
+
+    `graph` holds per-node arrays (thr_up, thr_dn, up, down, stop, win): the
+    draw thresholds, the children, the nodes that end a trial and the ones
+    of those that win.  Returns the wins, the (streams, nodes) live at the
+    cap, and a (k, streams, nodes) for each draw k - 1 that caught trials.
+    """
+    thr_up, thr_dn, up, down, stop, win = graph
+    child = np.stack((down, up), axis=1).ravel()  # node i's at 2i + went up
+    end = stop.astype(np.int8) + win  # 0 live, 1 stops, 2 stops and wins
+    node = np.full(streams.size, start, dtype=np.int32)
+    wins, caught, k, move = 0, [], 0, True
+    while True:
+        # a trial caught by the last draw has move False and leaves here
+        e = np.take(end, node)
+        wins += int(np.count_nonzero((e == 2) & move))
+        live = (e == 0) & move
+        streams, node = streams[live], node[live]
+        if not streams.size or k == cap:
+            return wins, (streams, node), caught
+        u = rng.np_draw_double(streams, k)
+        k += 1
+        go_up = u < np.take(thr_up, node)
+        move = go_up | (u < np.take(thr_dn, node))
+        if not move.all():
+            caught.append((k, streams[~move], node[~move]))
+        node = np.take(child, 2 * node + go_up)
+
+
 def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
                   trials: int, seed: int, workers: int = 1) -> SimReport:
     """Play the tree game `trials` times; a catch ends the trial."""
@@ -109,42 +142,20 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
 
     # per node, in the annotation's postorder: draw thresholds (0 on leaves)
     ann = annotate(tree)
-    thr_up, thr_dn = [0.0] * len(ann.path), [0.0] * len(ann.path)
-    for i, (at, u) in enumerate(zip(ann.path, ann.up)):
-        if u >= 0:
-            if at not in strategy:
-                raise ValueError(f"strategy is missing node '{at}'")
-            t = cheat_model.triple(model, strategy[at])
-            thr_up[i], thr_dn[i] = t.p0, t.p0 + t.p1
-    a_up = np.asarray(thr_up)
-    a_dn = np.asarray(thr_dn)
-    a_upix = np.asarray(ann.up, dtype=np.int32)
-    a_dnix = np.asarray(ann.down, dtype=np.int32)
-    a_leaf = a_upix < 0
-    a_win = np.asarray(ann.p_w) == 1.0  # read on leaves only
-    root = len(ann.path) - 1
+    p0, p1, _ = strategy_triples(ann, model, strategy)
+    thr_up = np.array(p0)
+    thr_dn = thr_up + p1
+    up = np.asarray(ann.up, dtype=np.int32)
+    stop = up < 0
+    graph = (thr_up, thr_dn, up, np.asarray(ann.down, dtype=np.int32), stop,
+             stop & (np.asarray(ann.p_w) == 1.0))
 
     def block(lo: int, hi: int):
-        m = hi - lo
+        # no trial makes as many draws as the tree has nodes
         streams = rng.np_stream_seeds(seed, lo, hi)
-        cur = np.full(m, root, dtype=np.int32)
-        caught = np.zeros(m, dtype=bool)
-        act = np.nonzero(~a_leaf[cur])[0]
-        k = 0
-        while act.size:
-            u = rng.np_draw_double(streams[act], k)
-            node = cur[act]
-            go_up = u < a_up[node]
-            move = go_up | (u < a_dn[node])
-            stepped = act[move]
-            cur[stepped] = np.where(go_up[move], a_upix[node[move]],
-                                    a_dnix[node[move]])
-            caught[act[~move]] = True
-            act = stepped[~a_leaf[cur[stepped]]]
-            k += 1
-        n_catch = int(caught.sum())
-        n_win = int((~caught & a_win[cur]).sum())
-        return (n_win, m - n_win - n_catch, n_catch, 0)
+        wins, _, caught = _phase1(graph, streams, len(p0) - 1, len(p0))
+        catches = sum(s.size for _, s, _ in caught)
+        return (wins, hi - lo - wins - catches, catches, 0)
 
     wins, losses, catches, overruns = _run_blocks(block, trials, workers)
     return _report(trials, wins, losses, catches, overruns, seed)
@@ -162,9 +173,11 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         raise ValueError(f"step_cap must be >= 4*N^2 = {4 * n * n}, got {step_cap}")
     t = cheat_model.triple(game.model, check_policy(game, policy))
 
-    # per-site thresholds indexed by z + n; boundary rows are never consulted
-    thr_up = np.pad(t.p0, 1)
-    thr_dn = np.pad(t.p0 + t.p1, 1)
+    # node i is site i - n; boundary rows are stop nodes and never stepped
+    node = np.arange(2 * n + 1, dtype=np.int32)
+    ends = (node == 0) | (node == 2 * n)
+    graph = (np.pad(t.p0, 1), np.pad(t.p0 + t.p1, 1), node + 1, node - 1, ends,
+             node == 2 * n)
     # fair thresholds at every site (the honest policy) can never catch, so
     # every trial is a fair-coin walk from its first draw
     all_fair = bool(np.all(t.p0 == 0.5) and np.all(t.p0 + t.p1 == 1.0))
@@ -178,31 +191,6 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             return 0
         u = rng.np_draw_double(streams, k)
         return int(np.count_nonzero(u < (n + z) / (2.0 * n)))
-
-    def uncaught(streams):
-        # One step per pass until each trial is absorbed, caught or at the
-        # cap.  A trial caught by draw k - 1 is handed on to `fair` as its
-        # stream skipped to draw k, its site and the steps left before the cap.
-        z = np.zeros(streams.size, dtype=np.int32)
-        wins = 0
-        caught = []  # one (streams, sites, steps left) triple per catching step
-        k = 0
-        while streams.size and k < cap:
-            u = rng.np_draw_double(streams, k)
-            k += 1
-            zi = z + n
-            go_up = u < thr_up[zi]
-            move = go_up | (u < thr_dn[zi])
-            z += go_up
-            z -= move & ~go_up
-            if not move.all():
-                hit = ~move
-                caught.append((rng.np_skip(streams[hit], k), z[hit],
-                               np.full(np.count_nonzero(hit), cap - k)))
-            wins += int(np.count_nonzero(z == n))
-            live = move & (z != n) & (z != -n)
-            streams, z = streams[live], z[live]
-        return wins + settle(streams, z, cap), streams.size, caught
 
     def fair(streams, z, left):
         # Fair-coin walks from sites z whose next draw is output 0 of their
@@ -250,7 +238,13 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             wins = over = catches = 0
             walks = [(streams, np.zeros(m, dtype=np.int32), np.full(m, cap))]
         else:
-            wins, over, walks = uncaught(streams)
+            # a trial caught by draw k - 1 goes on to `fair` with its stream
+            # skipped to draw k, its site and the steps left before the cap
+            wins, (s, at), caught = _phase1(graph, streams, n, cap)
+            wins += settle(s, at - n, cap)
+            over = s.size
+            walks = [(rng.np_skip(s, k), at - n, np.full(s.size, cap - k))
+                     for k, s, at in caught]
             catches = sum(w[0].size for w in walks)
         if walks:
             w, o = fair(*(np.concatenate(col) for col in zip(*walks)))

@@ -25,7 +25,6 @@ enumeration of all binary policies for small N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -186,23 +185,21 @@ def optimize(game: WalkGame) -> WalkSolution:
     increases W(0) (any interior site is reachable from 0), so the loop
     settles over the finite policy set.  In floating point two near-tied
     policies can flap forever on ulp-sized value noise, so a sweep that
-    fails to increase W(0) stops the loop and the best policy seen wins.
+    fails to increase W(0) stops the loop and the previous sweep's solution
+    wins: every sweep before it raised W(0), so it is the best one seen.
     A cap of 10 * 2N sweeps turns anything stranger into a loud error.
     """
     policy = honest_policy(game)
     cap = 10 * 2 * game.n
-    best: WalkSolution | None = None
-    prev_w0 = -math.inf
+    prev: WalkSolution | None = None
     for sweep_count in range(1, cap + 1):
         sol = evaluate_policy(game, policy, iterations=sweep_count)
-        if best is None or sol.w[0] > best.w[0]:
-            best = sol
         improved = improve_policy(game, sol.w)
         if improved == policy:
             return sol
-        if sol.w[0] <= prev_w0:
-            return replace(best, iterations=sweep_count)
-        prev_w0 = sol.w[0]
+        if prev is not None and sol.w[0] <= prev.w[0]:
+            return replace(prev, iterations=sweep_count)
+        prev = sol
         policy = improved
     raise RuntimeError(f"policy iteration did not settle within {cap} sweeps")
 

@@ -357,6 +357,36 @@ class TestSimulate:
                          "--trials", "100", "--seed", "1")
         assert code == 1
 
+    def test_strategy_with_unknown_paths_exits_1(self, capsys, bo3_file,
+                                                 tmp_path):
+        # best-of-5's 19 internal nodes include best-of-3's 5; the other 14
+        # name no internal node of best-of-3
+        ann = game_tree.annotate(game_tree.gen_best_of(5))
+        path = tmp_path / "bo5_strategy.json"
+        path.write_text(json.dumps({p: 0.0 for p, _ in ann.internal()}))
+        code, out, err = run(capsys, "simulate", "--tree", bo3_file,
+                             "--model", "std:a=1,b=2", "--strategy", str(path),
+                             "--trials", "100", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "14 paths that are not internal nodes" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"-1": 0.0, "0": 0.0, "0_1": 0.0}',
+        '{"-1": 0.0, "0": 0.0, "1": 0.2, "01": 0.0}',
+    ], ids=["underscore", "leading-zero"])
+    def test_non_canonical_policy_key_exits_1(self, capsys, tmp_path, text):
+        # int() reads "0_1" and "01" as site 1, so a second spelling of a
+        # site could silently stand in for or overwrite the first
+        path = tmp_path / "policy.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "simulate", "--walk", "--n", "2",
+                             "--model", "prime:a=1", "--policy", str(path),
+                             "--trials", "100", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "bad site" in err
+
     def test_walk_optimal(self, capsys):
         code, out, _ = run(capsys, "simulate", "--walk", "--n", "1",
                            "--model", "prime:a=1", "--policy", "optimal",
@@ -568,6 +598,9 @@ BAD_STRATEGY_TEXTS = st.one_of(
     # every node present, one entry malformed
     st.tuples(st.sampled_from(_BO3_INTERNAL), _BAD_EPS).map(
         lambda kv: json.dumps({**{k: 0.01 for k in _BO3_INTERNAL}, kv[0]: kv[1]})),
+    # every node present plus a path that is a leaf or not in the tree
+    st.sampled_from(["UU", "DUD", "UUU", "x", "strategy"]).map(
+        lambda key: json.dumps({**{k: 0.01 for k in _BO3_INTERNAL}, key: 0.01})),
 )
 
 _N2_SITES = ["-1", "0", "1"]  # interior of the walk at N = 2
@@ -581,7 +614,7 @@ BAD_POLICY_TEXTS = st.one_of(
     st.tuples(st.sampled_from(_N2_SITES), _BAD_EPS).map(
         lambda kv: json.dumps({**{k: 0.01 for k in _N2_SITES}, kv[0]: kv[1]})),
     # every site present plus a key that is not a site
-    st.sampled_from(["x", "1.5", "", "2", "-3"]).map(
+    st.sampled_from(["x", "1.5", "", "2", "-3", "01", "+1", " 0", "0_1", "-0"]).map(
         lambda key: json.dumps({**{k: 0.01 for k in _N2_SITES}, key: 0.01})),
 )
 

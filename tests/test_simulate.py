@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, rng, simulate, walk
 from coincomp.cheat_model import CheatModel, PRIME, STD
@@ -293,3 +293,101 @@ class TestWalkMatchesReference:
         game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
         r = simulate.simulate_walk(game, walk.optimize(game).policy, 5_000, 4)
         assert (r.wins, r.losses, r.catches, r.overruns) == PINNED_N30_STD
+
+
+def reference_simulate_tree(tree, model, strategy, trials, seed, workers=1):
+    """The per-node tree simulator that the shared phase-1 loop replaced.
+
+    Kept as the reference: one numpy pass per draw over the trials still at
+    an internal node, with a caught mask and the leaf label read at the end.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+    # per node, in the annotation's postorder: draw thresholds (0 on leaves)
+    ann = game_tree.annotate(tree)
+    thr_up, thr_dn = [0.0] * len(ann.path), [0.0] * len(ann.path)
+    for i, (at, u) in enumerate(zip(ann.path, ann.up)):
+        if u >= 0:
+            if at not in strategy:
+                raise ValueError(f"strategy is missing node '{at}'")
+            t = cheat_model.triple(model, strategy[at])
+            thr_up[i], thr_dn[i] = t.p0, t.p0 + t.p1
+    a_up = np.asarray(thr_up)
+    a_dn = np.asarray(thr_dn)
+    a_upix = np.asarray(ann.up, dtype=np.int32)
+    a_dnix = np.asarray(ann.down, dtype=np.int32)
+    a_leaf = a_upix < 0
+    a_win = np.asarray(ann.p_w) == 1.0  # read on leaves only
+    root = len(ann.path) - 1
+
+    def block(lo: int, hi: int):
+        m = hi - lo
+        streams = rng.np_stream_seeds(seed, lo, hi)
+        cur = np.full(m, root, dtype=np.int32)
+        caught = np.zeros(m, dtype=bool)
+        act = np.nonzero(~a_leaf[cur])[0]
+        k = 0
+        while act.size:
+            u = rng.np_draw_double(streams[act], k)
+            node = cur[act]
+            go_up = u < a_up[node]
+            move = go_up | (u < a_dn[node])
+            stepped = act[move]
+            cur[stepped] = np.where(go_up[move], a_upix[node[move]],
+                                    a_dnix[node[move]])
+            caught[act[~move]] = True
+            act = stepped[~a_leaf[cur[stepped]]]
+            k += 1
+        n_catch = int(caught.sum())
+        n_win = int((~caught & a_win[cur]).sum())
+        return (n_win, m - n_win - n_catch, n_catch, 0)
+
+    wins, losses, catches, overruns = simulate._run_blocks(block, trials, workers)
+    return simulate._report(trials, wins, losses, catches, overruns, seed)
+
+
+# (4, 2) and (2, 1) catch with certainty at eps_max = 1/2
+TREE_MODELS = [CheatModel(1.0, 2.0), CheatModel(4.0, 2.0), CheatModel(2.0, 1.0),
+               CheatModel(0.5, 3.0), CheatModel(1.0, 1.0, PRIME)]
+SEEDS = st.one_of(st.integers(0, (1 << 32) - 1),
+                  st.integers(1 << 63, (1 << 64) - 1))
+
+
+@st.composite
+def tree_cases(draw):
+    tree = draw(st.one_of(
+        st.builds(game_tree.gen_random, st.integers(0, 6), SEEDS),
+        st.builds(game_tree.gen_random_fair, st.integers(1, 6), SEEDS),
+        st.sampled_from([game_tree.Leaf(0), game_tree.Leaf(1),
+                         game_tree.gen_best_of(3)])))
+    model = draw(st.sampled_from(TREE_MODELS))
+    paths = [p for p, _ in game_tree.annotate(tree).internal()]
+    low = 0.0 if model.variant == PRIME else -1.0
+    fracs = draw(st.one_of(
+        st.just([0.0] * len(paths)),
+        st.just([1.0] * len(paths)),
+        st.lists(st.floats(low, 1.0), min_size=len(paths), max_size=len(paths))))
+    strategy = {p: f * model.eps_max for p, f in zip(paths, fracs)}
+    trials = draw(st.sampled_from([1, 7, 65_537]))
+    return tree, model, strategy, trials, draw(SEEDS), draw(st.sampled_from([1, 2]))
+
+
+def _everywhere(tree, eps):
+    return {p: eps for p, _ in game_tree.annotate(tree).internal()}
+
+
+_BO3, _BO7 = game_tree.gen_best_of(3), game_tree.gen_best_of(7)
+_CERTAIN = CheatModel(4.0, 2.0)  # caught with certainty at eps = 1/2
+
+
+class TestTreeMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(tree_cases())
+    # leaf-only trees, a certain catch at the root, and several blocks
+    @example((game_tree.Leaf(0), _CERTAIN, {}, 70_000, 3, 2))
+    @example((game_tree.Leaf(1), _CERTAIN, {}, 70_000, 3, 2))
+    @example((_BO3, _CERTAIN, _everywhere(_BO3, 0.5), 70_000, 3, 2))
+    @example((_BO7, _CERTAIN, _everywhere(_BO7, 0.1), 70_000, 1 << 63, 2))
+    def test_reports_identical(self, case):
+        assert simulate.simulate_tree(*case) == reference_simulate_tree(*case)
