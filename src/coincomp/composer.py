@@ -203,7 +203,43 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
 # (w = 0, c = 0, index -1): p * 0.0 adds exactly +0.0, as it does in
 # exact_outcome for any child value, and index -1 tells the reconstruction
 # to play that subtree honestly.
+#
+# A node below the root is combined in whole-grid array passes.  The grid
+# points fall into a few runs in which both children enter the same way
+# (all of them but +-1/2, as a rule), and each run broadcasts
+# p1*dw + p0*uw and p1*dc + (pc + p0*uc) over (grid point, down entry, up
+# entry), in chunks of about _CHUNK candidates, in generation order (eps,
+# then down, then up).  The scalar triples feed these arrays, so every
+# candidate is the same float as in a loop over grid points.
+#
+# Before the one _prune, a prefilter drops every candidate strictly
+# dominated by the frontier of a sample (every _SAMPLE_STRIDE-th grid point
+# of each run, materialized at once, about 10 MB at the _MAX_COMBOS cap):
+# w' > w and c' <= c, or w' == w and c' < c.  That is exact.
+# _prune orders pairs by w descending, then c ascending, then generation,
+# and keeps a pair only if its c is below every c before it.  A strictly
+# dominated pair comes after its dominator with a c no lower, so _prune
+# never keeps it; and the dominator, itself a candidate that no frontier
+# pair strictly dominates, survives, so every running minimum after the
+# dropped pair is unchanged.  The survivors, still in generation order,
+# give the same frontier, ties and indices included.
+#
+# The root is never materialized.  At each grid point every candidate is
+# (pc + p0*uc[i]) + p1*dc[j]; both frontiers ascend in c, p0 and p1 are
+# >= 0 and rounding is monotone, so lb = (pc + p0*uc[0]) + p1*dc[0] is at
+# most every one of them.  The grid points are searched in ascending lb,
+# each with one _first_feasible step, and the search stops at the first lb
+# above the best catch found: no later grid point can reach or tie it.
+# Ties go to the smallest grid index, then to the first up entry, as in a
+# search in grid order.
+#
+# On a 2-vCPU Xeon VM, a 5-flip call at grid 1e-3 takes 60-110 ms.
 # ---------------------------------------------------------------------------
+
+# candidates materialized at once per node, and the grid-point stride of the
+# sample whose frontier prefilters them
+_CHUNK = 1 << 16
+_SAMPLE_STRIDE = 16
 
 
 class _Frontier:
@@ -234,7 +270,8 @@ class _Frontier:
         return len(self.w)
 
 
-def _prune(w, c, eps_idx, up_idx, down_idx) -> _Frontier:
+def _pareto(w, c) -> np.ndarray:
+    """Indices of the nondominated pairs, ascending in w and in c."""
     # sort win descending then catch ascending; lexsort is stable, so exact
     # ties resolve to the earliest-generated entry (eps, then down, then up)
     order = np.lexsort((c, -w))
@@ -243,34 +280,86 @@ def _prune(w, c, eps_idx, up_idx, down_idx) -> _Frontier:
     keep[0] = True
     running = np.minimum.accumulate(cs)
     keep[1:] = cs[1:] < running[:-1]
-    sel = order[keep][::-1]
+    return order[keep][::-1]
+
+
+def _prune(w, c, eps_idx, up_idx, down_idx) -> _Frontier:
+    sel = _pareto(w, c)
     return _Frontier(w[sel], c[sel], eps_idx[sel], up_idx[sel], down_idx[sel])
 
 
-def _branches(triples, up: _Frontier, down: _Frontier) -> list:
-    """Per grid point, its triple and the (w, c, index) each child enters with."""
-    absent = (np.zeros(1), np.zeros(1), np.full(1, -1, dtype=np.int32))
-    u = (up.w, up.c, np.arange(len(up), dtype=np.int32))
-    d = (down.w, down.c, np.arange(len(down), dtype=np.int32))
-    return [(t, u if t[0] > 0.0 else absent, d if t[1] > 0.0 else absent)
-            for t in triples]
+_ABSENT = (np.zeros(1), np.zeros(1), np.full(1, -1, dtype=np.int32))
 
 
-def _combine(triples, up: _Frontier, down: _Frontier) -> _Frontier:
-    branches = _branches(triples, up, down)
-    total = sum(len(u[0]) * len(d[0]) for _, u, d in branches)
+def _side(child: _Frontier, p: float) -> tuple:
+    """(w, c, index) a child enters with behind a branch of probability p."""
+    if p > 0.0:
+        return child.w, child.c, np.arange(len(child), dtype=np.int32)
+    return _ABSENT
+
+
+def _runs(p0, p1, up: _Frontier, down: _Frontier) -> list:
+    """Maximal runs (lo, hi, up side, down side) of grid points lo..hi-1
+    whose children enter the combination the same way."""
+    reach = (p0 > 0.0) + 2 * (p1 > 0.0)
+    cuts = [0, *(np.flatnonzero(np.diff(reach)) + 1).tolist(), len(reach)]
+    return [(lo, hi, _side(up, p0[lo]), _side(down, p1[lo]))
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _block(p0, p1, pc, up, down):
+    """Candidate (w, c) of grid points x down entries x up entries, as
+    broadcast arrays in generation order."""
+    (uw, uc, _), (dw, dc, _) = up, down
+    q0 = p0[:, None]
+    w = (p1[:, None] * dw)[:, :, None] + (q0 * uw)[:, None, :]
+    c = (p1[:, None] * dc)[:, :, None] + (pc[:, None] + q0 * uc)[:, None, :]
+    return w, c
+
+
+def _undominated(fw, fc, w, c) -> np.ndarray:
+    """Mask of the pairs that no pair of the frontier (fw, fc) strictly dominates.
+
+    The frontier ends in a pair (inf, inf).  Frontier pairs with w' >= w
+    have c' >= fc[k], k the first of them, so only that pair needs checking.
+    """
+    k = np.searchsorted(fw, w)
+    ck = fc[k]
+    return (ck > c) | ((ck == c) & (fw[k] == w))
+
+
+def _combine(p0, p1, pc, up: _Frontier, down: _Frontier) -> _Frontier:
+    runs = _runs(p0, p1, up, down)
+    total = sum((hi - lo) * len(u[0]) * len(d[0]) for lo, hi, u, d in runs)
     if total > _MAX_COMBOS:
         raise ValueError(f"tree too large for brute force at this grid step "
                          f"({total} grid combinations at one node)")
 
+    s = _SAMPLE_STRIDE
+    sample = [_block(p0[lo:hi:s], p1[lo:hi:s], pc[lo:hi:s], u, d)
+              for lo, hi, u, d in runs]
+    sw = np.concatenate([w.ravel() for w, _ in sample])
+    sc = np.concatenate([c.ravel() for _, c in sample])
+    sel = _pareto(sw, sc)
+    fw, fc = np.append(sw[sel], np.inf), np.append(sc[sel], np.inf)
+
     ws, cs, es, us, ds = [], [], [], [], []
-    for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
-        # down-major layout so stable sorts see (eps, down, up) order
-        ws.append(((p1 * dw)[:, None] + (p0 * uw)[None, :]).ravel())
-        cs.append(((p1 * dc)[:, None] + (pc + p0 * uc)[None, :]).ravel())
-        us.append(np.tile(ui, len(di)))
-        ds.append(np.repeat(di, len(ui)))
-        es.append(np.full(len(ui) * len(di), e_idx, dtype=np.int32))
+    for lo, hi, u, d in runs:
+        nu, nd = len(u[0]), len(d[0])
+        # whole grid points per chunk, or slices of one grid point's down entries
+        g_step = max(1, _CHUNK // (nu * nd))
+        d_step = nd if g_step > 1 else max(1, _CHUNK // nu)
+        for e0 in range(lo, hi, g_step):
+            e1 = min(e0 + g_step, hi)
+            for j0 in range(0, nd, d_step):
+                dpart = tuple(x[j0:j0 + d_step] for x in d)
+                w, c = _block(p0[e0:e1], p1[e0:e1], pc[e0:e1], u, dpart)
+                ei, ji, ii = np.nonzero(_undominated(fw, fc, w, c))
+                ws.append(w[ei, ji, ii])
+                cs.append(c[ei, ji, ii])
+                es.append((e0 + ei).astype(np.int32))
+                us.append(u[2][ii])
+                ds.append(dpart[2][ji])
 
     return _prune(np.concatenate(ws), np.concatenate(cs), np.concatenate(es),
                   np.concatenate(us), np.concatenate(ds))
@@ -316,13 +405,18 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     Over strategies with every eps(x) on the grid of multiples of grid_step,
     restricted to those whose exact win excess reaches eps_tot*(1 - grid_step),
     returns a strategy of minimum exact catch probability and that minimum.
-    Small trees only; the search is exact over the full grid product.
+    eps_tot must be finite with |eps_tot| <= 1/2.  Small trees only; the
+    search is exact over the full grid product.
     """
     if model.variant != cheat_model.STD:
         raise ValueError("brute force searches the standard model grid only")
     if not 1e-3 <= grid_step <= 0.5:
         raise ValueError(f"grid_step must be a finite number in [1e-3, 0.5], "
                          f"got {grid_step}")
+    if not math.isfinite(eps_tot):
+        raise ValueError(f"eps_tot must be finite, got {eps_tot}")
+    if abs(eps_tot) > 0.5:
+        raise ValueError(f"|eps_tot| must be <= 1/2, got {eps_tot}")
     ann = annotate(tree)
     n_internal = sum(u >= 0 for u in ann.up)
     if n_internal == 0:
@@ -335,27 +429,35 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     grid = [e for e in grid
             if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
     triples = [cheat_model.triple(model, e).as_tuple() for e in grid]
+    p0, p1, pc = (np.array(col) for col in zip(*triples))
     target = ann.p_w_root + eps_tot * (1.0 - grid_step)
 
-    # per node below the root, in postorder; the root is combined below
+    # per node below the root, in postorder; the root is searched below
     # against the target instead of materializing its frontier
     frontier: list[_Frontier] = []
     for w, u, dn in zip(ann.p_w[:-1], ann.up, ann.down):
         frontier.append(_Frontier.leaf(w) if u < 0
-                        else _combine(triples, frontier[u], frontier[dn]))
+                        else _combine(p0, p1, pc, frontier[u], frontier[dn]))
 
+    up, down = frontier[ann.up[-1]], frontier[ann.down[-1]]
+    lb = ((pc + p0 * np.where(p0 > 0.0, up.c[0], 0.0))
+          + p1 * np.where(p1 > 0.0, down.c[0], 0.0))
     best = None  # (pc, eps_idx, up_entry, down_entry)
-    branches = _branches(triples, frontier[ann.up[-1]], frontier[ann.down[-1]])
-    for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
-        j = _first_feasible(p1, dw, p0 * uw, target)
+    for e_idx in np.argsort(lb, kind="stable").tolist():
+        if best is not None and lb[e_idx] > best[0]:
+            break
+        q0, q1, qc = triples[e_idx]
+        uw, uc, ui = _side(up, q0)
+        dw, dc, di = _side(down, q1)
+        j = _first_feasible(q1, dw, q0 * uw, target)
         ok = j < len(dw)
         if not ok.any():
             continue
         jj = np.where(ok, j, 0)
-        cand = (pc + p0 * uc) + p1 * dc[jj]
+        cand = (qc + q0 * uc) + q1 * dc[jj]
         cand[~ok] = np.inf
         i = int(np.argmin(cand))
-        if best is None or cand[i] < best[0]:
+        if best is None or (cand[i], e_idx) < best[:2]:
             best = (float(cand[i]), e_idx, int(ui[i]), int(di[jj[i]]))
 
     if best is None:

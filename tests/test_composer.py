@@ -5,10 +5,11 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from coincomp import composer, game_tree, simulate
+from coincomp import cheat_model, composer, game_tree, simulate
 from coincomp.cheat_model import CheatModel
 from conftest import SMALL_SUITE
 
@@ -37,6 +38,104 @@ def literal_grid_min(tree, model, eps_tot, grid_step):
     if best is None:
         raise ValueError("infeasible")
     return dict(zip(paths, best_vec)), best
+
+
+# The grid oracle with one Python pass per grid point at every node, and at
+# the root in grid order: the reference that brute_force_min_pc's whole-grid
+# array passes must match byte for byte.
+
+def _reference_branches(triples, up, down) -> list:
+    """Per grid point, its triple and the (w, c, index) each child enters with."""
+    absent = (np.zeros(1), np.zeros(1), np.full(1, -1, dtype=np.int32))
+    u = (up.w, up.c, np.arange(len(up), dtype=np.int32))
+    d = (down.w, down.c, np.arange(len(down), dtype=np.int32))
+    return [(t, u if t[0] > 0.0 else absent, d if t[1] > 0.0 else absent)
+            for t in triples]
+
+
+def _reference_combine(triples, up, down):
+    branches = _reference_branches(triples, up, down)
+    total = sum(len(u[0]) * len(d[0]) for _, u, d in branches)
+    if total > composer._MAX_COMBOS:
+        raise ValueError(f"tree too large for brute force at this grid step "
+                         f"({total} grid combinations at one node)")
+
+    ws, cs, es, us, ds = [], [], [], [], []
+    for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
+        # down-major layout so stable sorts see (eps, down, up) order
+        ws.append(((p1 * dw)[:, None] + (p0 * uw)[None, :]).ravel())
+        cs.append(((p1 * dc)[:, None] + (pc + p0 * uc)[None, :]).ravel())
+        us.append(np.tile(ui, len(di)))
+        ds.append(np.repeat(di, len(ui)))
+        es.append(np.full(len(ui) * len(di), e_idx, dtype=np.int32))
+
+    return composer._prune(np.concatenate(ws), np.concatenate(cs),
+                           np.concatenate(es), np.concatenate(us),
+                           np.concatenate(ds))
+
+
+def reference_brute_force_min_pc(tree, model, eps_tot, grid_step):
+    if model.variant != cheat_model.STD:
+        raise ValueError("brute force searches the standard model grid only")
+    if not 1e-3 <= grid_step <= 0.5:
+        raise ValueError(f"grid_step must be a finite number in [1e-3, 0.5], "
+                         f"got {grid_step}")
+    ann = game_tree.annotate(tree)
+    n_internal = sum(u >= 0 for u in ann.up)
+    if n_internal == 0:
+        raise ValueError("tree has no internal node; nothing to search")
+    if n_internal > 5:
+        raise ValueError(f"tree too large: {n_internal} internal nodes, limit 5")
+
+    kmax = int(math.floor(0.5 / grid_step + 1e-9))
+    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
+    grid = [e for e in grid
+            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
+    triples = [cheat_model.triple(model, e).as_tuple() for e in grid]
+    target = ann.p_w_root + eps_tot * (1.0 - grid_step)
+
+    # per node below the root, in postorder; the root is combined below
+    # against the target instead of materializing its frontier
+    frontier = []
+    for w, u, dn in zip(ann.p_w[:-1], ann.up, ann.down):
+        frontier.append(composer._Frontier.leaf(w) if u < 0
+                        else _reference_combine(triples, frontier[u], frontier[dn]))
+
+    best = None  # (pc, eps_idx, up_entry, down_entry)
+    branches = _reference_branches(triples, frontier[ann.up[-1]],
+                                   frontier[ann.down[-1]])
+    for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
+        j = composer._first_feasible(p1, dw, p0 * uw, target)
+        ok = j < len(dw)
+        if not ok.any():
+            continue
+        jj = np.where(ok, j, 0)
+        cand = (pc + p0 * uc) + p1 * dc[jj]
+        cand[~ok] = np.inf
+        i = int(np.argmin(cand))
+        if best is None or cand[i] < best[0]:
+            best = (float(cand[i]), e_idx, int(ui[i]), int(di[jj[i]]))
+
+    if best is None:
+        raise ValueError(f"no grid strategy reaches win excess "
+                         f"{eps_tot * (1.0 - grid_step)}")
+
+    # top-down over the reversed postorder: each node's frontier entry is
+    # set by its parent first; -1 marks a subtree the cheater plays honestly
+    entry = [-1] * len(ann.path)
+    min_pc, e_idx, entry[ann.up[-1]], entry[ann.down[-1]] = best
+    strategy = {"": grid[e_idx]}
+    for i in range(len(frontier) - 1, -1, -1):
+        u, k = ann.up[i], entry[i]
+        if u < 0:
+            continue
+        if k < 0:
+            strategy[ann.path[i]] = 0.0
+            continue
+        f = frontier[i]
+        strategy[ann.path[i]] = grid[int(f.eps_idx[k])]
+        entry[u], entry[ann.down[i]] = int(f.up_idx[k]), int(f.down_idx[k])
+    return strategy, min_pc
 
 
 class TestLeadingOrder:
@@ -312,6 +411,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="grid_step"):
             composer.brute_force_min_pc(bo3, CheatModel(1.0, 2.0), 0.05, grid_step)
 
+    @pytest.mark.parametrize("eps_tot", [math.nan, math.inf, -math.inf, 0.7, -0.7])
+    def test_eps_tot_outside_domain_rejected(self, bo3, eps_tot):
+        with pytest.raises(ValueError, match="eps_tot"):
+            composer.brute_force_min_pc(bo3, CheatModel(1.0, 2.0), eps_tot, 0.1)
+
     def test_coarsest_grid_accepted(self):
         # steps -1/2, 0, 1/2: the only cheat is a certain catch
         strat, min_pc = composer.brute_force_min_pc(
@@ -326,6 +430,55 @@ class TestBruteForce:
         res = composer.leading_order(small_tree, 1.0, 2.0, 0.05)
         _, min_pc = composer.brute_force_min_pc(small_tree, m, 0.05, grid_step)
         assert min_pc >= res.predicted_pc - 3.0 * m.a * grid_step
+
+
+@st.composite
+def small_trees(draw):
+    """A tree of 1-5 internal nodes, any shape, random leaf labels."""
+    def build(internal):
+        if internal == 0:
+            return game_tree.Leaf(draw(st.integers(0, 1)))
+        up = draw(st.integers(0, internal - 1))
+        return game_tree.Flip(build(up), build(internal - 1 - up))
+    return build(draw(st.integers(1, 5)))
+
+
+def _oracle_answer(search, tree, model, eps_tot, grid_step):
+    """repr of the strategy (key order included) and min_pc, or the error."""
+    try:
+        strategy, min_pc = search(tree, model, eps_tot, grid_step)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return repr((list(strategy.items()), min_pc))
+
+
+# (4, 2), (2, 1) and (8, 3) catch with certainty at eps = +-1/2, where both
+# branch probabilities are zero
+ORACLE_MODELS = [(1.0, 2.0), (4.0, 2.0), (2.0, 1.0), (0.5, 2.0), (1.0, 3.0),
+                 (2.0, 1.5), (8.0, 3.0)]
+
+
+class TestBruteForceMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(tree=small_trees(), model=st.sampled_from(ORACLE_MODELS),
+           eps_tot=st.sampled_from([0.0, 0.05, -0.05, 0.1, 0.2, 0.35]),
+           grid_step=st.floats(0.02, 0.5))
+    @example(tree=game_tree.gen_best_of(3), model=(1.0, 2.0), eps_tot=0.05,
+             grid_step=1e-3)
+    @example(tree=game_tree.gen_random_fair(3, 0), model=(1.0, 2.0),
+             eps_tot=-0.05, grid_step=1e-3)
+    @example(tree=game_tree.gen_best_of(3), model=(4.0, 2.0), eps_tot=0.1,
+             grid_step=1e-3)
+    @example(tree=game_tree.gen_full(2, [0, 1, 1, 0]), model=(8.0, 3.0),
+             eps_tot=0.2, grid_step=1e-3)
+    @example(tree=game_tree.gen_full(1, [0, 1]), model=(2.0, 1.0),
+             eps_tot=0.35, grid_step=1e-3)
+    def test_answers_identical(self, tree, model, eps_tot, grid_step):
+        m = CheatModel(*model)
+        assert _oracle_answer(composer.brute_force_min_pc, tree, m, eps_tot,
+                              grid_step) == \
+            _oracle_answer(reference_brute_force_min_pc, tree, m, eps_tot,
+                           grid_step)
 
 
 class TestPinnedTreeAnswers:
@@ -368,6 +521,27 @@ class TestPinnedTreeAnswers:
         assert strategy == {"": 0.026000000000000002, "D": 0.026000000000000002,
                             "DU": 0.051000000000000004, "U": 0.026000000000000002,
                             "UD": 0.051000000000000004}
+
+
+    def test_brute_force_live_random_fair(self):
+        # five live nodes; the root search visits 103 of 1001 grid points,
+        # the most of any live 5-flip gen_random_fair(3, seed) tree
+        strategy, min_pc = composer.brute_force_min_pc(
+            game_tree.gen_random_fair(3, 0), CheatModel(1.0, 2.0), 0.05, 1e-3)
+        assert min_pc == 0.002646773543068613
+        assert list(strategy.items()) == [
+            ("", 0.026000000000000002), ("D", 0.026000000000000002),
+            ("DU", 0.051000000000000004), ("U", -0.026000000000000002),
+            ("UU", -0.051000000000000004)]
+
+    def test_brute_force_best_of_3_certain_catch(self):
+        # (4, 2) catches with certainty at eps = +-1/2, where both branch
+        # probabilities are zero
+        strategy, min_pc = composer.brute_force_min_pc(
+            game_tree.gen_best_of(3), CheatModel(4.0, 2.0), 0.05, 1e-3)
+        assert min_pc == 0.012951084287640923
+        assert strategy == {"": 0.029, "D": 0.035, "DU": 0.056, "U": 0.023,
+                            "UD": 0.055}
 
 
 @settings(max_examples=30, deadline=None)
