@@ -147,15 +147,23 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
     """Per-node p0, p1 and pc of a tree strategy, as lists in postorder.
 
     The one reader of a tree strategy: its keys must be exactly the paths
-    of the internal nodes.  Leaves read 0.0.
+    of the internal nodes.  Leaves read 0.0.  Each distinct eps costs one
+    scalar cheat_model.triple call (an array call can round |eps|**b
+    differently); the memo keys on the sign too, since the prime model's
+    pc = a*eps tells -0.0 from 0.0.
     """
     size = len(ann.path)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
+    memo: dict[tuple, tuple[float, float, float]] = {}
     for i, (at, u) in enumerate(zip(ann.path, ann.up)):
         if u >= 0:
             if at not in strategy:
                 raise ValueError(f"strategy is missing node '{at}'")
-            p0[i], p1[i], pc[i] = cheat_model.triple(model, strategy[at]).as_tuple()
+            eps = strategy[at]
+            key = (eps, math.copysign(1.0, eps))
+            if key not in memo:
+                memo[key] = cheat_model.triple(model, eps).as_tuple()
+            p0[i], p1[i], pc[i] = memo[key]
     if len(strategy) > size - ann.up.count(-1):
         extra = sorted(set(strategy).difference(
             at for at, u in zip(ann.path, ann.up) if u >= 0))

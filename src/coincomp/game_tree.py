@@ -97,8 +97,16 @@ def parse_tree(text: str) -> GameTree:
     """Parse the JSON tree document.
 
     Schema: a node is {"leaf": 0|1} or {"flip": {"up": node, "down": node}}.
-    Trees deeper than MAX_DEPTH or larger than MAX_NODES are rejected.
+    Trees deeper than MAX_DEPTH or larger than MAX_NODES are rejected.  A
+    document in the schema spells one "leaf" or "flip" key per node, so one
+    with more of them than MAX_NODES is rejected before it is decoded;
+    escaped spellings only lower the count, and the node counter of the
+    parse itself catches those.
     """
+    keys = text.count('"leaf"') + text.count('"flip"')
+    if keys > MAX_NODES:
+        raise TreeParseError(f"the document spells {keys} 'leaf' and 'flip' "
+                             f"keys and passes the budget of {MAX_NODES} nodes")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,7 +19,9 @@ uniform on [0, 1), so a double is below 1/2 exactly when x < HALF_U64 =
 
 Two implementations are provided and must agree bit for bit: a plain
 integer one (reference, used by the tree generators) and a numpy one
-(used by the vectorized simulators).
+(used by the vectorized simulators).  np_draw_top, for fair coins only,
+stops before finalize's last xorshift, which leaves bit 63 unchanged, so
+it agrees with the others on the top bit and on nothing else.
 """
 
 from __future__ import annotations
@@ -72,14 +74,31 @@ class Stream:
 _NP_MIX1 = np.uint64(MIX1)
 _NP_MIX2 = np.uint64(MIX2)
 _NP_GOLDEN = np.uint64(GOLDEN)
+_NP_27, _NP_30, _NP_31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def np_finalize_top(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """finalize(z) in place in z, up to but not including its last xorshift.
+
+    z ^= z >> 31 leaves bit 63 as it was, so the result has the top bit of
+    finalize(z): it is below HALF_U64 exactly when finalize(z) is.  scratch
+    is a buffer of z's shape that is overwritten.
+    """
+    np.right_shift(z, _NP_30, out=scratch)
+    z ^= scratch
+    z *= _NP_MIX1
+    np.right_shift(z, _NP_27, out=scratch)
+    z ^= scratch
+    z *= _NP_MIX2
+    return z
 
 
 def np_finalize(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))  # a new array: the input is left as it was
-    z *= _NP_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _NP_MIX2
-    z ^= z >> np.uint64(31)
+    z = np.array(z, dtype=np.uint64)  # a copy: the input is left as it was
+    scratch = np.empty_like(z)
+    np_finalize_top(z, scratch)
+    np.right_shift(z, _NP_31, out=scratch)
+    z ^= scratch
     return z
 
 
@@ -109,6 +128,26 @@ def np_draw_u64(stream_seeds: np.ndarray, k) -> np.ndarray:
     stream seeds.
     """
     return np_finalize(stream_seeds + _np_offset(k + 1))
+
+
+def np_draw_offsets(width: int) -> np.ndarray:
+    """The offsets (k + 1) * GOLDEN that np_draw_u64 adds for draws k in
+    [0, width), as a (width, 1) column: row k of a step-major block."""
+    return _np_offset(np.arange(1, width + 1))[:, None]
+
+
+def np_draw_top(stream_seeds: np.ndarray, offsets: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """Draws with the top bit of np_draw_u64, written to `out` in place.
+
+    out[j, i] = finalize(stream_seeds[i] + offsets[j]) without the last
+    xorshift (see np_finalize_top), so out[j, i] < HALF_U64 exactly when
+    draw j of stream i is below 1/2 as a double; the other bits mean
+    nothing.  `offsets` is a slice of np_draw_offsets, and `out` and
+    `scratch` are (len(offsets), len(stream_seeds)) buffers.
+    """
+    np.add(offsets, stream_seeds, out=out)
+    return np_finalize_top(out, scratch)
 
 
 def np_draw_double(stream_seeds: np.ndarray, k) -> np.ndarray:

@@ -22,19 +22,31 @@ walk.  The loop steps the uncaught trials, one draw per trial per pass,
 over compacted arrays that shrink as trials stop or are caught, and a
 trial caught by draw k - 1 leaves with its node and its next draw index k.
 A caught tree trial is counted as a catch and ends there.  A caught walk
-trial goes on to phase 2, which plays the fair coin many steps per pass:
-it draws a (walks x width) block of outputs at each walk's own draw
-indices, turns them into +-1 steps, cumsums them into paths and reads each
-walk's absorption from the first column where |z| = N.  Columns at or past
-step_cap are zeroed, and a walk that reaches the cap, including one caught
-by the last allowed draw, is settled by draw step_cap.  When every site's
-thresholds are exactly fair (0.5, 1.0), as under the honest policy, no
-trial can be caught and all of them start in phase 2 at draw 0.  Each trial
-still reads output k of its own stream at step k, a fair step compares that
-output against 1/2 (through its top bit, which is the same test: see
-rng.HALF_U64), and the draws a path makes after its absorption or past the
-cap are never read, so every count is the one a one-draw-per-pass loop over
-all trials would give.
+trial goes on to phase 2, which plays the fair coin many steps per pass.
+A pass is laid out step-major, as a (width x walks) block whose row j
+holds draw j of every walk in the batch: each walk's stream is skipped to
+its next draw, so row j adds the same offset (j + 1) * GOLDEN to every
+seed, and those offsets are computed once per call.  The block is
+finalized in place in one buffer plus one scratch buffer, and without
+splitmix64's last xorshift: a fair step only asks whether the output is
+below 2**63 (the double below 1/2, see rng.HALF_U64), and z ^ (z >> 31)
+leaves bit 63 as it was.  The rows become +-1 steps, a cumsum down the
+rows turns them into paths, and a walk's absorption is the first row where
+|z| = N, searched only in the columns whose running max reaches N or whose
+running min reaches -N.  Rows at or past step_cap are zeroed, and a walk
+that reaches the cap, including one caught by the last allowed draw, is
+settled by draw step_cap.  When every site's thresholds are exactly fair
+(0.5, 1.0), as under the honest policy, no trial can be caught and all of
+them start in phase 2 at draw 0.  Each trial still reads output k of its
+own stream at step k, with the same fair-step verdict, and the draws a
+path makes after its absorption or past the cap are never read, so every
+count is the one a one-draw-per-pass loop over all trials would give.
+
+A tree game reads its strategy through composer.strategy_triples, which
+makes one scalar cheat_model.triple call per distinct eps (with -0.0 kept
+apart from 0.0): the leading-order best-of-15 strategy at eps_tot 0.2 has
+12,869 internal nodes but only 26 distinct values.  Timings before and
+after are in the README's Monte Carlo section.
 """
 
 from __future__ import annotations
@@ -192,6 +204,10 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         u = rng.np_draw_double(streams, k)
         return int(np.count_nonzero(u < (n + z) / (2.0 * n)))
 
+    # draw j of a pass adds offsets[j] to each walk's skipped stream seed;
+    # no pass is wider than max(n, _FAIR_DRAWS) steps
+    offsets = rng.np_draw_offsets(max(n, _FAIR_DRAWS))
+
     def fair(streams, z, left):
         # Fair-coin walks from sites z whose next draw is output 0 of their
         # stream, with `left` steps before the cap.  A batch of at most
@@ -200,6 +216,9 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         queue, queued = (streams, z, left), 0
         batch = tuple(col[:0] for col in queue)
         wins = over = 0
+        # width * m <= max(n, _FAIR_DRAWS) in every pass
+        out = np.empty(offsets.size, dtype=np.uint64)
+        scratch = np.empty_like(out)
         while True:
             room = rows - batch[0].size
             if room > 0 and queued < streams.size:
@@ -207,29 +226,35 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
                               for b, col in zip(batch, queue))
                 queued += room
             s, z, left = batch
-            if not s.size:
+            m = s.size
+            if not m:
                 return wins, over
-            width = max(n, _FAIR_DRAWS // s.size)
-            cols = np.arange(width)
-            # up when the double is below 1/2, read from the top bit
-            up = rng.np_draw_u64(s[:, None], cols) < rng.HALF_U64
-            steps = up.view(np.int8) * np.int8(2)
+            width = max(n, _FAIR_DRAWS // m)
+            # step-major: row j holds draw j of every walk in the batch, and
+            # a step is up when the draw's top bit is clear
+            size = width * m
+            x = rng.np_draw_top(s, offsets[:width], out[:size].reshape(width, m),
+                                scratch[:size].reshape(width, m))
+            steps = (x < rng.HALF_U64).view(np.int8)
+            steps *= np.int8(2)
             steps -= np.int8(1)
             capped = left <= width
             if capped.any():
-                steps[cols >= left[:, None]] = 0
-            path = np.cumsum(steps, axis=1, dtype=np.int32)
-            path += z[:, None]
-            hit = np.abs(path) == n
-            at = np.arange(s.size), hit.argmax(axis=1)  # first |z| = N
-            done = hit[at]
-            wins += int(np.count_nonzero(done & (path[at] > 0)))
-            capped &= ~done
+                steps[np.arange(width)[:, None] >= left] = 0
+            path = np.cumsum(steps, axis=0, dtype=np.int32)
+            path += z
+            # only a walk whose path reaches +-N has a first hit to find
+            hit = np.flatnonzero((path.max(axis=0) >= n) | (path.min(axis=0) <= -n))
+            ends = path[:, hit]
+            at = (np.abs(ends) == n).argmax(axis=0), np.arange(hit.size)
+            wins += int(np.count_nonzero(ends[at] > 0))
+            capped[hit] = False
             over += int(np.count_nonzero(capped))
-            wins += settle(s[capped], path[capped, -1], left[capped])
-            live = ~(done | capped)
-            batch = (rng.np_skip(s[live], width), path[live, -1],
-                     left[live] - width)
+            last = path[-1]
+            wins += settle(s[capped], last[capped], left[capped])
+            live = ~capped
+            live[hit] = False
+            batch = (rng.np_skip(s[live], width), last[live], left[live] - width)
 
     def block(lo: int, hi: int):
         m = hi - lo

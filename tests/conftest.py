@@ -1,4 +1,4 @@
-"""Shared tree fixtures.
+"""Shared tree fixtures and generator inverses.
 
 FAIR_SUITE collects fair trees (P_W(root) = 1/2) of varied shape; the small
 subset keeps brute-force enumeration affordable (at most 5 internal nodes).
@@ -6,7 +6,7 @@ subset keeps brute-force enumeration affordable (at most 5 internal nodes).
 
 import pytest
 
-from coincomp import game_tree
+from coincomp import game_tree, rng
 
 
 def _fair_suite():
@@ -44,3 +44,17 @@ def small_tree(request):
 @pytest.fixture
 def bo3():
     return game_tree.gen_best_of(3)
+
+
+def unxorshift(x: int, shift: int) -> int:
+    """Inverse of x ^ (x >> shift) on 64 bits."""
+    y = x
+    for _ in range(64 // shift + 1):
+        y = x ^ (y >> shift)
+    return y
+
+
+def finalize_input(pre: int) -> int:
+    """The z whose rng.finalize(z) holds `pre` just before its last xorshift."""
+    w = unxorshift(pre * pow(rng.MIX2, -1, 1 << 64) & rng.MASK, 27)
+    return unxorshift(w * pow(rng.MIX1, -1, 1 << 64) & rng.MASK, 30)

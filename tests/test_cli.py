@@ -140,6 +140,19 @@ class TestTreeAnalyze:
             assert out == ""
             assert "budget of 10 nodes" in err
 
+    def test_document_over_node_budget_is_not_decoded(self, capsys, bo3_file,
+                                                      monkeypatch):
+        def loads(*args, **kwargs):
+            raise AssertionError("json.loads called on an over-budget document")
+
+        monkeypatch.setattr(game_tree, "MAX_NODES", 10)
+        monkeypatch.setattr(game_tree.json, "loads", loads)
+        code, out, err = run(capsys, "tree", "analyze", "--in", bo3_file)
+        assert code == 1
+        assert out == ""
+        assert "spells 11 'leaf' and 'flip' keys" in err
+        assert "budget of 10 nodes" in err
+
     def test_analyze_annotates_once(self, capsys, bo3_file, monkeypatch):
         calls = []
         real = game_tree.annotate

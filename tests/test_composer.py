@@ -329,6 +329,43 @@ class TestExactOutcome:
             prev_gap = gap
 
 
+class TestStrategyTriples:
+    # repeated values and both zeros; prime takes eps >= 0, so -0.0 too
+    MIXED = [0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 0.05, 0.1, -0.0, 0.05, 0.0,
+             -0.0, 0.1, 0.05, 0.0]
+
+    @pytest.mark.parametrize("model", [CheatModel(2.0, 1.0, cheat_model.PRIME),
+                                       CheatModel(1.0, 2.0),
+                                       CheatModel(0.5, 3.0)],
+                             ids=["prime", "std-b2", "std-b3"])
+    def test_memo_matches_scalar_calls_bit_for_bit(self, model, monkeypatch):
+        tree = game_tree.gen_full(4, [0, 1] * 8)
+        ann = game_tree.annotate(tree)
+        paths = [p for p, _ in ann.internal()]
+        values = self.MIXED if model.variant == cheat_model.PRIME else \
+            [e * s for e, s in zip(self.MIXED, itertools.cycle([1, -1, 1]))]
+        strategy = dict(zip(paths, values))
+        want = {p: [v.hex() for v in cheat_model.triple(model, e).as_tuple()]
+                for p, e in strategy.items()}
+        calls, real = [], cheat_model.triple
+
+        def counted(model, eps):
+            calls.append(eps)
+            return real(model, eps)
+
+        monkeypatch.setattr(cheat_model, "triple", counted)
+        got = composer.strategy_triples(ann, model, strategy)
+        for i, (at, u) in enumerate(zip(ann.path, ann.up)):
+            if u >= 0:
+                assert [t[i].hex() for t in got] == want[at], at
+        # one scalar call per distinct (value, sign of zero)
+        assert len(calls) == len({(e, math.copysign(1.0, e)) for e in values})
+        # the prime catch probability keeps the sign of a zero eps
+        if model.variant == cheat_model.PRIME:
+            assert {want[p][2] for p in paths if strategy[p] == 0.0} == \
+                {(0.0).hex(), (-0.0).hex()}
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("eps_tot", [0.0, 0.05, 0.1])
     def test_matches_literal_enumeration_small(self, eps_tot):

@@ -85,12 +85,28 @@ class TestParse:
 
     def test_node_budget(self, monkeypatch):
         # best-of-3 has 11 nodes: a budget of 11 keeps the parse, 10 stops it
-        # at the eleventh node in preorder, the last leaf
+        # at the eleventh node in preorder, the last leaf.  The leaf keys are
+        # spelled with an escape, which the count before decoding cannot see,
+        # so it is the parse's own node counter that stops this document.
+        escaped = CANONICAL_BEST_OF_3.replace('"leaf"', '"\\u006ceaf"')
         tree = game_tree.parse_tree(CANONICAL_BEST_OF_3)
         monkeypatch.setattr(game_tree, "MAX_NODES", 11)
         assert game_tree.parse_tree(CANONICAL_BEST_OF_3) == tree
+        assert game_tree.parse_tree(escaped) == tree
         monkeypatch.setattr(game_tree, "MAX_NODES", 10)
         with pytest.raises(TreeParseError, match="'DD'.*budget of 10 nodes"):
+            game_tree.parse_tree(escaped)
+
+    def test_node_budget_checked_before_decoding(self, monkeypatch):
+        # 5 "flip" and 6 "leaf" keys: over a budget of 10 the document is
+        # rejected without json.loads ever seeing it
+        def loads(*args, **kwargs):
+            raise AssertionError("json.loads called on an over-budget document")
+
+        monkeypatch.setattr(game_tree, "MAX_NODES", 10)
+        monkeypatch.setattr(game_tree.json, "loads", loads)
+        with pytest.raises(TreeParseError, match="spells 11 'leaf' and 'flip' "
+                                                 "keys.*budget of 10 nodes"):
             game_tree.parse_tree(CANONICAL_BEST_OF_3)
 
     @given(tree_documents())

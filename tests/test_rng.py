@@ -1,9 +1,11 @@
 """Generator correctness: reference values, stream independence, numpy parity."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from coincomp import rng
+from conftest import finalize_input
 
 
 # finalize() of small integers, computed once with an independent
@@ -174,3 +176,47 @@ def test_finalize_leaves_its_input():
     z = np.arange(1, 9, dtype=np.uint64)
     rng.np_finalize(z)
     assert z.tolist() == list(range(1, 9))
+
+
+def _truncated_draws(seeds, k, width):
+    # draws k .. k + width - 1 of each stream, as rows, through np_draw_top
+    shape = (width, seeds.size)
+    return rng.np_draw_top(rng.np_skip(seeds, k), rng.np_draw_offsets(width),
+                           np.empty(shape, dtype=np.uint64),
+                           np.empty(shape, dtype=np.uint64))
+
+
+_NEAR_TOP_SEEDS = [rng.MASK - i for i in range(8)] + [rng.MASK - rng.GOLDEN]
+
+
+@pytest.mark.parametrize("k", [0, 1, 1 << 40, rng.MASK - 1])
+@pytest.mark.parametrize("seeds", [
+    rng.np_stream_seeds(3, 0, 4096),
+    rng.np_stream_seeds(rng.MASK - 2, 0, 512),
+    np.array(_EDGE_SEEDS + _NEAR_TOP_SEEDS, dtype=np.uint64),
+], ids=["block", "master-seed-near-2**64", "stream-seeds-near-2**64"])
+def test_truncated_draw_keeps_the_top_bit(seeds, k):
+    # draw index 2**64 - 2 is the last one np_draw_u64 takes
+    width = 1 if k == rng.MASK - 1 else 3
+    top = _truncated_draws(seeds, k, width)
+    for j in range(width):
+        full = rng.np_draw_u64(seeds, k + j)
+        assert np.array_equal(top[j] >> np.uint64(63), full >> np.uint64(63))
+        # the one step left out is the last xorshift
+        assert np.array_equal(top[j] ^ (top[j] >> np.uint64(31)), full)
+
+
+def test_truncated_finalize_at_the_top_bit_edge():
+    half = rng.HALF_U64
+    pres = [half - 1, half, half + 1]
+    zs = [finalize_input(p) for p in pres]
+    assert [rng.finalize(z) for z in zs] == [p ^ (p >> 31) for p in pres]
+    z = np.array(zs, dtype=np.uint64)
+    assert rng.np_finalize_top(z.copy(), np.empty_like(z)).tolist() == pres
+    # the same values as draw 0 of the streams seeded z - GOLDEN
+    seeds = np.array([(x - rng.GOLDEN) & rng.MASK for x in zs], dtype=np.uint64)
+    top = _truncated_draws(seeds, 0, 1)
+    assert top.tolist() == [pres]
+    assert (top[0] < half).tolist() == [True, False, False]
+    assert (rng.np_draw_u64(seeds, 0) < half).tolist() == [True, False, False]
+    assert (rng.np_draw_double(seeds, 0) < 0.5).tolist() == [True, False, False]

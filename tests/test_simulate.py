@@ -1,5 +1,7 @@
 """Monte Carlo cross-checks: determinism, worker invariance, 4-sigma accuracy."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, rng, simulate, walk
 from coincomp.cheat_model import CheatModel, PRIME, STD
+from conftest import finalize_input, unxorshift
 
 
 def within_4se(report, key, exact):
@@ -289,6 +292,22 @@ class TestWalkMatchesReference:
             assert simulate.simulate_walk(game, policy, 3_000, 11) == \
                 reference_simulate_walk(game, policy, 3_000, 11)
 
+    @pytest.mark.parametrize("pre,wins", [(rng.HALF_U64 - 1, 1),
+                                          (rng.HALF_U64, 0),
+                                          (rng.HALF_U64 + 1, 0)])
+    def test_fair_step_at_the_top_bit_edge(self, pre, wins):
+        # trial 0's first draw holds `pre` before the generator's last
+        # xorshift; at N = 1 under the honest policy that one fair step is
+        # the game, up (a win) exactly when the draw is below 2**63
+        s0 = (finalize_input(pre) - rng.GOLDEN) & rng.MASK
+        seed = finalize_input(unxorshift(s0, 31))
+        assert rng.mix(seed, 0) == s0
+        game = walk.WalkGame(1, CheatModel(1.0, 1.0, STD))
+        policy = walk.honest_policy(game)
+        r = simulate.simulate_walk(game, policy, 1, seed)
+        assert r.wins == wins
+        assert r == reference_simulate_walk(game, policy, 1, seed)
+
     def test_pinned_n30_std(self):
         game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
         r = simulate.simulate_walk(game, walk.optimize(game).policy, 5_000, 4)
@@ -391,3 +410,42 @@ class TestTreeMatchesReference:
     @example((_BO7, _CERTAIN, _everywhere(_BO7, 0.1), 70_000, 1 << 63, 2))
     def test_reports_identical(self, case):
         assert simulate.simulate_tree(*case) == reference_simulate_tree(*case)
+
+
+def pinned_grid_reports():
+    """The fixed grid of reports that PINNED_GRID_SHA256 hashes."""
+    reports, seed = [], 0
+    for n in (1, 2, 5, 30):
+        for model in (CheatModel(2.0, 1.0, PRIME), CheatModel(0.5, 1.0, STD)):
+            game = walk.WalkGame(n, model)
+            for policy in (walk.honest_policy(game), walk.optimize(game).policy,
+                           {z: model.eps_max for z in game.interior()}):
+                for trials in (1, 7, 5_000):
+                    seed += 1
+                    reports.append(simulate.simulate_walk(game, policy, trials,
+                                                          seed))
+    # a cap of 4N^2 steps, which a few percent of honest walks outlast
+    game = walk.WalkGame(5, CheatModel(1.0, 1.0, STD))
+    reports.append(simulate.simulate_walk(game, walk.honest_policy(game), 5_000,
+                                          (1 << 64) - 3, step_cap=100))
+    for n in (3, 15):
+        tree = game_tree.gen_best_of(n)
+        for a in (0.5, 2.0):
+            strategy = composer.leading_order(tree, a, 2.0, 0.2).strategy
+            reports.append(simulate.simulate_tree(tree, CheatModel(a, 2.0),
+                                                  strategy, 20_000, 100 + n))
+    return reports
+
+
+# sha256 of the JSON list of pinned_grid_reports()' to_json_dict(), computed
+# with the simulators as they were before the fair-coin phase went
+# step-major; independent of the reference simulators above
+PINNED_GRID_SHA256 = (
+    "86368b29ffafa4fc62010f46df418c73794c66ba88fce79b5f514120db8b5bd6")
+
+
+def test_pinned_grid_reports():
+    reports = pinned_grid_reports()
+    assert reports[-5].overruns > 0
+    text = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_GRID_SHA256
