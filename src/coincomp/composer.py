@@ -17,6 +17,15 @@ Everything here is for the standard model; linear detection (b = 1) breaks
 the closed form's exponent 1/(b-1) and is handled exactly by the walk module
 instead.
 
+The tree passes (leading_order, a_new_of_b, strategy_triples and
+exact_outcome) read annotate's postorder columns and write into lists
+made once per call, never a container per node, so a pass leaves nothing
+for Python's cyclic garbage collector to scan or free.  What depends on
+Delta alone, |Delta|**(b/(b-1)) in S and each node's eps, is computed
+once per distinct Delta and reused: a best-of-15 tree has 12,869 internal
+nodes but 26 distinct Delta.  The reused float is the one a per-node
+computation would give, so the answers are unchanged bit for bit.
+
 brute_force_min_pc is the independent check on the closed form: an
 exhaustive search of the per-node grid {-1/2, ..., 1/2} in steps of
 grid_step.  It is implemented as an exact dynamic program over per-subtree
@@ -34,7 +43,7 @@ import numpy as np
 
 from . import cheat_model
 from .cheat_model import CheatModel, OutcomeTriple
-from .game_tree import GameTree, TreeAnnotation, annotate
+from .game_tree import MAX_DEPTH, GameTree, TreeAnnotation, annotate
 
 Strategy = dict[str, float]
 
@@ -73,12 +82,20 @@ def _fair_annotation(tree: GameTree) -> TreeAnnotation:
     return ann
 
 
+# 2**-d for every depth a tree may have
+_HALF_POWERS = [2.0 ** (-d) for d in range(MAX_DEPTH + 1)]
+
+
 def _weight_sum(ann: TreeAnnotation, b: float) -> float:
     expo = b / (b - 1.0)
+    weight: dict[float, float] = {}  # |Delta|**expo per distinct Delta
     total = 0.0
     for d, gap in zip(ann.depth, ann.delta):
         if gap:  # None on leaves, 0.0 where a node cannot move the outcome
-            total += 2.0 ** (-d) * abs(gap) ** expo
+            g = weight.get(gap)
+            if g is None:
+                g = weight[gap] = abs(gap) ** expo
+            total += _HALF_POWERS[d] * g
     return total
 
 
@@ -107,14 +124,18 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
 
     expo = 1.0 / (b - 1.0)
     strategy: Strategy = {}
+    bias: dict[float, float] = {}  # eps per distinct Delta
     clipped = False
     for at, gap in zip(ann.path, ann.delta):
         if gap is None:
             continue
-        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
-        if abs(eps) > 0.5:
-            eps = math.copysign(0.5, eps)
-            clipped = True
+        eps = bias.get(gap)
+        if eps is None:
+            eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
+            if abs(eps) > 0.5:
+                eps = math.copysign(0.5, eps)
+                clipped = True
+            bias[gap] = eps
         strategy[at] = eps
 
     a_new = a * s ** (1.0 - b)
@@ -149,21 +170,24 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
     The one reader of a tree strategy: its keys must be exactly the paths
     of the internal nodes.  Leaves read 0.0.  Each distinct eps costs one
     scalar cheat_model.triple call (an array call can round |eps|**b
-    differently); the memo keys on the sign too, since the prime model's
-    pc = a*eps tells -0.0 from 0.0.
+    differently), and every later node with that eps one memo lookup.
+    -0.0 equals 0.0 as a dict key, but the prime model's pc = a*eps tells
+    them apart, so -0.0 is memoized under its own key, None.
     """
     size = len(ann.path)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
-    memo: dict[tuple, tuple[float, float, float]] = {}
+    memo: dict[float | None, tuple[float, float, float]] = {}
     for i, (at, u) in enumerate(zip(ann.path, ann.up)):
         if u >= 0:
-            if at not in strategy:
-                raise ValueError(f"strategy is missing node '{at}'")
-            eps = strategy[at]
-            key = (eps, math.copysign(1.0, eps))
-            if key not in memo:
-                memo[key] = cheat_model.triple(model, eps).as_tuple()
-            p0[i], p1[i], pc[i] = memo[key]
+            try:
+                eps = strategy[at]
+            except KeyError:
+                raise ValueError(f"strategy is missing node '{at}'") from None
+            key = eps if eps or math.copysign(1.0, eps) > 0.0 else None
+            t = memo.get(key)
+            if t is None:
+                t = memo[key] = cheat_model.triple(model, eps).as_tuple()
+            p0[i], p1[i], pc[i] = t
     if len(strategy) > size - ann.up.count(-1):
         extra = sorted(set(strategy).difference(
             at for at, u in zip(ann.path, ann.up) if u >= 0))
@@ -176,21 +200,23 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
     """Exact game outcome (p0, p1, pc) under a full per-node strategy.
 
     No leading-order approximation: one bottom-up pass weighting children by
-    the per-node triple and accumulating catch mass along the way.
+    the per-node triple and accumulating catch mass along the way, into one
+    preallocated column per outcome.
     """
     if model.variant != cheat_model.STD:
         raise ValueError("exact_outcome expects a standard-variant model")
     ann = annotate(tree)
-    out: list[tuple[float, float, float]] = []
-    for w, u, dn, p0, p1, pc in zip(ann.p_w, ann.up, ann.down,
-                                    *strategy_triples(ann, model, strategy)):
+    size = len(ann.path)
+    o0, o1, oc = [0.0] * size, [0.0] * size, [0.0] * size
+    for i, (w, u, dn, p0, p1, pc) in enumerate(zip(
+            ann.p_w, ann.up, ann.down, *strategy_triples(ann, model, strategy))):
         if u < 0:
-            out.append((w, 1.0 - w, 0.0))
+            o0[i], o1[i] = w, 1.0 - w
             continue
-        u0, u1, uc = out[u]
-        d0, d1, dc = out[dn]
-        out.append((p0 * u0 + p1 * d0, p0 * u1 + p1 * d1, pc + p0 * uc + p1 * dc))
-    return OutcomeTriple(*out[-1])
+        o0[i] = p0 * o0[u] + p1 * o0[dn]
+        o1[i] = p0 * o1[u] + p1 * o1[dn]
+        oc[i] = pc + p0 * oc[u] + p1 * oc[dn]
+    return OutcomeTriple(o0[-1], o1[-1], oc[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,15 @@ rational in 64-bit floats; the identities tested elsewhere then hold to
 machine precision instead of approximately.  Generators and the parser
 also refuse trees of more than MAX_NODES nodes, so that a call ends in
 seconds instead of running for minutes or exhausting memory.
+
+annotate writes one column per quantity (path, depth, P_W, Delta and the
+child positions), appending to each in postorder; it keeps no container
+per node.  Every recursion over a tree is a module-level function that
+takes its state as arguments.  A nested function that calls itself holds
+itself through its closure cell, a reference cycle that keeps it and all
+it refers to (such as a result list) alive until the cyclic garbage
+collector runs; with no cycles, a pass's garbage is freed by reference
+counting as soon as the pass ends.
 """
 
 from __future__ import annotations
@@ -58,10 +67,11 @@ class NodeInfo:
 
 @dataclass(frozen=True)
 class TreeAnnotation:
-    """Per-node lists in postorder (children before parents, root last).
+    """Per-node columns in postorder (children before parents, root last).
 
     path[i] runs from the root ('' = root, then U/D); leaves have delta None
-    and child positions up/down of -1.
+    and child positions up/down of -1.  `nodes` and `internal` build
+    NodeInfo records on request, for callers that want them by path.
     """
 
     path: list[str]
@@ -82,7 +92,10 @@ class TreeAnnotation:
         return self.p_w[-1]
 
     def internal(self) -> list[tuple[str, NodeInfo]]:
-        return [(p, info) for p, info in self.nodes.items() if info.delta is not None]
+        """(path, NodeInfo) of every internal node, in postorder."""
+        return [(p, NodeInfo(d, w, x))
+                for p, d, w, x in zip(self.path, self.depth, self.p_w, self.delta)
+                if x is not None]
 
     def lemma_sum(self) -> float:
         """Sum over internal nodes of 2**-D(x) * Delta(x)**2 (see lemma_sum)."""
@@ -177,14 +190,16 @@ def gen_best_of(n: int) -> GameTree:
         raise ValueError(f"best-of-{n} has {size} nodes, over the budget of "
                          f"{MAX_NODES}")
 
-    def build(up_wins: int, down_wins: int) -> Node:
-        if up_wins == need:
-            return Leaf(0)
-        if down_wins == need:
-            return Leaf(1)
-        return Flip(build(up_wins + 1, down_wins), build(up_wins, down_wins + 1))
+    return _best_of(0, 0, need)
 
-    return build(0, 0)
+
+def _best_of(up_wins: int, down_wins: int, need: int) -> Node:
+    if up_wins == need:
+        return Leaf(0)
+    if down_wins == need:
+        return Leaf(1)
+    return Flip(_best_of(up_wins + 1, down_wins, need),
+                _best_of(up_wins, down_wins + 1, need))
 
 
 def gen_full(tree_depth: int, labels) -> GameTree:
@@ -201,13 +216,15 @@ def gen_full(tree_depth: int, labels) -> GameTree:
         if isinstance(lab, bool) or lab not in (0, 1):
             raise ValueError(f"leaf label must be 0 or 1, got {lab!r}")
 
-    def build(lo: int, hi: int) -> Node:
-        if hi - lo == 1:
-            return Leaf(labels[lo])
-        mid = (lo + hi) // 2
-        return Flip(build(lo, mid), build(mid, hi))
+    return _full(labels, 0, 2 ** tree_depth)
 
-    return build(0, 2 ** tree_depth)
+
+def _full(labels: list, lo: int, hi: int) -> Node:
+    # the complete subtree over leaf labels lo..hi-1
+    if hi - lo == 1:
+        return Leaf(labels[lo])
+    mid = (lo + hi) // 2
+    return Flip(_full(labels, lo, mid), _full(labels, mid, hi))
 
 
 def mirror(tree: GameTree) -> GameTree:
@@ -258,27 +275,36 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
 def annotate(tree: GameTree) -> TreeAnnotation:
     """Compute depth, P_W and Delta for every node in one bottom-up pass.
 
-    The one traversal of a Flip/Leaf tree; every analysis reads its lists.
+    The one traversal of a Flip/Leaf tree; every analysis reads its columns.
+    A node deeper than MAX_DEPTH stops the pass as soon as it is reached.
     """
-    rows = []  # (path, depth, p_w, delta, up, down) per node, in postorder
+    ann = TreeAnnotation([], [], [], [], [], [])
+    _annotate(tree, 0, "", ann)
+    return ann
 
-    def walk(node: Node, d: int, at: str) -> tuple[int, float]:
-        if isinstance(node, Leaf):
-            w = 1.0 if node.label == 0 else 0.0
-            rows.append((at, d, w, None, -1, -1))
-        else:
-            u, pu = walk(node.up, d + 1, at + "U")
-            dn, pd = walk(node.down, d + 1, at + "D")
-            w = (pu + pd) / 2.0
-            rows.append((at, d, w, pu - pd, u, dn))
-        return len(rows) - 1, w
 
-    walk(tree, 0, "")
-    ann = TreeAnnotation(*map(list, zip(*rows)))
-    if max(ann.depth) > MAX_DEPTH:
+def _annotate(node: Node, d: int, at: str, ann: TreeAnnotation) -> float:
+    # appends node's subtree to ann's columns in postorder; returns its P_W
+    if d > MAX_DEPTH:
         raise ValueError(f"tree depth exceeds {MAX_DEPTH}; dyadic exactness "
                          "would be lost")
-    return ann
+    if isinstance(node, Leaf):
+        w = 1.0 if node.label == 0 else 0.0
+        gap, u, dn = None, -1, -1
+    else:
+        pu = _annotate(node.up, d + 1, at + "U", ann)
+        u = len(ann.path) - 1
+        pd = _annotate(node.down, d + 1, at + "D", ann)
+        dn = len(ann.path) - 1
+        w = (pu + pd) / 2.0
+        gap = pu - pd
+    ann.path.append(at)
+    ann.depth.append(d)
+    ann.p_w.append(w)
+    ann.delta.append(gap)
+    ann.up.append(u)
+    ann.down.append(dn)
+    return w
 
 
 def lemma_sum(tree: GameTree) -> float:
@@ -290,10 +316,15 @@ def lemma_sum(tree: GameTree) -> float:
 
 
 def leaf_win_mass(tree: GameTree) -> float:
-    """P_W(root) recomputed as the direct leaf sum of 2**-D(y) * P_W(y)."""
-    def walk(node: Node, d: int) -> float:
-        if isinstance(node, Leaf):
-            return 2.0 ** (-d) if node.label == 0 else 0.0
-        return walk(node.up, d + 1) + walk(node.down, d + 1)
+    """P_W(root) recomputed as the direct leaf sum of 2**-D(y) * P_W(y).
 
-    return walk(tree, 0)
+    Walks the tree itself, not annotate's columns: it is the independent
+    check on annotate's P_W.
+    """
+    return _leaf_win_mass(tree, 0)
+
+
+def _leaf_win_mass(node: Node, d: int) -> float:
+    if isinstance(node, Leaf):
+        return 2.0 ** (-d) if node.label == 0 else 0.0
+    return _leaf_win_mass(node.up, d + 1) + _leaf_win_mass(node.down, d + 1)

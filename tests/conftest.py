@@ -5,6 +5,7 @@ subset keeps brute-force enumeration affordable (at most 5 internal nodes).
 """
 
 import pytest
+from hypothesis import strategies as st
 
 from coincomp import game_tree, rng
 
@@ -29,6 +30,20 @@ FAIR_SUITE = _fair_suite()
 
 SMALL_SUITE = {name: FAIR_SUITE[name]
                for name in ("one_flip", "best_of_3", "full2_a", "full2_b")}
+
+
+def generated_trees():
+    """Hypothesis strategy over every generator: gen_random, gen_random_fair,
+    best-of 1-15 and gen_full with arbitrary labels."""
+    seeds = st.integers(0, 2 ** 32)
+    return st.one_of(
+        st.builds(game_tree.gen_random, st.integers(0, 10), seeds),
+        st.builds(game_tree.gen_random_fair, st.integers(1, 10), seeds),
+        st.builds(game_tree.gen_best_of, st.sampled_from(range(1, 16, 2))),
+        st.integers(1, 8).flatmap(lambda d: st.builds(
+            game_tree.gen_full, st.just(d),
+            st.lists(st.integers(0, 1), min_size=2 ** d, max_size=2 ** d))),
+    )
 
 
 @pytest.fixture(params=sorted(FAIR_SUITE), ids=sorted(FAIR_SUITE))

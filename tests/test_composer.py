@@ -1,9 +1,11 @@
 """Leading-order composition, exact evaluation, and the grid-search oracle."""
 
 import hashlib
+import gc
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, simulate
 from coincomp.cheat_model import CheatModel
-from conftest import SMALL_SUITE
+from conftest import SMALL_SUITE, generated_trees
 
 
 def literal_grid_min(tree, model, eps_tot, grid_step):
@@ -236,6 +238,58 @@ class TestLeadingOrder:
         assert list(d["strategy"]) == sorted(d["strategy"])
 
 
+def reference_leading_order(tree, a, b, eps_tot):
+    """leading_order with one scalar computation per node: the reference
+    for the per-distinct-Delta memos.  Takes valid arguments only."""
+    ann = game_tree.annotate(tree)
+    s = 0.0
+    for d, gap in zip(ann.depth, ann.delta):
+        if gap:
+            s += 2.0 ** (-d) * abs(gap) ** (b / (b - 1.0))
+    expo = 1.0 / (b - 1.0)
+    strategy, clipped = {}, False
+    for at, gap in zip(ann.path, ann.delta):
+        if gap is None:
+            continue
+        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
+        if abs(eps) > 0.5:
+            eps = math.copysign(0.5, eps)
+            clipped = True
+        strategy[at] = eps
+    a_new = a * s ** (1.0 - b)
+    lam = math.copysign(a * b * (abs(eps_tot) / s) ** (b - 1.0), eps_tot)
+    return composer.CompositionResult(a_new, lam, strategy, eps_tot,
+                                      a_new * abs(eps_tot) ** b, clipped)
+
+
+def _result_bits(res):
+    return ([(p, e.hex()) for p, e in res.strategy.items()], res.clipped,
+            res.a_new.hex(), res.lam.hex(), res.predicted_pc.hex())
+
+
+class TestLeadingOrderMatchesScalarReference:
+    TREES = {"best-of-5": game_tree.gen_best_of(5),
+             "best-of-15": game_tree.gen_best_of(15),
+             "full(4)": game_tree.gen_full(4, [0, 1] * 8),
+             "random-fair(6,1)": game_tree.gen_random_fair(6, 1)}
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    @pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("eps_tot", [0.05, -0.5])
+    def test_bit_for_bit(self, name, b, eps_tot):
+        tree = self.TREES[name]
+        got = composer.leading_order(tree, 0.75, b, eps_tot)
+        assert _result_bits(got) == _result_bits(
+            reference_leading_order(tree, 0.75, b, eps_tot))
+        assert composer.a_new_of_b(tree, 0.75, b).hex() == got.a_new.hex()
+
+    def test_a_case_clips(self):
+        # best-of-5 at b = 1.5, eps_tot = -1/2 clips six of its 19 nodes
+        res = composer.leading_order(self.TREES["best-of-5"], 0.75, 1.5, -0.5)
+        assert res.clipped
+        assert 0 < sum(abs(e) == 0.5 for e in res.strategy.values()) < 19
+
+
 class TestANewOfB:
     def test_matches_leading_order(self, bo3):
         for b in (1.5, 2.0, 3.0):
@@ -364,6 +418,19 @@ class TestStrategyTriples:
         if model.variant == cheat_model.PRIME:
             assert {want[p][2] for p in paths if strategy[p] == 0.0} == \
                 {(0.0).hex(), (-0.0).hex()}
+
+
+    @pytest.mark.parametrize("model, bad", [
+        (CheatModel(1.0, 2.0), 0.7), (CheatModel(1.0, 2.0), math.nan),
+        (CheatModel(2.0, 1.0, cheat_model.PRIME), -0.1)],
+        ids=["std-0.7", "std-nan", "prime-negative"])
+    def test_out_of_range_eps_after_zeros_raises(self, model, bad):
+        # the zeros fill the memo first; the bad value must still be checked
+        ann = game_tree.annotate(game_tree.gen_full(3, [0, 1] * 4))
+        paths = [p for p, _ in ann.internal()]
+        strategy = dict(zip(paths, [0.0, -0.0] * 3 + [bad]))
+        with pytest.raises(ValueError, match=f"{bad}"):
+            composer.strategy_triples(ann, model, strategy)
 
 
 class TestBruteForce:
@@ -516,6 +583,75 @@ class TestBruteForceMatchesReference:
                               grid_step) == \
             _oracle_answer(reference_brute_force_min_pc, tree, m, eps_tot,
                            grid_step)
+
+
+def reference_exact_outcome(tree, model, strategy):
+    """exact_outcome as it was with one output tuple per node: the reference
+    the column pass must match bit for bit."""
+    if model.variant != cheat_model.STD:
+        raise ValueError("exact_outcome expects a standard-variant model")
+    ann = game_tree.annotate(tree)
+    out = []
+    for w, u, dn, p0, p1, pc in zip(ann.p_w, ann.up, ann.down,
+                                    *composer.strategy_triples(ann, model, strategy)):
+        if u < 0:
+            out.append((w, 1.0 - w, 0.0))
+            continue
+        u0, u1, uc = out[u]
+        d0, d1, dc = out[dn]
+        out.append((p0 * u0 + p1 * d0, p0 * u1 + p1 * d1, pc + p0 * uc + p1 * dc))
+    return cheat_model.OutcomeTriple(*out[-1])
+
+
+# every |eps| <= 0.3 keeps a*|eps|**b <= 1 for the models below
+_EPS_VALUES = [0.0, -0.0, 0.3, -0.3, 0.05, -0.125, 0.01, 1e-9, -0.2999]
+
+
+class TestExactOutcomeMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(tree=generated_trees(), seed=st.integers(0, 2 ** 32),
+           model=st.sampled_from([(1.0, 2.0), (0.5, 1.5), (4.0, 1.5), (2.0, 3.0)]))
+    def test_outcome_identical(self, tree, seed, model):
+        m = CheatModel(*model)
+        pick = random.Random(seed).choice
+        strategy = {p: pick(_EPS_VALUES)
+                    for p, _ in game_tree.annotate(tree).internal()}
+        got = composer.exact_outcome(tree, m, strategy)
+        want = reference_exact_outcome(tree, m, strategy)
+        assert [v.hex() for v in got.as_tuple()] == \
+            [v.hex() for v in want.as_tuple()]
+
+
+def test_tree_passes_leave_no_cyclic_garbage():
+    # with no reference cycle, everything a pass allocates is freed by
+    # reference counting, and the collector finds nothing left over
+    tree, fair = game_tree.gen_best_of(9), game_tree.gen_random_fair(6, 3)
+    model = CheatModel(1.0, 2.0)
+    strategy = composer.leading_order(tree, 1.0, 2.0, 0.1).strategy
+    ann = game_tree.annotate(tree)
+    calls = {
+        "annotate": lambda: game_tree.annotate(fair),
+        "leading_order": lambda: composer.leading_order(tree, 1.0, 3.0, 0.1),
+        "a_new_of_b": lambda: composer.a_new_of_b(fair, 1.0, 1.5),
+        "exact_outcome": lambda: composer.exact_outcome(tree, model, strategy),
+        "strategy_triples": lambda: composer.strategy_triples(ann, model, strategy),
+        "simulate_tree": lambda: simulate.simulate_tree(tree, model, strategy,
+                                                        2000, 5),
+        "gen_best_of": lambda: game_tree.gen_best_of(7),
+        "gen_full": lambda: game_tree.gen_full(4, [0, 1] * 8),
+        "gen_random_fair": lambda: game_tree.gen_random_fair(6, 4),
+        "leaf_win_mass": lambda: game_tree.leaf_win_mass(tree),
+    }
+    left = {}
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            gc.collect()
+            call()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(calls, 0)
 
 
 class TestPinnedTreeAnswers:

@@ -4,10 +4,11 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coincomp import game_tree
 from coincomp.game_tree import Flip, Leaf, NodeInfo, TreeParseError
+from conftest import generated_trees
 
 
 CANONICAL_BEST_OF_3 = (
@@ -228,6 +229,17 @@ class TestAnnotate:
         with pytest.raises(ValueError):
             game_tree.annotate(tree)
 
+    @pytest.mark.parametrize("side", ["up", "down"])
+    def test_deep_hand_built_chain_stops_at_the_cap(self, side):
+        # far deeper than the interpreter's recursion limit: the pass must
+        # stop at depth 53 with the depth error, not recurse on
+        tree = Leaf(0)
+        for _ in range(3000):
+            tree = Flip(tree, Leaf(1)) if side == "up" else Flip(Leaf(1), tree)
+        with pytest.raises(ValueError, match=f"tree depth exceeds "
+                                             f"{game_tree.MAX_DEPTH}"):
+            game_tree.annotate(tree)
+
     def test_depth_52_accepted(self):
         tree = Leaf(0)
         for _ in range(52):
@@ -255,6 +267,52 @@ class TestAnnotate:
             NodeInfo(d, w, x) for d, w, x in zip(ann.depth, ann.p_w, ann.delta)]
         assert [p for p, _ in ann.internal()] == [
             p for p, x in zip(ann.path, ann.delta) if x is not None]
+
+    def test_internal_reads_the_columns(self):
+        ann = game_tree.annotate(game_tree.gen_random_fair(6, 1))
+        got = ann.internal()
+        assert "nodes" not in vars(ann)  # no NodeInfo built for the leaves
+        assert got == [(p, i) for p, i in ann.nodes.items() if i.delta is not None]
+
+
+def reference_annotate(tree):
+    """annotate as it was with one row tuple per node: the reference the
+    column pass must match exactly."""
+    rows = []  # (path, depth, p_w, delta, up, down) per node, in postorder
+
+    def walk(node, d, at):
+        if isinstance(node, Leaf):
+            w = 1.0 if node.label == 0 else 0.0
+            rows.append((at, d, w, None, -1, -1))
+        else:
+            u, pu = walk(node.up, d + 1, at + "U")
+            dn, pd = walk(node.down, d + 1, at + "D")
+            w = (pu + pd) / 2.0
+            rows.append((at, d, w, pu - pd, u, dn))
+        return len(rows) - 1, w
+
+    walk(tree, 0, "")
+    ann = game_tree.TreeAnnotation(*map(list, zip(*rows)))
+    if max(ann.depth) > game_tree.MAX_DEPTH:
+        raise ValueError(f"tree depth exceeds {game_tree.MAX_DEPTH}; dyadic "
+                         "exactness would be lost")
+    return ann
+
+
+def _hex_column(column):
+    return [None if v is None else v.hex() for v in column]
+
+
+class TestAnnotateMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(generated_trees())
+    def test_columns_identical(self, tree):
+        got, want = game_tree.annotate(tree), reference_annotate(tree)
+        for col in ("path", "depth", "up", "down"):
+            assert getattr(got, col) == getattr(want, col), col
+        for col in ("p_w", "delta"):
+            assert _hex_column(getattr(got, col)) == \
+                _hex_column(getattr(want, col)), col
 
 
 class TestNodeBudget:
