@@ -10,74 +10,35 @@ with deterministic Monte Carlo, and `cli` exposes it all as a command-line
 tool.
 """
 
-from .cheat_model import PRIME, STD, CheatModel, OutcomeTriple, dominates, parse_model_string
-from .composer import (
-    CompositionResult,
-    a_new_of_b,
-    brute_force_min_pc,
-    derivative_in_b,
-    exact_outcome,
-    leading_order,
-)
-from .game_tree import (
-    Flip,
-    GameTree,
-    Leaf,
-    TreeParseError,
-    annotate,
-    gen_best_of,
-    gen_full,
-    gen_random_fair,
-    lemma_sum,
-    parse_tree,
-    serialize_tree,
-)
-from .simulate import SimReport, simulate_tree, simulate_walk
-from .walk import (
-    WalkGame,
-    WalkSolution,
-    brute_force_optimize,
-    evaluate_policy,
-    honest_policy,
-    optimize,
-    sweep,
-)
+import importlib
+
+# public name -> the module that defines it.  A module is imported on the
+# first use of one of its names (PEP 562), so importing the package loads
+# none of them, and `walk solve`, which needs only cheat_model and walk,
+# never loads numpy; rng imports it, and so do game_tree (through rng),
+# composer and simulate.
+_EXPORTS = {
+    "cheat_model": ("PRIME", "STD", "CheatModel", "OutcomeTriple", "dominates",
+                    "parse_model_string"),
+    "composer": ("CompositionResult", "a_new_of_b", "brute_force_min_pc",
+                 "derivative_in_b", "exact_outcome", "leading_order"),
+    "game_tree": ("Flip", "GameTree", "Leaf", "TreeParseError", "annotate",
+                  "gen_best_of", "gen_full", "gen_random_fair", "lemma_sum",
+                  "parse_tree", "serialize_tree"),
+    "simulate": ("SimReport", "simulate_tree", "simulate_walk"),
+    "walk": ("WalkGame", "WalkSolution", "brute_force_optimize",
+             "evaluate_policy", "honest_policy", "optimize", "sweep"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PRIME",
-    "STD",
-    "CheatModel",
-    "CompositionResult",
-    "Flip",
-    "GameTree",
-    "Leaf",
-    "OutcomeTriple",
-    "SimReport",
-    "TreeParseError",
-    "WalkGame",
-    "WalkSolution",
-    "a_new_of_b",
-    "annotate",
-    "brute_force_min_pc",
-    "brute_force_optimize",
-    "derivative_in_b",
-    "dominates",
-    "evaluate_policy",
-    "exact_outcome",
-    "gen_best_of",
-    "gen_full",
-    "gen_random_fair",
-    "honest_policy",
-    "lemma_sum",
-    "leading_order",
-    "optimize",
-    "parse_model_string",
-    "parse_tree",
-    "serialize_tree",
-    "simulate_tree",
-    "simulate_walk",
-    "sweep",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]

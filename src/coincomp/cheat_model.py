@@ -13,14 +13,18 @@ Two variants:
   p0 = 1/2 + eps, p1 = 1/2 - (1+a)eps, pc = a*eps, valid for
   0 <= eps <= eps_max = 1/(2+2a).  It upper-bounds what a standard linear
   box can give the cheater, which is what makes it useful for bounds.
+
+triple() takes one eps or a list of them.  A list gives three lists, built
+element by element with the very expressions the scalar call uses (the
+scalar call is a list of one), so a list entry equals the scalar triple at
+that eps bit for bit for every b.  The module needs no numpy: the walk
+solver, its one caller on lists, runs on plain lists too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 STD = "std"
 PRIME = "prime"
@@ -62,10 +66,18 @@ class CheatModel:
         return min(0.5, (1.0 / self.a) ** (1.0 / self.b))
 
     def check_eps(self, eps) -> None:
-        """Raise ValueError naming the violated bound; arrays by their extremes."""
-        if isinstance(eps, np.ndarray):
-            for e in (eps.min(), eps.max()):
-                self.check_eps(float(e))
+        """Raise ValueError naming the violated bound; a list by its extremes."""
+        if isinstance(eps, list):
+            if not eps:
+                return
+            # min and max pass over a NaN that is not first in the list; a
+            # NaN entry, or both infinities, makes the sum NaN
+            if math.isnan(sum(eps)):
+                for e in eps:
+                    if e != e:
+                        self.check_eps(e)
+            for e in (min(eps), max(eps)):
+                self.check_eps(e)
             return
         if self.variant == PRIME:
             if not eps >= 0.0:
@@ -81,21 +93,37 @@ class CheatModel:
 
 
 def triple(model: CheatModel, eps) -> OutcomeTriple:
-    """Outcome probabilities (p0, p1, pc) at eps, a float or a float array."""
+    """Outcome probabilities (p0, p1, pc) at eps, a float or a list of floats.
+
+    On a list each field is a list, entry i the scalar value at eps[i].
+    """
     model.check_eps(eps)
+    if isinstance(eps, list):
+        return OutcomeTriple(*_columns(model, eps))
+    (p0,), (p1,), (pc,) = _columns(model, [eps])
+    return OutcomeTriple(p0, p1, pc)
+
+
+def _columns(model: CheatModel, eps: list) -> tuple[list, list, list]:
+    # p0, p1 and pc at each checked eps, one expression per field
+    a = model.a
     if model.variant == PRIME:
-        p0 = 0.5 + eps
-        p1 = 0.5 - (1.0 + model.a) * eps
-        pc = model.a * eps
+        p0 = [0.5 + e for e in eps]
+        p1 = [0.5 - (1.0 + a) * e for e in eps]
+        pc = [a * e for e in eps]
         # p1 vanishes exactly at eps_max; shave the <= 1 ulp rounding dust
-        low = p1.min() if isinstance(p1, np.ndarray) else p1
+        low = min(p1, default=0.0)
         if low < 0.0:
             if low < -1e-12:
                 raise AssertionError(f"prime p1 = {low} went negative")
-            p1 = (p1 + abs(p1)) / 2.0  # max(p1, 0) elementwise, exact
-        return OutcomeTriple(p0, p1, pc)
-    pc = model.a * abs(eps) ** model.b
-    return OutcomeTriple((1.0 - pc) * (0.5 + eps), (1.0 - pc) * (0.5 - eps), pc)
+            p1 = [(p + abs(p)) / 2.0 for p in p1]  # max(p, 0), exact
+        return p0, p1, pc
+    b = model.b
+    # |e| ** 1 is |e| to the bit: pow errs by less than an ulp, so a power
+    # that is itself a double comes back exactly.  The linear box skips it.
+    pc = [a * abs(e) for e in eps] if b == 1.0 else [a * abs(e) ** b for e in eps]
+    return ([(1.0 - c) * (0.5 + e) for c, e in zip(pc, eps)],
+            [(1.0 - c) * (0.5 - e) for c, e in zip(pc, eps)], pc)
 
 
 def dominates(prime: CheatModel, standard: CheatModel, eps: float) -> bool:

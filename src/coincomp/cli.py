@@ -5,6 +5,9 @@ payloads go to stdout as JSON (or CSV for `walk sweep --csv`); diagnostics
 go to stderr.  Exit codes: 0 success, 1 invalid input (bad flags, parse or
 domain errors), 2 runtime invariant violation (a result that should be
 impossible, reported loudly rather than emitted quietly).
+
+`walk` commands load only the walk solver and the cheat models, which need
+no numpy; each other command imports the modules it uses when it runs.
 """
 
 from __future__ import annotations
@@ -13,10 +16,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import cheat_model, composer, game_tree, simulate, walk
+from . import cheat_model, walk
 from .cheat_model import CheatModel
 from .walk import WalkGame
+
+if TYPE_CHECKING:
+    from . import composer, game_tree, simulate
 
 
 class _InputError(ValueError):
@@ -30,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_tree(path: str) -> game_tree.GameTree:
+    from . import game_tree
+
     return game_tree.parse_tree(Path(path).read_text())
 
 
@@ -39,6 +48,8 @@ def _emit(payload) -> None:
 
 
 def _cmd_tree_gen(args) -> int:
+    from . import game_tree
+
     if args.kind == "best-of":
         if args.n is None:
             raise _InputError("--kind best-of requires --n")
@@ -59,6 +70,8 @@ def _cmd_tree_gen(args) -> int:
 
 
 def _cmd_tree_analyze(args) -> int:
+    from . import game_tree
+
     tree = _read_tree(args.infile)
     ann = game_tree.annotate(tree)
     total = ann.lemma_sum()
@@ -77,6 +90,8 @@ def _cmd_tree_analyze(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from . import composer
+
     tree = _read_tree(args.tree)
     result = composer.leading_order(tree, args.a, args.b, args.eps_tot)
     payload = result.to_json_dict()
@@ -149,6 +164,8 @@ def _number_map(arg: str, kind: str) -> dict[str, float]:
 
 
 def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
+    from . import composer, game_tree
+
     if arg == "honest":
         ann = game_tree.annotate(tree)
         return {path: 0.0 for path, _ in ann.internal()}
@@ -190,6 +207,8 @@ def _check_against_exact(report: simulate.SimReport, exact: dict[str, float]) ->
 
 
 def _cmd_simulate(args) -> int:
+    from . import composer, simulate
+
     model = cheat_model.parse_model_string(args.model)
     if (args.tree is None) == (not args.walk):
         raise _InputError("choose exactly one of --tree FILE or --walk")

@@ -243,8 +243,10 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
 # (all of them but +-1/2, as a rule), and each run broadcasts
 # p1*dw + p0*uw and p1*dc + (pc + p0*uc) over (grid point, down entry, up
 # entry), in chunks of about _CHUNK candidates, in generation order (eps,
-# then down, then up).  The scalar triples feed these arrays, so every
-# candidate is the same float as in a loop over grid points.
+# then down, then up).  The grid's triples come from one list call to
+# cheat_model.triple, whose entries are the scalar triples bit for bit, and
+# feed these arrays, so every candidate is the same float as in a loop over
+# grid points.
 #
 # Before the one _prune, a prefilter drops every candidate strictly
 # dominated by the frontier of a sample (every _SAMPLE_STRIDE-th grid point
@@ -462,8 +464,8 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     grid = [k * grid_step for k in range(-kmax, kmax + 1)]
     grid = [e for e in grid
             if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
-    triples = [cheat_model.triple(model, e).as_tuple() for e in grid]
-    p0, p1, pc = (np.array(col) for col in zip(*triples))
+    t = cheat_model.triple(model, grid)
+    p0, p1, pc = np.array(t.p0), np.array(t.p1), np.array(t.pc)
     target = ann.p_w_root + eps_tot * (1.0 - grid_step)
 
     # per node below the root, in postorder; the root is searched below
@@ -480,7 +482,7 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     for e_idx in np.argsort(lb, kind="stable").tolist():
         if best is not None and lb[e_idx] > best[0]:
             break
-        q0, q1, qc = triples[e_idx]
+        q0, q1, qc = t.p0[e_idx], t.p1[e_idx], t.pc[e_idx]
         uw, uc, ui = _side(up, q0)
         dw, dc, di = _side(down, q1)
         j = _first_feasible(q1, dw, q0 * uw, target)

@@ -37,6 +37,7 @@ from . import rng
 
 MAX_DEPTH = 52
 MAX_NODES = 1 << 20  # node budget for generated and parsed trees
+_TOO_DEEP = f"tree depth exceeds {MAX_DEPTH}; dyadic exactness would be lost"
 
 
 class TreeParseError(ValueError):
@@ -165,13 +166,16 @@ def _parse_node(obj, path: str, room: list[int]) -> Node:
 
 def serialize_tree(tree: GameTree) -> str:
     """Compact JSON document; round-trips through parse_tree."""
-    return json.dumps(_to_obj(tree), separators=(",", ":"))
+    return json.dumps(_to_obj(tree, 0), separators=(",", ":"))
 
 
-def _to_obj(node: Node):
+def _to_obj(node: Node, d: int):
+    if d > MAX_DEPTH:
+        raise ValueError(_TOO_DEEP)
     if isinstance(node, Leaf):
         return {"leaf": node.label}
-    return {"flip": {"up": _to_obj(node.up), "down": _to_obj(node.down)}}
+    return {"flip": {"up": _to_obj(node.up, d + 1),
+                     "down": _to_obj(node.down, d + 1)}}
 
 
 def gen_best_of(n: int) -> GameTree:
@@ -229,9 +233,15 @@ def _full(labels: list, lo: int, hi: int) -> Node:
 
 def mirror(tree: GameTree) -> GameTree:
     """Same shape with every leaf label complemented."""
-    if isinstance(tree, Leaf):
-        return Leaf(1 - tree.label)
-    return Flip(mirror(tree.up), mirror(tree.down))
+    return _mirror(tree, 0)
+
+
+def _mirror(node: Node, d: int) -> Node:
+    if d > MAX_DEPTH:
+        raise ValueError(_TOO_DEEP)
+    if isinstance(node, Leaf):
+        return Leaf(1 - node.label)
+    return Flip(_mirror(node.up, d + 1), _mirror(node.down, d + 1))
 
 
 def _random_node(budget: int, stream: rng.Stream, room: list[int]) -> Node:
@@ -286,8 +296,7 @@ def annotate(tree: GameTree) -> TreeAnnotation:
 def _annotate(node: Node, d: int, at: str, ann: TreeAnnotation) -> float:
     # appends node's subtree to ann's columns in postorder; returns its P_W
     if d > MAX_DEPTH:
-        raise ValueError(f"tree depth exceeds {MAX_DEPTH}; dyadic exactness "
-                         "would be lost")
+        raise ValueError(_TOO_DEEP)
     if isinstance(node, Leaf):
         w = 1.0 if node.label == 0 else 0.0
         gap, u, dn = None, -1, -1
@@ -325,6 +334,8 @@ def leaf_win_mass(tree: GameTree) -> float:
 
 
 def _leaf_win_mass(node: Node, d: int) -> float:
+    if d > MAX_DEPTH:
+        raise ValueError(_TOO_DEEP)
     if isinstance(node, Leaf):
         return 2.0 ** (-d) if node.label == 0 else 0.0
     return _leaf_win_mass(node.up, d + 1) + _leaf_win_mass(node.down, d + 1)

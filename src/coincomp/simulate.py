@@ -184,15 +184,16 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     if step_cap < 4 * n * n:
         raise ValueError(f"step_cap must be >= 4*N^2 = {4 * n * n}, got {step_cap}")
     t = cheat_model.triple(game.model, check_policy(game, policy))
+    p0, p1 = np.array(t.p0), np.array(t.p1)
 
     # node i is site i - n; boundary rows are stop nodes and never stepped
     node = np.arange(2 * n + 1, dtype=np.int32)
     ends = (node == 0) | (node == 2 * n)
-    graph = (np.pad(t.p0, 1), np.pad(t.p0 + t.p1, 1), node + 1, node - 1, ends,
+    graph = (np.pad(p0, 1), np.pad(p0 + p1, 1), node + 1, node - 1, ends,
              node == 2 * n)
     # fair thresholds at every site (the honest policy) can never catch, so
     # every trial is a fair-coin walk from its first draw
-    all_fair = bool(np.all(t.p0 == 0.5) and np.all(t.p0 + t.p1 == 1.0))
+    all_fair = bool(np.all(p0 == 0.5) and np.all(p0 + p1 == 1.0))
     # no walk gets near 2**62 steps; the bound keeps step counts in int64
     cap = min(step_cap, 1 << 62)
     rows = max(1, _FAIR_DRAWS // n)  # fair walks per pass

@@ -21,14 +21,31 @@ uses only the extreme biases {0, eps_max}; optimize() runs policy iteration
 over those, and over the closed-form per-site quadratic maximizer for the
 standard box.  brute_force_optimize() checks policy iteration against plain
 enumeration of all binary policies for small N.
+
+The solver works on plain lists indexed by site, W at z + N and the policy
+at z + N - 1, and needs no numpy.  A sweep of optimize() makes one list
+call to cheat_model.triple, one pass of elimination (forward, then back),
+one residual pass and one improvement loop; evaluate_policy and
+improve_policy take and return the lists, and the site-keyed dicts exist
+only on the returned WalkSolution, built on first use.  A site-keyed
+policy is validated once, by check_policy, where it enters.
+
+Improving a standard-box site maximizes the concave quadratic q(eps) over
+[0, e_hi] at 0, e_hi and the vertex.  A vertex outside (0, e_hi) clips to
+an endpoint, and there q(vertex) is q(0) or q(e_hi) to the bit: the clipped
+vertex is the endpoint's own float, and the triple at it is the endpoint's
+triple.  So q(vertex) is computed only for an inner vertex, and the choice
+is the one a three-way comparison at every site would make.  Every float
+matches the numpy solver this replaced, bit for bit (tests/test_walk.py
+keeps it as the reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from itertools import product
-
-import numpy as np
+from operator import sub
 
 from . import cheat_model
 from .cheat_model import CheatModel
@@ -57,120 +74,196 @@ class WalkGame:
         return (self.n + z) / (2.0 * self.n)
 
 
+@lru_cache(maxsize=1)
+def _targets(n: int) -> tuple[float, ...]:
+    # target(z) for z = -N..N at index z + N: the same in every sweep of a
+    # solve, and read by both of its halves
+    two_n = 2.0 * n
+    return tuple([i / two_n for i in range(2 * n + 1)])
+
+
 @dataclass(frozen=True)
 class WalkSolution:
-    w: dict[int, float]
-    delta: dict[int, float]
-    policy: WalkPolicy
+    """A solved policy; delta and the site-keyed dicts are built on first use.
+
+    w_list (and delta_list) hold sites -N..N at index z + N, eps_list the
+    policy over the interior sites -N+1..N-1 at index z + N - 1.
+    """
+
+    w_list: list[float]
+    eps_list: list[float]
     bias: float
     bound: float
     bound_ok: bool
     iterations: int
 
+    @cached_property
+    def delta_list(self) -> list[float]:
+        return list(map(sub, self.w_list, _targets(len(self.w_list) // 2)))
+
+    @cached_property
+    def w(self) -> dict[int, float]:
+        n = len(self.w_list) // 2
+        return dict(zip(range(-n, n + 1), self.w_list))
+
+    @cached_property
+    def delta(self) -> dict[int, float]:
+        n = len(self.w_list) // 2
+        return dict(zip(range(-n, n + 1), self.delta_list))
+
+    @cached_property
+    def policy(self) -> WalkPolicy:
+        n = len(self.w_list) // 2
+        return dict(zip(range(1 - n, n), self.eps_list))
+
     def to_json_dict(self) -> dict:
+        n = len(self.w_list) // 2
+        sites = [str(z) for z in range(-n, n + 1)]
         return {
             "bias": self.bias,
             "bound": self.bound,
             "bound_ok": self.bound_ok,
             "iterations": self.iterations,
-            "policy": {str(z): e for z, e in sorted(self.policy.items())},
-            "w": {str(z): v for z, v in sorted(self.w.items())},
-            "delta": {str(z): v for z, v in sorted(self.delta.items())},
+            "policy": dict(zip(sites[1:-1], self.eps_list)),
+            "w": dict(zip(sites, self.w_list)),
+            "delta": dict(zip(sites, self.delta_list)),
         }
 
 
-def check_policy(game: WalkGame, policy: WalkPolicy) -> np.ndarray:
-    """Validate a site-keyed policy; return its eps over the interior as an array."""
+def check_policy(game: WalkGame, policy: WalkPolicy) -> list[float]:
+    """Validate a site-keyed policy; return its eps over the interior as a list."""
     sites = set(game.interior())
     if set(policy) != sites:
         missing = sorted(sites - set(policy))
         extra = sorted(set(policy) - sites)
         raise ValueError(f"policy sites do not match interior: missing {missing}, "
                          f"unexpected {extra}")
-    eps = np.array([policy[z] for z in game.interior()], dtype=float)
+    eps = [float(policy[z]) for z in game.interior()]
     game.model.check_eps(eps)
     return eps
 
 
-def evaluate_policy(game: WalkGame, policy: WalkPolicy,
+def evaluate_policy(game: WalkGame, policy: WalkPolicy | list[float],
                     iterations: int = 0) -> WalkSolution:
     """Solve the walk's linear system for a fixed policy.
 
-    Direct tridiagonal (Thomas) elimination.  The matrix has unit diagonal
-    and off-diagonals -p0, -p1 with p0 + p1 <= 1, and the honest boundary
-    rows keep it nonsingular; the pivots and the per-equation residuals are
-    checked anyway and a failure raises RuntimeError.
+    The policy is site-keyed, or a list of eps over the interior at index
+    z + N - 1 as improve_policy returns it, whose values cheat_model.triple
+    checks.  Direct tridiagonal (Thomas) elimination.  The matrix has unit
+    diagonal and off-diagonals -p0, -p1 with p0 + p1 <= 1, and the honest
+    boundary rows keep it nonsingular; the pivots and the per-equation
+    residuals are checked anyway and a failure raises RuntimeError.
     """
-    t = cheat_model.triple(game.model, check_policy(game, policy))
     n = game.n
     m = 2 * n - 1
-    sites = range(-n, n + 1)
-    targ = game.target(np.array(sites))
-    p0, p1 = t.p0.tolist(), t.p1.tolist()
-    rhs = (t.pc * targ[1:-1]).tolist()
+    if isinstance(policy, list):
+        if len(policy) != m:
+            raise ValueError(f"policy list has {len(policy)} entries, the "
+                             f"interior has {m} sites")
+        eps = policy
+    else:
+        eps = check_policy(game, policy)
+    t = cheat_model.triple(game.model, eps)
+    p0, p1, pc = t.p0, t.p1, t.pc
+    targ = _targets(n)
+    src = [c * g for c, g in zip(pc, targ[1:-1])]
+    rhs = src.copy()
     rhs[m - 1] += p0[m - 1] * 1.0  # W(N) = 1; W(-N) = 0 adds nothing
 
-    # forward elimination on rows [1, -p0] with subdiagonal -p1
-    cp = [0.0] * m
-    dp = [0.0] * m
-    cp[0] = -p0[0]
-    dp[0] = rhs[0]
-    for i in range(1, m):
-        piv = 1.0 - (-p1[i]) * cp[i - 1]
+    # forward elimination on rows [1, -p0] with subdiagonal -p1: row i keeps
+    # W(z) = d_i + q_i W(z+1), with q_i = -c'_i and d_i = d'_i of the
+    # textbook recurrences, so that no negation is left in the loop
+    q, d = p0[0], rhs[0]
+    qs, ds = [q], [d]
+    put_q, put_d = qs.append, ds.append
+    for a0, a1, r in zip(p0[1:], p1[1:], rhs[1:]):
+        piv = 1.0 - a1 * q
         if not piv > 1e-12:
-            raise RuntimeError(f"tridiagonal pivot {piv} at row {i}; "
+            raise RuntimeError(f"tridiagonal pivot {piv} at row {len(qs)}; "
                                "system is numerically singular")
-        cp[i] = -p0[i] / piv
-        dp[i] = (rhs[i] - (-p1[i]) * dp[i - 1]) / piv
-    w = [0.0] * (m + 1) + [1.0]  # W(z) at index z + N
-    w[m] = dp[m - 1]
-    for i in range(m - 2, -1, -1):
-        w[i + 1] = dp[i] - cp[i] * w[i + 2]
+        q = a0 / piv
+        d = (r + a1 * d) / piv
+        put_q(q)
+        put_d(d)
+    x = ds.pop()
+    w = [1.0, x]  # W(z) from z = N downwards
+    put_w = w.append
+    for d, q in zip(reversed(ds), reversed(qs[:-1])):
+        x = d + q * x
+        put_w(x)
+    w.append(0.0)
+    w.reverse()  # W(z) at index z + N
 
-    wv = np.array(w)
-    r = wv[1:-1] - (t.p0 * wv[2:] + t.p1 * wv[:-2] + t.pc * targ[1:-1])
-    i = int(abs(r).argmax())
-    if abs(r[i]) > _RESIDUAL_TOL:
-        raise RuntimeError(f"solver residual {r[i]} at site {i - n + 1} exceeds "
-                           f"{_RESIDUAL_TOL}")
+    res = [wz - (a0 * wu + a1 * wd + s)
+           for wz, a0, wu, a1, wd, s in zip(w[1:-1], p0, w[2:], p1, w, src)]
+    worst = max(map(abs, res))
+    if worst > _RESIDUAL_TOL:
+        i = list(map(abs, res)).index(worst)
+        raise RuntimeError(f"solver residual {res[i]} at site {i - n + 1} "
+                           f"exceeds {_RESIDUAL_TOL}")
 
-    delta = wv - targ
     bound = (2.0 + game.model.a) / (2.0 * game.model.a * n)
-    return WalkSolution(dict(zip(sites, w)), dict(zip(sites, delta.tolist())),
-                        policy, float(delta[n]), bound,
-                        bool((delta <= bound + 1e-12).all()), iterations)
+    return WalkSolution(w, eps, w[n] - targ[n], bound,
+                        max(map(sub, w, targ)) <= bound + 1e-12, iterations)
 
 
-def improve_policy(game: WalkGame, w: dict[int, float]) -> WalkPolicy:
-    """Greedy one-step policy against the value function w, tie to honest."""
-    model = game.model
+def improve_policy(game: WalkGame, w: dict[int, float] | list[float]
+                   ) -> WalkPolicy | list[float]:
+    """Greedy one-step policy against the value function w, tie to honest.
+
+    w is site-keyed, or a list over sites -N..N at index z + N; the policy
+    comes back site-keyed, or as a list over the interior at index
+    z + N - 1, to match.
+    """
     n = game.n
-    wv = np.array([w[z] for z in range(-n, n + 1)])
-    wp, wm, targ = wv[2:], wv[:-2], game.target(np.arange(1 - n, n))
+    if isinstance(w, list):
+        return _greedy(game, w)
+    return dict(zip(game.interior(),
+                    _greedy(game, [w[z] for z in range(-n, n + 1)])))
 
-    def q(eps):
-        t = cheat_model.triple(model, eps)
-        return t.p0 * wp + t.p1 * wm + t.pc * targ
 
+def _greedy(game: WalkGame, w: list[float]) -> list[float]:
+    # site z's best eps against w, at index z + N - 1.  The value of eps at
+    # z is q(eps) = t0 W(z+1) + t1 W(z-1) + tc target(z), (t0, t1, tc) =
+    # triple(eps); the honest coin is (1/2, 1/2, 0) in both models, so
+    # q(0) is W(z+1)/2 + W(z-1)/2 (the dropped 0 * target(z) adds nothing).
+    model = game.model
+    targ = _targets(game.n)[1:-1]
     if model.variant == cheat_model.PRIME:
         e = model.eps_max
-        best = np.where(q(e) > q(0.0), e, 0.0)
-    else:
-        # standard, b = 1: q is the quadratic
-        # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2
-        # on [0, e_hi]; maximize over endpoints and the vertex where concave.
-        # A vertex outside (0, e_hi) clips to an endpoint and ties with it.
-        a = model.a
-        e_hi = min(0.5, 1.0 / a)
-        curv = -a * (wp - wm)
-        # a zero or subnormal curv sends the vertex to +-inf or nan; clipped
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
-        vertex = np.where(curv < 0.0, vertex.clip(0.0, e_hi), 0.0)
-        q0, q_hi, q_v = q(0.0), q(e_hi), q(vertex)
-        top = np.maximum(np.maximum(q0, q_hi), q_v)
-        best = np.where(q0 == top, 0.0, np.where(q_v == top, vertex, e_hi))
-    return dict(zip(game.interior(), best.tolist()))
+        e0, e1, ec = cheat_model.triple(model, e).as_tuple()
+        return [e if e0 * wp + e1 * wm + ec * g > 0.5 * wp + 0.5 * wm else 0.0
+                for wp, wm, g in zip(w[2:], w, targ)]
+    # standard, b = 1: q is the quadratic
+    # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2
+    # on [0, e_hi]; maximize over endpoints and the vertex where concave.
+    # A vertex outside (0, e_hi) clips to an endpoint, where q(vertex) is
+    # q(0) or q(e_hi) to the bit, so only an inner vertex needs its own q.
+    # Python division by a tiny curvature overflows to +-inf, which clips
+    # like any far vertex.  Ties go to 0, then to the vertex.
+    a = model.a
+    e_hi = min(0.5, 1.0 / a)
+    h0, h1, hc = cheat_model.triple(model, e_hi).as_tuple()
+    best = []
+    put = best.append
+    for wp, wm, g in zip(w[2:], w, targ):
+        q0 = 0.5 * wp + 0.5 * wm
+        q_hi = h0 * wp + h1 * wm + hc * g
+        slope = wp - wm
+        curv = -a * slope
+        if curv < 0.0:
+            v = -(slope - a * (wp + wm) * 0.5 + a * g) / (2.0 * curv)
+            if 0.0 < v < e_hi:
+                # cheat_model.triple(model, v) written out: the standard
+                # box at b = 1, where a*|v|**1 is a*v to the bit
+                c = a * v
+                keep = 1.0 - c
+                q_v = keep * (0.5 + v) * wp + keep * (0.5 - v) * wm + c * g
+                if q_v > q0 and q_v >= q_hi:
+                    put(v)
+                    continue
+        put(0.0 if q0 >= q_hi else e_hi)
+    return best
 
 
 def honest_policy(game: WalkGame) -> WalkPolicy:
@@ -189,15 +282,16 @@ def optimize(game: WalkGame) -> WalkSolution:
     wins: every sweep before it raised W(0), so it is the best one seen.
     A cap of 10 * 2N sweeps turns anything stranger into a loud error.
     """
-    policy = honest_policy(game)
-    cap = 10 * 2 * game.n
+    n = game.n
+    policy = [0.0] * (2 * n - 1)  # honest, in list form
+    cap = 10 * 2 * n
     prev: WalkSolution | None = None
     for sweep_count in range(1, cap + 1):
         sol = evaluate_policy(game, policy, iterations=sweep_count)
-        improved = improve_policy(game, sol.w)
+        improved = improve_policy(game, sol.w_list)
         if improved == policy:
             return sol
-        if prev is not None and sol.w[0] <= prev.w[0]:
+        if prev is not None and sol.w_list[n] <= prev.w_list[n]:
             return replace(prev, iterations=sweep_count)
         prev = sol
         policy = improved

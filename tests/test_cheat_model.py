@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coincomp import cheat_model
 from coincomp.cheat_model import PRIME, STD, CheatModel
@@ -128,7 +128,7 @@ class TestArrayTriple:
     @staticmethod
     def _grid(model):
         lo = 0.0 if model.variant == PRIME else -model.eps_max
-        return np.append(np.linspace(lo, model.eps_max, 37), model.eps_max)
+        return np.append(np.linspace(lo, model.eps_max, 37), model.eps_max).tolist()
 
     @pytest.mark.parametrize("model", [CheatModel(0.5, 1.0, PRIME),
                                        CheatModel(3.0, 1.0, PRIME),
@@ -137,16 +137,17 @@ class TestArrayTriple:
         # the walk solver relies on this for b = 1
         eps = self._grid(model)
         t = cheat_model.triple(model, eps)
-        for i, e in enumerate(eps.tolist()):
+        for i, e in enumerate(eps):
             s = cheat_model.triple(model, e)
             assert (t.p0[i], t.p1[i], t.pc[i]) == s.as_tuple()
 
     def test_power_law_matches_scalar_to_rounding(self):
-        # numpy's power may round |eps|**b differently from the scalar one
+        # written for numpy arrays, whose power rounded |eps|**b differently;
+        # a list is bit for bit, see TestListTriple
         model = CheatModel(2.0, 3.0)
         eps = self._grid(model)
         t = cheat_model.triple(model, eps)
-        for i, e in enumerate(eps.tolist()):
+        for i, e in enumerate(eps):
             s = cheat_model.triple(model, e)
             for got, want in zip((t.p0[i], t.p1[i], t.pc[i]), s.as_tuple()):
                 assert math.isclose(got, want, rel_tol=1e-15, abs_tol=1e-300)
@@ -159,7 +160,7 @@ class TestArrayTriple:
         (CheatModel(1.0, 1.0), math.nan),
     ])
     def test_array_checked_by_extremes(self, model, bad):
-        eps = np.array([0.0, 0.1, bad, 0.2])
+        eps = [0.0, 0.1, bad, 0.2]
         with pytest.raises(ValueError):
             cheat_model.triple(model, eps)
 
@@ -167,6 +168,69 @@ class TestArrayTriple:
         for model in (CheatModel(1.0, 1.0, PRIME), CheatModel(1.0, 2.0)):
             with pytest.raises(ValueError):
                 cheat_model.triple(model, math.nan)
+
+
+def _hex(t):
+    return [[v.hex() for v in col] for col in t]
+
+
+class TestListTriple:
+    @pytest.mark.parametrize("model", [
+        CheatModel(0.5, 1.0, PRIME), CheatModel(3.0, 1.0, PRIME),
+        CheatModel(1.0, 1.0), CheatModel(0.3, 1.0), CheatModel(2.0, 3.0),
+        CheatModel(1.0, 2.0), CheatModel(2.0, 1.5)])
+    def test_list_equals_scalar_calls_bit_for_bit(self, model):
+        lo = 0.0 if model.variant == PRIME else -model.eps_max
+        eps = [lo + (model.eps_max - lo) * k / 100 for k in range(101)]
+        eps += [model.eps_max, 0.0, -0.0 if model.variant == STD else 0.0]
+        t = cheat_model.triple(model, eps)
+        assert all(type(col) is list for col in t.as_tuple())
+        want = [cheat_model.triple(model, e).as_tuple() for e in eps]
+        assert _hex(t.as_tuple()) == _hex(zip(*want))
+
+    @given(st.sampled_from([CheatModel(2.0, 3.0), CheatModel(1.0, 1.0),
+                            CheatModel(0.7, 2.5), CheatModel(2.0, 1.0, PRIME)]),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_random_lists_equal_scalar_calls(self, model, fracs):
+        sign = 1.0
+        eps = []
+        for f in fracs:
+            eps.append(f * model.eps_max * sign)
+            if model.variant == STD:
+                sign = -sign
+        t = cheat_model.triple(model, eps)
+        want = [cheat_model.triple(model, e).as_tuple() for e in eps]
+        assert _hex(t.as_tuple()) == _hex(zip(*want))
+
+    def test_empty_list(self):
+        assert cheat_model.triple(CheatModel(1.0, 1.0), []).as_tuple() == ([], [], [])
+
+
+class TestListCheck:
+    """min and max skip a NaN that is not first; the check must not."""
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("model,bad,message", [
+        (CheatModel(1.0, 1.0, PRIME), math.nan, "requires eps >= 0, got nan"),
+        (CheatModel(1.0, 1.0, PRIME), math.inf, "exceeds eps_max"),
+        (CheatModel(1.0, 1.0, PRIME), -math.inf, "requires eps >= 0, got -inf"),
+        (CheatModel(1.0, 2.0), math.nan, r"\|eps\| <= 1/2, got nan"),
+        (CheatModel(1.0, 2.0), math.inf, r"\|eps\| <= 1/2, got inf"),
+        (CheatModel(1.0, 2.0), -math.inf, r"\|eps\| <= 1/2, got -inf"),
+    ])
+    def test_non_finite_at_any_position(self, model, bad, message, where):
+        eps = [0.1, 0.2, 0.0, 0.2, 0.1]
+        eps[where] = bad
+        with pytest.raises(ValueError, match=message):
+            model.check_eps(eps)
+        with pytest.raises(ValueError, match=message):
+            cheat_model.triple(model, eps)
+
+    def test_both_infinities(self):
+        # their sum is NaN with no NaN entry; min names -inf
+        with pytest.raises(ValueError, match="got -inf"):
+            CheatModel(1.0, 2.0).check_eps([0.0, math.inf, -math.inf])
 
 
 class TestDominance:

@@ -479,6 +479,27 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("site", ["-2", "0", "2"])
+    @pytest.mark.parametrize("model,bad", [
+        ("prime:a=1", "NaN"), ("prime:a=1", "Infinity"), ("prime:a=1", "-Infinity"),
+        ("std:a=1,b=1", "NaN"), ("std:a=1,b=1", "Infinity"),
+        ("std:a=1,b=1", "-Infinity"),
+    ])
+    def test_non_finite_policy_site_exits_1(self, capsys, tmp_path, model,
+                                            bad, site):
+        # first, middle and last interior site of N = 3
+        entries = {str(z): "0.1" for z in range(-2, 3)}
+        entries[site] = bad
+        path = tmp_path / "policy.json"
+        path.write_text("{" + ", ".join(f'"{z}": {v}'
+                                        for z, v in entries.items()) + "}")
+        code, out, err = run(capsys, "simulate", "--walk", "--n", "3",
+                             "--model", model, "--policy", str(path),
+                             "--trials", "100")
+        assert code == 1
+        assert out == ""
+        assert "eps" in err
+
     def test_emit_refuses_nan(self, capsys):
         with pytest.raises(ValueError):
             cli._emit({"x": float("nan")})

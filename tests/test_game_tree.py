@@ -240,6 +240,26 @@ class TestAnnotate:
                                              f"{game_tree.MAX_DEPTH}"):
             game_tree.annotate(tree)
 
+    @pytest.mark.parametrize("side", ["up", "down"])
+    @pytest.mark.parametrize("name", ["leaf_win_mass", "mirror", "serialize_tree"])
+    def test_other_tree_walks_stop_at_the_cap(self, name, side):
+        # each walks the Flip/Leaf tree itself, so each needs its own check
+        tree = Leaf(0)
+        for _ in range(3000):
+            tree = Flip(tree, Leaf(1)) if side == "up" else Flip(Leaf(1), tree)
+        with pytest.raises(ValueError, match=f"tree depth exceeds "
+                                             f"{game_tree.MAX_DEPTH}"):
+            getattr(game_tree, name)(tree)
+
+    @pytest.mark.parametrize("side", ["up", "down"])
+    def test_other_tree_walks_accept_depth_52(self, side):
+        tree = Leaf(0)
+        for _ in range(52):
+            tree = Flip(tree, Leaf(1)) if side == "up" else Flip(Leaf(1), tree)
+        assert game_tree.leaf_win_mass(tree) == game_tree.annotate(tree).p_w_root
+        assert game_tree.mirror(game_tree.mirror(tree)) == tree
+        assert game_tree.parse_tree(game_tree.serialize_tree(tree)) == tree
+
     def test_depth_52_accepted(self):
         tree = Leaf(0)
         for _ in range(52):

@@ -180,10 +180,11 @@ def reference_simulate_walk(game, policy, trials, seed, step_cap=None,
     if step_cap < 4 * n * n:
         raise ValueError(f"step_cap must be >= 4*N^2 = {4 * n * n}, got {step_cap}")
     t = cheat_model.triple(game.model, walk.check_policy(game, policy))
+    p0, p1 = np.array(t.p0), np.array(t.p1)
 
     # per-site thresholds indexed by z + n; boundary rows are never consulted
-    thr_up = np.pad(t.p0, 1)
-    thr_dn = np.pad(t.p0 + t.p1, 1)
+    thr_up = np.pad(p0, 1)
+    thr_dn = np.pad(p0 + p1, 1)
 
     def block(lo: int, hi: int):
         m = hi - lo

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -332,7 +333,7 @@ class TestArrayPath:
         g = prime_game(3)
         policy = {z: g.model.eps_max * (z > 0) for z in g.interior()}
         eps = walk.check_policy(g, policy)
-        assert eps.tolist() == [0.0, 0.0, 0.0, 0.25, 0.25]
+        assert eps == [0.0, 0.0, 0.0, 0.25, 0.25]
 
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 0.3])
     def test_check_policy_rejects_bad_eps(self, bad):
@@ -346,3 +347,210 @@ class TestArrayPath:
         g = prime_game(2)
         with pytest.raises(ValueError, match=r"missing \[-1, 1\], unexpected \[5\]"):
             walk.check_policy(g, {0: 0.0, 5: 0.0})
+
+
+# The numpy solver that the plain-list one replaced, kept as the reference:
+# the array triple, evaluate_policy, improve_policy and optimize as they
+# were, minus the input checks, with site-keyed dicts in and out.
+
+def reference_triple(model, eps):
+    if model.variant == PRIME:
+        p0 = 0.5 + eps
+        p1 = 0.5 - (1.0 + model.a) * eps
+        pc = model.a * eps
+        if p1.min() < 0.0:
+            p1 = (p1 + abs(p1)) / 2.0
+        return p0, p1, pc
+    pc = model.a * abs(eps) ** model.b
+    return (1.0 - pc) * (0.5 + eps), (1.0 - pc) * (0.5 - eps), pc
+
+
+def reference_evaluate(game, policy, iterations=0):
+    eps = np.array([policy[z] for z in game.interior()], dtype=float)
+    p0a, p1a, pca = reference_triple(game.model, eps)
+    n = game.n
+    m = 2 * n - 1
+    sites = range(-n, n + 1)
+    targ = game.target(np.array(sites))
+    p0, p1 = p0a.tolist(), p1a.tolist()
+    rhs = (pca * targ[1:-1]).tolist()
+    rhs[m - 1] += p0[m - 1] * 1.0
+    cp = [0.0] * m
+    dp = [0.0] * m
+    cp[0] = -p0[0]
+    dp[0] = rhs[0]
+    for i in range(1, m):
+        piv = 1.0 - (-p1[i]) * cp[i - 1]
+        cp[i] = -p0[i] / piv
+        dp[i] = (rhs[i] - (-p1[i]) * dp[i - 1]) / piv
+    w = [0.0] * (m + 1) + [1.0]
+    w[m] = dp[m - 1]
+    for i in range(m - 2, -1, -1):
+        w[i + 1] = dp[i] - cp[i] * w[i + 2]
+    wv = np.array(w)
+    r = wv[1:-1] - (p0a * wv[2:] + p1a * wv[:-2] + pca * targ[1:-1])
+    assert abs(r).max() <= 1e-10
+    delta = wv - targ
+    bound = (2.0 + game.model.a) / (2.0 * game.model.a * n)
+    return {"w": dict(zip(sites, w)), "delta": dict(zip(sites, delta.tolist())),
+            "policy": policy, "bias": float(delta[n]), "bound": bound,
+            "bound_ok": bool((delta <= bound + 1e-12).all()),
+            "iterations": iterations}
+
+
+def reference_improve(game, w):
+    model = game.model
+    n = game.n
+    wv = np.array([w[z] for z in range(-n, n + 1)])
+    wp, wm, targ = wv[2:], wv[:-2], game.target(np.arange(1 - n, n))
+
+    def q(eps):
+        t0, t1, tc = reference_triple(model, np.asarray(eps, dtype=float))
+        return t0 * wp + t1 * wm + tc * targ
+
+    if model.variant == PRIME:
+        e = model.eps_max
+        best = np.where(q(e) > q(0.0), e, 0.0)
+    else:
+        a = model.a
+        e_hi = min(0.5, 1.0 / a)
+        curv = -a * (wp - wm)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
+        vertex = np.where(curv < 0.0, vertex.clip(0.0, e_hi), 0.0)
+        q0, q_hi, q_v = q(0.0), q(e_hi), q(vertex)
+        top = np.maximum(np.maximum(q0, q_hi), q_v)
+        best = np.where(q0 == top, 0.0, np.where(q_v == top, vertex, e_hi))
+    return dict(zip(game.interior(), best.tolist()))
+
+
+def reference_optimize(game):
+    policy = walk.honest_policy(game)
+    prev = None
+    for sweep_count in range(1, 10 * 2 * game.n + 1):
+        sol = reference_evaluate(game, policy, iterations=sweep_count)
+        improved = reference_improve(game, sol["w"])
+        if improved == policy:
+            return sol
+        if prev is not None and sol["w"][0] <= prev["w"][0]:
+            return dict(prev, iterations=sweep_count)
+        prev = sol
+        policy = improved
+    raise AssertionError("no settle")
+
+
+def _hexed(sol):
+    """A solution's fields with every float spelled by float.hex."""
+    if not isinstance(sol, dict):
+        sol = {"w": sol.w, "delta": sol.delta, "policy": sol.policy,
+               "bias": sol.bias, "bound": sol.bound, "bound_ok": sol.bound_ok,
+               "iterations": sol.iterations}
+    out = {}
+    for key, value in sol.items():
+        if isinstance(value, dict):
+            out[key] = [(z, float(v).hex()) for z, v in value.items()]
+        elif isinstance(value, float):
+            out[key] = value.hex()
+        else:
+            out[key] = value
+    return out
+
+
+@st.composite
+def walk_games(draw, max_n=40):
+    variant = draw(st.sampled_from([PRIME, STD]))
+    a = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.7, 7.0]))
+    return walk.WalkGame(draw(st.integers(1, max_n)), CheatModel(a, 1.0, variant))
+
+
+class TestMatchesNumpyReference:
+    """Bit for bit against the numpy solver the list one replaced."""
+
+    @given(walk_games())
+    @settings(max_examples=60, deadline=None)
+    def test_optimize(self, game):
+        assert _hexed(walk.optimize(game)) == _hexed(reference_optimize(game))
+
+    @given(walk_games(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_user_policy_evaluate_and_improve(self, game, fracs):
+        # interior eps anywhere in the domain, not only the solver's picks
+        e_max = game.model.eps_max
+        policy = {z: e_max * fracs[(z + game.n) % len(fracs)]
+                  for z in game.interior()}
+        got = walk.evaluate_policy(game, policy, iterations=3)
+        want = reference_evaluate(game, policy, iterations=3)
+        assert _hexed(got) == _hexed(want)
+        assert _hexed({"p": walk.improve_policy(game, got.w)}) == \
+            _hexed({"p": reference_improve(game, want["w"])})
+
+    @pytest.mark.parametrize("n", [150, 317, 420])
+    @pytest.mark.parametrize("variant,a", [(PRIME, 0.5), (STD, 1.0), (STD, 7.0)])
+    def test_larger_games(self, variant, a, n):
+        game = walk.WalkGame(n, CheatModel(a, 1.0, variant))
+        assert _hexed(walk.optimize(game)) == _hexed(reference_optimize(game))
+
+
+class TestListForm:
+    def test_list_policy_equals_dict_policy(self):
+        g = std_game(6)
+        policy = {z: 0.03 * (z + 6) for z in g.interior()}
+        by_dict = walk.evaluate_policy(g, policy)
+        by_list = walk.evaluate_policy(g, [policy[z] for z in g.interior()])
+        assert _hexed(by_list) == _hexed(by_dict)
+        assert walk.improve_policy(g, by_list.w_list) == \
+            [walk.improve_policy(g, by_dict.w)[z] for z in g.interior()]
+
+    def test_list_policy_of_wrong_length(self):
+        with pytest.raises(ValueError, match="policy list has 4 entries"):
+            walk.evaluate_policy(prime_game(3), [0.0] * 4)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_list_policy_values_checked(self, where):
+        eps = [0.0] * 5
+        eps[where] = math.nan
+        with pytest.raises(ValueError, match="got nan"):
+            walk.evaluate_policy(prime_game(3), eps)
+
+    def test_site_dicts_match_lists(self):
+        sol = walk.optimize(std_game(4))
+        assert list(sol.w.values()) == sol.w_list
+        assert list(sol.delta.values()) == sol.delta_list
+        assert list(sol.policy.values()) == sol.eps_list
+        assert sol.delta[0] == sol.bias
+        assert sol.policy[-3] == sol.eps_list[0]
+
+    def test_optimize_makes_no_site_dict(self, monkeypatch):
+        # a sweep hands lists from evaluate_policy to improve_policy and back
+        seen = []
+        real_eval, real_improve = walk.evaluate_policy, walk.improve_policy
+        monkeypatch.setattr(walk, "evaluate_policy",
+                            lambda g, p, **kw: seen.append(type(p)) or real_eval(g, p, **kw))
+        monkeypatch.setattr(walk, "improve_policy",
+                            lambda g, w: seen.append(type(w)) or real_improve(g, w))
+        sol = walk.optimize(std_game(30))
+        assert set(seen) == {list}
+        assert len(seen) == 2 * sol.iterations
+        assert "w" not in vars(sol) and "policy" not in vars(sol)
+
+
+class TestPolicyValidation:
+    """A non-finite eps at the first, a middle or the last site."""
+
+    @pytest.mark.parametrize("site", [-2, 0, 2])
+    @pytest.mark.parametrize("variant,bad,message", [
+        (PRIME, math.nan, "requires eps >= 0, got nan"),
+        (PRIME, math.inf, "exceeds eps_max"),
+        (PRIME, -math.inf, "requires eps >= 0, got -inf"),
+        (STD, math.nan, r"\|eps\| <= 1/2, got nan"),
+        (STD, math.inf, r"\|eps\| <= 1/2, got inf"),
+        (STD, -math.inf, r"\|eps\| <= 1/2, got -inf"),
+    ])
+    def test_rejected_with_the_bound_named(self, variant, bad, message, site):
+        g = walk.WalkGame(3, CheatModel(1.0, 1.0, variant))
+        policy = {z: 0.1 for z in g.interior()}
+        policy[site] = bad
+        with pytest.raises(ValueError, match=message):
+            walk.check_policy(g, policy)
+        with pytest.raises(ValueError, match=message):
+            walk.evaluate_policy(g, policy)
