@@ -123,11 +123,9 @@ def _cmd_walk_solve(args) -> int:
 
 def _cmd_walk_sweep(args) -> int:
     model = cheat_model.parse_model_string(args.model)
-    if model.b != 1.0:
-        raise _InputError(f"walk games require b = 1, got b = {model.b}")
     if args.n_max < 1:
         raise _InputError(f"--n-max must be >= 1, got {args.n_max}")
-    records = walk.sweep(model.a, model.variant, range(1, args.n_max + 1))
+    records = walk.sweep(model, range(1, args.n_max + 1))
     bad = [r for r in records if not r.bound_ok]
     if bad:
         raise RuntimeError(f"bias bound violated at N={bad[0].n}: "

@@ -86,6 +86,18 @@ def _fair_annotation(tree: GameTree) -> TreeAnnotation:
 _HALF_POWERS = [2.0 ** (-d) for d in range(MAX_DEPTH + 1)]
 
 
+def _check_detection(name: str, a: float, b: float) -> None:
+    """Reject an (a, b) the closed form does not cover: it needs a > 0, b > 1."""
+    for key, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if b <= 1.0:
+        raise ValueError(f"{name} requires b > 1, got {b}; linear "
+                         "detection is solved exactly by the walk module")
+    if not a > 0:
+        raise ValueError(f"a must be positive, got {a}")
+
+
 def _weight_sum(ann: TreeAnnotation, b: float) -> float:
     expo = b / (b - 1.0)
     weight: dict[float, float] = {}  # |Delta|**expo per distinct Delta
@@ -107,14 +119,9 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
     Biases exceeding 1/2 in magnitude (possible when b != 2) are clamped
     and reported through the clipped flag.
     """
-    for name, value in (("a", a), ("b", b), ("eps_tot", eps_tot)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if b <= 1.0:
-        raise ValueError(f"leading_order requires b > 1, got {b}; linear "
-                         "detection is solved exactly by the walk module")
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
+    _check_detection("leading_order", a, b)
+    if not math.isfinite(eps_tot):
+        raise ValueError(f"eps_tot must be finite, got {eps_tot}")
     if abs(eps_tot) > 0.5:
         raise ValueError(f"|eps_tot| must be <= 1/2, got {eps_tot}")
     ann = _fair_annotation(tree)
@@ -146,21 +153,28 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
 
 def a_new_of_b(tree: GameTree, a: float, b: float) -> float:
     """Composed sensitivity a * S**(1-b) without building the strategy."""
-    if b <= 1.0:
-        raise ValueError(f"a_new_of_b requires b > 1, got {b}")
+    _check_detection("a_new_of_b", a, b)
     s = _weight_sum(_fair_annotation(tree), b)
     if s == 0.0:
         raise ValueError("every Delta is zero; a_new is undefined")
     return a * s ** (1.0 - b)
 
 
-def derivative_in_b(tree: GameTree, a: float, b: float, h: float = 0.01) -> float:
-    """Central finite difference of a_new_of_b at b."""
-    if not 0.0 < h <= 0.1:
-        raise ValueError(f"h must be in (0, 0.1], got {h}")
-    if b - h <= 1.0:
-        raise ValueError(f"b - h must exceed 1, got b = {b}, h = {h}")
-    return (a_new_of_b(tree, a, b + h) - a_new_of_b(tree, a, b - h)) / (2.0 * h)
+def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
+    """Exact d a_new / db = a_new (-ln S + (1-b) S'/S) = a_new (L/((b-1) S) - ln S),
+    where S' = L dp/db, L = sum 2**-D |Delta|**p ln|Delta|, p = b/(b-1)."""
+    _check_detection("derivative_in_b", a, b)
+    ann = _fair_annotation(tree)
+    expo = b / (b - 1.0)
+    s = log_sum = 0.0
+    for d, gap in zip(ann.depth, ann.delta):
+        if gap:
+            term = _HALF_POWERS[d] * abs(gap) ** expo
+            s += term
+            log_sum += term * math.log(abs(gap))
+    if s == 0.0:
+        raise ValueError("every Delta is zero; a_new is undefined")
+    return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 
 def strategy_triples(ann: TreeAnnotation, model: CheatModel,

@@ -105,9 +105,16 @@ def _report(trials, wins, losses, catches, overruns, seed) -> SimReport:
     return SimReport(trials, wins, losses, catches, overruns, est, err, seed)
 
 
+def _check_run(trials: int, workers: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _run_blocks(fn, trials: int, workers: int):
     spans = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
-    if workers <= 1 or len(spans) == 1:
+    if workers == 1 or len(spans) == 1:
         parts = [fn(lo, hi) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -149,8 +156,7 @@ def _phase1(graph, streams, start: int, cap: int):
 def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
                   trials: int, seed: int, workers: int = 1) -> SimReport:
     """Play the tree game `trials` times; a catch ends the trial."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_run(trials, workers)
 
     # per node, in the annotation's postorder: draw thresholds (0 on leaves)
     ann = annotate(tree)
@@ -176,8 +182,7 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
 def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
                   step_cap: int | None = None, workers: int = 1) -> SimReport:
     """Run the walk game; catches switch the trial to a fair coin."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_run(trials, workers)
     n = game.n
     if step_cap is None:
         step_cap = 64 * n * n

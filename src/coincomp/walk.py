@@ -25,19 +25,18 @@ enumeration of all binary policies for small N.
 The solver works on plain lists indexed by site, W at z + N and the policy
 at z + N - 1, and needs no numpy.  A sweep of optimize() makes one list
 call to cheat_model.triple, one pass of elimination (forward, then back),
-one residual pass and one improvement loop; evaluate_policy and
-improve_policy take and return the lists, and the site-keyed dicts exist
-only on the returned WalkSolution, built on first use.  A site-keyed
-policy is validated once, by check_policy, where it enters.
+one residual pass and one improvement loop on those lists.  The
+site-keyed dicts and the bound verdict exist only on the returned
+WalkSolution, built on first use.  A site-keyed policy is validated once,
+by check_policy, where it enters.
 
-Improving a standard-box site maximizes the concave quadratic q(eps) over
-[0, e_hi] at 0, e_hi and the vertex.  A vertex outside (0, e_hi) clips to
-an endpoint, and there q(vertex) is q(0) or q(e_hi) to the bit: the clipped
-vertex is the endpoint's own float, and the triple at it is the endpoint's
-triple.  So q(vertex) is computed only for an inner vertex, and the choice
-is the one a three-way comparison at every site would make.  Every float
-matches the numpy solver this replaced, bit for bit (tests/test_walk.py
-keeps it as the reference).
+Improving a site compares q(0) with q(eps_max) in both boxes, ties to 0;
+the standard box's q is a quadratic whose vertex, where it is concave, is
+a third candidate.  A vertex outside (0, eps_max) clips to an endpoint,
+where q(vertex) is the endpoint's q to the bit (the same float, so the
+same triple), so q(vertex) is computed only for an inner vertex.  Every
+float matches the numpy solver this replaced, bit for bit
+(tests/test_walk.py keeps it as the reference).
 """
 
 from __future__ import annotations
@@ -61,6 +60,8 @@ class WalkGame:
     model: CheatModel
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"N must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"N must be >= 1, got {self.n}")
         if self.model.b != 1:
@@ -69,22 +70,18 @@ class WalkGame:
     def interior(self) -> range:
         return range(-self.n + 1, self.n)
 
-    def target(self, z):
-        """Honest continuation value (N+z)/(2N) at a site or an int array of sites."""
-        return (self.n + z) / (2.0 * self.n)
-
 
 @lru_cache(maxsize=1)
 def _targets(n: int) -> tuple[float, ...]:
-    # target(z) for z = -N..N at index z + N: the same in every sweep of a
-    # solve, and read by both of its halves
+    # the honest continuation value (N+z)/(2N) for z = -N..N at index z + N:
+    # the same in every sweep of a solve, and read by both of its halves
     two_n = 2.0 * n
     return tuple([i / two_n for i in range(2 * n + 1)])
 
 
 @dataclass(frozen=True)
 class WalkSolution:
-    """A solved policy; delta and the site-keyed dicts are built on first use.
+    """A solved policy; delta, bound_ok and the site dicts are built on use.
 
     w_list (and delta_list) hold sites -N..N at index z + N, eps_list the
     policy over the interior sites -N+1..N-1 at index z + N - 1.
@@ -94,12 +91,18 @@ class WalkSolution:
     eps_list: list[float]
     bias: float
     bound: float
-    bound_ok: bool
     iterations: int
 
     @cached_property
     def delta_list(self) -> list[float]:
         return list(map(sub, self.w_list, _targets(len(self.w_list) // 2)))
+
+    @cached_property
+    def bound_ok(self) -> bool:
+        """Whether the excess stays within bound (+1e-12) at every site."""
+        # delta_list's values, without keeping the list on the solution
+        n = len(self.w_list) // 2
+        return max(map(sub, self.w_list, _targets(n))) <= self.bound + 1e-12
 
     @cached_property
     def w(self) -> dict[int, float]:
@@ -143,8 +146,7 @@ def check_policy(game: WalkGame, policy: WalkPolicy) -> list[float]:
     return eps
 
 
-def evaluate_policy(game: WalkGame, policy: WalkPolicy | list[float],
-                    iterations: int = 0) -> WalkSolution:
+def evaluate_policy(game: WalkGame, policy: WalkPolicy | list[float]) -> WalkSolution:
     """Solve the walk's linear system for a fixed policy.
 
     The policy is site-keyed, or a list of eps over the interior at index
@@ -203,65 +205,46 @@ def evaluate_policy(game: WalkGame, policy: WalkPolicy | list[float],
                            f"exceeds {_RESIDUAL_TOL}")
 
     bound = (2.0 + game.model.a) / (2.0 * game.model.a * n)
-    return WalkSolution(w, eps, w[n] - targ[n], bound,
-                        max(map(sub, w, targ)) <= bound + 1e-12, iterations)
+    return WalkSolution(w, eps, w[n] - targ[n], bound, 0)
 
 
-def improve_policy(game: WalkGame, w: dict[int, float] | list[float]
-                   ) -> WalkPolicy | list[float]:
-    """Greedy one-step policy against the value function w, tie to honest.
+def improve_policy(game: WalkGame, w: list[float]) -> list[float]:
+    """Greedy one-step policy against the values w, ties to honest.
 
-    w is site-keyed, or a list over sites -N..N at index z + N; the policy
-    comes back site-keyed, or as a list over the interior at index
-    z + N - 1, to match.
+    w holds sites -N..N at index z + N; site z's best eps comes back at
+    index z + N - 1.
     """
-    n = game.n
-    if isinstance(w, list):
-        return _greedy(game, w)
-    return dict(zip(game.interior(),
-                    _greedy(game, [w[z] for z in range(-n, n + 1)])))
-
-
-def _greedy(game: WalkGame, w: list[float]) -> list[float]:
-    # site z's best eps against w, at index z + N - 1.  The value of eps at
-    # z is q(eps) = t0 W(z+1) + t1 W(z-1) + tc target(z), (t0, t1, tc) =
-    # triple(eps); the honest coin is (1/2, 1/2, 0) in both models, so
-    # q(0) is W(z+1)/2 + W(z-1)/2 (the dropped 0 * target(z) adds nothing).
-    model = game.model
-    targ = _targets(game.n)[1:-1]
-    if model.variant == cheat_model.PRIME:
-        e = model.eps_max
-        e0, e1, ec = cheat_model.triple(model, e).as_tuple()
-        return [e if e0 * wp + e1 * wm + ec * g > 0.5 * wp + 0.5 * wm else 0.0
-                for wp, wm, g in zip(w[2:], w, targ)]
-    # standard, b = 1: q is the quadratic
-    # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2
-    # on [0, e_hi]; maximize over endpoints and the vertex where concave.
-    # A vertex outside (0, e_hi) clips to an endpoint, where q(vertex) is
-    # q(0) or q(e_hi) to the bit, so only an inner vertex needs its own q.
+    # q(eps) = t0 W(z+1) + t1 W(z-1) + tc (N+z)/(2N) with (t0, t1, tc) =
+    # triple(eps); the honest coin is (1/2, 1/2, 0) in both models, so q(0)
+    # is W(z+1)/2 + W(z-1)/2.  In the standard box q is the quadratic
+    # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2.
     # Python division by a tiny curvature overflows to +-inf, which clips
     # like any far vertex.  Ties go to 0, then to the vertex.
-    a = model.a
-    e_hi = min(0.5, 1.0 / a)
+    model = game.model
+    targ = _targets(game.n)[1:-1]
+    e_hi = model.eps_max
     h0, h1, hc = cheat_model.triple(model, e_hi).as_tuple()
+    vertex = model.variant == cheat_model.STD
+    a = model.a
     best = []
     put = best.append
     for wp, wm, g in zip(w[2:], w, targ):
         q0 = 0.5 * wp + 0.5 * wm
         q_hi = h0 * wp + h1 * wm + hc * g
-        slope = wp - wm
-        curv = -a * slope
-        if curv < 0.0:
-            v = -(slope - a * (wp + wm) * 0.5 + a * g) / (2.0 * curv)
-            if 0.0 < v < e_hi:
-                # cheat_model.triple(model, v) written out: the standard
-                # box at b = 1, where a*|v|**1 is a*v to the bit
-                c = a * v
-                keep = 1.0 - c
-                q_v = keep * (0.5 + v) * wp + keep * (0.5 - v) * wm + c * g
-                if q_v > q0 and q_v >= q_hi:
-                    put(v)
-                    continue
+        if vertex:
+            slope = wp - wm
+            curv = -a * slope
+            if curv < 0.0:
+                v = -(slope - a * (wp + wm) * 0.5 + a * g) / (2.0 * curv)
+                if 0.0 < v < e_hi:
+                    # cheat_model.triple(model, v) written out: the standard
+                    # box at b = 1, where a*|v|**1 is a*v to the bit
+                    c = a * v
+                    keep = 1.0 - c
+                    q_v = keep * (0.5 + v) * wp + keep * (0.5 - v) * wm + c * g
+                    if q_v > q0 and q_v >= q_hi:
+                        put(v)
+                        continue
         put(0.0 if q0 >= q_hi else e_hi)
     return best
 
@@ -287,10 +270,10 @@ def optimize(game: WalkGame) -> WalkSolution:
     cap = 10 * 2 * n
     prev: WalkSolution | None = None
     for sweep_count in range(1, cap + 1):
-        sol = evaluate_policy(game, policy, iterations=sweep_count)
+        sol = evaluate_policy(game, policy)
         improved = improve_policy(game, sol.w_list)
         if improved == policy:
-            return sol
+            return replace(sol, iterations=sweep_count)
         if prev is not None and sol.w_list[n] <= prev.w_list[n]:
             return replace(prev, iterations=sweep_count)
         prev = sol
@@ -302,16 +285,15 @@ def brute_force_optimize(game: WalkGame) -> WalkSolution:
     """Enumerate all binary prime policies; oracle for optimize()."""
     if game.model.variant != cheat_model.PRIME:
         raise ValueError("brute force enumerates prime binary policies only")
-    if game.n > 5:
-        raise ValueError(f"N = {game.n} too large for enumeration, limit 5")
-    sites = list(game.interior())
+    n = game.n
+    if n > 5:
+        raise ValueError(f"N = {n} too large for enumeration, limit 5")
     best = None
     count = 0
-    for choice in product((0.0, game.model.eps_max), repeat=len(sites)):
+    for choice in product((0.0, game.model.eps_max), repeat=2 * n - 1):
         count += 1
-        policy = dict(zip(sites, choice))
-        sol = evaluate_policy(game, policy, iterations=count)
-        if best is None or sol.w[0] > best.w[0]:
+        sol = evaluate_policy(game, list(choice))
+        if best is None or sol.w_list[n] > best.w_list[n]:
             best = sol
     return replace(best, iterations=count)
 
@@ -327,12 +309,11 @@ class SweepRecord:
     iterations: int
 
 
-def sweep(a: float, variant: str, n_list) -> list[SweepRecord]:
+def sweep(model: CheatModel, n_list) -> list[SweepRecord]:
     """optimize() across game sizes with a fixed model."""
     records = []
     for n in n_list:
-        game = WalkGame(n, CheatModel(a, 1.0, variant))
-        sol = optimize(game)
-        records.append(SweepRecord(n, a, variant, sol.bias, sol.bound,
-                                   sol.bound_ok, sol.iterations))
+        sol = optimize(WalkGame(n, model))
+        records.append(SweepRecord(n, model.a, model.variant, sol.bias,
+                                   sol.bound, sol.bound_ok, sol.iterations))
     return records

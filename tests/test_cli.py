@@ -252,7 +252,8 @@ class TestWalkSolve:
         real = walk.optimize
 
         def doctored(game):
-            return replace(real(game), bound_ok=False)
+            # a zero bound fails the verdict of a solution with positive bias
+            return replace(real(game), bound=0.0)
 
         monkeypatch.setattr(walk, "optimize", doctored)
         code, _, err = run(capsys, "walk", "solve", "--n", "2",
@@ -301,8 +302,8 @@ class TestWalkSweep:
     def test_bound_violation_exits_2(self, capsys, monkeypatch):
         real = walk.sweep
 
-        def doctored(a, variant, n_list):
-            records = real(a, variant, n_list)
+        def doctored(model, n_list):
+            records = real(model, n_list)
             return [replace(records[0], bound_ok=False)] + records[1:]
 
         monkeypatch.setattr(walk, "sweep", doctored)
@@ -576,7 +577,9 @@ FLAG_CASES = [
      NOT_POSITIVE_INT),
     (["tree", "gen", "--kind", "best-of", "--n", "3"], "--n", NOT_POSITIVE_INT),
     (_TREE_SIM, "--trials", NOT_POSITIVE_INT),
+    (_TREE_SIM + ["--workers", "1"], "--workers", NOT_POSITIVE_INT),
     (_WALK_SIM, "--trials", NOT_POSITIVE_INT),
+    (_WALK_SIM + ["--workers", "1"], "--workers", NOT_POSITIVE_INT),
     (_WALK_SIM, "--n", NOT_POSITIVE_INT),
     (_WALK_SIM, "--step-cap", NOT_POSITIVE_INT),
 ]
@@ -661,7 +664,7 @@ def _guard_run(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), workers=st.sampled_from(["-1", "0", "1", "2"]))
+@given(data=st.data(), workers=st.sampled_from(["1", "2"]))
 def test_malformed_input_exits_1(tmp_path_factory, data, workers):
     folder = tmp_path_factory.mktemp("guard")
     tree_file = folder / "tree.json"
@@ -697,7 +700,8 @@ def test_malformed_input_exits_1(tmp_path_factory, data, workers):
         model = data.draw(st.sampled_from(["std:a=1,b=2", "prime:a=1"]))
         argv = ["simulate", "--tree", "TREE", "--model", model,
                 "--strategy", str(folder / "strategy.json"), "--trials", "20"]
-    if argv[0] == "simulate":
+    if argv[0] == "simulate" and not any(a.startswith("--workers") for a in argv):
+        # the serial and the threaded path; a bad count is a FLAG_CASES entry
         argv = argv + [f"--workers={workers}"]
     argv = [str(tree_file) if a == "TREE" else a for a in argv]
     code, out, err = _guard_run(argv)

@@ -290,6 +290,24 @@ class TestLeadingOrderMatchesScalarReference:
         assert 0 < sum(abs(e) == 0.5 for e in res.strategy.values()) < 19
 
 
+@pytest.mark.parametrize("a,b,message", [
+    (math.nan, 2.0, "a must be finite"), (math.inf, 2.0, "a must be finite"),
+    (-1.0, 2.0, "a must be positive"), (0.0, 2.0, "a must be positive"),
+    (1.0, math.nan, "b must be finite"), (1.0, math.inf, "b must be finite"),
+    (1.0, -math.inf, "b must be finite"), (1.0, 1.0, "requires b > 1"),
+    (1.0, 0.5, "requires b > 1"),
+])
+@pytest.mark.parametrize("call", [
+    lambda tree, a, b: composer.leading_order(tree, a, b, 0.1),
+    composer.a_new_of_b,
+    composer.derivative_in_b,
+], ids=["leading_order", "a_new_of_b", "derivative_in_b"])
+def test_detection_parameters_checked(bo3, call, a, b, message):
+    # a_new_of_b returned nan at a = nan or b = inf, and -1.0 at a = -1
+    with pytest.raises(ValueError, match=message):
+        call(bo3, a, b)
+
+
 class TestANewOfB:
     def test_matches_leading_order(self, bo3):
         for b in (1.5, 2.0, 3.0):
@@ -303,20 +321,28 @@ class TestANewOfB:
 
 
 class TestDerivativeInB:
-    def test_step_validation(self, bo3):
-        with pytest.raises(ValueError):
-            composer.derivative_in_b(bo3, 1.0, 2.0, h=0.0)
-        with pytest.raises(ValueError):
-            composer.derivative_in_b(bo3, 1.0, 2.0, h=0.2)
-        with pytest.raises(ValueError):
-            composer.derivative_in_b(bo3, 1.0, 1.005, h=0.01)
+    TREES = {"best-of-3": game_tree.gen_best_of(3),
+             "best-of-9": game_tree.gen_best_of(9),
+             "random-fair(6,1)": game_tree.gen_random_fair(6, 1)}
 
-    def test_against_direct_difference(self, bo3):
-        h = 0.01
-        d = composer.derivative_in_b(bo3, 1.0, 2.0, h=h)
-        manual = (composer.a_new_of_b(bo3, 1.0, 2.0 + h)
-                  - composer.a_new_of_b(bo3, 1.0, 2.0 - h)) / (2.0 * h)
-        assert d == manual
+    @pytest.mark.parametrize("name", sorted(TREES))
+    @pytest.mark.parametrize("b", [1.3, 1.5, 2.0, 3.0])
+    def test_against_central_difference(self, name, b):
+        # at h = 1e-4 the difference's truncation error (order h**2) and its
+        # rounding error (order 1e-16 / h) stay below 1e-6 relative: the
+        # worst case here, best-of-3 at b = 1.3, is off by 1.4e-7
+        tree, h = self.TREES[name], 1e-4
+        d = composer.derivative_in_b(tree, 1.0, b)
+        fd = (composer.a_new_of_b(tree, 1.0, b + h)
+              - composer.a_new_of_b(tree, 1.0, b - h)) / (2.0 * h)
+        assert math.isclose(d, fd, rel_tol=1e-6)
+
+    def test_bo3_closed_form_at_b2(self, bo3):
+        # best-of-3 has S = 2 * 2**-p + 1/2 and L = sum 2**-D |Delta|**p
+        # ln|Delta| = 2**-p ln(1/2) * 2; at b = p = 2, S = 1 and the
+        # derivative a_new (L / ((b-1) S) - ln S) is -ln(2)/2
+        assert math.isclose(composer.derivative_in_b(bo3, 1.0, 2.0),
+                            -math.log(2.0) / 2.0, rel_tol=1e-14)
 
     def test_one_flip_derivative_is_zero(self):
         # a single unit-delta node has S = 2^-0 * 1 = 1 for every b

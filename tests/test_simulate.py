@@ -82,6 +82,14 @@ class TestTree:
             simulate.simulate_tree(tree, CheatModel(1.0, 2.0), {"": 0.0},
                                    0, 1)
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_validated(self, workers):
+        # a count below 1 ran serially without a word
+        tree = game_tree.gen_full(1, [0, 1])
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate.simulate_tree(tree, CheatModel(1.0, 2.0), {"": 0.0},
+                                   10, 1, workers=workers)
+
     def test_report_shape(self, bo3):
         m = CheatModel(1.0, 2.0)
         strategy = {p: 0.0 for p, _ in game_tree.annotate(bo3).internal()}
@@ -157,6 +165,13 @@ class TestWalk:
             simulate.simulate_walk(g, pol, 50_000, 1)
         assert simulate.simulate_walk(g, pol, 50_000, 1) != \
             simulate.simulate_walk(g, pol, 50_000, 2)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_validated(self, workers):
+        g = walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate.simulate_walk(g, walk.honest_policy(g), 10, 1,
+                                   workers=workers)
 
     def test_std_variant_accepted(self):
         g = walk.WalkGame(2, CheatModel(1.0, 1.0))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,15 +30,21 @@ class TestWalkGame:
         with pytest.raises(ValueError):
             walk.WalkGame(3, CheatModel(1.0, 2.0, STD))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_int_n(self, n):
+        # 2.5 failed deep in optimize, and True solved N = 1
+        with pytest.raises(ValueError, match="N must be an int"):
+            walk.WalkGame(n, CheatModel(1.0, 1.0, PRIME))
+
     def test_interior_sites(self):
         assert list(prime_game(1).interior()) == [0]
         assert list(prime_game(3).interior()) == [-2, -1, 0, 1, 2]
 
     def test_target_is_linear_ramp(self):
-        g = prime_game(4)
-        assert g.target(-4) == 0.0
-        assert g.target(0) == 0.5
-        assert g.target(4) == 1.0
+        targ = walk._targets(4)
+        assert len(targ) == 9
+        assert (targ[0], targ[4], targ[8]) == (0.0, 0.5, 1.0)
+        assert targ == tuple((4 + z) / 8.0 for z in range(-4, 5))
 
 
 class TestEvaluatePolicy:
@@ -94,6 +101,15 @@ class TestEvaluatePolicy:
         assert sol.bound == (2.0 + 1.0) / (2.0 * 1.0 * 10)
         assert sol.bound_ok
 
+    def test_bound_ok_decided_on_demand(self):
+        # no sweep decides the verdict; the returned solution does, once
+        sol = walk.optimize(prime_game(10))
+        assert "bound_ok" not in vars(sol)
+        assert sol.bound_ok is True
+        assert vars(sol)["bound_ok"] is True
+        assert max(sol.delta_list) <= sol.bound + 1e-12
+        assert replace(sol, bound=sol.bias / 2).bound_ok is False
+
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=0, max_value=2 ** 32))
     @settings(max_examples=40, deadline=None)
@@ -118,17 +134,18 @@ class TestImprovePolicy:
     def test_prime_actions_are_binary(self):
         g = prime_game(6)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
-        improved = walk.improve_policy(g, sol.w)
+        improved = walk.improve_policy(g, sol.w_list)
         emax = g.model.eps_max
-        assert set(improved.values()) <= {0.0, emax}
+        assert len(improved) == 11
+        assert set(improved) <= {0.0, emax}
 
     def test_first_sweep_from_honest_cheats_everywhere(self):
         # against the honest ramp, the one-step gain coefficient at every
         # site is 3/(2N) > 0 for a=1, so every site switches on
         g = prime_game(5)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
-        improved = walk.improve_policy(g, sol.w)
-        assert all(v == g.model.eps_max for v in improved.values())
+        improved = walk.improve_policy(g, sol.w_list)
+        assert improved == [g.model.eps_max] * 9
 
     @staticmethod
     def _reference_site_best(game, wp, wm, targ):
@@ -162,16 +179,16 @@ class TestImprovePolicy:
         # and dyadic values that make exact ties
         n = (len(values) + 2) // 2
         g = walk.WalkGame(n, CheatModel(a, 1.0, variant))
-        w = {z: values[(z + n) % len(values)] for z in range(-n, n + 1)}
-        want = {z: self._reference_site_best(g, w[z + 1], w[z - 1], g.target(z))
-                for z in g.interior()}
+        w = [values[i % len(values)] for i in range(2 * n + 1)]
+        want = [self._reference_site_best(g, w[i + 2], w[i], (i + 1) / (2.0 * n))
+                for i in range(2 * n - 1)]
         assert walk.improve_policy(g, w) == want
 
     def test_std_actions_respect_domain(self):
         g = std_game(6)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
-        improved = walk.improve_policy(g, sol.w)
-        for e in improved.values():
+        improved = walk.improve_policy(g, sol.w_list)
+        for e in improved:
             assert 0.0 <= e <= 0.5
 
 
@@ -259,16 +276,23 @@ class TestBruteForce:
 
 class TestSweep:
     def test_rows_ascend_and_hold_bound(self):
-        records = walk.sweep(1.0, PRIME, range(1, 31))
+        records = walk.sweep(CheatModel(1.0, 1.0, PRIME), range(1, 31))
         assert [r.n for r in records] == list(range(1, 31))
         assert all(r.bound_ok for r in records)
 
-    def test_record_matches_optimize(self):
-        rec = walk.sweep(1.0, PRIME, [7])[0]
-        sol = walk.optimize(prime_game(7))
+    @pytest.mark.parametrize("variant,a", [(PRIME, 1.0), (STD, 0.5)])
+    def test_record_matches_optimize(self, variant, a):
+        rec = walk.sweep(CheatModel(a, 1.0, variant), [7])[0]
+        sol = walk.optimize(walk.WalkGame(7, CheatModel(a, 1.0, variant)))
+        assert (rec.n, rec.a, rec.variant) == (7, a, variant)
         assert rec.bias == sol.bias
         assert rec.bound == sol.bound
+        assert rec.bound_ok is sol.bound_ok
         assert rec.iterations == sol.iterations
+
+    def test_rejects_nonlinear_model(self):
+        with pytest.raises(ValueError, match="b = 1"):
+            walk.sweep(CheatModel(1.0, 2.0, STD), [1, 2])
 
     def test_std_never_beats_prime(self):
         for n in (1, 2, 5, 10, 25):
@@ -365,13 +389,17 @@ def reference_triple(model, eps):
     return (1.0 - pc) * (0.5 + eps), (1.0 - pc) * (0.5 - eps), pc
 
 
+def reference_target(game, z):
+    return (game.n + z) / (2.0 * game.n)
+
+
 def reference_evaluate(game, policy, iterations=0):
     eps = np.array([policy[z] for z in game.interior()], dtype=float)
     p0a, p1a, pca = reference_triple(game.model, eps)
     n = game.n
     m = 2 * n - 1
     sites = range(-n, n + 1)
-    targ = game.target(np.array(sites))
+    targ = reference_target(game, np.array(sites))
     p0, p1 = p0a.tolist(), p1a.tolist()
     rhs = (pca * targ[1:-1]).tolist()
     rhs[m - 1] += p0[m - 1] * 1.0
@@ -402,7 +430,7 @@ def reference_improve(game, w):
     model = game.model
     n = game.n
     wv = np.array([w[z] for z in range(-n, n + 1)])
-    wp, wm, targ = wv[2:], wv[:-2], game.target(np.arange(1 - n, n))
+    wp, wm, targ = wv[2:], wv[:-2], reference_target(game, np.arange(1 - n, n))
 
     def q(eps):
         t0, t1, tc = reference_triple(model, np.asarray(eps, dtype=float))
@@ -478,10 +506,11 @@ class TestMatchesNumpyReference:
         e_max = game.model.eps_max
         policy = {z: e_max * fracs[(z + game.n) % len(fracs)]
                   for z in game.interior()}
-        got = walk.evaluate_policy(game, policy, iterations=3)
-        want = reference_evaluate(game, policy, iterations=3)
+        got = walk.evaluate_policy(game, policy)
+        want = reference_evaluate(game, policy)
         assert _hexed(got) == _hexed(want)
-        assert _hexed({"p": walk.improve_policy(game, got.w)}) == \
+        assert _hexed({"p": dict(zip(game.interior(),
+                                     walk.improve_policy(game, got.w_list)))}) == \
             _hexed({"p": reference_improve(game, want["w"])})
 
     @pytest.mark.parametrize("n", [150, 317, 420])
@@ -498,8 +527,6 @@ class TestListForm:
         by_dict = walk.evaluate_policy(g, policy)
         by_list = walk.evaluate_policy(g, [policy[z] for z in g.interior()])
         assert _hexed(by_list) == _hexed(by_dict)
-        assert walk.improve_policy(g, by_list.w_list) == \
-            [walk.improve_policy(g, by_dict.w)[z] for z in g.interior()]
 
     def test_list_policy_of_wrong_length(self):
         with pytest.raises(ValueError, match="policy list has 4 entries"):
