@@ -14,9 +14,8 @@ import importlib
 
 # public name -> the module that defines it.  A module is imported on the
 # first use of one of its names (PEP 562), so importing the package loads
-# none of them, and `walk solve`, which needs only cheat_model and walk,
-# never loads numpy; rng imports it, and so do game_tree (through rng),
-# composer and simulate.
+# none of them.  Only rng, grid_oracle and simulate import numpy, so of the
+# commands only `compose --brute-force` and `simulate` load it.
 _EXPORTS = {
     "cheat_model": ("PRIME", "STD", "CheatModel", "OutcomeTriple", "dominates",
                     "parse_model_string"),

@@ -6,8 +6,8 @@ go to stderr.  Exit codes: 0 success, 1 invalid input (bad flags, parse or
 domain errors), 2 runtime invariant violation (a result that should be
 impossible, reported loudly rather than emitted quietly).
 
-`walk` commands load only the walk solver and the cheat models, which need
-no numpy; each other command imports the modules it uses when it runs.
+`walk` needs only walk and cheat_model; other commands import their modules
+when they run, and only `compose --brute-force` and `simulate` load numpy.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from . import rng
+if TYPE_CHECKING:
+    from . import rng
 
 MAX_DEPTH = 52
 MAX_NODES = 1 << 20  # node budget for generated and parsed trees
@@ -142,8 +144,8 @@ def _parse_node(obj, path: str, room: list[int]) -> Node:
         raise TreeParseError(f"{where}: expected an object, got {type(obj).__name__}")
     if set(obj) == {"leaf"}:
         label = obj["leaf"]
-        # bool is an int subclass, so test it first
-        if isinstance(label, bool) or label not in (0, 1):
+        # the int 0 or 1 only: not a bool (an int subclass) or a float like 1.0
+        if type(label) is not int or label not in (0, 1):
             raise TreeParseError(f"{where}: leaf label must be 0 or 1, got {label!r}")
         return Leaf(label)
     if set(obj) == {"flip"}:
@@ -212,12 +214,15 @@ def gen_full(tree_depth: int, labels) -> GameTree:
         raise ValueError(f"depth must be positive, got {tree_depth}")
     if tree_depth > MAX_DEPTH:
         raise ValueError(f"depth {tree_depth} exceeds the depth cap {MAX_DEPTH}")
+    if (size := 2 ** (tree_depth + 1) - 1) > MAX_NODES:
+        raise ValueError(f"a full tree of depth {tree_depth} has {size} nodes, "
+                         f"over the budget of {MAX_NODES}")
     labels = list(labels)
     if len(labels) != 2 ** tree_depth:
         raise ValueError(f"need {2 ** tree_depth} labels for depth {tree_depth}, "
                          f"got {len(labels)}")
     for lab in labels:
-        if isinstance(lab, bool) or lab not in (0, 1):
+        if type(lab) is not int or lab not in (0, 1):
             raise ValueError(f"leaf label must be 0 or 1, got {lab!r}")
 
     return _full(labels, 0, 2 ** tree_depth)
@@ -264,6 +269,7 @@ def gen_random(max_depth: int, seed: int) -> GameTree:
     """
     if max_depth < 0 or max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {max_depth}")
+    from . import rng
     return _random_node(max_depth, rng.Stream(seed), [MAX_NODES])
 
 
@@ -278,6 +284,7 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth {max_depth} exceeds the depth cap {MAX_DEPTH}")
+    from . import rng
     sub = _random_node(max_depth - 1, rng.Stream(seed), [(MAX_NODES - 1) // 2])
     return Flip(sub, mirror(sub))
 

@@ -115,6 +115,17 @@ class TestTreeAnalyze:
         code, _, _ = run(capsys, "tree", "analyze", "--in", str(path))
         assert code == 1
 
+    def test_float_leaf_label_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('{"flip":{"up":{"leaf":0.0},"down":{"leaf":1.0}}}')
+        for argv in (("tree", "analyze", "--in", str(path)),
+                     ("compose", "--tree", str(path), "--a", "1", "--b", "2",
+                      "--eps-tot", "0.1")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "leaf label must be 0 or 1, got 0.0" in err
+
     @pytest.mark.parametrize("flips", [53, 3000])
     def test_too_deep_document_exits_1(self, capsys, tmp_path, flips):
         text = '{"leaf":0}'

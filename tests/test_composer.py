@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coincomp import cheat_model, composer, game_tree, simulate
+from coincomp import cheat_model, composer, game_tree, grid_oracle, simulate
 from coincomp.cheat_model import CheatModel
 from conftest import SMALL_SUITE, generated_trees
 
@@ -58,7 +58,7 @@ def _reference_branches(triples, up, down) -> list:
 def _reference_combine(triples, up, down):
     branches = _reference_branches(triples, up, down)
     total = sum(len(u[0]) * len(d[0]) for _, u, d in branches)
-    if total > composer._MAX_COMBOS:
+    if total > grid_oracle._MAX_COMBOS:
         raise ValueError(f"tree too large for brute force at this grid step "
                          f"({total} grid combinations at one node)")
 
@@ -71,7 +71,7 @@ def _reference_combine(triples, up, down):
         ds.append(np.repeat(di, len(ui)))
         es.append(np.full(len(ui) * len(di), e_idx, dtype=np.int32))
 
-    return composer._prune(np.concatenate(ws), np.concatenate(cs),
+    return grid_oracle._prune(np.concatenate(ws), np.concatenate(cs),
                            np.concatenate(es), np.concatenate(us),
                            np.concatenate(ds))
 
@@ -100,14 +100,14 @@ def reference_brute_force_min_pc(tree, model, eps_tot, grid_step):
     # against the target instead of materializing its frontier
     frontier = []
     for w, u, dn in zip(ann.p_w[:-1], ann.up, ann.down):
-        frontier.append(composer._Frontier.leaf(w) if u < 0
+        frontier.append(grid_oracle._Frontier.leaf(w) if u < 0
                         else _reference_combine(triples, frontier[u], frontier[dn]))
 
     best = None  # (pc, eps_idx, up_entry, down_entry)
     branches = _reference_branches(triples, frontier[ann.up[-1]],
                                    frontier[ann.down[-1]])
     for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
-        j = composer._first_feasible(p1, dw, p0 * uw, target)
+        j = grid_oracle._first_feasible(p1, dw, p0 * uw, target)
         ok = j < len(dw)
         if not ok.any():
             continue

@@ -49,6 +49,7 @@ class TestParse:
         '{"leaf": 2}',
         '{"leaf": true}',
         '{"leaf": 0.5}',
+        '{"leaf": 1.0}',
         '{"flip": {"up": {"leaf": 0}}}',
         '{"flip": {"up": {"leaf": 0}, "down": {"leaf": 1}, "mid": {"leaf": 0}}}',
         '{"leaf": 0, "flip": {}}',
@@ -150,9 +151,21 @@ class TestGenerators:
         with pytest.raises(ValueError):
             game_tree.gen_full(2, [0, 1])
 
-    def test_full_label_values_checked(self):
-        with pytest.raises(ValueError):
-            game_tree.gen_full(1, [0, 2])
+    @pytest.mark.parametrize("labels", [[0, 2], [0.0, 1.0], [0, True]])
+    def test_full_label_values_checked(self, labels):
+        with pytest.raises(ValueError, match="leaf label must be 0 or 1"):
+            game_tree.gen_full(1, labels)
+
+    def test_full_over_budget_rejected(self, monkeypatch):
+        # depth 2 has 7 nodes: a budget of 7 keeps it, 6 refuses it before
+        # the labels are read, so even a wrong label count reports the budget
+        monkeypatch.setattr(game_tree, "MAX_NODES", 7)
+        assert len(game_tree.annotate(game_tree.gen_full(2, [0, 1, 1, 0])).path) == 7
+        monkeypatch.setattr(game_tree, "MAX_NODES", 6)
+        for labels in ([0, 1, 1, 0], []):
+            with pytest.raises(ValueError, match="depth 2 has 7 nodes, over "
+                                                 "the budget of 6"):
+                game_tree.gen_full(2, labels)
 
     def test_full_depth_one(self):
         assert game_tree.gen_full(1, [0, 1]) == Flip(Leaf(0), Leaf(1))

@@ -1,48 +1,95 @@
-"""Package surface: lazy exports, and a walk path that never loads numpy."""
+"""Package surface: lazy exports, and commands that never load numpy."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import coincomp
+from coincomp import game_tree
+from coincomp.cli import main
 
 SRC = str(Path(coincomp.__file__).resolve().parents[1])
 
-# Runs each walk entry point with numpy made unimportable, then names every
-# heavy module that got loaded; prints nothing else on success.
+# Runs the cli commands given as JSON in argv[1] with numpy made unimportable,
+# the last of them as `python -m coincomp`, and prints as JSON each command's
+# exit code and stdout, then every loaded module that is numpy's or is named
+# in argv[2].
 CHILD = r"""
-import contextlib, io, runpy, sys
+import contextlib, io, json, runpy, sys
 sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
 from coincomp.cli import main
+*commands, last = json.loads(sys.argv[1])
+banned = json.loads(sys.argv[2])
+runs = []
+for argv in commands:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
 out = io.StringIO()
+sys.argv = ["coincomp", *last]
 with contextlib.redirect_stdout(out):
-    codes = [main(["walk", "solve", "--n", "40", "--model", "std:a=1,b=1"]),
-             main(["walk", "sweep", "--n-max", "20", "--model", "prime:a=1",
-                   "--csv"])]
-    sys.argv = ["coincomp", "walk", "solve", "--n", "7", "--model", "prime:a=2"]
     try:
         runpy.run_module("coincomp", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
-        codes.append(exc.code)
-assert codes == [0, 0, 0], codes
-assert out.getvalue().count('"bias"') == 2, out.getvalue()[:200]
-heavy = ("coincomp.composer", "coincomp.game_tree", "coincomp.simulate",
-         "coincomp.rng")
-print(sorted(name for name, module in sys.modules.items()
-             if name.split(".")[0] == "numpy" and module is not None
-             or name in heavy))
+        runs.append([exc.code, out.getvalue()])
+print(json.dumps({"runs": runs, "loaded": sorted(
+    name for name, module in sys.modules.items()
+    if name.split(".")[0] == "numpy" and module is not None or name in banned)}))
 """
 
 
-def test_walk_commands_run_without_numpy():
+def run_without_numpy(commands, banned):
+    """(exit code, stdout) of each command and the banned modules loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands),
+                           json.dumps(banned)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    result = json.loads(proc.stdout)
+    return [tuple(run) for run in result["runs"]], result["loaded"]
+
+
+def run_in_process(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_walk_commands_run_without_numpy(capsys):
+    commands = [["walk", "solve", "--n", "40", "--model", "std:a=1,b=1"],
+                ["walk", "sweep", "--n-max", "20", "--model", "prime:a=1",
+                 "--csv"],
+                ["walk", "solve", "--n", "7", "--model", "prime:a=2"]]
+    runs, loaded = run_without_numpy(commands, [
+        "coincomp.composer", "coincomp.game_tree", "coincomp.simulate",
+        "coincomp.rng"])
+    assert loaded == []
+    assert runs == [run_in_process(capsys, argv) for argv in commands]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert sum(out.count('"bias"') for _, out in runs) == 2
+
+
+def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
+    tree = str(tmp_path / "bo5.json")
+    Path(tree).write_text(game_tree.serialize_tree(game_tree.gen_best_of(5)))
+    compose = ["compose", "--tree", tree, "--a", "1", "--b", "2",
+               "--eps-tot", "0.05"]
+    commands = [["tree", "gen", "--kind", "best-of", "--n", "5"],
+                ["tree", "gen", "--kind", "full", "--depth", "3",
+                 "--labels", "01101001"],
+                ["tree", "analyze", "--in", tree],
+                compose,
+                [*compose, "--exact"]]
+    runs, loaded = run_without_numpy(commands, [
+        "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
+    assert loaded == []
+    assert runs == [run_in_process(capsys, argv) for argv in commands]
+    assert [code for code, _ in runs] == [0] * 5
+    assert '"exact"' in runs[-1][1]
 
 
 def test_every_export_resolves():
