@@ -7,7 +7,9 @@ domain errors), 2 runtime invariant violation (a result that should be
 impossible, reported loudly rather than emitted quietly).
 
 `walk` needs only walk and cheat_model; other commands import their modules
-when they run, and only `compose --brute-force` and `simulate` load numpy.
+when they run, and only `compose --brute-force`, `simulate` and
+`tree gen --kind random-fair` load numpy.  Without numpy they exit 1 with
+a one-line error.
 """
 
 from __future__ import annotations
@@ -311,6 +313,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    except ImportError as exc:
+        if exc.name != "numpy":
+            raise
+        print("error: this command needs numpy, which could not be imported",
+              file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

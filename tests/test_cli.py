@@ -532,6 +532,16 @@ class TestTopLevel:
                          "--model", "prime:a=1", "--frob")
         assert code == 1
 
+    def test_import_error_other_than_numpy_propagates(self, monkeypatch):
+        # a missing numpy is reported on one line (tests/test_package.py);
+        # any other failed import is a fault and keeps its traceback
+        def broken(args):
+            raise ImportError("no module named 'scipy'", name="scipy")
+
+        monkeypatch.setattr(cli, "_cmd_tree_gen", broken)
+        with pytest.raises(ImportError, match="scipy"):
+            cli.main(["tree", "gen", "--kind", "best-of", "--n", "3"])
+
     def test_entry_raises_system_exit(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["coincomp", "walk", "solve",
                                          "--n", "1", "--model", "prime:a=1"])

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ def _reference_branches(triples, up, down) -> list:
             for t in triples]
 
 
+def _reference_grid(model, grid_step) -> list:
+    kmax = int(math.floor(0.5 / grid_step + 1e-9))
+    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
+    return [e for e in grid
+            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
+
+
 def _reference_combine(triples, up, down):
     branches = _reference_branches(triples, up, down)
     total = sum(len(u[0]) * len(d[0]) for _, u, d in branches)
@@ -89,10 +97,7 @@ def reference_brute_force_min_pc(tree, model, eps_tot, grid_step):
     if n_internal > 5:
         raise ValueError(f"tree too large: {n_internal} internal nodes, limit 5")
 
-    kmax = int(math.floor(0.5 / grid_step + 1e-9))
-    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
-    grid = [e for e in grid
-            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
+    grid = _reference_grid(model, grid_step)
     triples = [cheat_model.triple(model, e).as_tuple() for e in grid]
     target = ann.p_w_root + eps_tot * (1.0 - grid_step)
 
@@ -609,6 +614,77 @@ class TestBruteForceMatchesReference:
                               grid_step) == \
             _oracle_answer(reference_brute_force_min_pc, tree, m, eps_tot,
                            grid_step)
+
+
+def _frontier_bytes(f):
+    return [(x.dtype.str, x.tobytes())
+            for x in (f.w, f.c, f.eps_idx, f.up_idx, f.down_idx)]
+
+
+class TestCombineMatchesReference:
+    """Every node's frontier, the root's included, against the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=small_trees(), model=st.sampled_from(ORACLE_MODELS),
+           grid_step=st.floats(0.02, 0.5))
+    # the root joins two 23-entry frontiers: more than one tile on each
+    # entry axis, the last of them partial
+    @example(tree=game_tree.gen_full(2, [0, 1, 1, 0]), model=(1.0, 2.0),
+             grid_step=0.02)
+    # nd = 1 with nu = 435 below the root (the root itself is over the cap)
+    @example(tree=game_tree.gen_best_of(3), model=(1.0, 2.0), grid_step=1e-3)
+    # certain catch at eps = +-1/2, where both children enter absent
+    @example(tree=game_tree.gen_full(2, [0, 1, 1, 0]), model=(4.0, 2.0),
+             grid_step=0.02)
+    @example(tree=game_tree.gen_best_of(3), model=(2.0, 1.0), grid_step=0.05)
+    @example(tree=game_tree.gen_random_fair(3, 0), model=(8.0, 3.0),
+             grid_step=0.02)
+    def test_frontiers_identical(self, tree, model, grid_step):
+        m = CheatModel(*model)
+        triples = [cheat_model.triple(m, e).as_tuple()
+                   for e in _reference_grid(m, grid_step)]
+        p0, p1, pc = (np.array(x) for x in zip(*triples))
+        ann = game_tree.annotate(tree)
+        frontier = []
+        for w, u, dn in zip(ann.p_w, ann.up, ann.down):
+            if u < 0:
+                frontier.append(grid_oracle._Frontier.leaf(w))
+                continue
+            try:
+                want = _reference_combine(triples, frontier[u], frontier[dn])
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    grid_oracle._combine(p0, p1, pc, frontier[u], frontier[dn])
+                return
+            got = grid_oracle._combine(p0, p1, pc, frontier[u], frontier[dn])
+            assert _frontier_bytes(got) == _frontier_bytes(want)
+            frontier.append(want)
+
+    def test_tiles_skip_most_of_large_nodes(self, monkeypatch):
+        # a node is checked tile by tile before its candidates are built;
+        # whole-grid passes would send every grid combination to _undominated
+        undominated, combine = grid_oracle._undominated, grid_oracle._combine
+        built, nodes = [0], []
+
+        def counting_undominated(fw, fc, w, c):
+            built[0] += w.size
+            return undominated(fw, fc, w, c)
+
+        def recording_combine(p0, p1, pc, up, down):
+            built[0] = 0
+            f = combine(p0, p1, pc, up, down)
+            total = sum((hi - lo) * len(u[0]) * len(d[0]) for lo, hi, u, d
+                        in grid_oracle._runs(p0, p1, up, down))
+            nodes.append((total, built[0]))
+            return f
+
+        monkeypatch.setattr(grid_oracle, "_undominated", counting_undominated)
+        monkeypatch.setattr(grid_oracle, "_combine", recording_combine)
+        for tree in (game_tree.gen_best_of(3), game_tree.gen_random_fair(3, 0)):
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
+        large = [(total, n) for total, n in nodes if total > 100_000]
+        assert len(large) == 4
+        assert all(0 < n < total / 4 for total, n in large), large
 
 
 def reference_exact_outcome(tree, model, strategy):

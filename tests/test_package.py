@@ -14,8 +14,8 @@ SRC = str(Path(coincomp.__file__).resolve().parents[1])
 
 # Runs the cli commands given as JSON in argv[1] with numpy made unimportable,
 # the last of them as `python -m coincomp`, and prints as JSON each command's
-# exit code and stdout, then every loaded module that is numpy's or is named
-# in argv[2].
+# exit code, stdout and stderr, then every loaded module that is numpy's or
+# is named in argv[2].
 CHILD = r"""
 import contextlib, io, json, runpy, sys
 sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
@@ -24,16 +24,16 @@ from coincomp.cli import main
 banned = json.loads(sys.argv[2])
 runs = []
 for argv in commands:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runs.append([main(argv), out.getvalue()])
-out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([main(argv), out.getvalue(), err.getvalue()])
+out, err = io.StringIO(), io.StringIO()
 sys.argv = ["coincomp", *last]
-with contextlib.redirect_stdout(out):
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     try:
         runpy.run_module("coincomp", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
-        runs.append([exc.code, out.getvalue()])
+        runs.append([exc.code, out.getvalue(), err.getvalue()])
 print(json.dumps({"runs": runs, "loaded": sorted(
     name for name, module in sys.modules.items()
     if name.split(".")[0] == "numpy" and module is not None or name in banned)}))
@@ -41,7 +41,8 @@ print(json.dumps({"runs": runs, "loaded": sorted(
 
 
 def run_without_numpy(commands, banned):
-    """(exit code, stdout) of each command and the banned modules loaded."""
+    """(exit code, stdout, stderr) of each command and the banned modules
+    loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -56,7 +57,8 @@ def run_without_numpy(commands, banned):
 def run_in_process(capsys, argv):
     capsys.readouterr()
     code = main(argv)
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_walk_commands_run_without_numpy(capsys):
@@ -69,8 +71,8 @@ def test_walk_commands_run_without_numpy(capsys):
         "coincomp.rng"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _ in runs] == [0, 0, 0]
-    assert sum(out.count('"bias"') for _, out in runs) == 2
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert sum(out.count('"bias"') for _, out, _ in runs) == 2
 
 
 def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
@@ -88,8 +90,21 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _ in runs] == [0] * 5
+    assert [code for code, _, _ in runs] == [0] * 5
     assert '"exact"' in runs[-1][1]
+
+
+def test_numpy_commands_fail_cleanly_without_numpy(tmp_path):
+    tree = str(tmp_path / "bo3.json")
+    Path(tree).write_text(game_tree.serialize_tree(game_tree.gen_best_of(3)))
+    commands = [["compose", "--tree", tree, "--a", "1", "--b", "2",
+                 "--eps-tot", "0.05", "--brute-force"],
+                ["simulate", "--tree", tree, "--model", "std:a=1,b=2",
+                 "--strategy", "honest", "--trials", "10"],
+                ["tree", "gen", "--kind", "random-fair", "--depth", "3"]]
+    runs, _ = run_without_numpy(commands, [])
+    message = "error: this command needs numpy, which could not be imported\n"
+    assert runs == [(1, "", message)] * 3
 
 
 def test_every_export_resolves():
