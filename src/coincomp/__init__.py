@@ -26,7 +26,7 @@ _EXPORTS = {
                   "parse_tree", "serialize_tree"),
     "simulate": ("SimReport", "simulate_tree", "simulate_walk"),
     "walk": ("WalkGame", "WalkSolution", "brute_force_optimize",
-             "evaluate_policy", "honest_policy", "optimize", "sweep"),
+             "evaluate_policy", "honest_policy", "optimize"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

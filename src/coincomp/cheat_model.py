@@ -166,9 +166,7 @@ def parse_model_string(text: str) -> CheatModel:
     if "a" not in params:
         raise ValueError(f"model string {text!r} is missing a=")
     if head == PRIME:
-        if params.get("b", 1.0) != 1.0:
-            raise ValueError("prime variant requires b = 1")
-        return CheatModel(params["a"], 1.0, PRIME)
-    if "b" not in params:
+        params.setdefault("b", 1.0)  # CheatModel refuses any other b
+    elif "b" not in params:
         raise ValueError(f"standard model string {text!r} is missing b=")
-    return CheatModel(params["a"], params["b"], STD)
+    return CheatModel(params["a"], params["b"], head)

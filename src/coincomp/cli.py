@@ -112,37 +112,45 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+def _solved(model: CheatModel, n: int) -> walk.WalkSolution:
+    """optimize() at N; a solution over the bias bound is an invariant violation."""
+    sol = walk.optimize(WalkGame(n, model))
+    if not sol.bound_ok:
+        raise RuntimeError(f"bias bound violated at N={n}: bias {sol.bias} "
+                           f"vs bound {sol.bound}")
+    return sol
+
+
 def _cmd_walk_solve(args) -> int:
     model = cheat_model.parse_model_string(args.model)
-    sol = walk.optimize(WalkGame(args.n, model))
-    if not sol.bound_ok:
-        raise RuntimeError(f"bias bound violated at N={args.n}: bias {sol.bias} "
-                           f"vs bound {sol.bound}")
+    sol = _solved(model, args.n)
     _emit({"n": args.n, "a": model.a, "variant": model.variant,
            **sol.to_json_dict()})
     return 0
+
+
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.16e}" if isinstance(value, float) else str(value)
 
 
 def _cmd_walk_sweep(args) -> int:
     model = cheat_model.parse_model_string(args.model)
     if args.n_max < 1:
         raise _InputError(f"--n-max must be >= 1, got {args.n_max}")
-    records = walk.sweep(model, range(1, args.n_max + 1))
-    bad = [r for r in records if not r.bound_ok]
-    if bad:
-        raise RuntimeError(f"bias bound violated at N={bad[0].n}: "
-                           f"bias {bad[0].bias} vs bound {bad[0].bound}")
+    rows = []
+    for n in range(1, args.n_max + 1):
+        sol = _solved(model, n)
+        rows.append({"N": n, "a": model.a, "variant": model.variant,
+                     "bias": sol.bias, "bound": sol.bound,
+                     "bound_ok": sol.bound_ok, "iterations": sol.iterations})
     if args.csv:
-        lines = ["N,a,variant,bias,bound,bound_ok,iterations"]
-        for r in records:
-            lines.append(f"{r.n},{r.a:.16e},{r.variant},{r.bias:.16e},"
-                         f"{r.bound:.16e},{'true' if r.bound_ok else 'false'},"
-                         f"{r.iterations}")
-        print("\n".join(lines))
+        print(",".join(rows[0]))  # the header is the row's keys
+        for row in rows:
+            print(",".join(map(_csv_field, row.values())))
     else:
-        _emit([{"N": r.n, "a": r.a, "variant": r.variant, "bias": r.bias,
-                "bound": r.bound, "bound_ok": r.bound_ok,
-                "iterations": r.iterations} for r in records])
+        _emit(rows)
     return 0
 
 
@@ -152,15 +160,24 @@ def _number_map(arg: str, kind: str) -> dict[str, float]:
         data = json.loads(Path(arg).read_text())
     except json.JSONDecodeError as exc:
         raise _InputError(f"{kind} file {arg}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise _InputError(f"{kind} file {arg}: invalid JSON: nested too "
+                          "deeply") from None
     if isinstance(data, dict) and isinstance(data.get(kind), dict):
         data = data[kind]
     if not isinstance(data, dict):
         raise _InputError(f"{kind} file {arg}: expected an object")
+    out = {}
     for key, value in data.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise _InputError(f"{kind} file {arg}: eps for {key!r} is not "
                               "a number")
-    return {key: float(value) for key, value in data.items()}
+        try:
+            out[key] = float(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise _InputError(f"{kind} file {arg}: eps for {key!r} is too "
+                              "large for a float") from None
+    return out
 
 
 def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:

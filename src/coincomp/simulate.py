@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,16 +79,7 @@ class SimReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "wins": self.wins,
-            "losses": self.losses,
-            "catches": self.catches,
-            "overruns": self.overruns,
-            "estimates": dict(self.estimates),
-            "stderr": dict(self.stderr),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _stderr(p: float, trials: int) -> float:

@@ -297,23 +297,3 @@ def brute_force_optimize(game: WalkGame) -> WalkSolution:
             best = sol
     return replace(best, iterations=count)
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    n: int
-    a: float
-    variant: str
-    bias: float
-    bound: float
-    bound_ok: bool
-    iterations: int
-
-
-def sweep(model: CheatModel, n_list) -> list[SweepRecord]:
-    """optimize() across game sizes with a fixed model."""
-    records = []
-    for n in n_list:
-        sol = optimize(WalkGame(n, model))
-        records.append(SweepRecord(n, model.a, model.variant, sol.bias,
-                                   sol.bound, sol.bound_ok, sol.iterations))
-    return records

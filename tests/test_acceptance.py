@@ -27,7 +27,9 @@ def verdict(capsys, num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def sweeps():
     t0 = time.perf_counter()
-    table = {(a, v): walk.sweep(CheatModel(a, 1.0, v), range(1, 201))
+    # table[(a, variant)][n - 1] is the optimal solution at N = n
+    table = {(a, v): [walk.optimize(walk.WalkGame(n, CheatModel(a, 1.0, v)))
+                      for n in range(1, 201)]
              for a in (0.5, 1.0, 2.0) for v in (PRIME, STD)}
     return table, time.perf_counter() - t0
 
@@ -118,8 +120,8 @@ def test_criterion_05_derivative_in_b(capsys):
 
 def test_criterion_06_walk_bound(capsys, sweeps):
     table, elapsed = sweeps
-    bad = [(a, v, r.n) for (a, v), recs in table.items()
-           for r in recs if not r.bound_ok]
+    bad = [(a, v, n) for (a, v), sols in table.items()
+           for n, sol in enumerate(sols, start=1) if not sol.bound_ok]
     ok = not bad and elapsed < 60.0
     verdict(capsys, 6, "bias bound (2+a)/(2aN) at every site", ok,
             f"violations {bad[:3]}, sweep time {elapsed:.1f}s")
@@ -158,9 +160,9 @@ def test_criterion_08_emax_recursion(capsys):
 
 def test_criterion_09_decay_law(capsys, sweeps):
     table, _ = sweeps
-    records = [r for r in table[(1.0, PRIME)] if 50 <= r.n <= 200]
-    xs = np.log([float(r.n) for r in records])
-    ys = np.log([r.bias for r in records])
+    ns = range(50, 201)
+    xs = np.log([float(n) for n in ns])
+    ys = np.log([table[(1.0, PRIME)][n - 1].bias for n in ns])
     slope = float(np.polyfit(xs, ys, 1)[0])
     ok = -1.3 <= slope <= -0.7
     verdict(capsys, 9, "optimal bias decays like 1/N", ok,

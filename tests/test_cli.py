@@ -311,16 +311,18 @@ class TestWalkSweep:
         assert all(d["bound_ok"] for d in docs)
 
     def test_bound_violation_exits_2(self, capsys, monkeypatch):
-        real = walk.sweep
+        real = walk.optimize
 
-        def doctored(model, n_list):
-            records = real(model, n_list)
-            return [replace(records[0], bound_ok=False)] + records[1:]
+        def doctored(game):
+            # a zero bound fails the verdict of a solution with positive bias
+            return replace(real(game), bound=0.0)
 
-        monkeypatch.setattr(walk, "sweep", doctored)
-        code, _, err = run(capsys, "walk", "sweep", "--n-max", "2",
-                           "--model", "prime:a=1", "--csv")
+        monkeypatch.setattr(walk, "optimize", doctored)
+        code, out, err = run(capsys, "walk", "sweep", "--n-max", "2",
+                             "--model", "prime:a=1", "--csv")
         assert code == 2
+        assert out == ""
+        assert "bias bound violated at N=1:" in err
 
     @pytest.mark.parametrize("argv", [
         ["--n-max", "2", "--model", "std:a=1,b=2"],
@@ -411,6 +413,27 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert "bad site" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"0": 1' + "0" * 400 + "}", "eps for '0' is too large for a float"),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+    ], ids=["huge-integer", "nested-too-deeply"])
+    @pytest.mark.parametrize("kind", ["strategy", "policy"])
+    def test_unreadable_number_file_exits_1(self, capsys, bo3_file, tmp_path,
+                                            kind, text, message):
+        # float(10**400) raised OverflowError, which escaped cli.main, and
+        # json's RecursionError was reported as an invariant violation
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        if kind == "strategy":
+            argv = ["--tree", bo3_file, "--model", "std:a=1,b=2", "--strategy"]
+        else:
+            argv = ["--walk", "--n", "2", "--model", "prime:a=1", "--policy"]
+        code, out, err = run(capsys, "simulate", *argv, str(path),
+                             "--trials", "100", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_walk_optimal(self, capsys):
         code, out, _ = run(capsys, "simulate", "--walk", "--n", "1",
@@ -646,10 +669,11 @@ UNCOMPOSABLE_TREE_TEXTS = st.sampled_from(
 
 _BO3_INTERNAL = ["", "U", "D", "UD", "DU"]
 _BAD_EPS = st.sampled_from([float("nan"), float("inf"), 0.7, -0.9, "x", True, None,
-                            [0.1]])
+                            [0.1], 10 ** 400])
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000  # past json's recursion limit
 BAD_STRATEGY_TEXTS = st.one_of(
     st.text(max_size=12).filter(lambda t: not t.strip().startswith(("{", "["))),
-    st.sampled_from(["[]", "1", '"honest"', '{"strategy": 3}']),
+    st.sampled_from(["[]", "1", '"honest"', '{"strategy": 3}', _TOO_DEEP]),
     # a strict subset of the internal nodes: some node is missing
     st.lists(st.sampled_from(_BO3_INTERNAL), unique=True, max_size=4).map(
         lambda keys: json.dumps({k: 0.01 for k in keys})),
@@ -664,7 +688,7 @@ BAD_STRATEGY_TEXTS = st.one_of(
 _N2_SITES = ["-1", "0", "1"]  # interior of the walk at N = 2
 BAD_POLICY_TEXTS = st.one_of(
     st.text(max_size=12).filter(lambda t: not t.strip().startswith(("{", "["))),
-    st.sampled_from(["[]", "1", '"optimal"', '{"policy": 3}']),
+    st.sampled_from(["[]", "1", '"optimal"', '{"policy": 3}', _TOO_DEEP]),
     # a strict subset of the interior sites: some site is missing
     st.lists(st.sampled_from(_N2_SITES), unique=True, max_size=2).map(
         lambda keys: json.dumps({k: 0.01 for k in keys})),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,6 +261,68 @@ class TestOptimize:
         assert list(d["policy"]) == sorted(d["policy"], key=int)
 
 
+def exact_prime_emax_triple(a):
+    """The prime box's (p0, p1, pc) at eps_max = 1/(2+2a), in Fractions."""
+    e = 1 / (2 + 2 * a)
+    return Fraction(1, 2) + e, Fraction(1, 2) - (1 + a) * e, a * e
+
+
+def exact_prime_w(n, a):
+    """W(z) at z = -N..N (index z + N) under the all-eps_max prime policy.
+
+    Exact Thomas elimination in Fractions on W(z) = p0 W(z+1) + p1 W(z-1)
+    + pc (N+z)/(2N), W(N) = 1, W(-N) = 0, with W(z) = d + q W(z+1) kept
+    per row; the boundary W(-N) = 0 is the row d = q = 0.
+    """
+    p0, p1, pc = exact_prime_emax_triple(a)
+    q = d = Fraction(0)
+    rows = []
+    for z in range(-n + 1, n):
+        piv = 1 - p1 * q
+        q, d = p0 / piv, (pc * Fraction(n + z, 2 * n) + p1 * d) / piv
+        rows.append((q, d))
+    w = [Fraction(1)]  # W(z) from z = N downwards
+    for q, d in reversed(rows):
+        w.append(d + q * w[-1])
+    w.append(Fraction(0))
+    return w[::-1]
+
+
+class TestPrimeClosedForm:
+    """All-eps_max in the prime box: delta(z) = c(1 - p0**(N-z)).
+
+    With c = (2+a)/(2aN) and p0 = (2+a)/(2+2a), p1 = 0 and p0 + pc = 1,
+    so the excess obeys delta(z) = p0 delta(z+1) + p0/(2N), delta(N) = 0.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 59, 88, 200, 800, 3200])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_float_solve_matches(self, a, n):
+        game = prime_game(n, a)
+        sol = walk.evaluate_policy(game, [game.model.eps_max] * (2 * n - 1))
+        c = (2 + a) / (2 * a * n)
+        p0 = (2 + a) / (2 + 2 * a)
+        for z in range(-n + 1, n + 1):
+            assert abs(sol.delta_list[z + n] - c * (1 - p0 ** (n - z))) <= 1e-11 * c
+        want = c * (1 - p0 ** n)
+        assert abs(sol.bias - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(1), Fraction(2)])
+    def test_exact_solve_is_strict_fixed_point(self, a, n):
+        w = exact_prime_w(n, a)
+        c = (2 + a) / (2 * a * n)
+        p0 = (2 + a) / (2 + 2 * a)
+        for z in range(-n + 1, n + 1):
+            assert w[z + n] - Fraction(n + z, 2 * n) == c * (1 - p0 ** (n - z))
+        # the box is linear in eps, so q(eps) peaks at an end; eps_max
+        # strictly beats honest at every interior site
+        t0, t1, tc = exact_prime_emax_triple(a)
+        for z in range(-n + 1, n):
+            wu, wd, g = w[z + n + 1], w[z + n - 1], Fraction(n + z, 2 * n)
+            assert t0 * wu + t1 * wd + tc * g > (wu + wd) / 2
+
+
 class TestBruteForce:
     def test_rejects_std(self):
         with pytest.raises(ValueError):
@@ -275,24 +338,9 @@ class TestBruteForce:
 
 
 class TestSweep:
-    def test_rows_ascend_and_hold_bound(self):
-        records = walk.sweep(CheatModel(1.0, 1.0, PRIME), range(1, 31))
-        assert [r.n for r in records] == list(range(1, 31))
-        assert all(r.bound_ok for r in records)
-
-    @pytest.mark.parametrize("variant,a", [(PRIME, 1.0), (STD, 0.5)])
-    def test_record_matches_optimize(self, variant, a):
-        rec = walk.sweep(CheatModel(a, 1.0, variant), [7])[0]
-        sol = walk.optimize(walk.WalkGame(7, CheatModel(a, 1.0, variant)))
-        assert (rec.n, rec.a, rec.variant) == (7, a, variant)
-        assert rec.bias == sol.bias
-        assert rec.bound == sol.bound
-        assert rec.bound_ok is sol.bound_ok
-        assert rec.iterations == sol.iterations
-
     def test_rejects_nonlinear_model(self):
         with pytest.raises(ValueError, match="b = 1"):
-            walk.sweep(CheatModel(1.0, 2.0, STD), [1, 2])
+            walk.WalkGame(1, CheatModel(1.0, 2.0, STD))
 
     def test_std_never_beats_prime(self):
         for n in (1, 2, 5, 10, 25):
