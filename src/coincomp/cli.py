@@ -2,9 +2,10 @@
 
 Commands: tree gen/analyze, compose, walk solve/sweep, simulate.  All
 payloads go to stdout as JSON (or CSV for `walk sweep --csv`); diagnostics
-go to stderr.  Exit codes: 0 success, 1 invalid input (bad flags, parse or
-domain errors), 2 runtime invariant violation (a result that should be
-impossible, reported loudly rather than emitted quietly).
+go to stderr.  Exit codes: 0 success, 1 invalid input (a ValueError from the
+flags, a file or the module that checks a value), 2 runtime invariant
+violation (a result that should be impossible, reported loudly rather than
+emitted quietly).
 
 `walk` needs only walk and cheat_model; other commands import their modules
 when they run, and only `compose --brute-force`, `simulate` and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -28,14 +30,10 @@ if TYPE_CHECKING:
     from . import composer, game_tree, simulate
 
 
-class _InputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through the exit-1 path
     def error(self, message):
-        raise _InputError(message)
+        raise ValueError(message)
 
 
 def _read_tree(path: str) -> game_tree.GameTree:
@@ -54,18 +52,18 @@ def _cmd_tree_gen(args) -> int:
 
     if args.kind == "best-of":
         if args.n is None:
-            raise _InputError("--kind best-of requires --n")
+            raise ValueError("--kind best-of requires --n")
         tree = game_tree.gen_best_of(args.n)
     elif args.kind == "full":
         if args.depth is None or args.labels is None:
-            raise _InputError("--kind full requires --depth and --labels")
+            raise ValueError("--kind full requires --depth and --labels")
         bad = set(args.labels) - {"0", "1"}
         if bad:
-            raise _InputError(f"labels must be a string of 0/1, got {args.labels!r}")
+            raise ValueError(f"labels must be a string of 0/1, got {args.labels!r}")
         tree = game_tree.gen_full(args.depth, [int(ch) for ch in args.labels])
     else:  # random-fair
         if args.depth is None:
-            raise _InputError("--kind random-fair requires --depth")
+            raise ValueError("--kind random-fair requires --depth")
         tree = game_tree.gen_random_fair(args.depth, args.seed)
     print(game_tree.serialize_tree(tree))
     return 0
@@ -138,7 +136,7 @@ def _csv_field(value) -> str:
 def _cmd_walk_sweep(args) -> int:
     model = cheat_model.parse_model_string(args.model)
     if args.n_max < 1:
-        raise _InputError(f"--n-max must be >= 1, got {args.n_max}")
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     rows = []
     for n in range(1, args.n_max + 1):
         sol = _solved(model, n)
@@ -155,29 +153,29 @@ def _cmd_walk_sweep(args) -> int:
 
 
 def _number_map(arg: str, kind: str) -> dict[str, float]:
-    """A JSON file's object of numbers, unwrapped from a top-level `kind` key."""
+    """A JSON file's object of finite numbers, maybe under a `kind` key."""
     try:
-        data = json.loads(Path(arg).read_text())
+        # float(s) rounds an integer as float(int(s)) does, with no digit
+        # limit (too large is inf); + 0.0 reads "-0" as 0.0, as int() does
+        data = json.loads(Path(arg).read_text(),
+                          parse_int=lambda s: float(s) + 0.0)
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{kind} file {arg}: invalid JSON: {exc}") from exc
+        raise ValueError(f"{kind} file {arg}: invalid JSON: {exc}") from exc
     except RecursionError:
-        raise _InputError(f"{kind} file {arg}: invalid JSON: nested too "
-                          "deeply") from None
+        raise ValueError(f"{kind} file {arg}: invalid JSON: nested too "
+                         "deeply") from None
     if isinstance(data, dict) and isinstance(data.get(kind), dict):
         data = data[kind]
     if not isinstance(data, dict):
-        raise _InputError(f"{kind} file {arg}: expected an object")
-    out = {}
+        raise ValueError(f"{kind} file {arg}: expected an object")
     for key, value in data.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _InputError(f"{kind} file {arg}: eps for {key!r} is not "
-                              "a number")
-        try:
-            out[key] = float(value)
-        except OverflowError:  # a JSON integer past the float range
-            raise _InputError(f"{kind} file {arg}: eps for {key!r} is too "
-                              "large for a float") from None
-    return out
+        if type(value) is not float:  # every JSON number decodes to a float
+            raise ValueError(f"{kind} file {arg}: eps for {key!r} is not "
+                             "a number")
+        if not math.isfinite(value):  # also the NaN and Infinity literals
+            raise ValueError(f"{kind} file {arg}: eps for {key!r} must be "
+                             f"finite, got {value}")
+    return data
 
 
 def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
@@ -190,7 +188,7 @@ def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
         try:
             eps_tot = float(arg[3:])
         except ValueError:
-            raise _InputError(f"bad --strategy shorthand {arg!r}") from None
+            raise ValueError(f"bad --strategy shorthand {arg!r}") from None
         return composer.leading_order(tree, model.a, model.b, eps_tot).strategy
     return _number_map(arg, "strategy")
 
@@ -208,7 +206,7 @@ def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:
         except ValueError:
             site = None
         if str(site) != key:
-            raise _InputError(f"policy file {arg}: bad site {key!r}")
+            raise ValueError(f"policy file {arg}: bad site {key!r}")
         out[site] = eps
     return out
 
@@ -228,10 +226,10 @@ def _cmd_simulate(args) -> int:
 
     model = cheat_model.parse_model_string(args.model)
     if (args.tree is None) == (not args.walk):
-        raise _InputError("choose exactly one of --tree FILE or --walk")
+        raise ValueError("choose exactly one of --tree FILE or --walk")
     if args.tree is not None:
         if args.strategy is None:
-            raise _InputError("--tree simulation requires --strategy")
+            raise ValueError("--tree simulation requires --strategy")
         tree = _read_tree(args.tree)
         strategy = _strategy_from_arg(args.strategy, tree, model)
         report = simulate.simulate_tree(tree, model, strategy, args.trials,
@@ -242,9 +240,9 @@ def _cmd_simulate(args) -> int:
                                           "catch": t.pc})
     else:
         if args.n is None:
-            raise _InputError("--walk simulation requires --n")
+            raise ValueError("--walk simulation requires --n")
         if args.policy is None:
-            raise _InputError("--walk simulation requires --policy")
+            raise ValueError("--walk simulation requires --policy")
         game = WalkGame(args.n, model)
         policy = _policy_from_arg(args.policy, game)
         report = simulate.simulate_walk(game, policy, args.trials, args.seed,

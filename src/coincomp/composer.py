@@ -78,15 +78,13 @@ _HALF_POWERS = [2.0 ** (-d) for d in range(MAX_DEPTH + 1)]
 
 
 def _check_detection(name: str, a: float, b: float) -> None:
-    """Reject an (a, b) the closed form does not cover: it needs a > 0, b > 1."""
-    for key, value in (("a", a), ("b", b)):
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
-    if b <= 1.0:
+    """Reject an (a, b) the closed form does not cover.  CheatModel refuses
+    a non-finite a or b, a <= 0 and b < 1; the exponent 1/(b-1) rules out
+    b = 1."""
+    CheatModel(a, b)
+    if b == 1.0:
         raise ValueError(f"{name} requires b > 1, got {b}; linear "
                          "detection is solved exactly by the walk module")
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
 
 
 def _check_eps_tot(eps_tot: float) -> None:

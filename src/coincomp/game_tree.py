@@ -124,13 +124,22 @@ def parse_tree(text: str) -> GameTree:
         raise TreeParseError(f"the document spells {keys} 'leaf' and 'flip' "
                              f"keys and passes the budget of {MAX_NODES} nodes")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_label_int)
     except json.JSONDecodeError as exc:
         raise TreeParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise TreeParseError(f"invalid JSON: nested too deeply for a tree of "
                              f"depth <= {MAX_DEPTH}") from None
     return _parse_node(doc, "", [MAX_NODES])
+
+
+def _label_int(literal: str) -> int:
+    # a leaf label, 0 or 1, is the only number in a tree document; a longer
+    # literal is refused before int() reaches Python's limit on digits
+    if len(literal) > 2:
+        raise TreeParseError(f"a {len(literal)}-character number cannot be "
+                             "a leaf label, which is 0 or 1")
+    return int(literal)
 
 
 def _parse_node(obj, path: str, room: list[int]) -> Node:

@@ -126,6 +126,14 @@ class TestTreeAnalyze:
             assert out == ""
             assert "leaf label must be 0 or 1, got 0.0" in err
 
+    def test_long_number_label_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"flip":{"up":{"leaf":0},"down":{"leaf":1'
+                        + "0" * 5000 + "}}}")
+        code, out, err = run(capsys, "tree", "analyze", "--in", str(path))
+        assert (code, out, err) == (1, "", "error: a 5001-character number "
+                                    "cannot be a leaf label, which is 0 or 1\n")
+
     @pytest.mark.parametrize("flips", [53, 3000])
     def test_too_deep_document_exits_1(self, capsys, tmp_path, flips):
         text = '{"leaf":0}'
@@ -415,14 +423,18 @@ class TestSimulate:
         assert "bad site" in err
 
     @pytest.mark.parametrize("text,message", [
-        ('{"0": 1' + "0" * 400 + "}", "eps for '0' is too large for a float"),
+        ('{"0": 1' + "0" * 400 + "}", "eps for '0' must be finite, got inf"),
+        ('{"0": 1' + "0" * 5000 + "}", "eps for '0' must be finite, got inf"),
+        ('{"0": NaN}', "eps for '0' must be finite, got nan"),
         ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
-    ], ids=["huge-integer", "nested-too-deeply"])
+    ], ids=["huge-integer", "5001-digits", "nan-literal", "nested-too-deeply"])
     @pytest.mark.parametrize("kind", ["strategy", "policy"])
     def test_unreadable_number_file_exits_1(self, capsys, bo3_file, tmp_path,
                                             kind, text, message):
-        # float(10**400) raised OverflowError, which escaped cli.main, and
-        # json's RecursionError was reported as an invariant violation
+        # float(10**400) raised OverflowError, which escaped cli.main; a
+        # 5,001-digit integer met Python's digit limit, a NaN failed later
+        # naming neither file nor key, and json's RecursionError was
+        # reported as an invariant violation
         path = tmp_path / f"{kind}.json"
         path.write_text(text)
         if kind == "strategy":
@@ -433,7 +445,7 @@ class TestSimulate:
                              "--trials", "100", "--seed", "1")
         assert code == 1
         assert out == ""
-        assert message in err
+        assert err == f"error: {kind} file {path}: {message}\n"
 
     def test_walk_optimal(self, capsys):
         code, out, _ = run(capsys, "simulate", "--walk", "--n", "1",

@@ -296,11 +296,15 @@ class TestLeadingOrderMatchesScalarReference:
 
 
 @pytest.mark.parametrize("a,b,message", [
-    (math.nan, 2.0, "a must be finite"), (math.inf, 2.0, "a must be finite"),
+    pytest.param(math.nan, 2.0, "a and b must be finite, got a = nan, b = 2.0",
+                 id="nan-2.0-a must be finite"),
+    pytest.param(math.inf, 2.0, "a and b must be finite, got a = inf, b = 2.0",
+                 id="inf-2.0-a must be finite"),
     (-1.0, 2.0, "a must be positive"), (0.0, 2.0, "a must be positive"),
     (1.0, math.nan, "b must be finite"), (1.0, math.inf, "b must be finite"),
     (1.0, -math.inf, "b must be finite"), (1.0, 1.0, "requires b > 1"),
-    (1.0, 0.5, "requires b > 1"),
+    pytest.param(1.0, 0.5, "b must be >= 1, got 0.5",
+                 id="1.0-0.5-requires b > 1"),
 ])
 @pytest.mark.parametrize("call", [
     lambda tree, a, b: composer.leading_order(tree, a, b, 0.1),
@@ -308,7 +312,8 @@ class TestLeadingOrderMatchesScalarReference:
     composer.derivative_in_b,
 ], ids=["leading_order", "a_new_of_b", "derivative_in_b"])
 def test_detection_parameters_checked(bo3, call, a, b, message):
-    # a_new_of_b returned nan at a = nan or b = inf, and -1.0 at a = -1
+    # a_new_of_b returned nan at a = nan or b = inf, and -1.0 at a = -1;
+    # CheatModel words every check but the b = 1 refusal
     with pytest.raises(ValueError, match=message):
         call(bo3, a, b)
 

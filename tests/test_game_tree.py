@@ -65,6 +65,14 @@ class TestParse:
         with pytest.raises(TreeParseError, match="DU"):
             game_tree.parse_tree(doc)
 
+    def test_long_number_is_refused_as_a_leaf_label(self):
+        # int() of a 5,001-digit literal passed Python's digit limit, whose
+        # message advised an interpreter setting
+        message = ("a 5001-character number cannot be a leaf label, "
+                   "which is 0 or 1")
+        with pytest.raises(TreeParseError, match=f"^{message}$"):
+            game_tree.parse_tree('{"leaf": 1' + "0" * 5000 + "}")
+
     @staticmethod
     def _left_spine(flips):
         text = '{"leaf":0}'

@@ -1,4 +1,9 @@
-"""Package surface: lazy exports, and commands that never load numpy."""
+"""Package surface: lazy exports, and commands that never load numpy.
+
+The three `without_numpy` tests use no conftest.py fixture and load no
+numpy in the test process, so CI also runs them, with --noconftest, where
+numpy is not installed.
+"""
 
 import json
 import os
@@ -73,6 +78,12 @@ def test_walk_commands_run_without_numpy(capsys):
     assert runs == [run_in_process(capsys, argv) for argv in commands]
     assert [code for code, _, _ in runs] == [0, 0, 0]
     assert sum(out.count('"bias"') for _, out, _ in runs) == 2
+    # bound_ok is decided on the returned solution, so check the verdicts
+    # printed, not only the exit codes
+    assert json.loads(runs[0][1])["bound_ok"] is True
+    header, *rows = [line.split(",") for line in runs[1][1].splitlines()]
+    column = header.index("bound_ok")
+    assert [row[column] for row in rows] == ["true"] * 20
 
 
 def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
@@ -85,13 +96,20 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
                  "--labels", "01101001"],
                 ["tree", "analyze", "--in", tree],
                 compose,
+                # refused for its size before the oracle would load numpy
+                [*compose, "--brute-force"],
                 [*compose, "--exact"]]
     runs, loaded = run_without_numpy(commands, [
         "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _, _ in runs] == [0] * 5
-    assert '"exact"' in runs[-1][1]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 1, 0]
+    assert json.loads(runs[2][1])["lemma_sum"] == 1.0
+    assert runs[4] == (1, "", "error: tree too large: 19 internal nodes, "
+                              "limit 5\n")
+    doc = json.loads(runs[-1][1])
+    assert abs(doc["a_new"] - 1.0) <= 1e-12
+    assert isinstance(doc["exact"], dict)
 
 
 def test_numpy_commands_fail_cleanly_without_numpy(tmp_path):
