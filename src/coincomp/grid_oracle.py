@@ -44,9 +44,8 @@ from .game_tree import TreeAnnotation
 # grid points.
 #
 # Before the one _prune, a prefilter drops every candidate strictly
-# dominated by the frontier of a sample (every _SAMPLE_STRIDE-th grid point
-# of each run, materialized at once, about 10 MB at the _MAX_COMBOS cap):
-# w' > w and c' <= c, or w' == w and c' < c.  That is exact.
+# dominated by the frontier of a sample of grid points: w' > w and c' <= c,
+# or w' == w and c' < c.  That is exact.
 # _prune orders pairs by w descending, then c ascending, then generation,
 # and keeps a pair only if its c is below every c before it.  A strictly
 # dominated pair comes after its dominator with a c no lower, so _prune
@@ -55,6 +54,16 @@ from .game_tree import TreeAnnotation
 # dropped pair is unchanged.  The survivors, put back in generation order
 # (eps, then down, then up), give the same frontier, ties and indices
 # included.
+#
+# The sample frontier is built coarse to fine.  First comes the frontier of
+# every (_SAMPLE_STRIDE**2)-th grid point of each run; then every
+# _SAMPLE_STRIDE-th grid point's candidates, run by run, go through the
+# same mask against it before their _pareto.  Any set of achievable
+# candidates makes an exact prefilter, so the coarse step changes only the
+# work: on the 11 5-flip oracle calls of the tree-oracle benchmark (seed 1)
+# that _pareto gets 141,483 candidates instead of 613,932, and at
+# best-of-3's two large nodes the traced peak of _combine falls from 2.16
+# and 2.69 MiB to 1.38 and 1.95 MiB.
 #
 # Most candidates are dropped without being built.  Each run's (grid point,
 # down entry, up entry) block is cut into tiles of up to _TILE entries on
@@ -75,13 +84,27 @@ from .game_tree import TreeAnnotation
 # (pc + p0*uc[i]) + p1*dc[j]; both frontiers ascend in c, p0 and p1 are
 # >= 0 and rounding is monotone, so lb = (pc + p0*uc[0]) + p1*dc[0] is at
 # most every one of them.  The grid points are searched in ascending lb,
-# each with one _first_feasible step, and the search stops at the first lb
-# above the best catch found: no later grid point can reach or tie it.
-# Ties go to the smallest grid index, then to the first up entry, as in a
-# search in grid order.
+# and the search stops at the first lb above the best catch found: no later
+# grid point can reach or tie it.  Ties go to the smallest grid index, then
+# to the first up entry, as in a search in grid order.
 #
-# On a 2-vCPU Xeon VM, a 5-flip call at grid 1e-3 takes 23-48 ms (57-86 ms
-# with whole-grid passes instead of tiles).
+# Only a slice [i_lo, i_hi) of the up frontier is searched at a grid point,
+# by the same monotonicity: up entries before i_lo miss the target even
+# with the last down entry (one _first_feasible call finds i_lo at every
+# grid point, with up and down swapped, which is exact since a + b == b + a
+# in floating point), and from i_hi on they cost more than the best catch
+# so far even with the first down entry.  An entry that ties the best stays
+# in the slice, for the tie rule.  The grid points are taken in blocks of
+# 1, 2, 4, ... up to _ROOT_BLOCK, each block's slices end to end, with one
+# _first_feasible call per block for each entry's first feasible down entry
+# and one minimum over the block.  A block searches past the first lb above
+# the best only up to its own end, at grid points whose slices are then
+# empty or dearer.  On the 11 oracle calls above, the root searches 349,626
+# up entries at 837 grid points, where a search of each visited grid
+# point's whole up frontier (3,304-5,403 entries) took 2,772,521 at 761.
+#
+# On a 2-vCPU Xeon VM, a 5-flip call at grid 1e-3 takes 18-25 ms (25-42 ms
+# with whole up frontiers at the root and the sample built in one step).
 # ---------------------------------------------------------------------------
 
 # cap on the grid combinations one node covers, whether its tiles build
@@ -93,6 +116,9 @@ _MAX_COMBOS = 10_000_000
 _CHUNK = 1 << 14
 _SAMPLE_STRIDE = 16
 _TILE = 16
+# most root grid points searched at once, which bounds a block's arrays to
+# that many up frontiers; blocks grow 1, 2, 4, ... up to it
+_ROOT_BLOCK = 16
 
 
 class _Frontier:
@@ -200,13 +226,19 @@ def _combine(p0, p1, pc, up: _Frontier, down: _Frontier) -> _Frontier:
         raise ValueError(f"tree too large for brute force at this grid step "
                          f"({total} grid combinations at one node)")
 
-    s = _SAMPLE_STRIDE
-    sample = [_block(p0[lo:hi:s], p1[lo:hi:s], pc[lo:hi:s], u, d)
-              for lo, hi, u, d in runs]
-    sw = np.concatenate([w.ravel() for w, _ in sample])
-    sc = np.concatenate([c.ravel() for _, c in sample])
-    sel = _pareto(sw, sc)
-    fw, fc = np.append(sw[sel], np.inf), np.append(sc[sel], np.inf)
+    # the sample frontier, coarse to fine: the frontier of every
+    # (_SAMPLE_STRIDE**2)-th grid point prefilters every _SAMPLE_STRIDE-th
+    fw, fc = np.array([np.inf]), np.array([np.inf])
+    for s in (_SAMPLE_STRIDE ** 2, _SAMPLE_STRIDE):
+        sw, sc = [], []
+        for lo, hi, u, d in runs:
+            w, c = _block(p0[lo:hi:s], p1[lo:hi:s], pc[lo:hi:s], u, d)
+            keep = _undominated(fw, fc, w, c)
+            sw.append(w[keep])
+            sc.append(c[keep])
+        sw, sc = np.concatenate(sw), np.concatenate(sc)
+        sel = _pareto(sw, sc)
+        fw, fc = np.append(sw[sel], np.inf), np.append(sc[sel], np.inf)
 
     ws, cs, es, us, ds = [], [], [], [], []
     for lo, hi, u, d in runs:
@@ -255,37 +287,54 @@ def _combine(p0, p1, pc, up: _Frontier, down: _Frontier) -> _Frontier:
                   np.concatenate(us), np.concatenate(ds))
 
 
-def _first_feasible(p1: float, down_w: np.ndarray, rhs_base: np.ndarray,
-                    target: float) -> np.ndarray:
-    """Per up-entry, smallest down index j with rhs_base + p1*down_w[j] >= target.
+def _settle(j, n: int, holds):
+    """Move each guess j to the first k in [0, n] at which holds(k) is True.
 
-    searchsorted on the divided threshold can be off by an ulp, so the result
-    is corrected in both directions against the exact comparison the plain
-    enumeration would use.  Returns len(down_w) where nothing is feasible.
-    At p1 = 0 the down side is the one-entry frontier of an unreachable
-    branch: the division yields +-inf or nan, and the corrections settle
-    whatever index that gives in at most one step.
+    holds is elementwise and nondecreasing in k.  The guesses come from a
+    division, which rounding can put an index or so off, so each is
+    corrected in both directions against the exact comparison the plain
+    enumeration would use.
     """
-    nd = len(down_w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j = np.searchsorted(down_w, (target - rhs_base) / p1, side="left")
     for _ in range(64):
-        jp = np.where(j > 0, j - 1, 0)
-        back = (j > 0) & (rhs_base + p1 * down_w[jp] >= target)
+        back = (j > 0) & holds(np.maximum(j - 1, 0))
         if not back.any():
             break
-        j = np.where(back, j - 1, j)
+        j = j - back
     else:
-        raise RuntimeError("feasibility search failed to settle (backward)")
+        raise RuntimeError("index search failed to settle (backward)")
     for _ in range(64):
-        jc = np.where(j < nd, j, nd - 1)
-        fwd = (j < nd) & (rhs_base + p1 * down_w[jc] < target)
+        fwd = (j < n) & ~holds(np.minimum(j, n - 1))
         if not fwd.any():
             break
-        j = np.where(fwd, j + 1, j)
+        j = j + fwd
     else:
-        raise RuntimeError("feasibility search failed to settle (forward)")
+        raise RuntimeError("index search failed to settle (forward)")
     return j
+
+
+def _first_feasible(p, w, base, target: float) -> np.ndarray:
+    """Per element, the first k with base + p*w[k] >= target (len(w) if none).
+
+    p and base are arrays of one shape, p >= 0; w ascends.  At p = 0 every
+    k gives base + 0.0 = base, so the answer is 0 or len(w) outright.
+    """
+    n = len(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.searchsorted(w, (target - base) / p)
+    k = np.where(p > 0.0, k, np.where(base >= target, 0, n))
+    return _settle(k, n, lambda k: base + p * w[k] >= target)
+
+
+def _first_dearer(pc, p, c, tail, best: float) -> np.ndarray:
+    """Per element, the first k with (pc + p*c[k]) + tail > best (len(c) if none).
+
+    pc, p and tail are arrays of one shape, p >= 0; c ascends.
+    """
+    n = len(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.searchsorted(c, ((best - tail) - pc) / p, side="right")
+    k = np.where(p > 0.0, k, np.where(pc + tail > best, 0, n))
+    return _settle(k, n, lambda k: (pc + p * c[k]) + tail > best)
 
 
 def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
@@ -307,25 +356,44 @@ def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
                         else _combine(p0, p1, pc, frontier[u], frontier[dn]))
 
     up, down = frontier[ann.up[-1]], frontier[ann.down[-1]]
-    lb = ((pc + p0 * np.where(p0 > 0.0, up.c[0], 0.0))
-          + p1 * np.where(p1 > 0.0, down.c[0], 0.0))
+    nu = len(up)
+    # a child behind a zero-probability branch enters with its first entry
+    # alone, under index -1; p * x adds +0.0 for every entry x, so its
+    # values are those of the one-entry frontier
+    lb = (pc + p0 * up.c[0]) + p1 * down.c[0]
+    # up entries before i_lo miss the target even with the last down entry
+    i_lo = _first_feasible(p0, up.w, p1 * down.w[-1], target)
+    order = np.argsort(lb, kind="stable")
     best = None  # (pc, eps_idx, up_entry, down_entry)
-    for e_idx in np.argsort(lb, kind="stable").tolist():
-        if best is not None and lb[e_idx] > best[0]:
+    at, size = 0, 1
+    while at < len(order):
+        g = order[at:at + size]
+        at, size = at + size, min(2 * size, _ROOT_BLOCK)
+        if best is not None and lb[g[0]] > best[0]:
             break
-        q0, q1, qc = t.p0[e_idx], t.p1[e_idx], t.pc[e_idx]
-        uw, uc, ui = _side(up, q0)
-        dw, dc, di = _side(down, q1)
-        j = _first_feasible(q1, dw, q0 * uw, target)
-        ok = j < len(dw)
-        if not ok.any():
+        q0, q1, qc = p0[g], p1[g], pc[g]
+        lo = i_lo[g]
+        # up entries from i_hi on cost more than best even with the first
+        # down entry; a tie stays, for the tie rule
+        hi = nu if best is None else _first_dearer(qc, q0, up.c,
+                                                   q1 * down.c[0], best[0])
+        hi = np.where(q0 > 0.0, hi, np.minimum(hi, 1))
+        n = np.maximum(hi - lo, 0)
+        if not n.any():
             continue
-        jj = np.where(ok, j, 0)
-        cand = (qc + q0 * uc) + q1 * dc[jj]
-        cand[~ok] = np.inf
-        i = int(np.argmin(cand))
-        if best is None or (cand[i], e_idx) < best[:2]:
-            best = (float(cand[i]), e_idx, int(ui[i]), int(di[jj[i]]))
+        # the block's live slices, end to end, with each entry's grid point
+        e = np.repeat(np.arange(len(g)), n)
+        i = np.arange(len(e)) + np.repeat(lo - (np.cumsum(n) - n), n)
+        q0, q1, qc = q0[e], q1[e], qc[e]
+        j = _first_feasible(q1, down.w, q0 * up.w[i], target)
+        cand = (qc + q0 * up.c[i]) + q1 * down.c[j]
+        # ties go to the smallest grid index, then to the first up entry
+        at_min = np.flatnonzero(cand == cand.min())
+        k = at_min[np.argmin(g[e[at_min]])]
+        key = (float(cand[k]), int(g[e[k]]))
+        if best is None or key < best[:2]:
+            best = (*key, int(i[k]) if q0[k] > 0.0 else -1,
+                    int(j[k]) if q1[k] > 0.0 else -1)
 
     if best is None:
         raise ValueError(f"no grid strategy reaches win excess "

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,53 @@ def literal_grid_min(tree, model, eps_tot, grid_step):
 
 # The grid oracle with one Python pass per grid point at every node, and at
 # the root in grid order: the reference that brute_force_min_pc's whole-grid
-# array passes must match byte for byte.
+# array passes must match byte for byte.  Its Pareto prune and feasibility
+# search are its own, kept as they were before the root searched live
+# slices, so the oracle is checked against that code and not against itself.
+
+def _reference_pareto(w, c) -> np.ndarray:
+    """Indices of the nondominated pairs, ascending in w and in c."""
+    # sort win descending then catch ascending; lexsort is stable, so exact
+    # ties resolve to the earliest-generated entry (eps, then down, then up)
+    order = np.lexsort((c, -w))
+    cs = c[order]
+    keep = np.empty(len(cs), dtype=bool)
+    keep[0] = True
+    running = np.minimum.accumulate(cs)
+    keep[1:] = cs[1:] < running[:-1]
+    return order[keep][::-1]
+
+
+def _reference_first_feasible(p1, down_w, rhs_base, target):
+    """Per up-entry, smallest down index j with rhs_base + p1*down_w[j] >= target.
+
+    searchsorted on the divided threshold can be off by an ulp, so the result
+    is corrected in both directions against the exact comparison.  Returns
+    len(down_w) where nothing is feasible.  At p1 = 0 the down side is the
+    one-entry frontier of an unreachable branch, and the corrections settle
+    whatever index the division gives in at most one step.
+    """
+    nd = len(down_w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.searchsorted(down_w, (target - rhs_base) / p1, side="left")
+    for _ in range(64):
+        jp = np.where(j > 0, j - 1, 0)
+        back = (j > 0) & (rhs_base + p1 * down_w[jp] >= target)
+        if not back.any():
+            break
+        j = np.where(back, j - 1, j)
+    else:
+        raise RuntimeError("feasibility search failed to settle (backward)")
+    for _ in range(64):
+        jc = np.where(j < nd, j, nd - 1)
+        fwd = (j < nd) & (rhs_base + p1 * down_w[jc] < target)
+        if not fwd.any():
+            break
+        j = np.where(fwd, j + 1, j)
+    else:
+        raise RuntimeError("feasibility search failed to settle (forward)")
+    return j
+
 
 def _reference_branches(triples, up, down) -> list:
     """Per grid point, its triple and the (w, c, index) each child enters with."""
@@ -79,9 +126,9 @@ def _reference_combine(triples, up, down):
         ds.append(np.repeat(di, len(ui)))
         es.append(np.full(len(ui) * len(di), e_idx, dtype=np.int32))
 
-    return grid_oracle._prune(np.concatenate(ws), np.concatenate(cs),
-                           np.concatenate(es), np.concatenate(us),
-                           np.concatenate(ds))
+    w, c, e, u, d = (np.concatenate(x) for x in (ws, cs, es, us, ds))
+    sel = _reference_pareto(w, c)
+    return grid_oracle._Frontier(w[sel], c[sel], e[sel], u[sel], d[sel])
 
 
 def reference_brute_force_min_pc(tree, model, eps_tot, grid_step):
@@ -112,7 +159,7 @@ def reference_brute_force_min_pc(tree, model, eps_tot, grid_step):
     branches = _reference_branches(triples, frontier[ann.up[-1]],
                                    frontier[ann.down[-1]])
     for e_idx, ((p0, p1, pc), (uw, uc, ui), (dw, dc, di)) in enumerate(branches):
-        j = grid_oracle._first_feasible(p1, dw, p0 * uw, target)
+        j = _reference_first_feasible(p1, dw, p0 * uw, target)
         ok = j < len(dw)
         if not ok.any():
             continue
@@ -583,6 +630,13 @@ def small_trees(draw):
     return build(draw(st.integers(1, 5)))
 
 
+def _flip(up, down):
+    """A Flip of two subtrees, each a subtree or a leaf label."""
+    def node(x):
+        return game_tree.Leaf(x) if isinstance(x, int) else x
+    return game_tree.Flip(node(up), node(down))
+
+
 def _oracle_answer(search, tree, model, eps_tot, grid_step):
     """repr of the strategy (key order included) and min_pc, or the error."""
     try:
@@ -613,6 +667,17 @@ class TestBruteForceMatchesReference:
              eps_tot=0.2, grid_step=1e-3)
     @example(tree=game_tree.gen_full(1, [0, 1]), model=(2.0, 1.0),
              eps_tot=0.35, grid_step=1e-3)
+    # the minimum catch 0.005000000000000001 ties at root grid points 0.0
+    # and -0.1, searched in that order: the later one, with the smaller
+    # grid index, wins only if neither the cut of dearer up entries nor the
+    # stop test drops a tie
+    @example(tree=_flip(1, _flip(0, _flip(_flip(0, 0), 1))), model=(0.5, 2.0),
+             eps_tot=0.05, grid_step=0.1)
+    # the minimum catch 0.0078125 ties across up entries at root grid point
+    # 0.0 (U = 0.0 with D = -0.125, or U = 0.125 with D = 0.0); the first
+    # up entry wins
+    @example(tree=_flip(_flip(0, 1), _flip(_flip(1, 1), 0)), model=(8.0, 3.0),
+             eps_tot=0.05, grid_step=0.125)
     def test_answers_identical(self, tree, model, eps_tot, grid_step):
         m = CheatModel(*model)
         assert _oracle_answer(composer.brute_force_min_pc, tree, m, eps_tot,
@@ -690,6 +755,55 @@ class TestCombineMatchesReference:
         large = [(total, n) for total, n in nodes if total > 100_000]
         assert len(large) == 4
         assert all(0 < n < total / 4 for total, n in large), large
+
+    def test_root_searches_live_slices(self, monkeypatch):
+        # at each visited grid point the root sends to the feasibility
+        # search only the up entries that can be feasible and no dearer
+        # than the best catch so far, not the whole up frontier
+        first_feasible = grid_oracle._first_feasible
+        first_dearer = grid_oracle._first_dearer
+        roots = []
+
+        def counting_first_feasible(p, w, base, target):
+            if not roots[-1]["up"]:  # the first call finds i_lo over the grid
+                roots[-1]["up"] = len(w)
+            else:
+                roots[-1]["searched"] += base.size
+            return first_feasible(p, w, base, target)
+
+        def counting_first_dearer(pc, p, c, tail, best):
+            roots[-1]["visited"] += pc.size
+            return first_dearer(pc, p, c, tail, best)
+
+        monkeypatch.setattr(grid_oracle, "_first_feasible", counting_first_feasible)
+        monkeypatch.setattr(grid_oracle, "_first_dearer", counting_first_dearer)
+        for tree in (game_tree.gen_best_of(3), game_tree.gen_random_fair(3, 0)):
+            # the first block, one grid point, is searched before any best
+            roots.append({"up": 0, "searched": 0, "visited": 1})
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
+        for root in roots:
+            assert root["up"] > 1000 and root["visited"] > 10, root
+            assert 0 < root["searched"] < root["visited"] * root["up"] / 4, root
+
+    def test_combine_peak_memory(self, monkeypatch):
+        # every node's combine of best-of-3 at grid 1e-3, the two large
+        # ones included, stays under 2.85 MiB of traced allocations
+        combine, peaks = grid_oracle._combine, []
+
+        def traced_combine(p0, p1, pc, up, down):
+            tracemalloc.start()
+            try:
+                f = combine(p0, p1, pc, up, down)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return f
+
+        monkeypatch.setattr(grid_oracle, "_combine", traced_combine)
+        composer.brute_force_min_pc(game_tree.gen_best_of(3), CheatModel(1.0, 2.0),
+                                    0.05, 1e-3)
+        assert len(peaks) == 4
+        assert max(peaks) <= 2.85 * 2 ** 20, peaks
 
 
 def reference_exact_outcome(tree, model, strategy):
