@@ -15,7 +15,8 @@ import importlib
 # public name -> the module that defines it.  A module is imported on the
 # first use of one of its names (PEP 562), so importing the package loads
 # none of them.  Only rng, grid_oracle and simulate import numpy, so of the
-# commands only `compose --brute-force` and `simulate` load it.
+# commands only `compose --brute-force` and `simulate` load it (the tree
+# generators draw from splitmix, which needs no numpy).
 _EXPORTS = {
     "cheat_model": ("PRIME", "STD", "CheatModel", "OutcomeTriple", "dominates",
                     "parse_model_string"),

@@ -24,14 +24,13 @@ solver, its one caller on lists, runs on plain lists too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 STD = "std"
 PRIME = "prime"
 
 
-@dataclass(frozen=True)
-class OutcomeTriple:
+class OutcomeTriple(NamedTuple):
     p0: float
     p1: float
     pc: float
@@ -40,23 +39,34 @@ class OutcomeTriple:
         return (self.p0, self.p1, self.pc)
 
 
-@dataclass(frozen=True)
-class CheatModel:
+class _CheatModelFields(NamedTuple):
     a: float
     b: float
     variant: str = STD
 
-    def __post_init__(self):
-        if self.variant not in (STD, PRIME):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"a and b must be finite, got a = {self.a}, b = {self.b}")
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if self.b < 1:
-            raise ValueError(f"b must be >= 1, got {self.b}")
-        if self.variant == PRIME and self.b != 1:
-            raise ValueError(f"prime variant requires b = 1, got b = {self.b}")
+
+class CheatModel(_CheatModelFields):
+    """The (a, b, variant) of a box, checked where it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, variant: str = STD):
+        if variant not in (STD, PRIME):
+            raise ValueError(f"unknown variant {variant!r}")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"a and b must be finite, got a = {a}, b = {b}")
+        if not a > 0:
+            raise ValueError(f"a must be positive, got {a}")
+        if b < 1:
+            raise ValueError(f"b must be >= 1, got {b}")
+        if variant == PRIME and b != 1:
+            raise ValueError(f"prime variant requires b = 1, got b = {b}")
+        return super().__new__(cls, a, b, variant)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks
+        return cls(*iterable)
 
     @property
     def eps_max(self) -> float:

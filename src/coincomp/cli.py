@@ -7,10 +7,10 @@ flags, a file or the module that checks a value), 2 runtime invariant
 violation (a result that should be impossible, reported loudly rather than
 emitted quietly).
 
-`walk` needs only walk and cheat_model; other commands import their modules
-when they run, and only `compose --brute-force`, `simulate` and
-`tree gen --kind random-fair` load numpy.  Without numpy they exit 1 with
-a one-line error.
+`walk` needs only walk and cheat_model, and loads no dataclasses; other
+commands import their modules when they run, and only
+`compose --brute-force` and `simulate` load numpy.  Without numpy those two
+exit 1 with a one-line error.
 """
 
 from __future__ import annotations

@@ -32,10 +32,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from . import rng
+from . import splitmix
 
 MAX_DEPTH = 52
 MAX_NODES = 1 << 20  # node budget for generated and parsed trees
@@ -258,7 +256,7 @@ def _mirror(node: Node, d: int) -> Node:
     return Flip(_mirror(node.up, d + 1), _mirror(node.down, d + 1))
 
 
-def _random_node(budget: int, stream: rng.Stream, room: list[int]) -> Node:
+def _random_node(budget: int, stream: splitmix.Stream, room: list[int]) -> Node:
     # room[0] counts down the nodes still allowed
     room[0] -= 1
     if room[0] < 0:
@@ -278,8 +276,7 @@ def gen_random(max_depth: int, seed: int) -> GameTree:
     """
     if max_depth < 0 or max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {max_depth}")
-    from . import rng
-    return _random_node(max_depth, rng.Stream(seed), [MAX_NODES])
+    return _random_node(max_depth, splitmix.Stream(seed), [MAX_NODES])
 
 
 def gen_random_fair(max_depth: int, seed: int) -> GameTree:
@@ -293,8 +290,7 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth {max_depth} exceeds the depth cap {MAX_DEPTH}")
-    from . import rng
-    sub = _random_node(max_depth - 1, rng.Stream(seed), [(MAX_NODES - 1) // 2])
+    sub = _random_node(max_depth - 1, splitmix.Stream(seed), [(MAX_NODES - 1) // 2])
     return Flip(sub, mirror(sub))
 
 

@@ -1,7 +1,7 @@
 """Monte Carlo cross-checks for tree games and walk games.
 
 Trial i draws from its own splitmix64 stream seeded with mix(seed, i) (see
-rng module), and its k-th draw is output k of that stream, so results are a
+splitmix), and its k-th draw is output k of that stream, so results are a
 pure function of (inputs, seed): grouping trials into blocks, reordering the
 blocks, or spreading them over worker threads cannot change a single draw.
 Counts are integers and aggregation is a sum, so reports are bit-identical
@@ -29,7 +29,7 @@ its next draw, so row j adds the same offset (j + 1) * GOLDEN to every
 seed, and those offsets are computed once per call.  The block is
 finalized in place in one buffer plus one scratch buffer, and without
 splitmix64's last xorshift: a fair step only asks whether the output is
-below 2**63 (the double below 1/2, see rng.HALF_U64), and z ^ (z >> 31)
+below 2**63 (the double below 1/2, HALF_U64), and z ^ (z >> 31)
 leaves bit 63 as it was.  The rows become +-1 steps, a cumsum down the
 rows turns them into paths, and a walk's absorption is the first row where
 |z| = N, searched only in the columns whose running max reaches N or whose
@@ -61,6 +61,7 @@ from . import cheat_model, rng
 from .cheat_model import CheatModel
 from .composer import Strategy, strategy_triples
 from .game_tree import GameTree, annotate
+from .splitmix import HALF_U64
 from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
@@ -232,7 +233,7 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             size = width * m
             x = rng.np_draw_top(s, offsets[:width], out[:size].reshape(width, m),
                                 scratch[:size].reshape(width, m))
-            steps = (x < rng.HALF_U64).view(np.int8)
+            steps = (x < HALF_U64).view(np.int8)
             steps *= np.int8(2)
             steps -= np.int8(1)
             capped = left <= width

@@ -41,10 +41,10 @@ float matches the numpy solver this replaced, bit for bit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import sub
+from typing import NamedTuple
 
 from . import cheat_model
 from .cheat_model import CheatModel
@@ -54,18 +54,29 @@ WalkPolicy = dict[int, float]
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WalkGame:
+class _WalkGameFields(NamedTuple):
     n: int
     model: CheatModel
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"N must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"N must be >= 1, got {self.n}")
-        if self.model.b != 1:
-            raise ValueError(f"walk games require b = 1, got b = {self.model.b}")
+
+class WalkGame(_WalkGameFields):
+    """The walk on [-N, N] with one `model` coin per step, checked where built."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, model: CheatModel):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"N must be an int, got {n!r}")
+        if n < 1:
+            raise ValueError(f"N must be >= 1, got {n}")
+        if model.b != 1:
+            raise ValueError(f"walk games require b = 1, got b = {model.b}")
+        return super().__new__(cls, n, model)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks
+        return cls(*iterable)
 
     def interior(self) -> range:
         return range(-self.n + 1, self.n)
@@ -79,19 +90,22 @@ def _targets(n: int) -> tuple[float, ...]:
     return tuple([i / two_n for i in range(2 * n + 1)])
 
 
-@dataclass(frozen=True)
-class WalkSolution:
-    """A solved policy; delta, bound_ok and the site dicts are built on use.
-
-    w_list (and delta_list) hold sites -N..N at index z + N, eps_list the
-    policy over the interior sites -N+1..N-1 at index z + N - 1.
-    """
-
+class _WalkSolutionFields(NamedTuple):
     w_list: list[float]
     eps_list: list[float]
     bias: float
     bound: float
     iterations: int
+
+
+class WalkSolution(_WalkSolutionFields):
+    """A solved policy; delta, bound_ok and the site dicts are built on use.
+
+    w_list (and delta_list) hold sites -N..N at index z + N, eps_list the
+    policy over the interior sites -N+1..N-1 at index z + N - 1.  The fields
+    are a NamedTuple's; this subclass adds the __dict__ that the
+    cached_property members are stored in.
+    """
 
     @cached_property
     def delta_list(self) -> list[float]:
@@ -273,9 +287,9 @@ def optimize(game: WalkGame) -> WalkSolution:
         sol = evaluate_policy(game, policy)
         improved = improve_policy(game, sol.w_list)
         if improved == policy:
-            return replace(sol, iterations=sweep_count)
+            return sol._replace(iterations=sweep_count)
         if prev is not None and sol.w_list[n] <= prev.w_list[n]:
-            return replace(prev, iterations=sweep_count)
+            return prev._replace(iterations=sweep_count)
         prev = sol
         policy = improved
     raise RuntimeError(f"policy iteration did not settle within {cap} sweeps")
@@ -295,5 +309,5 @@ def brute_force_optimize(game: WalkGame) -> WalkSolution:
         sol = evaluate_policy(game, list(choice))
         if best is None or sol.w_list[n] > best.w_list[n]:
             best = sol
-    return replace(best, iterations=count)
+    return best._replace(iterations=count)
 

@@ -7,7 +7,7 @@ subset keeps brute-force enumeration affordable (at most 5 internal nodes).
 import pytest
 from hypothesis import strategies as st
 
-from coincomp import game_tree, rng
+from coincomp import game_tree, splitmix
 
 
 def _fair_suite():
@@ -70,6 +70,6 @@ def unxorshift(x: int, shift: int) -> int:
 
 
 def finalize_input(pre: int) -> int:
-    """The z whose rng.finalize(z) holds `pre` just before its last xorshift."""
-    w = unxorshift(pre * pow(rng.MIX2, -1, 1 << 64) & rng.MASK, 27)
-    return unxorshift(w * pow(rng.MIX1, -1, 1 << 64) & rng.MASK, 30)
+    """The z whose splitmix.finalize(z) holds `pre` just before its last xorshift."""
+    w = unxorshift(pre * pow(splitmix.MIX2, -1, 1 << 64) & splitmix.MASK, 27)
+    return unxorshift(w * pow(splitmix.MIX1, -1, 1 << 64) & splitmix.MASK, 30)

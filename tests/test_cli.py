@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -272,7 +271,7 @@ class TestWalkSolve:
 
         def doctored(game):
             # a zero bound fails the verdict of a solution with positive bias
-            return replace(real(game), bound=0.0)
+            return real(game)._replace(bound=0.0)
 
         monkeypatch.setattr(walk, "optimize", doctored)
         code, _, err = run(capsys, "walk", "solve", "--n", "2",
@@ -323,7 +322,7 @@ class TestWalkSweep:
 
         def doctored(game):
             # a zero bound fails the verdict of a solution with positive bias
-            return replace(real(game), bound=0.0)
+            return real(game)._replace(bound=0.0)
 
         monkeypatch.setattr(walk, "optimize", doctored)
         code, out, err = run(capsys, "walk", "sweep", "--n-max", "2",

@@ -73,7 +73,7 @@ def test_walk_commands_run_without_numpy(capsys):
                 ["walk", "solve", "--n", "7", "--model", "prime:a=2"]]
     runs, loaded = run_without_numpy(commands, [
         "coincomp.composer", "coincomp.game_tree", "coincomp.simulate",
-        "coincomp.rng"])
+        "coincomp.rng", "dataclasses", "inspect"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
     assert [code for code, _, _ in runs] == [0, 0, 0]
@@ -94,6 +94,8 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
     commands = [["tree", "gen", "--kind", "best-of", "--n", "5"],
                 ["tree", "gen", "--kind", "full", "--depth", "3",
                  "--labels", "01101001"],
+                ["tree", "gen", "--kind", "random-fair", "--depth", "8",
+                 "--seed", "5"],
                 ["tree", "analyze", "--in", tree],
                 compose,
                 # refused for its size before the oracle would load numpy
@@ -103,9 +105,9 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 1, 0]
-    assert json.loads(runs[2][1])["lemma_sum"] == 1.0
-    assert runs[4] == (1, "", "error: tree too large: 19 internal nodes, "
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 0, 1, 0]
+    assert json.loads(runs[3][1])["lemma_sum"] == 1.0
+    assert runs[5] == (1, "", "error: tree too large: 19 internal nodes, "
                               "limit 5\n")
     doc = json.loads(runs[-1][1])
     assert abs(doc["a_new"] - 1.0) <= 1e-12
@@ -118,11 +120,10 @@ def test_numpy_commands_fail_cleanly_without_numpy(tmp_path):
     commands = [["compose", "--tree", tree, "--a", "1", "--b", "2",
                  "--eps-tot", "0.05", "--brute-force"],
                 ["simulate", "--tree", tree, "--model", "std:a=1,b=2",
-                 "--strategy", "honest", "--trials", "10"],
-                ["tree", "gen", "--kind", "random-fair", "--depth", "3"]]
+                 "--strategy", "honest", "--trials", "10"]]
     runs, _ = run_without_numpy(commands, [])
     message = "error: this command needs numpy, which could not be imported\n"
-    assert runs == [(1, "", message)] * 3
+    assert runs == [(1, "", message)] * 2
 
 
 def test_every_export_resolves():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coincomp import cheat_model, composer, game_tree, rng, simulate, walk
+from coincomp import cheat_model, composer, game_tree, rng, simulate, splitmix, walk
 from coincomp.cheat_model import CheatModel, PRIME, STD
 from conftest import finalize_input, unxorshift
 
@@ -263,7 +263,7 @@ def walk_cases(draw):
 
 def _catch_step(game, policy, seed, trial, step_cap):
     """Draw index at which the trial is caught, replayed on the scalar stream."""
-    s = rng.Stream(rng.mix(seed, trial))
+    s = splitmix.Stream(splitmix.mix(seed, trial))
     z = 0
     for k in range(step_cap):
         t = cheat_model.triple(game.model, policy[z])
@@ -308,16 +308,16 @@ class TestWalkMatchesReference:
             assert simulate.simulate_walk(game, policy, 3_000, 11) == \
                 reference_simulate_walk(game, policy, 3_000, 11)
 
-    @pytest.mark.parametrize("pre,wins", [(rng.HALF_U64 - 1, 1),
-                                          (rng.HALF_U64, 0),
-                                          (rng.HALF_U64 + 1, 0)])
+    @pytest.mark.parametrize("pre,wins", [(splitmix.HALF_U64 - 1, 1),
+                                          (splitmix.HALF_U64, 0),
+                                          (splitmix.HALF_U64 + 1, 0)])
     def test_fair_step_at_the_top_bit_edge(self, pre, wins):
         # trial 0's first draw holds `pre` before the generator's last
         # xorshift; at N = 1 under the honest policy that one fair step is
         # the game, up (a win) exactly when the draw is below 2**63
-        s0 = (finalize_input(pre) - rng.GOLDEN) & rng.MASK
+        s0 = (finalize_input(pre) - splitmix.GOLDEN) & splitmix.MASK
         seed = finalize_input(unxorshift(s0, 31))
-        assert rng.mix(seed, 0) == s0
+        assert splitmix.mix(seed, 0) == s0
         game = walk.WalkGame(1, CheatModel(1.0, 1.0, STD))
         policy = walk.honest_policy(game)
         r = simulate.simulate_walk(game, policy, 1, seed)

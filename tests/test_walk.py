@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +45,45 @@ class TestWalkGame:
         assert len(targ) == 9
         assert (targ[0], targ[4], targ[8]) == (0.0, 0.5, 1.0)
         assert targ == tuple((4 + z) / 8.0 for z in range(-4, 5))
+
+
+class TestRecords:
+    """The walk path's records are NamedTuples: read-only, hashable tuples."""
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: CheatModel(1.0, 2.0), "a"),
+        (lambda: CheatModel(1.0, 1.0, PRIME), "variant"),
+        (lambda: cheat_model.triple(CheatModel(1.0, 2.0), 0.1), "pc"),
+        (lambda: prime_game(3), "n"),
+        (lambda: prime_game(3), "model"),
+        (lambda: walk.optimize(prime_game(3)), "bias"),
+        (lambda: walk.optimize(prime_game(3)), "w_list"),
+    ])
+    def test_fields_are_read_only(self, make, field):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_equal_games_hash_alike(self):
+        game = prime_game(4, a=2.0)
+        twin = walk.WalkGame(4, CheatModel(a=2.0, b=1.0, variant=PRIME))
+        assert game == twin and game is not twin
+        assert hash(game) == hash(twin)
+        assert {game: "solved"}[twin] == "solved"
+        assert game != prime_game(4) and game != std_game(4, a=2.0)
+
+    def test_records_are_tuples(self):
+        model = CheatModel(1.0, 1.0, PRIME)
+        assert model == (1.0, 1.0, PRIME)
+        assert tuple(prime_game(2)) == (2, model)
+        assert cheat_model.triple(model, 0.0) == (0.5, 0.5, 0.0)
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match="a must be positive"):
+            CheatModel(1.0, 2.0)._replace(a=-1.0)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            prime_game(3)._replace(n=0)
+        assert prime_game(3)._replace(n=5) == prime_game(5)
 
 
 class TestEvaluatePolicy:
@@ -109,7 +147,7 @@ class TestEvaluatePolicy:
         assert sol.bound_ok is True
         assert vars(sol)["bound_ok"] is True
         assert max(sol.delta_list) <= sol.bound + 1e-12
-        assert replace(sol, bound=sol.bias / 2).bound_ok is False
+        assert sol._replace(bound=sol.bias / 2).bound_ok is False
 
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=0, max_value=2 ** 32))
