@@ -214,7 +214,9 @@ def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:
 def _check_against_exact(report: simulate.SimReport, exact: dict[str, float]) -> None:
     for key, value in exact.items():
         diff = abs(report.estimates[key] - value)
-        tol = 4.0 * report.stderr[key]
+        # an estimate of 0 or 1 has stderr 0; the exact value's is the floor
+        tol = 4.0 * max(report.stderr[key],
+                        math.sqrt(max(0.0, value * (1.0 - value)) / report.trials))
         if diff > tol:
             raise RuntimeError(f"estimate {key} = {report.estimates[key]} is "
                                f"{diff} away from exact {value}, beyond "
@@ -234,10 +236,8 @@ def _cmd_simulate(args) -> int:
         strategy = _strategy_from_arg(args.strategy, tree, model)
         report = simulate.simulate_tree(tree, model, strategy, args.trials,
                                         args.seed, workers=args.workers)
-        if model.variant == cheat_model.STD:
-            t = composer.exact_outcome(tree, model, strategy)
-            _check_against_exact(report, {"win": t.p0, "loss": t.p1,
-                                          "catch": t.pc})
+        t = composer.exact_outcome(tree, model, strategy)
+        _check_against_exact(report, {"win": t.p0, "loss": t.p1, "catch": t.pc})
     else:
         if args.n is None:
             raise ValueError("--walk simulation requires --n")

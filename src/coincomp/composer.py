@@ -13,9 +13,9 @@ b and coefficient a_new = a * S**(1-b).  For b = 2 the tree identity S = 1
 (fair trees) makes a_new = a: quadratic detection survives composition
 unchanged.  For b > 2 composition strictly weakens detection.
 
-Everything here is for the standard model; linear detection (b = 1) breaks
-the closed form's exponent 1/(b-1) and is handled exactly by the walk module
-instead.
+The closed form is for the standard model; linear detection (b = 1) breaks
+its exponent 1/(b-1) and is handled exactly by the walk module instead.
+exact_outcome reads only each node's (p0, p1, pc), so it takes either box.
 
 The tree passes (leading_order, a_new_of_b, strategy_triples and
 exact_outcome) read annotate's postorder columns and write into lists
@@ -183,7 +183,7 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
     """
     size = len(ann.path)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
-    memo: dict[float | None, tuple[float, float, float]] = {}
+    memo: dict[float | None, OutcomeTriple] = {}
     for i, (at, u) in enumerate(zip(ann.path, ann.up)):
         if u >= 0:
             try:
@@ -193,7 +193,7 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
             key = eps if eps or math.copysign(1.0, eps) > 0.0 else None
             t = memo.get(key)
             if t is None:
-                t = memo[key] = cheat_model.triple(model, eps).as_tuple()
+                t = memo[key] = cheat_model.triple(model, eps)
             p0[i], p1[i], pc[i] = t
     if len(strategy) > size - ann.up.count(-1):
         extra = sorted(set(strategy).difference(
@@ -210,8 +210,6 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
     the per-node triple and accumulating catch mass along the way, into one
     preallocated column per outcome.
     """
-    if model.variant != cheat_model.STD:
-        raise ValueError("exact_outcome expects a standard-variant model")
     ann = annotate(tree)
     size = len(ann.path)
     o0, o1, oc = [0.0] * size, [0.0] * size, [0.0] * size

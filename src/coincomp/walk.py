@@ -34,9 +34,9 @@ Improving a site compares q(0) with q(eps_max) in both boxes, ties to 0;
 the standard box's q is a quadratic whose vertex, where it is concave, is
 a third candidate.  A vertex outside (0, eps_max) clips to an endpoint,
 where q(vertex) is the endpoint's q to the bit (the same float, so the
-same triple), so q(vertex) is computed only for an inner vertex.  Every
-float matches the numpy solver this replaced, bit for bit
-(tests/test_walk.py keeps it as the reference).
+same triple), so q(vertex) is computed only for an inner vertex.
+tests/test_walk.py pins the floats by digest (TestPinnedAnswers) and
+checks them against exact rational solves of the same games.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def improve_policy(game: WalkGame, w: list[float]) -> list[float]:
     model = game.model
     targ = _targets(game.n)[1:-1]
     e_hi = model.eps_max
-    h0, h1, hc = cheat_model.triple(model, e_hi).as_tuple()
+    h0, h1, hc = cheat_model.triple(model, e_hi)
     vertex = model.variant == cheat_model.STD
     a = model.a
     best = []

@@ -1,8 +1,11 @@
-"""Shared tree fixtures and generator inverses.
+"""Shared tree fixtures, generator inverses and the digest of pinned records.
 
 FAIR_SUITE collects fair trees (P_W(root) = 1/2) of varied shape; the small
 subset keeps brute-force enumeration affordable (at most 5 internal nodes).
 """
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import strategies as st
@@ -44,6 +47,14 @@ def generated_trees():
             game_tree.gen_full, st.just(d),
             st.lists(st.integers(0, 1), min_size=2 ** d, max_size=2 ** d))),
     )
+
+
+def json_digest(records):
+    """sha256 over one JSON line per record; json spells floats exactly."""
+    h = hashlib.sha256()
+    for record in records:
+        h.update((json.dumps(record) + "\n").encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(params=sorted(FAIR_SUITE), ids=sorted(FAIR_SUITE))

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coincomp import cli, composer, game_tree, walk
+from coincomp import cli, composer, game_tree, simulate, walk
 from coincomp.cheat_model import OutcomeTriple
 
 
@@ -497,6 +497,41 @@ class TestSimulate:
                          "--model", "prime:a=1", "--policy", "honest",
                          "--trials", "20000", "--seed", "42")
         assert code == 2
+
+    def test_prime_tree_estimate_mismatch_exits_2(self, capsys, bo3_file, tmp_path,
+                                                  monkeypatch):
+        # exact_outcome takes the prime box too, so its trees are checked
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(dict.fromkeys(["", "U", "D", "UD", "DU"], 0.25)))
+        monkeypatch.setattr(simulate, "simulate_tree", lambda *args, **kwargs:
+                            simulate._report(20000, 18000, 0, 2000, 0, 7))
+        code, out, err = run(capsys, "simulate", "--tree", bo3_file,
+                             "--model", "prime:a=1", "--strategy", str(strategy),
+                             "--trials", "20000", "--seed", "7")
+        assert (code, out) == (2, "")
+        assert "estimate win = 0.9" in err
+
+    # an estimate of 0 or 1 has stderr 0, so the check allows the stderr at
+    # the exact value, or these valid runs would exit 2
+    @pytest.mark.parametrize("argv", [
+        *[["--walk", "--n", "1", "--model", "prime:a=0.001", "--policy", "optimal",
+           "--trials", "100", "--seed", seed] for seed in "123"],
+        *[["--walk", "--n", "2", "--model", "prime:a=1", "--policy", "optimal",
+           "--trials", trials, "--seed", "1"] for trials in "13"],
+        ["--tree", "BO3", "--model", "std:a=1,b=2", "--strategy", "honest",
+         "--trials", "1", "--seed", "1"],
+        # every eps 0.4999 loses with probability 1.4e-8
+        ["--tree", "BO3", "--model", "std:a=1,b=2", "--strategy", "ALL_0.4999",
+         "--trials", "1000", "--seed", "1"],
+    ], ids=["all-wins-seed-1", "all-wins-seed-2", "all-wins-seed-3", "walk-1-trial",
+            "walk-3-trials", "tree-1-trial", "tree-no-loss"])
+    def test_estimate_of_0_or_1_exits_0(self, capsys, bo3_file, tmp_path, argv):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(dict.fromkeys(["", "U", "D", "UD", "DU"], 0.4999)))
+        files = {"BO3": bo3_file, "ALL_0.4999": str(strategy)}
+        code, out, _ = run(capsys, "simulate", *[files.get(arg, arg) for arg in argv])
+        assert code == 0
+        assert json.loads(out)["trials"] == int(argv[-3])
 
 
 class TestNonFiniteInput:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,7 +205,42 @@ class TestGenerators:
         assert p + q == 1.0
 
 
+def exact_annotate(tree):
+    """(path, depth, P_W, Delta) of every node in postorder, with P_W and
+    Delta in Fractions (Delta None on leaves)."""
+    rows = []
+
+    def visit(node, at):
+        if isinstance(node, Leaf):
+            w, gap = Fraction(1 - node.label), None
+        else:
+            pu, pd = visit(node.up, at + "U"), visit(node.down, at + "D")
+            w, gap = (pu + pd) / 2, pu - pd
+        rows.append((at, len(at), w, gap))
+        return w
+
+    visit(tree, "")
+    return rows
+
+
 class TestAnnotate:
+    @settings(max_examples=80, deadline=None)
+    @given(generated_trees())
+    def test_columns_are_exact(self, tree):
+        # every P_W and Delta equals its exact value, in postorder, and up
+        # and down point at each node's children
+        ann = game_tree.annotate(tree)
+        rows = exact_annotate(tree)
+        assert ann.path == [at for at, _, _, _ in rows]
+        assert ann.depth == [d for _, d, _, _ in rows]
+        for i, (at, _, w, gap) in enumerate(rows):
+            assert Fraction(ann.p_w[i]) == w
+            if gap is None:
+                assert (ann.delta[i], ann.up[i], ann.down[i]) == (None, -1, -1)
+            else:
+                assert Fraction(ann.delta[i]) == gap
+                assert (ann.path[ann.up[i]], ann.path[ann.down[i]]) == (at + "U", at + "D")
+
     def test_leaf_win_convention(self):
         # outcome 0 is the win for the analyzed player
         assert game_tree.annotate(Leaf(0)).p_w_root == 1.0
@@ -314,46 +350,6 @@ class TestAnnotate:
         got = ann.internal()
         assert "nodes" not in vars(ann)  # no NodeInfo built for the leaves
         assert got == [(p, i) for p, i in ann.nodes.items() if i.delta is not None]
-
-
-def reference_annotate(tree):
-    """annotate as it was with one row tuple per node: the reference the
-    column pass must match exactly."""
-    rows = []  # (path, depth, p_w, delta, up, down) per node, in postorder
-
-    def walk(node, d, at):
-        if isinstance(node, Leaf):
-            w = 1.0 if node.label == 0 else 0.0
-            rows.append((at, d, w, None, -1, -1))
-        else:
-            u, pu = walk(node.up, d + 1, at + "U")
-            dn, pd = walk(node.down, d + 1, at + "D")
-            w = (pu + pd) / 2.0
-            rows.append((at, d, w, pu - pd, u, dn))
-        return len(rows) - 1, w
-
-    walk(tree, 0, "")
-    ann = game_tree.TreeAnnotation(*map(list, zip(*rows)))
-    if max(ann.depth) > game_tree.MAX_DEPTH:
-        raise ValueError(f"tree depth exceeds {game_tree.MAX_DEPTH}; dyadic "
-                         "exactness would be lost")
-    return ann
-
-
-def _hex_column(column):
-    return [None if v is None else v.hex() for v in column]
-
-
-class TestAnnotateMatchesReference:
-    @settings(max_examples=80, deadline=None)
-    @given(generated_trees())
-    def test_columns_identical(self, tree):
-        got, want = game_tree.annotate(tree), reference_annotate(tree)
-        for col in ("path", "depth", "up", "down"):
-            assert getattr(got, col) == getattr(want, col), col
-        for col in ("p_w", "delta"):
-            assert _hex_column(getattr(got, col)) == \
-                _hex_column(getattr(want, col)), col
 
 
 class TestNodeBudget:

@@ -1,16 +1,20 @@
 """Exact walk-game solves: evaluation, policy iteration, bound checks."""
 
-import hashlib
-import json
+import itertools
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coincomp import cheat_model, simulate, walk
 from coincomp.cheat_model import PRIME, STD, CheatModel
+from conftest import json_digest
+
+
+# the detection coefficients a of the exact checks and pins below
+WALK_A = [0.3, 0.5, 1.0, 2.0, 3.7, 7.0]
 
 
 def prime_game(n, a=1.0):
@@ -19,6 +23,37 @@ def prime_game(n, a=1.0):
 
 def std_game(n, a=1.0):
     return walk.WalkGame(n, CheatModel(a, 1.0, STD))
+
+
+def exact_triple(model, eps):
+    """The box's (p0, p1, pc) at eps, in Fractions; a float enters exactly."""
+    a, e = Fraction(model.a), Fraction(eps)
+    if model.variant == PRIME:
+        return Fraction(1, 2) + e, Fraction(1, 2) - (1 + a) * e, a * e
+    pc = a * abs(e)  # b = 1
+    return (1 - pc) * (Fraction(1, 2) + e), (1 - pc) * (Fraction(1, 2) - e), pc
+
+
+def exact_w(game, eps):
+    """W(z) at z = -N..N (index z + N) under the interior policy eps, exactly.
+
+    Thomas elimination in Fractions on W(z) = p0 W(z+1) + p1 W(z-1)
+    + pc (N+z)/(2N), W(N) = 1, W(-N) = 0, with W(z) = d + q W(z+1) kept
+    per row; the boundary W(-N) = 0 is the row d = q = 0.
+    """
+    n = game.n
+    q = d = Fraction(0)
+    rows = []
+    for z, e in zip(game.interior(), eps):
+        p0, p1, pc = exact_triple(game.model, e)
+        piv = 1 - p1 * q
+        q, d = p0 / piv, (pc * Fraction(n + z, 2 * n) + p1 * d) / piv
+        rows.append((q, d))
+    w = [Fraction(1)]  # W(z) from z = N downwards
+    for q, d in reversed(rows):
+        w.append(d + q * w[-1])
+    w.append(Fraction(0))
+    return w[::-1]
 
 
 class TestWalkGame:
@@ -149,6 +184,23 @@ class TestEvaluatePolicy:
         assert max(sol.delta_list) <= sol.bound + 1e-12
         assert sol._replace(bound=sol.bias / 2).bound_ok is False
 
+    @pytest.mark.parametrize("a", WALK_A)
+    @pytest.mark.parametrize("variant", [PRIME, STD])
+    def test_matches_exact_solve(self, variant, a):
+        # every W(z) within 2e-15 of the exact value, N <= 12: all-0,
+        # all-eps_max and a seeded policy of 0, eps_max and values between.
+        # The worst error, 1.3e-15, is on the honest ramp (N+z)/(2N)
+        rng = random.Random(f"{variant}:a={a}")
+        for n in range(1, 13):
+            game = walk.WalkGame(n, CheatModel(a, 1.0, variant))
+            e_max = game.model.eps_max
+            seeded = [rng.choice([0.0, e_max, e_max * rng.random()])
+                      for _ in game.interior()]
+            for eps in ([0.0] * (2 * n - 1), [e_max] * (2 * n - 1), seeded):
+                got = walk.evaluate_policy(game, eps).w_list
+                for x, want in zip(got, exact_w(game, eps)):
+                    assert abs(Fraction(x) - want) <= 2e-15
+
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=0, max_value=2 ** 32))
     @settings(max_examples=40, deadline=None)
@@ -209,7 +261,7 @@ class TestImprovePolicy:
         best = max(q(e) for e in cands)
         return min(e for e in cands if q(e) == best)
 
-    @given(st.sampled_from([PRIME, STD]), st.sampled_from([0.3, 1.0, 2.0]),
+    @given(st.sampled_from([PRIME, STD]), st.sampled_from(WALK_A),
            st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                     min_size=1, max_size=14))
     @settings(max_examples=150, deadline=None)
@@ -250,6 +302,38 @@ class TestOptimize:
         want = walk.brute_force_optimize(prime_game(n, a))
         assert abs(got.bias - want.bias) <= 1e-12
         assert got.w[0] >= want.w[0] - 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_prime_optimum_equals_exact_enumeration(self, a, n):
+        # the exact value of optimize's policy is the exact maximum over
+        # every {0, eps_max} policy, with no tolerance
+        game = prime_game(n, a)
+        best = max(exact_w(game, eps)[n] for eps in
+                   itertools.product((0.0, game.model.eps_max), repeat=2 * n - 1))
+        assert exact_w(game, walk.optimize(game).eps_list)[n] == best
+
+    @pytest.mark.parametrize("a", WALK_A)
+    def test_std_optimum_passes_exact_bellman_check(self, a):
+        # under optimize's policy, no site's exact best one-step value, over
+        # 0, eps_max and the vertex of the concave quadratic q, beats the
+        # exact W(z) by more than 1e-16 (the worst is 5.4e-17); N <= 12
+        big_a = Fraction(a)
+        for n in range(1, 13):
+            game = std_game(n, a)
+            w = exact_w(game, walk.optimize(game).eps_list)
+            e_max = Fraction(game.model.eps_max)
+            for i in range(1, 2 * n):
+                wp, wm, g = w[i + 1], w[i - 1], Fraction(i, 2 * n)
+                cands = [Fraction(0), e_max]
+                slope = wp - wm
+                if slope > 0:
+                    v = (slope - big_a * (wp + wm) / 2 + big_a * g) / (2 * big_a * slope)
+                    if 0 < v < e_max:
+                        cands.append(v)
+                best = max(t0 * wp + t1 * wm + tc * g for t0, t1, tc in
+                           (exact_triple(game.model, e) for e in cands))
+                assert best - w[i] <= 1e-16
 
     def test_beats_every_constant_policy(self):
         # the optimum dominates the constant-eps family (dense scan)
@@ -305,33 +389,6 @@ class TestOptimize:
             assert s <= p + 1e-12
 
 
-def exact_prime_emax_triple(a):
-    """The prime box's (p0, p1, pc) at eps_max = 1/(2+2a), in Fractions."""
-    e = 1 / (2 + 2 * a)
-    return Fraction(1, 2) + e, Fraction(1, 2) - (1 + a) * e, a * e
-
-
-def exact_prime_w(n, a):
-    """W(z) at z = -N..N (index z + N) under the all-eps_max prime policy.
-
-    Exact Thomas elimination in Fractions on W(z) = p0 W(z+1) + p1 W(z-1)
-    + pc (N+z)/(2N), W(N) = 1, W(-N) = 0, with W(z) = d + q W(z+1) kept
-    per row; the boundary W(-N) = 0 is the row d = q = 0.
-    """
-    p0, p1, pc = exact_prime_emax_triple(a)
-    q = d = Fraction(0)
-    rows = []
-    for z in range(-n + 1, n):
-        piv = 1 - p1 * q
-        q, d = p0 / piv, (pc * Fraction(n + z, 2 * n) + p1 * d) / piv
-        rows.append((q, d))
-    w = [Fraction(1)]  # W(z) from z = N downwards
-    for q, d in reversed(rows):
-        w.append(d + q * w[-1])
-    w.append(Fraction(0))
-    return w[::-1]
-
-
 class TestPrimeClosedForm:
     """All-eps_max in the prime box: delta(z) = c(1 - p0**(N-z)).
 
@@ -354,14 +411,16 @@ class TestPrimeClosedForm:
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(1), Fraction(2)])
     def test_exact_solve_is_strict_fixed_point(self, a, n):
-        w = exact_prime_w(n, a)
+        game = prime_game(n, float(a))
+        e_max = 1 / (2 + 2 * a)  # exact; the float eps_max is not at a = 1/2 and 2
+        w = exact_w(game, [e_max] * (2 * n - 1))
         c = (2 + a) / (2 * a * n)
         p0 = (2 + a) / (2 + 2 * a)
         for z in range(-n + 1, n + 1):
             assert w[z + n] - Fraction(n + z, 2 * n) == c * (1 - p0 ** (n - z))
         # the box is linear in eps, so q(eps) peaks at an end; eps_max
         # strictly beats honest at every interior site
-        t0, t1, tc = exact_prime_emax_triple(a)
+        t0, t1, tc = exact_triple(game.model, e_max)
         for z in range(-n + 1, n):
             wu, wd, g = w[z + n + 1], w[z + n - 1], Fraction(n + z, 2 * n)
             assert t0 * wu + t1 * wd + tc * g > (wu + wd) / 2
@@ -399,6 +458,10 @@ class TestBruteForce:
         assert sol.iterations == 2 ** 5
 
 
+def _optimized(variant, a, n):
+    return walk.optimize(walk.WalkGame(n, CheatModel(a, 1.0, variant)))
+
+
 class TestPinnedAnswers:
     """Byte-level pins of the solver's output; any ulp change trips them."""
 
@@ -413,11 +476,38 @@ class TestPinnedAnswers:
 
     @pytest.mark.parametrize("variant,a", sorted(DIGESTS))
     def test_optimize_json_digest(self, variant, a):
-        h = hashlib.sha256()
-        for n in (1, 2, 7, 40, 150, 420):
-            sol = walk.optimize(walk.WalkGame(n, CheatModel(a, 1.0, variant)))
-            h.update((json.dumps(sol.to_json_dict()) + "\n").encode())
-        assert h.hexdigest() == self.DIGESTS[(variant, a)]
+        assert json_digest(_optimized(variant, a, n).to_json_dict()
+                           for n in (1, 2, 7, 40, 150, 420)) == self.DIGESTS[(variant, a)]
+
+    # every N up to 40 at every a of WALK_A, both variants: 480 games
+    GAMES = [(variant, a, n) for variant in (PRIME, STD) for a in WALK_A
+             for n in range(1, 41)]
+
+    def test_optimize_json_digest_small_games(self):
+        assert json_digest(_optimized(*game).to_json_dict() for game in self.GAMES) == (
+            "e246b59977486e4e4359b55db20727c1a10ed738e61dc49c8d684d41c81c2df3")
+
+    def test_optimize_json_digest_larger_games(self):
+        assert json_digest(_optimized(variant, a, n).to_json_dict()
+                           for variant, a in [(PRIME, 0.5), (STD, 1.0), (STD, 7.0)]
+                           for n in (150, 317, 420)) == (
+            "6dc786061fac98c1fe0774c92c223c39172184b6ae3b428c99f66182fb1ac5c1")
+
+    def test_user_policy_json_digest(self):
+        # seeded policies on the 480 games, eps_max times a fraction that is
+        # 0, 1, 1/2, 1 - 2**-53 or uniform, and the greedy policy against W
+        rng = random.Random(18)
+        records = []
+        for variant, a, n in self.GAMES:
+            game = walk.WalkGame(n, CheatModel(a, 1.0, variant))
+            e_max = game.model.eps_max
+            policy = {z: e_max * (rng.random() if rng.random() < 0.5 else
+                                  rng.choice([0.0, 1.0, 0.5, 1 - 2 ** -53]))
+                      for z in game.interior()}
+            sol = walk.evaluate_policy(game, policy)
+            records.append([sol.to_json_dict(), walk.improve_policy(game, sol.w_list)])
+        assert json_digest(records) == (
+            "868274878e380d8c398a94202918e23e030cf520896605519d85fdb8bb58d16e")
 
     @pytest.mark.parametrize("variant,counts", [
         (PRIME, (12782, 7218, 18858, 0)),
@@ -471,160 +561,13 @@ class TestArrayPath:
             walk.check_policy(g, {0: 0.0, 5: 0.0})
 
 
-# The numpy solver that the plain-list one replaced, kept as the reference:
-# the array triple, evaluate_policy, improve_policy and optimize as they
-# were, minus the input checks, with site-keyed dicts in and out.
-
-def reference_triple(model, eps):
-    if model.variant == PRIME:
-        p0 = 0.5 + eps
-        p1 = 0.5 - (1.0 + model.a) * eps
-        pc = model.a * eps
-        if p1.min() < 0.0:
-            p1 = (p1 + abs(p1)) / 2.0
-        return p0, p1, pc
-    pc = model.a * abs(eps) ** model.b
-    return (1.0 - pc) * (0.5 + eps), (1.0 - pc) * (0.5 - eps), pc
-
-
-def reference_target(game, z):
-    return (game.n + z) / (2.0 * game.n)
-
-
-def reference_evaluate(game, policy, iterations=0):
-    eps = np.array([policy[z] for z in game.interior()], dtype=float)
-    p0a, p1a, pca = reference_triple(game.model, eps)
-    n = game.n
-    m = 2 * n - 1
-    sites = range(-n, n + 1)
-    targ = reference_target(game, np.array(sites))
-    p0, p1 = p0a.tolist(), p1a.tolist()
-    rhs = (pca * targ[1:-1]).tolist()
-    rhs[m - 1] += p0[m - 1] * 1.0
-    cp = [0.0] * m
-    dp = [0.0] * m
-    cp[0] = -p0[0]
-    dp[0] = rhs[0]
-    for i in range(1, m):
-        piv = 1.0 - (-p1[i]) * cp[i - 1]
-        cp[i] = -p0[i] / piv
-        dp[i] = (rhs[i] - (-p1[i]) * dp[i - 1]) / piv
-    w = [0.0] * (m + 1) + [1.0]
-    w[m] = dp[m - 1]
-    for i in range(m - 2, -1, -1):
-        w[i + 1] = dp[i] - cp[i] * w[i + 2]
-    wv = np.array(w)
-    r = wv[1:-1] - (p0a * wv[2:] + p1a * wv[:-2] + pca * targ[1:-1])
-    assert abs(r).max() <= 1e-10
-    delta = wv - targ
-    bound = (2.0 + game.model.a) / (2.0 * game.model.a * n)
-    return {"w": dict(zip(sites, w)), "delta": dict(zip(sites, delta.tolist())),
-            "policy": policy, "bias": float(delta[n]), "bound": bound,
-            "bound_ok": bool((delta <= bound + 1e-12).all()),
-            "iterations": iterations}
-
-
-def reference_improve(game, w):
-    model = game.model
-    n = game.n
-    wv = np.array([w[z] for z in range(-n, n + 1)])
-    wp, wm, targ = wv[2:], wv[:-2], reference_target(game, np.arange(1 - n, n))
-
-    def q(eps):
-        t0, t1, tc = reference_triple(model, np.asarray(eps, dtype=float))
-        return t0 * wp + t1 * wm + tc * targ
-
-    if model.variant == PRIME:
-        e = model.eps_max
-        best = np.where(q(e) > q(0.0), e, 0.0)
-    else:
-        a = model.a
-        e_hi = min(0.5, 1.0 / a)
-        curv = -a * (wp - wm)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vertex = -((wp - wm) - a * (wp + wm) / 2.0 + a * targ) / (2.0 * curv)
-        vertex = np.where(curv < 0.0, vertex.clip(0.0, e_hi), 0.0)
-        q0, q_hi, q_v = q(0.0), q(e_hi), q(vertex)
-        top = np.maximum(np.maximum(q0, q_hi), q_v)
-        best = np.where(q0 == top, 0.0, np.where(q_v == top, vertex, e_hi))
-    return dict(zip(game.interior(), best.tolist()))
-
-
-def reference_optimize(game):
-    policy = walk.honest_policy(game)
-    prev = None
-    for sweep_count in range(1, 10 * 2 * game.n + 1):
-        sol = reference_evaluate(game, policy, iterations=sweep_count)
-        improved = reference_improve(game, sol["w"])
-        if improved == policy:
-            return sol
-        if prev is not None and sol["w"][0] <= prev["w"][0]:
-            return dict(prev, iterations=sweep_count)
-        prev = sol
-        policy = improved
-    raise AssertionError("no settle")
-
-
-def _hexed(sol):
-    """A solution's fields with every float spelled by float.hex."""
-    if not isinstance(sol, dict):
-        sol = {"w": sol.w, "delta": sol.delta, "policy": sol.policy,
-               "bias": sol.bias, "bound": sol.bound, "bound_ok": sol.bound_ok,
-               "iterations": sol.iterations}
-    out = {}
-    for key, value in sol.items():
-        if isinstance(value, dict):
-            out[key] = [(z, float(v).hex()) for z, v in value.items()]
-        elif isinstance(value, float):
-            out[key] = value.hex()
-        else:
-            out[key] = value
-    return out
-
-
-@st.composite
-def walk_games(draw, max_n=40):
-    variant = draw(st.sampled_from([PRIME, STD]))
-    a = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.7, 7.0]))
-    return walk.WalkGame(draw(st.integers(1, max_n)), CheatModel(a, 1.0, variant))
-
-
-class TestMatchesNumpyReference:
-    """Bit for bit against the numpy solver the list one replaced."""
-
-    @given(walk_games())
-    @settings(max_examples=60, deadline=None)
-    def test_optimize(self, game):
-        assert _hexed(walk.optimize(game)) == _hexed(reference_optimize(game))
-
-    @given(walk_games(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80))
-    @settings(max_examples=80, deadline=None)
-    def test_user_policy_evaluate_and_improve(self, game, fracs):
-        # interior eps anywhere in the domain, not only the solver's picks
-        e_max = game.model.eps_max
-        policy = {z: e_max * fracs[(z + game.n) % len(fracs)]
-                  for z in game.interior()}
-        got = walk.evaluate_policy(game, policy)
-        want = reference_evaluate(game, policy)
-        assert _hexed(got) == _hexed(want)
-        assert _hexed({"p": dict(zip(game.interior(),
-                                     walk.improve_policy(game, got.w_list)))}) == \
-            _hexed({"p": reference_improve(game, want["w"])})
-
-    @pytest.mark.parametrize("n", [150, 317, 420])
-    @pytest.mark.parametrize("variant,a", [(PRIME, 0.5), (STD, 1.0), (STD, 7.0)])
-    def test_larger_games(self, variant, a, n):
-        game = walk.WalkGame(n, CheatModel(a, 1.0, variant))
-        assert _hexed(walk.optimize(game)) == _hexed(reference_optimize(game))
-
-
 class TestListForm:
     def test_list_policy_equals_dict_policy(self):
         g = std_game(6)
         policy = {z: 0.03 * (z + 6) for z in g.interior()}
         by_dict = walk.evaluate_policy(g, policy)
         by_list = walk.evaluate_policy(g, [policy[z] for z in g.interior()])
-        assert _hexed(by_list) == _hexed(by_dict)
+        assert repr(by_list) == repr(by_dict)  # repr spells floats exactly
 
     def test_list_policy_of_wrong_length(self):
         with pytest.raises(ValueError, match="policy list has 4 entries"):
