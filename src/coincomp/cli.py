@@ -92,6 +92,9 @@ def _cmd_tree_analyze(args) -> int:
 def _cmd_compose(args) -> int:
     from . import composer
 
+    if args.grid is not None and not args.brute_force:
+        raise ValueError("--grid is the grid step of --brute-force, which "
+                         "was not given")
     tree = _read_tree(args.tree)
     result = composer.leading_order(tree, args.a, args.b, args.eps_tot)
     payload = result.to_json_dict()
@@ -100,8 +103,9 @@ def _cmd_compose(args) -> int:
         t = composer.exact_outcome(tree, model, result.strategy)
         payload["exact"] = {"p0": t.p0, "p1": t.p1, "pc": t.pc}
     if args.brute_force:
+        grid = 1e-3 if args.grid is None else args.grid
         strategy, min_pc = composer.brute_force_min_pc(tree, model, args.eps_tot,
-                                                       args.grid)
+                                                       grid)
         payload["brute_force"] = {
             "min_pc": min_pc,
             "strategy": {path: eps for path, eps in sorted(strategy.items())},
@@ -229,6 +233,12 @@ def _cmd_simulate(args) -> int:
     model = cheat_model.parse_model_string(args.model)
     if (args.tree is None) == (not args.walk):
         raise ValueError("choose exactly one of --tree FILE or --walk")
+    mode = "--tree" if args.tree is not None else "--walk"
+    other = ({"--strategy": args.strategy} if args.walk else
+             {"--n": args.n, "--policy": args.policy, "--step-cap": args.step_cap})
+    for flag, value in other.items():
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to {mode} simulation")
     if args.tree is not None:
         if args.strategy is None:
             raise ValueError("--tree simulation requires --strategy")
@@ -283,8 +293,8 @@ def _build_parser() -> _Parser:
                          help="also emit the exact outcome of the strategy")
     compose.add_argument("--brute-force", action="store_true",
                          help="also emit the grid-search oracle minimum")
-    compose.add_argument("--grid", type=float, default=1e-3,
-                         help="grid step for --brute-force")
+    compose.add_argument("--grid", type=float, default=None,
+                         help="grid step for --brute-force (default 1e-3)")
     compose.set_defaults(func=_cmd_compose)
 
     wk = sub.add_parser("walk", help="solve the random-walk game")

@@ -20,7 +20,8 @@ from .splitmix import DOUBLE_SCALE, GOLDEN, MASK, MIX1, MIX2
 _NP_MIX1 = np.uint64(MIX1)
 _NP_MIX2 = np.uint64(MIX2)
 _NP_GOLDEN = np.uint64(GOLDEN)
-_NP_27, _NP_30, _NP_31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_NP_11, _NP_27 = np.uint64(11), np.uint64(27)
+_NP_30, _NP_31 = np.uint64(30), np.uint64(31)
 
 
 def np_finalize_top(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -39,8 +40,8 @@ def np_finalize_top(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def np_finalize(z: np.ndarray) -> np.ndarray:
-    z = np.array(z, dtype=np.uint64)  # a copy: the input is left as it was
+def _np_finalize_own(z: np.ndarray) -> np.ndarray:
+    # finalize(z) in place in z, a uint64 array that no caller holds
     scratch = np.empty_like(z)
     np_finalize_top(z, scratch)
     np.right_shift(z, _NP_31, out=scratch)
@@ -48,11 +49,15 @@ def np_finalize(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def np_finalize(z: np.ndarray) -> np.ndarray:
+    return _np_finalize_own(np.array(z, dtype=np.uint64))  # input untouched
+
+
 def np_stream_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
     """mix(seed, i) for i in [lo, hi) as a uint64 array."""
     idx = np.arange(lo, hi, dtype=np.uint64)
     base = np.uint64(seed & MASK) + idx * _NP_GOLDEN
-    return np_finalize(base)
+    return _np_finalize_own(base)
 
 
 def _np_offset(k) -> np.ndarray:
@@ -73,7 +78,7 @@ def np_draw_u64(stream_seeds: np.ndarray, k) -> np.ndarray:
     k is an int or an array of ints in [0, 2**64 - 1), broadcast against the
     stream seeds.
     """
-    return np_finalize(stream_seeds + _np_offset(k + 1))
+    return _np_finalize_own(np.asarray(stream_seeds + _np_offset(k + 1)))
 
 
 def np_draw_offsets(width: int) -> np.ndarray:
@@ -97,4 +102,6 @@ def np_draw_top(stream_seeds: np.ndarray, offsets: np.ndarray, out: np.ndarray,
 
 
 def np_draw_double(stream_seeds: np.ndarray, k) -> np.ndarray:
-    return (np_draw_u64(stream_seeds, k) >> np.uint64(11)) * DOUBLE_SCALE
+    x = np_draw_u64(stream_seeds, k)
+    x >>= _NP_11
+    return x * DOUBLE_SCALE

@@ -16,11 +16,17 @@ terminal payoff.  Walk trials still unabsorbed after step_cap steps are
 counted as overruns and settled by one final draw against the honest value
 (N+z)/(2N), so every trial contributes to exactly one count.
 
-Both games share one phase-1 loop.  A game is a set of per-node arrays:
+Both games share one phase-1 loop.  A game is a set of per-node tables:
 the annotation's postorder for a tree, sites -N..N as nodes 0..2N for a
-walk.  The loop steps the uncaught trials, one draw per trial per pass,
-over compacted arrays that shrink as trials stop or are caught, and a
-trial caught by draw k - 1 leaves with its node and its next draw index k.
+walk, plus one sink node for caught trials.  The loop draws a step-major
+block of up to 64 steps for every uncaught trial in one call, row j
+holding draw k + j of each, and about 2**14 draws in all, so a block of
+more trials than that is one step deep.  It advances the trials row by
+row with a few table lookups: stop nodes and the sink loop on themselves,
+so a trial that ends inside a block steps in place, and its draws past
+that point are made but never read.  The live set is compacted once per
+block, and a trial caught by draw k - 1 leaves with its node and its next
+draw index k, both read off the block's rows of nodes.
 A caught tree trial is counted as a catch and ends there.  A caught walk
 trial goes on to phase 2, which plays the fair coin many steps per pass.
 A pass is laid out step-major, as a (width x walks) block whose row j
@@ -66,6 +72,8 @@ from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
 _FAIR_DRAWS = 1 << 15  # draws per fair-coin pass: its temporaries stay near 1 MiB
+_PHASE1_DRAWS = 1 << 14  # draws per phase-1 block, or one step of every trial
+_PHASE1_STEPS = 64  # steps per phase-1 block at most: ended trials draw on
 
 
 @dataclass(frozen=True)
@@ -114,56 +122,98 @@ def _run_blocks(fn, trials: int, workers: int):
     return [sum(col) for col in zip(*parts)]
 
 
+def _graph(p0, p1, up: np.ndarray, down, win: np.ndarray):
+    """Phase 1's tables, three slots per node.
+
+    Nodes with up < 0 stop a trial, and the ones of those marked in `win`
+    win.  One sink node, last, holds the caught trials.  A trial at node i
+    is at slot 3i: thr[3i] and thr[3i + 1] are the node's thresholds p0 and
+    p0 + p1, child[3i + c] is the slot it moves to on outcome c (0 caught,
+    1 down, 2 up), and end[3i] is 0 live, 1 ended, 2 won or 3 caught.  Stop
+    nodes and the sink move to themselves on every outcome, so a trial that
+    has ended steps in place through the rest of its block.
+    """
+    sink = up.size
+    stop = np.append(up < 0, True)
+    thr = np.zeros((sink + 1, 3))
+    thr[:-1, 0] = p0
+    thr[:-1, 1] = p1
+    thr[:, 1] += thr[:, 0]
+    child = np.empty((sink + 1, 3), dtype=np.intp)
+    child[:, 0] = sink
+    child[:-1, 1] = down
+    child[:-1, 2] = up
+    child[stop] = np.flatnonzero(stop)[:, None]
+    child *= 3
+    end = np.zeros((sink + 1, 3), dtype=np.int8)
+    end[:, 0] = stop
+    end[:-1, 0] += stop[:-1] & win
+    end[sink, 0] = 3
+    return thr.ravel(), child.ravel(), end.ravel()
+
+
 def _phase1(graph, streams, start: int, cap: int):
     """Step trials from node `start` until each stops, is caught or has made
     `cap` draws.
 
-    `graph` holds per-node arrays (thr_up, thr_dn, up, down, stop, win): the
-    draw thresholds, the children, the nodes that end a trial and the ones
-    of those that win.  Returns the wins, the (streams, nodes) live at the
-    cap, and a (k, streams, nodes) for each draw k - 1 that caught trials.
+    `graph` is _graph's tables.  Returns the wins, the (streams, nodes) live
+    at the cap, and a (k, streams, nodes) for each block that caught
+    trials, k holding each one's next draw index: a trial caught by draw
+    k - 1 at a node has k there.
     """
-    thr_up, thr_dn, up, down, stop, win = graph
-    child = np.stack((down, up), axis=1).ravel()  # node i's at 2i + went up
-    end = stop.astype(np.int8) + win  # 0 live, 1 stops, 2 stops and wins
-    node = np.full(streams.size, start, dtype=np.int32)
-    wins, caught, k, move = 0, [], 0, True
-    while True:
-        # a trial caught by the last draw has move False and leaves here
-        e = np.take(end, node)
-        wins += int(np.count_nonzero((e == 2) & move))
-        live = (e == 0) & move
-        streams, node = streams[live], node[live]
-        if not streams.size or k == cap:
-            return wins, (streams, node), caught
-        u = rng.np_draw_double(streams, k)
-        k += 1
-        go_up = u < np.take(thr_up, node)
-        move = go_up | (u < np.take(thr_dn, node))
-        if not move.all():
-            caught.append((k, streams[~move], node[~move]))
-        node = np.take(child, 2 * node + go_up)
+    thr, child, end = graph
+    thr_dn = thr[1:]  # thr_dn[3i] is node i's p0 + p1
+    sink = end.size - 3  # the sink's slot
+    at = np.full(streams.size, 3 * start, dtype=np.intp)
+    wins, caught, k = 0, [], 0
+    while at.size and k < cap:
+        m = at.size
+        width = min(cap - k, _PHASE1_STEPS, max(1, _PHASE1_DRAWS // m))
+        # step-major: row j holds draw k + j of every trial
+        u = rng.np_draw_double(streams, np.arange(k, k + width)[:, None])
+        path = np.empty((width, m), dtype=np.intp)
+        first = at
+        for j in range(width):
+            # outcome 0 caught, 1 down, 2 up: thr <= thr_dn, so up moves
+            c = np.less(u[j], thr[at]).view(np.uint8)
+            c += np.less(u[j], thr_dn[at]).view(np.uint8)
+            # every index is in range; mode "raise" would buffer `out`
+            at = np.take(child, at + c, out=path[j], mode="clip")
+        e = end[at]
+        wins += int(np.count_nonzero(e == 2))
+        out = np.flatnonzero(e == 3)
+        if out.size:
+            # a caught trial is at the sink from the row after its catch
+            rows = path[:, out]
+            j = np.count_nonzero(rows != sink, axis=0)
+            before = np.where(j > 0, rows[j - 1, np.arange(out.size)], first[out])
+            caught.append((k + j + 1, streams[out], before // 3))
+        live = np.flatnonzero(e == 0)
+        streams, at = streams[live], at[live]
+        k += width
+    return wins, (streams, at // 3), caught
+
+
+def _tree_graph(tree: GameTree, model: CheatModel, strategy: Strategy):
+    # per node, in the annotation's postorder: draw thresholds (0 on leaves);
+    # the annotation is dropped on return, before any trial is played
+    ann = annotate(tree)
+    p0, p1, _ = strategy_triples(ann, model, strategy)
+    up = np.fromiter(ann.up, np.intp, len(p0))
+    return _graph(p0, p1, up, ann.down, np.fromiter(ann.p_w, float, len(p0)) == 1.0)
 
 
 def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
                   trials: int, seed: int, workers: int = 1) -> SimReport:
     """Play the tree game `trials` times; a catch ends the trial."""
     _check_run(trials, workers)
-
-    # per node, in the annotation's postorder: draw thresholds (0 on leaves)
-    ann = annotate(tree)
-    p0, p1, _ = strategy_triples(ann, model, strategy)
-    thr_up = np.array(p0)
-    thr_dn = thr_up + p1
-    up = np.asarray(ann.up, dtype=np.int32)
-    stop = up < 0
-    graph = (thr_up, thr_dn, up, np.asarray(ann.down, dtype=np.int32), stop,
-             stop & (np.asarray(ann.p_w) == 1.0))
+    graph = _tree_graph(tree, model, strategy)
+    nodes = graph[0].size // 3 - 1  # the root is last, before the sink
 
     def block(lo: int, hi: int):
         # no trial makes as many draws as the tree has nodes
         streams = rng.np_stream_seeds(seed, lo, hi)
-        wins, _, caught = _phase1(graph, streams, len(p0) - 1, len(p0))
+        wins, _, caught = _phase1(graph, streams, nodes - 1, nodes)
         catches = sum(s.size for _, s, _ in caught)
         return (wins, hi - lo - wins - catches, catches, 0)
 
@@ -183,11 +233,11 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     t = cheat_model.triple(game.model, check_policy(game, policy))
     p0, p1 = np.array(t.p0), np.array(t.p1)
 
-    # node i is site i - n; boundary rows are stop nodes and never stepped
-    node = np.arange(2 * n + 1, dtype=np.int32)
-    ends = (node == 0) | (node == 2 * n)
-    graph = (np.pad(p0, 1), np.pad(p0 + p1, 1), node + 1, node - 1, ends,
-             node == 2 * n)
+    # node i is site i - n; the boundary nodes stop the walk
+    node = np.arange(2 * n + 1)
+    up = node + 1
+    up[[0, -1]] = -1
+    graph = _graph(np.pad(p0, 1), np.pad(p1, 1), up, node - 1, node == 2 * n)
     # fair thresholds at every site (the honest policy) can never catch, so
     # every trial is a fair-coin walk from its first draw
     all_fair = bool(np.all(p0 == 0.5) and np.all(p0 + p1 == 1.0))
@@ -266,7 +316,8 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             wins, (s, at), caught = _phase1(graph, streams, n, cap)
             wins += settle(s, at - n, cap)
             over = s.size
-            walks = [(rng.np_skip(s, k), at - n, np.full(s.size, cap - k))
+            # sites as int32, the fair phase's path type
+            walks = [(rng.np_skip(s, k), (at - n).astype(np.int32), cap - k)
                      for k, s, at in caught]
             catches = sum(w[0].size for w in walks)
         if walks:

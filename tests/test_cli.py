@@ -237,6 +237,14 @@ class TestCompose:
         assert out == ""
         assert "grid_step" in err
 
+    def test_grid_without_brute_force_exits_1(self, capsys, bo3_file):
+        # a grid step with no oracle to take it is refused, not ignored
+        code, out, err = run(capsys, "compose", "--tree", bo3_file, "--a", "1",
+                             "--b", "2", "--eps-tot", "0.05", "--grid", "0.01")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --grid ") and err.count("\n") == 1
+
     def test_linear_b_exits_1_pointing_at_walk(self, capsys, bo3_file):
         code, _, err = run(capsys, "compose", "--tree", bo3_file,
                            "--a", "1", "--b", "1", "--eps-tot", "0.1")
@@ -474,6 +482,25 @@ class TestSimulate:
                          "--policy", "honest", "--strategy", "honest",
                          "--trials", "100", "--seed", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("flag,value", [("--n", "7"), ("--policy", "optimal"),
+                                            ("--step-cap", "5")])
+    def test_tree_refuses_walk_flag(self, capsys, bo3_file, flag, value):
+        # a walk flag on a tree simulation is refused, not ignored
+        code, out, err = run(capsys, "simulate", "--tree", bo3_file,
+                             "--strategy", "honest", "--model", "std:a=1,b=2",
+                             "--trials", "100", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} does not apply to --tree simulation\n"
+
+    def test_walk_refuses_strategy(self, capsys):
+        code, out, err = run(capsys, "simulate", "--walk", "--n", "3",
+                             "--policy", "optimal", "--strategy", "honest",
+                             "--model", "std:a=1,b=1", "--trials", "100")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --strategy does not apply to --walk simulation\n"
 
     def test_neither_mode_exits_1(self, capsys):
         code, _, _ = run(capsys, "simulate", "--model", "prime:a=1",

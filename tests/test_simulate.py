@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,16 +290,30 @@ class TestWalkMatchesReference:
             reference_simulate_walk(game, policy, trials, seed, step_cap, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_caught_on_last_allowed_step(self, workers):
+    def test_caught_on_last_allowed_step(self, workers, monkeypatch):
         # trial 4915 is caught by draw step_cap - 1: it leaves the catching
-        # phase with no step left and settles as an overrun
+        # phase with no step left and settles as an overrun.  Phase 1 draws
+        # that step as the last row of a multi-step block, given as (first
+        # draw, rows): of 4 rows at 65,537 trials, and of 6 at 4,916
+        # trials, where the blocks are 3, 7 and 6 rows.
         game = walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME))
         policy = {z: 0.02 for z in game.interior()}
         seed, cap = (1 << 63) + 12345, 16
         assert _catch_step(game, policy, seed, 4915, cap) == cap - 1
-        r = simulate.simulate_walk(game, policy, 65_537, seed, cap, workers)
-        assert r == reference_simulate_walk(game, policy, 65_537, seed, cap)
-        assert r.overruns > 0
+        blocks, draw = [], rng.np_draw_double
+
+        def recording_draw(streams, k):
+            if np.ndim(k) == 2:  # phase 1's column of draw indices
+                blocks.append((int(k[0, 0]), len(k)))
+            return draw(streams, k)
+
+        monkeypatch.setattr(rng, "np_draw_double", recording_draw)
+        for trials, block in ((65_537, (12, 4)), (4_916, (10, 6))):
+            blocks.clear()
+            r = simulate.simulate_walk(game, policy, trials, seed, cap, workers)
+            assert block in blocks, blocks
+            assert r == reference_simulate_walk(game, policy, trials, seed, cap)
+            assert r.overruns > 0
 
     @pytest.mark.parametrize("n,variant,a", [(5, PRIME, 2.0), (10, STD, 1.0),
                                              (30, PRIME, 0.5)])
@@ -328,6 +343,55 @@ class TestWalkMatchesReference:
         game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
         r = simulate.simulate_walk(game, walk.optimize(game).policy, 5_000, 4)
         assert (r.wins, r.losses, r.catches, r.overruns) == PINNED_N30_STD
+
+
+class TestPhase1Cost:
+    """Phase 1 draws multi-step blocks without holding more memory."""
+
+    def test_pinned_call_draws_in_blocks(self, monkeypatch):
+        # the pinned N = 30 call took 709 draw calls at one step per pass;
+        # it takes 34 blocks of up to 64 steps (413,390 draws, 385,801 read)
+        game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
+        policy = walk.optimize(game).policy
+        calls, draw = [], rng.np_draw_double
+
+        def counting_draw(streams, k):
+            calls.append(k)
+            return draw(streams, k)
+
+        monkeypatch.setattr(rng, "np_draw_double", counting_draw)
+        r = simulate.simulate_walk(game, policy, 5_000, 4)
+        assert (r.wins, r.losses, r.catches, r.overruns) == PINNED_N30_STD
+        assert len(calls) <= 50, len(calls)
+
+    @pytest.mark.parametrize("case", ["best-of-15 tree", "pinned walk"])
+    def test_peak_memory(self, case):
+        # traced peaks before multi-step blocks, on Python 3.11 with numpy
+        # 2.4: 6.58 MiB for the tree and 1.86 MiB for the walk.  The bound
+        # is that plus 0.1 MiB: the blocks' tables and buffers must not add
+        # to what the one-step loop held.
+        if case == "pinned walk":
+            game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
+            policy = walk.optimize(game).policy
+            before = 1.86
+
+            def call():
+                simulate.simulate_walk(game, policy, 5_000, 4)
+        else:
+            tree = game_tree.gen_best_of(15)
+            strategy = composer.leading_order(tree, 1.0, 2.0, 0.2).strategy
+            before = 6.58
+
+            def call():
+                simulate.simulate_tree(tree, CheatModel(1.0, 2.0), strategy,
+                                       20_000, 5)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (before + 0.1) * 2 ** 20, peak / 2 ** 20
 
 
 def reference_simulate_tree(tree, model, strategy, trials, seed, workers=1):
@@ -413,6 +477,7 @@ def _everywhere(tree, eps):
 
 
 _BO3, _BO7 = game_tree.gen_best_of(3), game_tree.gen_best_of(7)
+_BO15 = game_tree.gen_best_of(15)
 _CERTAIN = CheatModel(4.0, 2.0)  # caught with certainty at eps = 1/2
 
 
@@ -424,6 +489,8 @@ class TestTreeMatchesReference:
     @example((game_tree.Leaf(1), _CERTAIN, {}, 70_000, 3, 2))
     @example((_BO3, _CERTAIN, _everywhere(_BO3, 0.5), 70_000, 3, 2))
     @example((_BO7, _CERTAIN, _everywhere(_BO7, 0.1), 70_000, 1 << 63, 2))
+    # 7 trials take one 64-row block, and 5 of them are caught inside it
+    @example((_BO15, CheatModel(1.0, 2.0), _everywhere(_BO15, 0.45), 7, 4, 1))
     def test_reports_identical(self, case):
         assert simulate.simulate_tree(*case) == reference_simulate_tree(*case)
 
