@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: the generators take seeds in [0, 2**64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _read_tree(path: str) -> game_tree.GameTree:
     from . import game_tree
 
@@ -278,7 +289,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=int, help="flip count for best-of")
     gen.add_argument("--depth", type=int, help="depth for full / random-fair")
     gen.add_argument("--labels", help="leaf labels for full, e.g. 0110")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.set_defaults(func=_cmd_tree_gen)
     analyze = tree_sub.add_parser("analyze", help="annotate a tree document")
     analyze.add_argument("--in", dest="infile", required=True)
@@ -319,7 +330,7 @@ def _build_parser() -> _Parser:
                      help="honest | lo:<eps_tot> | strategy JSON file")
     sim.add_argument("--policy", help="optimal | honest | policy JSON file")
     sim.add_argument("--trials", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--step-cap", type=int, default=None)
     sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=_cmd_simulate)

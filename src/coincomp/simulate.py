@@ -36,17 +36,24 @@ seed, and those offsets are computed once per call.  The block is
 finalized in place in one buffer plus one scratch buffer, and without
 splitmix64's last xorshift: a fair step only asks whether the output is
 below 2**63 (the double below 1/2, HALF_U64), and z ^ (z >> 31)
-leaves bit 63 as it was.  The rows become +-1 steps, a cumsum down the
-rows turns them into paths, and a walk's absorption is the first row where
-|z| = N, searched only in the columns whose running max reaches N or whose
-running min reaches -N.  Rows at or past step_cap are zeroed, and a walk
-that reaches the cap, including one caught by the last allowed draw, is
-settled by draw step_cap.  When every site's thresholds are exactly fair
-(0.5, 1.0), as under the honest policy, no trial can be caught and all of
-them start in phase 2 at draw 0.  Each trial still reads output k of its
-own stream at step k, with the same fair-step verdict, and the draws a
-path makes after its absorption or past the cap are never read, so every
-count is the one a one-draw-per-pass loop over all trials would give.
+leaves bit 63 as it was.  Each draw's verdict, 1 for up, goes into a
+zeroed uint16 buffer, one lane per walk and the walks padded to a multiple
+of four, and one cumsum down the rows of its uint64 view counts every
+walk's ups, four walks to a word: no count passes 2**15, so no carry
+crosses a lane, whatever the byte order.  Three word-wide passes turn an
+up-count U after j + 1 steps into the displacement d = 2U - (j + 1) in
+int16, and a walk from site z is absorbed at its first row where
+d = N - z or d = -N - z, searched only in the columns whose max or min
+reaches one of them.  A pass is at most 2**15 - 1 steps wide, which keeps
+d in int16.  A walk keeps its displacement from the row of its last step
+before step_cap on, and a walk that reaches the cap, including one caught
+by the last allowed draw, is settled by draw step_cap.  When every site's
+thresholds are exactly fair (0.5, 1.0), as under the honest policy, no
+trial can be caught and all of them start in phase 2 at draw 0.  Each
+trial still reads output k of its own stream at step k, with the same
+fair-step verdict, and the draws a walk makes after its absorption or past
+the cap are never read, so every count is the one a one-draw-per-pass loop
+over all trials would give.
 
 A tree game reads its strategy through composer.strategy_triples, which
 makes one scalar cheat_model.triple call per distinct eps (with -0.0 kept
@@ -72,6 +79,11 @@ from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
 _FAIR_DRAWS = 1 << 15  # draws per fair-coin pass: its temporaries stay near 1 MiB
+# steps per fair-coin pass at most: an up-count of at most width steps fits
+# a uint16 lane with no carry out of it, and a displacement fits int16
+_FAIR_WIDTH = (1 << 15) - 1
+_TOP_BITS = np.uint64(0x8000_8000_8000_8000)  # bit 15 of each uint16 lane
+_LANE_ONES = np.uint64(0x0001_0001_0001_0001)  # 1 in each uint16 lane
 _PHASE1_DRAWS = 1 << 14  # draws per phase-1 block, or one step of every trial
 _PHASE1_STEPS = 64  # steps per phase-1 block at most: ended trials draw on
 
@@ -194,6 +206,33 @@ def _phase1(graph, streams, start: int, cap: int):
     return wins, (streams, at // 3), caught
 
 
+def _displacements(x: np.ndarray) -> np.ndarray:
+    """Fair-coin walks' displacements from a step-major block of draws.
+
+    x[j, i] is draw j of walk i from rng.np_draw_top, an up step when below
+    HALF_U64, and x has at most _FAIR_WIDTH rows.  Returns d, int16 of x's
+    shape, with d[j, i] the displacement of walk i after its first j + 1
+    steps: the cumsum of its +-1 steps.
+    """
+    width, m = x.shape
+    # one uint16 lane per walk, four to a uint64 word, the padding lanes
+    # zero: a cumsum of the words counts each walk's ups, and no count
+    # passes 2**15, so no carry leaves its lane, whatever the byte order
+    lanes = np.zeros((width, -(-m // 4) * 4), dtype=np.uint16)
+    np.less(x, HALF_U64, out=lanes[:, :m], casting="unsafe")
+    words = lanes.view(np.uint64)
+    np.cumsum(words, axis=0, out=words)
+    # up-count U after j + 1 steps to displacement 2U - (j + 1): the lane
+    # holds 2U + 2**15 - (j + 1), in [1, 2**16), so no borrow leaves it
+    # either, and flipping its top bit makes it that value in int16
+    words <<= np.uint64(1)
+    bias = np.arange(_FAIR_WIDTH, _FAIR_WIDTH - width, -1, dtype=np.uint64)
+    bias *= _LANE_ONES
+    words += bias[:, None]
+    words ^= _TOP_BITS
+    return lanes.view(np.int16)[:, :m]
+
+
 def _tree_graph(tree: GameTree, model: CheatModel, strategy: Strategy):
     # per node, in the annotation's postorder: draw thresholds (0 on leaves);
     # the annotation is dropped on return, before any trial is played
@@ -252,9 +291,8 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         u = rng.np_draw_double(streams, k)
         return int(np.count_nonzero(u < (n + z) / (2.0 * n)))
 
-    # draw j of a pass adds offsets[j] to each walk's skipped stream seed;
-    # no pass is wider than max(n, _FAIR_DRAWS) steps
-    offsets = rng.np_draw_offsets(max(n, _FAIR_DRAWS))
+    # draw j of a pass adds offsets[j] to each walk's skipped stream seed
+    offsets = rng.np_draw_offsets(_FAIR_WIDTH)
 
     def fair(streams, z, left):
         # Fair-coin walks from sites z whose next draw is output 0 of their
@@ -264,8 +302,8 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         queue, queued = (streams, z, left), 0
         batch = tuple(col[:0] for col in queue)
         wins = over = 0
-        # width * m <= max(n, _FAIR_DRAWS) in every pass
-        out = np.empty(offsets.size, dtype=np.uint64)
+        # width * m <= _FAIR_DRAWS in every pass
+        out = np.empty(_FAIR_DRAWS, dtype=np.uint64)
         scratch = np.empty_like(out)
         while True:
             room = rows - batch[0].size
@@ -277,28 +315,35 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             m = s.size
             if not m:
                 return wins, over
-            width = max(n, _FAIR_DRAWS // m)
+            width = min(max(n, _FAIR_DRAWS // m), _FAIR_WIDTH)
             # step-major: row j holds draw j of every walk in the batch, and
             # a step is up when the draw's top bit is clear
             size = width * m
             x = rng.np_draw_top(s, offsets[:width], out[:size].reshape(width, m),
                                 scratch[:size].reshape(width, m))
-            steps = (x < HALF_U64).view(np.int8)
-            steps *= np.int8(2)
-            steps -= np.int8(1)
+            d = _displacements(x)
             capped = left <= width
             if capped.any():
-                steps[np.arange(width)[:, None] >= left] = 0
-            path = np.cumsum(steps, axis=0, dtype=np.int32)
-            path += z
-            # only a walk whose path reaches +-N has a first hit to find
-            hit = np.flatnonzero((path.max(axis=0) >= n) | (path.min(axis=0) <= -n))
-            ends = path[:, hit]
-            at = (np.abs(ends) == n).argmax(axis=0), np.arange(hit.size)
+                # a walk stays where its last allowed step took it, at 0
+                # when it has no step left
+                k = np.clip(left, 1, width) - 1
+                stop = np.where(left > 0, d[k, np.arange(m)], 0)
+                np.copyto(d, stop, where=np.arange(width)[:, None] >= left)
+            # a walk from z ends at +-N where d = N - z or d = -N - z, and
+            # only a walk whose d reaches one has a first hit to find
+            top, bottom = n - z, -n - z
+            hit = np.flatnonzero((d.max(axis=0) >= top) | (d.min(axis=0) <= bottom))
+            ends = d[:, hit]
+            # int16 bounds: a clipped bottom is below any d, and a clipped
+            # top is reached only by a walk of all ups, which reaches no
+            # bottom and so is a hit only when its top is not clipped
+            top = np.minimum(top[hit], _FAIR_WIDTH).astype(np.int16)
+            bottom = np.maximum(bottom[hit], -_FAIR_WIDTH - 1).astype(np.int16)
+            at = ((ends == top) | (ends == bottom)).argmax(axis=0), np.arange(hit.size)
             wins += int(np.count_nonzero(ends[at] > 0))
             capped[hit] = False
             over += int(np.count_nonzero(capped))
-            last = path[-1]
+            last = z + d[-1]
             wins += settle(s[capped], last[capped], left[capped])
             live = ~capped
             live[hit] = False
@@ -316,7 +361,7 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             wins, (s, at), caught = _phase1(graph, streams, n, cap)
             wins += settle(s, at - n, cap)
             over = s.size
-            # sites as int32, the fair phase's path type
+            # sites as int32, the type the fair phase keeps them in
             walks = [(rng.np_skip(s, k), (at - n).astype(np.int32), cap - k)
                      for k, s, at in caught]
             catches = sum(w[0].size for w in walks)

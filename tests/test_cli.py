@@ -614,6 +614,40 @@ class TestNonFiniteInput:
         assert capsys.readouterr().out == ""
 
 
+# the commands that take --seed, each valid as it stands
+SEEDED = {
+    "tree-gen": ["tree", "gen", "--kind", "random-fair", "--depth", "3"],
+    "simulate": ["simulate", "--walk", "--n", "4", "--model", "prime:a=1",
+                 "--policy", "optimal", "--trials", "1000"],
+}
+
+
+class TestSeedRange:
+    # a seed outside [0, 2**64) was reduced mod 2**64 without a word: seeds
+    # 5 and 2**64 + 5 gave the same counts, each report echoing its own
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_outside_exits_1(self, capsys, command, seed):
+        code, out, err = run(capsys, *SEEDED[command], f"--seed={seed}")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: argument --seed: must be in [0, 2**64), got {seed}"]
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_ends_of_the_range_run(self, capsys, command, seed):
+        code, out, _ = run(capsys, *SEEDED[command], f"--seed={seed}")
+        assert code == 0
+        if command == "simulate":
+            assert json.loads(out)["seed"] == seed
+
+    def test_not_an_int_exits_1(self, capsys):
+        code, _, err = run(capsys, *SEEDED["tree-gen"], "--seed=1.5")
+        assert code == 1
+        assert err == "error: argument --seed: invalid int value: '1.5'\n"
+
+
 class TestTopLevel:
     def test_no_arguments_exits_1(self, capsys):
         code, _, _ = run(capsys)
@@ -670,6 +704,8 @@ class TestTopLevel:
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "-Infinity"]
 NOT_POSITIVE = st.one_of(st.sampled_from(NON_FINITE),
                          st.floats(max_value=0.0, allow_nan=False).map(repr))
+BAD_SEED = st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 64),
+                     st.sampled_from(NON_FINITE + ["1.5", "", "x"])).map(str)
 NOT_POSITIVE_INT = st.one_of(st.sampled_from(NON_FINITE + ["1.5", "", "x"]),
                              st.integers(max_value=0).map(str))
 
@@ -699,6 +735,8 @@ FLAG_CASES = [
     (_WALK_SIM + ["--workers", "1"], "--workers", NOT_POSITIVE_INT),
     (_WALK_SIM, "--n", NOT_POSITIVE_INT),
     (_WALK_SIM, "--step-cap", NOT_POSITIVE_INT),
+    (SEEDED["tree-gen"] + ["--seed", "0"], "--seed", BAD_SEED),
+    (_WALK_SIM + ["--seed", "0"], "--seed", BAD_SEED),
 ]
 
 _BAD_NUMBER = st.one_of(NOT_POSITIVE, st.sampled_from(["", "x", "1e", "0x1"]))

@@ -174,6 +174,29 @@ class TestWalk:
             simulate.simulate_walk(g, walk.honest_policy(g), 10, 1,
                                    workers=workers)
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_bounds_past_int16(self, monkeypatch, mirror):
+        # scripted fair steps at N = 40,000: 31,383 down, 1,384 up, which
+        # ends the first pass of _FAIR_WIDTH rows at z = -29,999, then 4,463
+        # up and down from there on.  The second pass's top, 69,999 steps
+        # up, is past int16 and unreachable; the walk reaches its bottom,
+        # 10,001 down, and loses.  (Its top cast to int16 unclipped reads
+        # 4,463, which the walk reaches first.)  The mirror image wins.
+        game = walk.WalkGame(40_000, CheatModel(1.0, 1.0, STD))
+        done = [0]
+
+        def scripted(streams, offsets, out, scratch):
+            t = done[0] + np.arange(len(offsets))[:, None]
+            up = ((31_383 <= t) & (t < 32_767 + 4_463)) != mirror
+            out[...] = np.where(up, np.uint64(0), np.uint64(splitmix.MASK))
+            done[0] += len(offsets)
+            return out
+
+        monkeypatch.setattr(rng, "np_draw_top", scripted)
+        r = simulate.simulate_walk(game, walk.honest_policy(game), 1, 0)
+        assert (r.wins, r.losses, r.overruns) == ((1, 0, 0) if mirror else (0, 1, 0))
+        assert done[0] == 2 * simulate._FAIR_WIDTH
+
     def test_std_variant_accepted(self):
         g = walk.WalkGame(2, CheatModel(1.0, 1.0))
         sol = walk.optimize(g)
@@ -339,10 +362,44 @@ class TestWalkMatchesReference:
         assert r.wins == wins
         assert r == reference_simulate_walk(game, policy, 1, seed)
 
+    @pytest.mark.parametrize("n,trials,kind,seed", [
+        (64, 16, "optimal", 64), (64, 16, "honest", 64), (200, 4, "optimal", 200),
+        (200, 1, "optimal", 202), (200, 1, "honest", 202)])
+    def test_few_walks_in_tall_passes(self, n, trials, kind, seed):
+        # few walks take passes far taller than N: 2,048 rows for 16 walks,
+        # 8,192 for 4, and one walk takes the widest, _FAIR_WIDTH rows; each
+        # single walk at N = 200 takes two of those
+        game = walk.WalkGame(n, CheatModel(1.0, 1.0, STD))
+        policy = (walk.optimize(game).policy if kind == "optimal"
+                  else walk.honest_policy(game))
+        assert simulate.simulate_walk(game, policy, trials, seed) == \
+            reference_simulate_walk(game, policy, trials, seed)
+
     def test_pinned_n30_std(self):
         game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
         r = simulate.simulate_walk(game, walk.optimize(game).policy, 5_000, 4)
         assert (r.wins, r.losses, r.catches, r.overruns) == PINNED_N30_STD
+
+
+class TestDisplacements:
+    """The fair phase's prefix sum in uint16 lanes, against np.cumsum."""
+
+    # m % 4 is 1, 0, 3, 1, 2 and 3: padding lanes of every count
+    @pytest.mark.parametrize("shape", [(1, 1), (30, 1092), (2978, 11), (32767, 1),
+                                       (64, 6), (32767, 3)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_cumsum_of_steps(self, shape):
+        width, m = shape
+        x = np.random.default_rng(m).integers(0, 1 << 64, size=shape,
+                                              dtype=np.uint64, endpoint=False)
+        if width == simulate._FAIR_WIDTH:
+            # the extremes of the widest pass: d reaches +-(2**15 - 1)
+            x[:, 0] = 0
+            x[:, 1:2] = splitmix.MASK
+        d = simulate._displacements(x)
+        steps = np.where(x < splitmix.HALF_U64, 1, -1)
+        assert d.dtype == np.int16
+        np.testing.assert_array_equal(d, np.cumsum(steps, axis=0))
 
 
 class TestPhase1Cost:
@@ -364,13 +421,23 @@ class TestPhase1Cost:
         assert (r.wins, r.losses, r.catches, r.overruns) == PINNED_N30_STD
         assert len(calls) <= 50, len(calls)
 
-    @pytest.mark.parametrize("case", ["best-of-15 tree", "pinned walk"])
+    @pytest.mark.parametrize("case", ["best-of-15 tree", "pinned walk",
+                                      "honest walk"])
     def test_peak_memory(self, case):
         # traced peaks before multi-step blocks, on Python 3.11 with numpy
         # 2.4: 6.58 MiB for the tree and 1.86 MiB for the walk.  The bound
         # is that plus 0.1 MiB: the blocks' tables and buffers must not add
-        # to what the one-step loop held.
-        if case == "pinned walk":
+        # to what the one-step loop held.  The honest walk, all of it in
+        # the fair phase, peaked at 1.54 MiB before the prefix sum moved
+        # into uint16 lanes, which must not add to it either.
+        if case == "honest walk":
+            game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
+            policy = walk.honest_policy(game)
+            before = 1.54
+
+            def call():
+                simulate.simulate_walk(game, policy, 5_000, 4)
+        elif case == "pinned walk":
             game = walk.WalkGame(30, CheatModel(0.5, 1.0, STD))
             policy = walk.optimize(game).policy
             before = 1.86
