@@ -276,6 +276,7 @@ def gen_random(max_depth: int, seed: int) -> GameTree:
     """
     if max_depth < 0 or max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {max_depth}")
+    splitmix.check_seed(seed)
     return _random_node(max_depth, splitmix.Stream(seed), [MAX_NODES])
 
 
@@ -290,6 +291,7 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth {max_depth} exceeds the depth cap {MAX_DEPTH}")
+    splitmix.check_seed(seed)
     sub = _random_node(max_depth - 1, splitmix.Stream(seed), [(MAX_NODES - 1) // 2])
     return Flip(sub, mirror(sub))
 

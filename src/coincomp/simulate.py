@@ -13,7 +13,7 @@ and "caught" otherwise.  In a tree game a catch ends the trial.  In a walk
 game the trial keeps walking but with a fair coin from then on (pc = 0),
 which is the honest continuation the analytic solver folds into its
 terminal payoff.  Walk trials still unabsorbed after step_cap steps are
-counted as overruns and settled by one final draw against the honest value
+counted as overruns and settled by draw step_cap against the honest value
 (N+z)/(2N), so every trial contributes to exactly one count.
 
 Both games share one phase-1 loop.  A game is a set of per-node tables:
@@ -27,8 +27,13 @@ so a trial that ends inside a block steps in place, and its draws past
 that point are made but never read.  The live set is compacted once per
 block, and a trial caught by draw k - 1 leaves with its node and its next
 draw index k, both read off the block's rows of nodes.
-A caught tree trial is counted as a catch and ends there.  A caught walk
-trial goes on to phase 2, which plays the fair coin many steps per pass.
+A caught tree trial is counted as a catch and ends there.  Phase 2, the
+fair phase, takes every walk trial that phase 1 leaves unfinished at its
+next draw k, with step_cap - k steps left: a caught trial at its k, one
+uncaught at the cap at k = step_cap, and, when every site's thresholds
+are exactly fair (0.5, 1.0) as under the honest policy, every trial at
+k = 0, as no trial can be caught and phase 1 is skipped.  It settles all
+of them, playing the fair coin many steps per pass.
 A pass is laid out step-major, as a (width x walks) block whose row j
 holds draw j of every walk in the batch: each walk's stream is skipped to
 its next draw, so row j adds the same offset (j + 1) * GOLDEN to every
@@ -46,14 +51,12 @@ int16, and a walk from site z is absorbed at its first row where
 d = N - z or d = -N - z, searched only in the columns whose max or min
 reaches one of them.  A pass is at most 2**15 - 1 steps wide, which keeps
 d in int16.  A walk keeps its displacement from the row of its last step
-before step_cap on, and a walk that reaches the cap, including one caught
-by the last allowed draw, is settled by draw step_cap.  When every site's
-thresholds are exactly fair (0.5, 1.0), as under the honest policy, no
-trial can be caught and all of them start in phase 2 at draw 0.  Each
-trial still reads output k of its own stream at step k, with the same
-fair-step verdict, and the draws a walk makes after its absorption or past
-the cap are never read, so every count is the one a one-draw-per-pass loop
-over all trials would give.
+before step_cap on, and a walk that reaches the cap, including one with
+no step left, is settled there by draw step_cap.  Each trial still reads
+output k of its own stream at step k, with the same fair-step verdict,
+and the draws a walk makes after its absorption or past the cap are never
+read, so every count is the one a one-draw-per-pass loop over all trials
+would give.
 
 A tree game reads its strategy through composer.strategy_triples, which
 makes one scalar cheat_model.triple call per distinct eps (with -0.0 kept
@@ -74,7 +77,7 @@ from . import cheat_model, rng
 from .cheat_model import CheatModel
 from .composer import Strategy, strategy_triples
 from .game_tree import GameTree, annotate
-from .splitmix import HALF_U64
+from .splitmix import HALF_U64, check_seed
 from .walk import WalkGame, WalkPolicy, check_policy
 
 _BLOCK = 1 << 16  # trials per vectorized block; fixed so layout never varies
@@ -117,7 +120,8 @@ def _report(trials, wins, losses, catches, overruns, seed) -> SimReport:
     return SimReport(trials, wins, losses, catches, overruns, est, err, seed)
 
 
-def _check_run(trials: int, workers: int) -> None:
+def _check_run(trials: int, seed: int, workers: int) -> None:
+    check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -245,7 +249,7 @@ def _tree_graph(tree: GameTree, model: CheatModel, strategy: Strategy):
 def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
                   trials: int, seed: int, workers: int = 1) -> SimReport:
     """Play the tree game `trials` times; a catch ends the trial."""
-    _check_run(trials, workers)
+    _check_run(trials, seed, workers)
     graph = _tree_graph(tree, model, strategy)
     nodes = graph[0].size // 3 - 1  # the root is last, before the sink
 
@@ -263,7 +267,7 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
 def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
                   step_cap: int | None = None, workers: int = 1) -> SimReport:
     """Run the walk game; catches switch the trial to a fair coin."""
-    _check_run(trials, workers)
+    _check_run(trials, seed, workers)
     n = game.n
     if step_cap is None:
         step_cap = 64 * n * n
@@ -283,13 +287,6 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     # no walk gets near 2**62 steps; the bound keeps step counts in int64
     cap = min(step_cap, 1 << 62)
     rows = max(1, _FAIR_DRAWS // n)  # fair walks per pass
-
-    def settle(streams, z, k) -> int:
-        # overruns: draw k of each stream against the honest payoff at z
-        if not streams.size:
-            return 0
-        u = rng.np_draw_double(streams, k)
-        return int(np.count_nonzero(u < (n + z) / (2.0 * n)))
 
     # draw j of a pass adds offsets[j] to each walk's skipped stream seed
     offsets = rng.np_draw_offsets(_FAIR_WIDTH)
@@ -342,9 +339,13 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
             at = ((ends == top) | (ends == bottom)).argmax(axis=0), np.arange(hit.size)
             wins += int(np.count_nonzero(ends[at] > 0))
             capped[hit] = False
-            over += int(np.count_nonzero(capped))
             last = z + d[-1]
-            wins += settle(s[capped], last[capped], left[capped])
+            if capped.any():
+                # overruns: the draw at the cap against the honest payoff
+                # (N+z)/(2N) at the walk's last site z
+                u = rng.np_draw_double(s[capped], left[capped])
+                wins += int(np.count_nonzero(u < (n + last[capped]) / (2.0 * n)))
+                over += int(np.count_nonzero(capped))
             live = ~capped
             live[hit] = False
             batch = (rng.np_skip(s[live], width), last[live], left[live] - width)
@@ -353,23 +354,19 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
         m = hi - lo
         streams = rng.np_stream_seeds(seed, lo, hi)
         if all_fair:
-            wins = over = catches = 0
-            walks = [(streams, np.zeros(m, dtype=np.int32), np.full(m, cap))]
+            wins, catches = 0, 0
+            walks = [(np.zeros(m, dtype=np.intp), streams, np.full(m, n))]
         else:
-            # a trial caught by draw k - 1 goes on to `fair` with its stream
-            # skipped to draw k, its site and the steps left before the cap
-            wins, (s, at), caught = _phase1(graph, streams, n, cap)
-            wins += settle(s, at - n, cap)
-            over = s.size
-            # sites as int32, the type the fair phase keeps them in
-            walks = [(rng.np_skip(s, k), (at - n).astype(np.int32), cap - k)
-                     for k, s, at in caught]
-            catches = sum(w[0].size for w in walks)
-        if walks:
-            w, o = fair(*(np.concatenate(col) for col in zip(*walks)))
-            wins += w
-            over += o
-        return (wins, m - wins, catches, over)
+            wins, (s, at), walks = _phase1(graph, streams, n, cap)
+            catches = sum(w[1].size for w in walks)
+            # a trial uncaught at the cap has no step left: `fair` settles it
+            walks.append((np.full(s.size, cap), s, at))
+        # every unfinished trial goes on to `fair` at its next draw k, with
+        # its stream skipped to k, its site as int32 (the type `fair` keeps
+        # sites in) and cap - k steps left
+        k, s, at = (np.concatenate(col) for col in zip(*walks))
+        w, over = fair(rng.np_skip(s, k), (at - n).astype(np.int32), cap - k)
+        return (wins + w, m - wins - w, catches, over)
 
     wins, losses, catches, overruns = _run_blocks(block, trials, workers)
     return _report(trials, wins, losses, catches, overruns, seed)

@@ -33,6 +33,12 @@ DOUBLE_SCALE = 2.0 ** -53
 HALF_U64 = 1 << 63  # to_double(x) < 0.5 exactly when x < HALF_U64
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed outside [0, 2**64): one would be reduced mod 2**64."""
+    if type(seed) is bool or not isinstance(seed, int) or not 0 <= seed <= MASK:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
 def finalize(z: int) -> int:
     """Avalanche a 64-bit value (splitmix64 output function)."""
     z &= MASK

@@ -6,6 +6,7 @@ subset keeps brute-force enumeration affordable (at most 5 internal nodes).
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -55,6 +56,17 @@ def json_digest(records):
     for record in records:
         h.update((json.dumps(record) + "\n").encode())
     return h.hexdigest()
+
+
+# seeds the generators and simulators refuse: each was reduced mod 2**64
+# without a word, or (1.5) failed with a TypeError, or (True) ran as 1
+BAD_SEEDS = [-1, 1 << 64, (1 << 64) + 5, 1.5, True]
+
+
+def seed_refused(seed):
+    """pytest.raises for the seed-range error naming `seed`."""
+    return pytest.raises(ValueError, match=re.escape(
+        f"seed must be an int in [0, 2**64), got {seed!r}"))
 
 
 @pytest.fixture(params=sorted(FAIR_SUITE), ids=sorted(FAIR_SUITE))

@@ -632,7 +632,7 @@ class TestSeedRange:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            f"error: argument --seed: must be in [0, 2**64), got {seed}"]
+            f"error: seed must be an int in [0, 2**64), got {seed}"]
 
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     @pytest.mark.parametrize("command", sorted(SEEDED))

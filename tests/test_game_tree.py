@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coincomp import game_tree
 from coincomp.game_tree import Flip, Leaf, NodeInfo, TreeParseError
-from conftest import generated_trees
+from conftest import BAD_SEEDS, generated_trees, seed_refused
 
 
 CANONICAL_BEST_OF_3 = (
@@ -197,6 +197,18 @@ class TestGenerators:
     def test_random_fair_is_exactly_fair(self, seed):
         ann = game_tree.annotate(game_tree.gen_random_fair(6, seed))
         assert ann.p_w_root == 0.5
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    @pytest.mark.parametrize("gen", [game_tree.gen_random, game_tree.gen_random_fair])
+    def test_seed_outside_range_refused(self, gen, seed):
+        # gen_random_fair(4, 2**64 + 5) was gen_random_fair(4, 5)
+        with seed_refused(seed):
+            gen(4, seed)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("gen", [game_tree.gen_random, game_tree.gen_random_fair])
+    def test_seed_range_ends_run(self, gen, seed):
+        assert gen(4, seed) == gen(4, seed)
 
     def test_mirror_swaps_win_probability(self):
         tree = game_tree.gen_full(2, [0, 0, 0, 1])

@@ -96,6 +96,9 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
                  "--labels", "01101001"],
                 ["tree", "gen", "--kind", "random-fair", "--depth", "8",
                  "--seed", "5"],
+                # the seed range is checked by splitmix, which needs no numpy
+                ["tree", "gen", "--kind", "random-fair", "--depth", "3",
+                 "--seed=-1"],
                 ["tree", "analyze", "--in", tree],
                 compose,
                 # refused for its size before the oracle would load numpy
@@ -105,9 +108,11 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 0, 1, 0]
-    assert json.loads(runs[3][1])["lemma_sum"] == 1.0
-    assert runs[5] == (1, "", "error: tree too large: 19 internal nodes, "
+    assert [code for code, _, _ in runs] == [0, 0, 0, 1, 0, 0, 1, 0]
+    assert runs[3] == (1, "", "error: seed must be an int in [0, 2**64), "
+                              "got -1\n")
+    assert json.loads(runs[4][1])["lemma_sum"] == 1.0
+    assert runs[6] == (1, "", "error: tree too large: 19 internal nodes, "
                               "limit 5\n")
     doc = json.loads(runs[-1][1])
     assert abs(doc["a_new"] - 1.0) <= 1e-12

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, rng, simulate, splitmix, walk
 from coincomp.cheat_model import CheatModel, PRIME, STD
-from conftest import finalize_input, unxorshift
+from conftest import BAD_SEEDS, finalize_input, seed_refused, unxorshift
 
 
 def within_4se(report, key, exact):
@@ -202,6 +202,31 @@ class TestWalk:
         sol = walk.optimize(g)
         r = simulate.simulate_walk(g, sol.policy, 200_000, 8)
         assert within_4se(r, "win", sol.bias + 0.5)
+
+
+# one cheap run of each simulator, given its seed
+SEEDED = {
+    "tree": lambda seed: simulate.simulate_tree(
+        game_tree.gen_full(1, [0, 1]), CheatModel(1.0, 2.0), {"": 0.1}, 100, seed),
+    "walk": lambda seed: simulate.simulate_walk(
+        walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME)), {-1: 0.1, 0: 0.1, 1: 0.1},
+        100, seed),
+}
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    @pytest.mark.parametrize("kind", sorted(SEEDED))
+    def test_outside_refused(self, kind, seed):
+        # simulate_walk(..., seed=2**64 + 5) gave seed 5's counts and
+        # reported the seed as 2**64 + 5
+        with seed_refused(seed):
+            SEEDED[kind](seed)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("kind", sorted(SEEDED))
+    def test_ends_of_the_range_run(self, kind, seed):
+        assert SEEDED[kind](seed).seed == seed
 
 
 def reference_simulate_walk(game, policy, trials, seed, step_cap=None,
