@@ -83,8 +83,9 @@ def _cmd_tree_analyze(args) -> int:
         "p_w_root": p,
         "lemma_sum": total,
         "lemma_expected": expected,
-        "nodes": {path: {"depth": info.depth, "p_w": info.p_w, "delta": info.delta}
-                  for path, info in sorted(ann.nodes.items())},
+        # paths are distinct, so the sort never compares past them
+        "nodes": {path: {"depth": d, "p_w": w, "delta": x} for path, d, w, x
+                  in sorted(zip(ann.path, ann.depth, ann.p_w, ann.delta))},
     })
     return 0
 
@@ -187,7 +188,7 @@ def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
 
     if arg == "honest":
         ann = game_tree.annotate(tree)
-        return {path: 0.0 for path, _ in ann.internal()}
+        return {path: 0.0 for path, u in zip(ann.path, ann.up) if u >= 0}
     if arg.startswith("lo:"):
         try:
             eps_tot = float(arg[3:])

@@ -13,8 +13,10 @@ b and coefficient a_new = a * S**(1-b).  For b = 2 the tree identity S = 1
 (fair trees) makes a_new = a: quadratic detection survives composition
 unchanged.  For b > 2 composition strictly weakens detection.
 
-The closed form is for the standard model; linear detection (b = 1) breaks
-its exponent 1/(b-1) and is handled exactly by the walk module instead.
+The closed form is for the standard model at b > 1.  Linear detection
+(b = 1) breaks its exponent 1/(b-1), and no tree is solved at b = 1: the
+walk module solves only the walk game.  leading_order, a_new_of_b and
+derivative_in_b check their arguments in one place, _closed_form.
 exact_outcome reads only each node's (p0, p1, pc), so it takes either box.
 
 The tree passes (leading_order, a_new_of_b, strategy_triples and
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 from . import cheat_model
 from .cheat_model import CheatModel, OutcomeTriple
-from .game_tree import MAX_DEPTH, GameTree, TreeAnnotation, annotate
+from .game_tree import HALF_POWERS, GameTree, TreeAnnotation, annotate
 
 Strategy = dict[str, float]
 
@@ -64,29 +66,6 @@ class CompositionResult:
         }
 
 
-def _fair_annotation(tree: GameTree) -> TreeAnnotation:
-    ann = annotate(tree)
-    if ann.up[-1] < 0:
-        raise ValueError("tree has no internal node; nothing to compose")
-    if abs(ann.p_w_root - 0.5) > 1e-12:
-        raise ValueError(f"tree is not fair: P_W(root) = {ann.p_w_root}")
-    return ann
-
-
-# 2**-d for every depth a tree may have
-_HALF_POWERS = [2.0 ** (-d) for d in range(MAX_DEPTH + 1)]
-
-
-def _check_detection(name: str, a: float, b: float) -> None:
-    """Reject an (a, b) the closed form does not cover.  CheatModel refuses
-    a non-finite a or b, a <= 0 and b < 1; the exponent 1/(b-1) rules out
-    b = 1."""
-    CheatModel(a, b)
-    if b == 1.0:
-        raise ValueError(f"{name} requires b > 1, got {b}; linear "
-                         "detection is solved exactly by the walk module")
-
-
 def _check_eps_tot(eps_tot: float) -> None:
     if not math.isfinite(eps_tot):
         raise ValueError(f"eps_tot must be finite, got {eps_tot}")
@@ -103,24 +82,42 @@ def _weight_sum(ann: TreeAnnotation, b: float) -> float:
             g = weight.get(gap)
             if g is None:
                 g = weight[gap] = abs(gap) ** expo
-            total += _HALF_POWERS[d] * g
+            total += HALF_POWERS[d] * g
     return total
+
+
+def _closed_form(name: str, tree: GameTree, a: float,
+                 b: float) -> tuple[TreeAnnotation, float]:
+    """The closed form's entry check; returns the annotation and S.
+
+    CheatModel refuses a non-finite a or b, a <= 0 and b < 1; the exponent
+    1/(b-1) rules out b = 1.  The tree must be fair, with an internal node.
+    """
+    CheatModel(a, b)
+    if b == 1.0:
+        raise ValueError(f"{name} requires b > 1, got {b}; at b = 1 only the "
+                         "walk game is solved (walk solve), not trees")
+    ann = annotate(tree)
+    if ann.up[-1] < 0:
+        raise ValueError("tree has no internal node; nothing to compose")
+    if abs(ann.p_w_root - 0.5) > 1e-12:
+        raise ValueError(f"tree is not fair: P_W(root) = {ann.p_w_root}")
+    s = _weight_sum(ann, b)
+    if s == 0.0:
+        raise ValueError("every Delta is zero; no strategy can move the outcome")
+    return ann, s
 
 
 def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> CompositionResult:
     """Closed-form optimal small-bias strategy and the composed a_new.
 
-    Requires b > 1 (use the walk module for linear detection) and a fair
-    tree.  Nodes with Delta = 0 cannot move the outcome and get eps = 0.
-    Biases exceeding 1/2 in magnitude (possible when b != 2) are clamped
-    and reported through the clipped flag.
+    Requires b > 1 and a fair tree: at b = 1 the package solves only the
+    walk game, not trees.  Nodes with Delta = 0 cannot move the outcome
+    and get eps = 0.  Biases exceeding 1/2 in magnitude (possible when
+    b != 2) are clamped and reported through the clipped flag.
     """
-    _check_detection("leading_order", a, b)
     _check_eps_tot(eps_tot)
-    ann = _fair_annotation(tree)
-    s = _weight_sum(ann, b)
-    if s == 0.0:
-        raise ValueError("every Delta is zero; no strategy can move the outcome")
+    ann, s = _closed_form("leading_order", tree, a, b)
 
     expo = 1.0 / (b - 1.0)
     strategy: Strategy = {}
@@ -146,27 +143,19 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
 
 def a_new_of_b(tree: GameTree, a: float, b: float) -> float:
     """Composed sensitivity a * S**(1-b) without building the strategy."""
-    _check_detection("a_new_of_b", a, b)
-    s = _weight_sum(_fair_annotation(tree), b)
-    if s == 0.0:
-        raise ValueError("every Delta is zero; a_new is undefined")
+    _, s = _closed_form("a_new_of_b", tree, a, b)
     return a * s ** (1.0 - b)
 
 
 def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     """Exact d a_new / db = a_new (-ln S + (1-b) S'/S) = a_new (L/((b-1) S) - ln S),
     where S' = L dp/db, L = sum 2**-D |Delta|**p ln|Delta|, p = b/(b-1)."""
-    _check_detection("derivative_in_b", a, b)
-    ann = _fair_annotation(tree)
+    ann, s = _closed_form("derivative_in_b", tree, a, b)
     expo = b / (b - 1.0)
-    s = log_sum = 0.0
+    log_sum = 0.0
     for d, gap in zip(ann.depth, ann.delta):
         if gap:
-            term = _HALF_POWERS[d] * abs(gap) ** expo
-            s += term
-            log_sum += term * math.log(abs(gap))
-    if s == 0.0:
-        raise ValueError("every Delta is zero; a_new is undefined")
+            log_sum += HALF_POWERS[d] * abs(gap) ** expo * math.log(abs(gap))
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 

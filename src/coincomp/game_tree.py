@@ -37,6 +37,7 @@ from . import splitmix
 
 MAX_DEPTH = 52
 MAX_NODES = 1 << 20  # node budget for generated and parsed trees
+HALF_POWERS = [2.0 ** (-d) for d in range(MAX_DEPTH + 1)]  # 2**-D for every depth
 _TOO_DEEP = f"tree depth exceeds {MAX_DEPTH}; dyadic exactness would be lost"
 
 
@@ -103,7 +104,7 @@ class TreeAnnotation:
         total = 0.0
         for d, gap in zip(self.depth, self.delta):
             if gap is not None:
-                total += 2.0 ** (-d) * gap * gap
+                total += HALF_POWERS[d] * gap * gap
         return total
 
 
@@ -187,16 +188,21 @@ def _to_obj(node: Node, d: int):
                      "down": _to_obj(node.down, d + 1)}}
 
 
+def _check_depth(name: str, size, lo: int) -> None:
+    # the generators' size rule: an int in [lo, MAX_DEPTH], not a bool or float
+    if type(size) is bool or not isinstance(size, int) or not lo <= size <= MAX_DEPTH:
+        raise ValueError(f"{name} must be an int in [{lo}, {MAX_DEPTH}], got {size!r}")
+
+
 def gen_best_of(n: int) -> GameTree:
     """Early-terminating majority game over n flips (n odd).
 
     A leaf appears as soon as one side has won ceil(n/2) flips; its label is
     0 when the up side took the majority.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be odd and positive, got {n}")
-    if n > MAX_DEPTH:
-        raise ValueError(f"n={n} exceeds the depth cap {MAX_DEPTH}")
+    _check_depth("n", n, 1)
+    if n % 2 == 0:
+        raise ValueError(f"n must be odd, got {n}")
     need = (n + 1) // 2
     size = 2 * math.comb(n + 1, need) - 1
     if size > MAX_NODES:
@@ -217,10 +223,7 @@ def _best_of(up_wins: int, down_wins: int, need: int) -> Node:
 
 def gen_full(tree_depth: int, labels) -> GameTree:
     """Complete tree of the given depth, leaves labeled left to right (up first)."""
-    if tree_depth < 1:
-        raise ValueError(f"depth must be positive, got {tree_depth}")
-    if tree_depth > MAX_DEPTH:
-        raise ValueError(f"depth {tree_depth} exceeds the depth cap {MAX_DEPTH}")
+    _check_depth("depth", tree_depth, 1)
     if (size := 2 ** (tree_depth + 1) - 1) > MAX_NODES:
         raise ValueError(f"a full tree of depth {tree_depth} has {size} nodes, "
                          f"over the budget of {MAX_NODES}")
@@ -274,8 +277,7 @@ def gen_random(max_depth: int, seed: int) -> GameTree:
     Labels and shape are unconstrained; use gen_random_fair when the root
     must be a fair coin.
     """
-    if max_depth < 0 or max_depth > MAX_DEPTH:
-        raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {max_depth}")
+    _check_depth("max_depth", max_depth, 0)
     splitmix.check_seed(seed)
     return _random_node(max_depth, splitmix.Stream(seed), [MAX_NODES])
 
@@ -287,10 +289,7 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
     mirroring complements every leaf, so P_W(mirror(T)) = 1 - P_W(T) and the
     root averages to 1/2 with no rounding at all.
     """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    if max_depth > MAX_DEPTH:
-        raise ValueError(f"max_depth {max_depth} exceeds the depth cap {MAX_DEPTH}")
+    _check_depth("max_depth", max_depth, 1)
     splitmix.check_seed(seed)
     sub = _random_node(max_depth - 1, splitmix.Stream(seed), [(MAX_NODES - 1) // 2])
     return Flip(sub, mirror(sub))

@@ -120,12 +120,16 @@ def _report(trials, wins, losses, catches, overruns, seed) -> SimReport:
     return SimReport(trials, wins, losses, catches, overruns, est, err, seed)
 
 
+def _check_count(name: str, value, lo: int, floor: str = "") -> None:
+    # an int, not a bool (an int subclass) or a float, as for the seed and N
+    if type(value) is bool or not isinstance(value, int) or value < lo:
+        raise ValueError(f"{name} must be an int >= {floor}{lo}, got {value!r}")
+
+
 def _check_run(trials: int, seed: int, workers: int) -> None:
     check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("trials", trials, 1)
+    _check_count("workers", workers, 1)
 
 
 def _run_blocks(fn, trials: int, workers: int):
@@ -271,8 +275,7 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     n = game.n
     if step_cap is None:
         step_cap = 64 * n * n
-    if step_cap < 4 * n * n:
-        raise ValueError(f"step_cap must be >= 4*N^2 = {4 * n * n}, got {step_cap}")
+    _check_count("step_cap", step_cap, 4 * n * n, "4*N^2 = ")
     t = cheat_model.triple(game.model, check_policy(game, policy))
     p0, p1 = np.array(t.p0), np.array(t.p1)
 

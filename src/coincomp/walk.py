@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product
+from numbers import Real
 from operator import sub
 from typing import NamedTuple
 
@@ -115,8 +116,7 @@ class WalkSolution(_WalkSolutionFields):
     def bound_ok(self) -> bool:
         """Whether the excess stays within bound (+1e-12) at every site."""
         # delta_list's values, without keeping the list on the solution
-        n = len(self.w_list) // 2
-        return max(map(sub, self.w_list, _targets(n))) <= self.bound + 1e-12
+        return max(WalkSolution.delta_list.func(self)) <= self.bound + 1e-12
 
     @cached_property
     def w(self) -> dict[int, float]:
@@ -155,7 +155,13 @@ def check_policy(game: WalkGame, policy: WalkPolicy) -> list[float]:
         extra = sorted(set(policy) - sites)
         raise ValueError(f"policy sites do not match interior: missing {missing}, "
                          f"unexpected {extra}")
-    eps = [float(policy[z]) for z in game.interior()]
+    eps = []
+    for z in game.interior():
+        e = policy[z]
+        # float() takes "0.1" and False; a float skips the slow ABC check
+        if type(e) is not float and (isinstance(e, bool) or not isinstance(e, Real)):
+            raise ValueError(f"policy eps at site {z} must be a number, got {e!r}")
+        eps.append(float(e))
     game.model.check_eps(eps)
     return eps
 

@@ -1,6 +1,7 @@
 """Command-line behavior: payloads, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -646,6 +647,38 @@ class TestSeedRange:
         code, _, err = run(capsys, *SEEDED["tree-gen"], "--seed=1.5")
         assert code == 1
         assert err == "error: argument --seed: invalid int value: '1.5'\n"
+
+
+# sha256 of stdout: they pin the order of `tree analyze`'s nodes, which no
+# other test checks, and every float of both payloads.  random-fair(9, 11)
+# is a root over two leaves.
+STDOUT_PINS = {
+    "analyze-best-of-5": (
+        ("best-of-5", "tree", "analyze", "--in"),
+        "04511980bd06f2ea2226465cbbd4f976a4c36706c0324d326ac4a4bdecfa1d68"),
+    "analyze-random-fair-9-11": (
+        ("random-fair-9-11", "tree", "analyze", "--in"),
+        "b870c87069458932385e00bc7c9b6b363bab22b5376b91cc149afca36463b45d"),
+    "simulate-honest-best-of-3": (
+        ("best-of-3", "simulate", "--model", "std:a=1,b=2", "--strategy",
+         "honest", "--trials", "20000", "--seed", "3", "--tree"),
+        "02b1aacf26a2661b9cc428ed1b4e82aaa9e6c3704f7c46790c242e9dc0f0a49a"),
+}
+PIN_TREES = {
+    "best-of-3": lambda: game_tree.gen_best_of(3),
+    "best-of-5": lambda: game_tree.gen_best_of(5),
+    "random-fair-9-11": lambda: game_tree.gen_random_fair(9, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_PINS))
+def test_stdout_pinned(capsys, tmp_path, name):
+    (tree_name, *argv), digest = STDOUT_PINS[name]
+    path = tmp_path / "tree.json"
+    path.write_text(game_tree.serialize_tree(PIN_TREES[tree_name]()))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTopLevel:

@@ -329,6 +329,35 @@ def test_detection_parameters_checked(bo3, call, a, b, message):
         call(bo3, a, b)
 
 
+CLOSED_FORM_CALLS = {
+    "leading_order": lambda tree, a, b: composer.leading_order(tree, a, b, 0.1),
+    "a_new_of_b": composer.a_new_of_b,
+    "derivative_in_b": composer.derivative_in_b,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CALLS))
+def test_closed_form_refusals_worded_once(monkeypatch, bo3, name):
+    call = CLOSED_FORM_CALLS[name]
+    # b = 1: the message names the call and the walk, the one game solved there
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} requires b > 1, got 1.0; at b = 1 only the walk game is "
+            "solved (walk solve), not trees")):
+        call(bo3, 1.0, 1.0)
+    for tree, message in [
+            (game_tree.Leaf(0), "tree has no internal node; nothing to compose"),
+            (game_tree.gen_full(2, [0, 0, 0, 1]), "tree is not fair: P_W(root) = 0.75")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(tree, 1.0, 2.0)
+    # a fair tree has a node of |Delta| = 1 (the deepest one whose P_W is
+    # not 0 or 1), so S > 0 on every tree that passes; force S = 0 to reach
+    # the refusal, which the three calls share word for word
+    monkeypatch.setattr(composer, "_weight_sum", lambda ann, b: 0.0)
+    with pytest.raises(ValueError, match="^every Delta is zero; no strategy "
+                                         "can move the outcome$"):
+        call(bo3, 1.0, 2.0)
+
+
 class TestANewOfB:
     def test_matches_leading_order(self, bo3):
         for tree in (bo3, *LEADING_ORDER_TREES.values()):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,24 @@ class TestGenerators:
     @pytest.mark.parametrize("gen", [game_tree.gen_random, game_tree.gen_random_fair])
     def test_seed_range_ends_run(self, gen, seed):
         assert gen(4, seed) == gen(4, seed)
+
+    # gen_best_of(True) built best-of-1, gen_random(2.0, s) and
+    # gen_random_fair(2.0, s) built trees, and gen_full(2.0, ...) raised a
+    # TypeError; each generator's size argument follows one rule
+    @pytest.mark.parametrize("gen,args,name,lo", [
+        (game_tree.gen_best_of, (True,), "n", 1),
+        (game_tree.gen_best_of, (53,), "n", 1),
+        (game_tree.gen_full, (2.0, [0, 1, 1, 0]), "depth", 1),
+        (game_tree.gen_full, (0, [0]), "depth", 1),
+        (game_tree.gen_random, (2.0, 3), "max_depth", 0),
+        (game_tree.gen_random, (-1, 3), "max_depth", 0),
+        (game_tree.gen_random_fair, (2.0, 3), "max_depth", 1),
+        (game_tree.gen_random_fair, (53, 3), "max_depth", 1),
+    ])
+    def test_size_must_be_an_int_in_range(self, gen, args, name, lo):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an int in [{lo}, 52], got {args[0]!r}")):
+            gen(*args)
 
     def test_mirror_swaps_win_probability(self):
         tree = game_tree.gen_full(2, [0, 0, 0, 1])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,7 +88,7 @@ class TestTree:
     def test_workers_validated(self, workers):
         # a count below 1 ran serially without a word
         tree = game_tree.gen_full(1, [0, 1])
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an int >= 1"):
             simulate.simulate_tree(tree, CheatModel(1.0, 2.0), {"": 0.0},
                                    10, 1, workers=workers)
 
@@ -170,7 +171,7 @@ class TestWalk:
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_validated(self, workers):
         g = walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME))
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an int >= 1"):
             simulate.simulate_walk(g, walk.honest_policy(g), 10, 1,
                                    workers=workers)
 
@@ -227,6 +228,41 @@ class TestSeedRange:
     @pytest.mark.parametrize("kind", sorted(SEEDED))
     def test_ends_of_the_range_run(self, kind, seed):
         assert SEEDED[kind](seed).seed == seed
+
+
+# counts each simulator refuses: trials=True ran one trial and reported
+# "trials": true, a bool or float worker count ran, step_cap=36.5 at N = 3
+# ended in an IndexError and a numpy int ran; each is now a ValueError
+BAD_COUNTS = [("trials", True), ("trials", np.int64(10)), ("workers", True),
+              ("workers", 1.5)]
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("name,value", BAD_COUNTS, ids=repr)
+    def test_tree_refuses(self, name, value):
+        args = {"trials": 10, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an int >= 1, got {value!r}")):
+            simulate.simulate_tree(game_tree.gen_full(1, [0, 1]),
+                                   CheatModel(1.0, 2.0), {"": 0.0},
+                                   args["trials"], 1, workers=args["workers"])
+
+    @pytest.mark.parametrize("name,value", BAD_COUNTS + [
+        ("step_cap", 36.5), ("step_cap", math.inf), ("step_cap", 35)], ids=repr)
+    def test_walk_refuses(self, name, value):
+        g = walk.WalkGame(3, CheatModel(1.0, 1.0, PRIME))
+        args = {"trials": 10, "workers": 1, "step_cap": None, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+            simulate.simulate_walk(g, walk.honest_policy(g), args["trials"], 1,
+                                   step_cap=args["step_cap"],
+                                   workers=args["workers"])
+
+    def test_numpy_float_policy_runs(self):
+        # numpy floats are numbers, float32 too, which is no float subclass
+        g = walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME))
+        policy = {z: np.float32(0.125) for z in g.interior()}
+        assert simulate.simulate_walk(g, policy, 100, 1) == \
+            simulate.simulate_walk(g, {z: 0.125 for z in g.interior()}, 100, 1)
 
 
 def reference_simulate_walk(game, policy, trials, seed, step_cap=None,

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -559,6 +560,19 @@ class TestArrayPath:
         g = prime_game(2)
         with pytest.raises(ValueError, match=r"missing \[-1, 1\], unexpected \[5\]"):
             walk.check_policy(g, {0: 0.0, 5: 0.0})
+
+    # float() turned "0.1" into 0.1 and False into 0.0
+    @pytest.mark.parametrize("bad", ["0.1", False, True, None], ids=repr)
+    def test_check_policy_refuses_non_numbers(self, bad):
+        g = prime_game(2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"policy eps at site 0 must be a number, got {bad!r}")):
+            walk.check_policy(g, {-1: 0.0, 0: bad, 1: 0.0})
+
+    def test_check_policy_takes_ints_and_fractions(self):
+        g = prime_game(2)
+        assert walk.check_policy(g, {-1: 0, 0: Fraction(1, 8), 1: 0.25}) == \
+            [0.0, 0.125, 0.25]
 
 
 class TestListForm:
