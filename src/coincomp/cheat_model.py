@@ -53,6 +53,10 @@ class CheatModel(_CheatModelFields):
     def __new__(cls, a: float, b: float, variant: str = STD):
         if variant not in (STD, PRIME):
             raise ValueError(f"unknown variant {variant!r}")
+        for name, value in (("a", a), ("b", b)):
+            # a bool is an int subclass that math.isfinite takes as 0 or 1
+            if type(value) is bool:
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"a and b must be finite, got a = {a}, b = {b}")
         if not a > 0:

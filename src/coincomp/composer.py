@@ -67,6 +67,8 @@ class CompositionResult:
 
 
 def _check_eps_tot(eps_tot: float) -> None:
+    if type(eps_tot) is bool:
+        raise ValueError(f"eps_tot must be a number, not a bool, got {eps_tot!r}")
     if not math.isfinite(eps_tot):
         raise ValueError(f"eps_tot must be finite, got {eps_tot}")
     if abs(eps_tot) > 0.5:

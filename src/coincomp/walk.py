@@ -23,12 +23,16 @@ standard box.  brute_force_optimize() checks policy iteration against plain
 enumeration of all binary policies for small N.
 
 The solver works on plain lists indexed by site, W at z + N and the policy
-at z + N - 1, and needs no numpy.  A sweep of optimize() makes one list
-call to cheat_model.triple, one pass of elimination (forward, then back),
-one residual pass and one improvement loop on those lists.  The
-site-keyed dicts and the bound verdict exist only on the returned
-WalkSolution, built on first use.  A site-keyed policy is validated once,
-by check_policy, where it enters.
+at z + N - 1, and needs no numpy.  optimize() makes one list call to
+cheat_model.triple per solve, on the honest start.  improve_policy hands
+back its eps list with the (p0, p1, pc) lists of the actions it picked,
+which it has already worked out to compare them, and evaluate_policy
+solves the next sweep from those lists.  So a sweep is one forward
+elimination pass, one back substitution pass that also checks every
+row's residual, and one improvement loop.  The site-keyed dicts and the
+bound verdict exist only on the returned WalkSolution, built on first
+use.  A site-keyed policy is validated once, by check_policy, where it
+enters, and a bare eps list by cheat_model.triple.
 
 Improving a site compares q(0) with q(eps_max) in both boxes, ties to 0;
 the standard box's q is a quadratic whose vertex, where it is concave, is
@@ -166,73 +170,91 @@ def check_policy(game: WalkGame, policy: WalkPolicy) -> list[float]:
     return eps
 
 
-def evaluate_policy(game: WalkGame, policy: WalkPolicy | list[float]) -> WalkSolution:
+class _Improved(NamedTuple):
+    """improve_policy's eps list and the (p0, p1, pc) of each chosen action."""
+    eps: list[float]
+    p0: list[float]
+    p1: list[float]
+    pc: list[float]
+
+
+def evaluate_policy(game: WalkGame,
+                    policy: WalkPolicy | list[float] | _Improved) -> WalkSolution:
     """Solve the walk's linear system for a fixed policy.
 
     The policy is site-keyed, or a list of eps over the interior at index
-    z + N - 1 as improve_policy returns it, whose values cheat_model.triple
-    checks.  Direct tridiagonal (Thomas) elimination.  The matrix has unit
-    diagonal and off-diagonals -p0, -p1 with p0 + p1 <= 1, and the honest
-    boundary rows keep it nonsingular; the pivots and the per-equation
-    residuals are checked anyway and a failure raises RuntimeError.
+    z + N - 1, which cheat_model.triple checks and turns into (p0, p1, pc)
+    lists, or improve_policy's result for this game, whose lists are solved
+    as they are.  Direct tridiagonal (Thomas) elimination.  The matrix has
+    unit diagonal and off-diagonals -p0, -p1 with p0 + p1 <= 1, and the
+    honest boundary rows keep it nonsingular; the pivots and the
+    per-equation residuals are checked anyway and a failure raises
+    RuntimeError.
     """
     n = game.n
     m = 2 * n - 1
-    if isinstance(policy, list):
-        if len(policy) != m:
-            raise ValueError(f"policy list has {len(policy)} entries, the "
-                             f"interior has {m} sites")
-        eps = policy
+    if isinstance(policy, _Improved):
+        eps, p0, p1, pc = policy
     else:
-        eps = check_policy(game, policy)
-    t = cheat_model.triple(game.model, eps)
-    p0, p1, pc = t.p0, t.p1, t.pc
+        eps = policy if isinstance(policy, list) else check_policy(game, policy)
+        p0, p1, pc = cheat_model.triple(game.model, eps)
+    if len(eps) != m:
+        raise ValueError(f"policy list has {len(eps)} entries, the "
+                         f"interior has {m} sites")
     targ = _targets(n)
-    src = [c * g for c, g in zip(pc, targ[1:-1])]
-    rhs = src.copy()
-    rhs[m - 1] += p0[m - 1] * 1.0  # W(N) = 1; W(-N) = 0 adds nothing
+    rhs = [c * g for c, g in zip(pc, targ[1:-1])]
+    rhs[m - 1] += p0[m - 1]  # the top row's p0 W(N), with W(N) = 1
 
     # forward elimination on rows [1, -p0] with subdiagonal -p1: row i keeps
     # W(z) = d_i + q_i W(z+1), with q_i = -c'_i and d_i = d'_i of the
-    # textbook recurrences, so that no negation is left in the loop
-    q, d = p0[0], rhs[0]
+    # textbook recurrences, so that no negation is left in the loop.  The
+    # boundary W(-N) = 0 is the row d = q = 0 below the interior.
+    q = d = 0.0
     qs, ds = [q], [d]
     put_q, put_d = qs.append, ds.append
-    for a0, a1, r in zip(p0[1:], p1[1:], rhs[1:]):
+    for a0, a1, r in zip(p0, p1, rhs):
         piv = 1.0 - a1 * q
         if not piv > 1e-12:
-            raise RuntimeError(f"tridiagonal pivot {piv} at row {len(qs)}; "
+            raise RuntimeError(f"tridiagonal pivot {piv} at row {len(qs) - 1}; "
                                "system is numerically singular")
         q = a0 / piv
         d = (r + a1 * d) / piv
         put_q(q)
         put_d(d)
+
+    # back substitution down to the boundary row; once W(z-1) is known, so
+    # is row z's residual W(z) - p0 W(z+1) - p1 W(z-1) - rhs, where the top
+    # row's W(N) term is already in rhs
     x = ds.pop()
+    qs.pop()  # the top row's q would multiply W(N)
     w = [1.0, x]  # W(z) from z = N downwards
     put_w = w.append
-    for d, q in zip(reversed(ds), reversed(qs[:-1])):
-        x = d + q * x
-        put_w(x)
-    w.append(0.0)
-    w.reverse()  # W(z) at index z + N
-
-    res = [wz - (a0 * wu + a1 * wd + s)
-           for wz, a0, wu, a1, wd, s in zip(w[1:-1], p0, w[2:], p1, w, src)]
-    worst = max(map(abs, res))
+    up = 0.0
+    worst = 0.0
+    for d, q, a0, a1, r in zip(reversed(ds), reversed(qs), reversed(p0),
+                               reversed(p1), reversed(rhs)):
+        down = d + q * x
+        res = x - (a0 * up + a1 * down + r)
+        if res > worst or -res > worst:
+            worst, bad, site = abs(res), res, n + 1 - len(w)
+        put_w(down)
+        up, x = x, down
     if worst > _RESIDUAL_TOL:
-        i = list(map(abs, res)).index(worst)
-        raise RuntimeError(f"solver residual {res[i]} at site {i - n + 1} "
+        raise RuntimeError(f"solver residual {bad} at site {site} "
                            f"exceeds {_RESIDUAL_TOL}")
+    w.reverse()  # W(z) at index z + N
 
     bound = (2.0 + game.model.a) / (2.0 * game.model.a * n)
     return WalkSolution(w, eps, w[n] - targ[n], bound, 0)
 
 
-def improve_policy(game: WalkGame, w: list[float]) -> list[float]:
+def improve_policy(game: WalkGame, w: list[float]) -> _Improved:
     """Greedy one-step policy against the values w, ties to honest.
 
     w holds sites -N..N at index z + N; site z's best eps comes back at
-    index z + N - 1.
+    index z + N - 1 of the result's eps list, and the (p0, p1, pc) of that
+    eps, the cheat_model.triple entries bit for bit, at the same index of
+    its p0, p1 and pc lists.  evaluate_policy takes the result as it is.
     """
     # q(eps) = t0 W(z+1) + t1 W(z-1) + tc (N+z)/(2N) with (t0, t1, tc) =
     # triple(eps); the honest coin is (1/2, 1/2, 0) in both models, so q(0)
@@ -246,8 +268,8 @@ def improve_policy(game: WalkGame, w: list[float]) -> list[float]:
     h0, h1, hc = cheat_model.triple(model, e_hi)
     vertex = model.variant == cheat_model.STD
     a = model.a
-    best = []
-    put = best.append
+    best, p0, p1, pc = [], [], [], []
+    put, put0, put1, putc = best.append, p0.append, p1.append, pc.append
     for wp, wm, g in zip(w[2:], w, targ):
         q0 = 0.5 * wp + 0.5 * wm
         q_hi = h0 * wp + h1 * wm + hc * g
@@ -261,12 +283,25 @@ def improve_policy(game: WalkGame, w: list[float]) -> list[float]:
                     # box at b = 1, where a*|v|**1 is a*v to the bit
                     c = a * v
                     keep = 1.0 - c
-                    q_v = keep * (0.5 + v) * wp + keep * (0.5 - v) * wm + c * g
+                    t0, t1 = keep * (0.5 + v), keep * (0.5 - v)
+                    q_v = t0 * wp + t1 * wm + c * g
                     if q_v > q0 and q_v >= q_hi:
                         put(v)
+                        put0(t0)
+                        put1(t1)
+                        putc(c)
                         continue
-        put(0.0 if q0 >= q_hi else e_hi)
-    return best
+        if q0 >= q_hi:
+            put(0.0)
+            put0(0.5)
+            put1(0.5)
+            putc(0.0)
+        else:
+            put(e_hi)
+            put0(h0)
+            put1(h1)
+            putc(hc)
+    return _Improved(best, p0, p1, pc)
 
 
 def honest_policy(game: WalkGame) -> WalkPolicy:
@@ -292,7 +327,7 @@ def optimize(game: WalkGame) -> WalkSolution:
     for sweep_count in range(1, cap + 1):
         sol = evaluate_policy(game, policy)
         improved = improve_policy(game, sol.w_list)
-        if improved == policy:
+        if improved.eps == sol.eps_list:
             return sol._replace(iterations=sweep_count)
         if prev is not None and sol.w_list[n] <= prev.w_list[n]:
             return prev._replace(iterations=sweep_count)

@@ -36,6 +36,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             CheatModel(a, b)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_a(self, flag):
+        with pytest.raises(ValueError, match=f"^a must be a number, not a bool, got {flag}$"):
+            CheatModel(flag, 2.0)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_b(self, flag):
+        with pytest.raises(ValueError, match=f"^b must be a number, not a bool, got {flag}$"):
+            CheatModel(1.0, flag, PRIME)
+
+    def test_takes_ints(self):
+        assert CheatModel(2, 1, PRIME) == (2.0, 1.0, PRIME)
+
 
 class TestStandardTriple:
     def test_honest_point(self):

@@ -279,6 +279,14 @@ class TestLeadingOrder:
         with pytest.raises(ValueError):
             composer.leading_order(bo3, 1.0, 2.0, 0.51)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_eps_tot_rejected(self, bo3, flag):
+        with pytest.raises(ValueError, match=f"^eps_tot must be a number, not a bool, got {flag}$"):
+            composer.leading_order(bo3, 1.0, 2.0, flag)
+
+    def test_int_eps_tot_taken(self, bo3):
+        assert composer.leading_order(bo3, 1, 2, 0) == composer.leading_order(bo3, 1.0, 2.0, 0.0)
+
     def test_a_case_clips(self):
         # best-of-5 at b = 1.5, eps_tot = -1/2 clips six of its 19 nodes
         tree = LEADING_ORDER_TREES["best-of-5"]
@@ -364,6 +372,10 @@ class TestANewOfB:
             for b in (1.5, 2.0, 3.0):
                 assert composer.a_new_of_b(tree, 0.75, b) == \
                     composer.leading_order(tree, 0.75, b, 0.01).a_new
+
+    def test_bool_a_rejected(self, bo3):
+        with pytest.raises(ValueError, match="^a must be a number, not a bool, got True$"):
+            composer.a_new_of_b(bo3, True, 2.0)
 
     def test_scales_linearly_in_a(self, bo3):
         one = composer.a_new_of_b(bo3, 1.0, 2.5)

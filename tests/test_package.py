@@ -5,6 +5,7 @@ numpy in the test process, so CI also runs them, with --noconftest, where
 numpy is not installed.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -77,6 +78,11 @@ def test_walk_commands_run_without_numpy(capsys):
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
     assert [code for code, _, _ in runs] == [0, 0, 0]
+    # the solver's bytes, pinned on every Python the numpy-free job runs
+    assert [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in runs] == [
+        "bd2f6e67dd618d3f3886d79e743f00cc2614a131c1c4a42800a4437bf5810f5c",
+        "3387451d8b28fd475b0995c2e63ebc5336e2fcfae3db5a2bd897cb5480a90808",
+        "beff73acc6b3481b34aab8dae403aca836f92185dc003205b1033c31ee3b3901"]
     assert sum(out.count('"bias"') for _, out, _ in runs) == 2
     # bound_ok is decided on the returned solution, so check the verdicts
     # printed, not only the exit codes

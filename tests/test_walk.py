@@ -185,6 +185,38 @@ class TestEvaluatePolicy:
         assert max(sol.delta_list) <= sol.bound + 1e-12
         assert sol._replace(bound=sol.bias / 2).bound_ok is False
 
+    def test_residual_failure_names_the_worst_site(self, monkeypatch):
+        # with no tolerance left, any rounding dust fails the check; the
+        # message must carry the largest residual and the site it is at.
+        # Row z: W(z) - p0 W(z+1) - p1 W(z-1) - pc (N+z)/(2N), with the top
+        # row's p0 W(N) moved to its right-hand side, as the solver has it
+        game = std_game(8)
+        eps = [0.5 * ((7 * i) % 15) / 15 for i in range(15)]
+        w = walk.evaluate_policy(game, eps).w_list
+        p0, p1, pc = cheat_model.triple(game.model, eps)
+        res = {}
+        for i, z in enumerate(game.interior()):
+            rhs = pc[i] * ((i + 1) / 16.0)
+            up = w[i + 2]
+            if z == 7:
+                rhs, up = rhs + p0[i], 0.0
+            res[z] = w[i + 1] - (p0[i] * up + p1[i] * w[i] + rhs)
+        worst = max(map(abs, res.values()))
+        assert worst > 0.0
+        monkeypatch.setattr(walk, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(RuntimeError) as info:
+            walk.evaluate_policy(game, eps)
+        found = re.fullmatch(r"solver residual (\S+) at site (-?\d+) exceeds 0\.0",
+                             str(info.value))
+        value, site = float(found[1]), int(found[2])
+        assert res[site] == value and abs(value) == worst
+
+    def test_pivot_failure_names_the_row(self):
+        # p1 W(z-1) with p1 = 2 and q = 1 above it leaves pivot 1 - 2 = -1
+        rec = walk._Improved([0.0] * 3, [1.0] * 3, [2.0] * 3, [0.0] * 3)
+        with pytest.raises(RuntimeError, match=r"pivot -1\.0 at row 1;"):
+            walk.evaluate_policy(prime_game(2), rec)
+
     @pytest.mark.parametrize("a", WALK_A)
     @pytest.mark.parametrize("variant", [PRIME, STD])
     def test_matches_exact_solve(self, variant, a):
@@ -226,7 +258,7 @@ class TestImprovePolicy:
     def test_prime_actions_are_binary(self):
         g = prime_game(6)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
-        improved = walk.improve_policy(g, sol.w_list)
+        improved = walk.improve_policy(g, sol.w_list).eps
         emax = g.model.eps_max
         assert len(improved) == 11
         assert set(improved) <= {0.0, emax}
@@ -236,7 +268,7 @@ class TestImprovePolicy:
         # site is 3/(2N) > 0 for a=1, so every site switches on
         g = prime_game(5)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
-        improved = walk.improve_policy(g, sol.w_list)
+        improved = walk.improve_policy(g, sol.w_list).eps
         assert improved == [g.model.eps_max] * 9
 
     @staticmethod
@@ -262,24 +294,45 @@ class TestImprovePolicy:
         best = max(q(e) for e in cands)
         return min(e for e in cands if q(e) == best)
 
-    @given(st.sampled_from([PRIME, STD]), st.sampled_from(WALK_A),
-           st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                    min_size=1, max_size=14))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_scalar_reference(self, variant, a, values):
-        # arbitrary w, not only solver output: curvature of either sign,
-        # and dyadic values that make exact ties
+    # arbitrary w, not only solver output: curvature of either sign, and
+    # dyadic values that make exact ties
+    W_CASES = (st.sampled_from([PRIME, STD]), st.sampled_from(WALK_A),
+               st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                        min_size=1, max_size=14))
+
+    @staticmethod
+    def _game_and_w(variant, a, values):
         n = (len(values) + 2) // 2
         g = walk.WalkGame(n, CheatModel(a, 1.0, variant))
-        w = [values[i % len(values)] for i in range(2 * n + 1)]
+        return g, [values[i % len(values)] for i in range(2 * n + 1)]
+
+    @given(*W_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, variant, a, values):
+        g, w = self._game_and_w(variant, a, values)
+        n = g.n
         want = [self._reference_site_best(g, w[i + 2], w[i], (i + 1) / (2.0 * n))
                 for i in range(2 * n - 1)]
-        assert walk.improve_policy(g, w) == want
+        assert walk.improve_policy(g, w).eps == want
+
+    @given(*W_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_columns_are_the_triples_of_the_eps(self, variant, a, values):
+        # evaluate_policy solves from these lists without checking them, so
+        # every eps must be in the box's domain and every (p0, p1, pc) must
+        # be cheat_model.triple's at that eps, bit for bit
+        g, w = self._game_and_w(variant, a, values)
+        got = walk.improve_policy(g, w)
+        for e in got.eps:
+            g.model.check_eps(e)
+        want = cheat_model.triple(g.model, got.eps)
+        assert [list(map(float.hex, col)) for col in got[1:]] == \
+            [list(map(float.hex, col)) for col in want]
 
     def test_std_actions_respect_domain(self):
         g = std_game(6)
         sol = walk.evaluate_policy(g, walk.honest_policy(g))
-        improved = walk.improve_policy(g, sol.w_list)
+        improved = walk.improve_policy(g, sol.w_list).eps
         for e in improved:
             assert 0.0 <= e <= 0.5
 
@@ -506,7 +559,7 @@ class TestPinnedAnswers:
                                   rng.choice([0.0, 1.0, 0.5, 1 - 2 ** -53]))
                       for z in game.interior()}
             sol = walk.evaluate_policy(game, policy)
-            records.append([sol.to_json_dict(), walk.improve_policy(game, sol.w_list)])
+            records.append([sol.to_json_dict(), walk.improve_policy(game, sol.w_list).eps])
         assert json_digest(records) == (
             "868274878e380d8c398a94202918e23e030cf520896605519d85fdb8bb58d16e")
 
@@ -532,7 +585,12 @@ class TestArrayPath:
 
         monkeypatch.setattr(cheat_model, "triple", counting)
         sol = walk.optimize(walk.WalkGame(200, CheatModel(1.0, 1.0, variant)))
-        assert len(calls) <= 4 * sol.iterations
+        # one list call per solve, on the honest start, and improve_policy's
+        # one scalar call at eps_max per sweep
+        assert sol.iterations > 1
+        assert [type(eps) for eps in calls].count(list) == 1
+        assert calls[0] == [0.0] * 399
+        assert len(calls) == 1 + sol.iterations
 
     def test_solution_holds_python_scalars(self):
         sol = walk.optimize(std_game(5))
@@ -603,7 +661,8 @@ class TestListForm:
         assert sol.policy[-3] == sol.eps_list[0]
 
     def test_optimize_makes_no_site_dict(self, monkeypatch):
-        # a sweep hands lists from evaluate_policy to improve_policy and back
+        # a sweep hands the W list from evaluate_policy to improve_policy and
+        # improve_policy's record back; only the honest start is a bare list
         seen = []
         real_eval, real_improve = walk.evaluate_policy, walk.improve_policy
         monkeypatch.setattr(walk, "evaluate_policy",
@@ -611,9 +670,20 @@ class TestListForm:
         monkeypatch.setattr(walk, "improve_policy",
                             lambda g, w: seen.append(type(w)) or real_improve(g, w))
         sol = walk.optimize(std_game(30))
-        assert set(seen) == {list}
-        assert len(seen) == 2 * sol.iterations
+        assert sol.iterations > 1
+        assert seen == [list, list] + [walk._Improved, list] * (sol.iterations - 1)
         assert "w" not in vars(sol) and "policy" not in vars(sol)
+
+    def test_record_solves_as_its_eps_list(self):
+        g = std_game(12)
+        w = walk.optimize(g).w_list
+        rec = walk.improve_policy(g, [x * x for x in w])
+        assert repr(walk.evaluate_policy(g, rec)) == repr(walk.evaluate_policy(g, rec.eps))
+
+    def test_record_of_another_n(self):
+        rec = walk.improve_policy(prime_game(3), walk.optimize(prime_game(3)).w_list)
+        with pytest.raises(ValueError, match="policy list has 5 entries, the interior has 7"):
+            walk.evaluate_policy(prime_game(4), rec)
 
 
 class TestPolicyValidation:
