@@ -21,7 +21,8 @@ _EXPORTS = {
     "cheat_model": ("PRIME", "STD", "CheatModel", "OutcomeTriple", "dominates",
                     "parse_model_string"),
     "composer": ("CompositionResult", "a_new_of_b", "brute_force_min_pc",
-                 "derivative_in_b", "exact_outcome", "leading_order"),
+                 "derivative_in_b", "exact_outcome", "leading_order",
+                 "strategy_from_paths", "strategy_to_paths"),
     "game_tree": ("Flip", "GameTree", "Leaf", "TreeParseError", "annotate",
                   "gen_best_of", "gen_full", "gen_random_fair", "lemma_sum",
                   "parse_tree", "serialize_tree"),

@@ -17,7 +17,9 @@ Two variants:
 triple() takes one eps or a list of them.  A list gives three lists, built
 element by element with the very expressions the scalar call uses (the
 scalar call is a list of one), so a list entry equals the scalar triple at
-that eps bit for bit for every b.  The module needs no numpy: the walk
+that eps bit for bit for every b.  columns() is triple() on a list whose
+eps a boundary has already checked (walk.check_policy), so that each
+value is checked once.  The module needs no numpy: the walk
 solver, its one caller on lists, runs on plain lists too.
 """
 
@@ -113,13 +115,17 @@ def triple(model: CheatModel, eps) -> OutcomeTriple:
     """
     model.check_eps(eps)
     if isinstance(eps, list):
-        return OutcomeTriple(*_columns(model, eps))
-    (p0,), (p1,), (pc,) = _columns(model, [eps])
+        return OutcomeTriple(*columns(model, eps))
+    (p0,), (p1,), (pc,) = columns(model, [eps])
     return OutcomeTriple(p0, p1, pc)
 
 
-def _columns(model: CheatModel, eps: list) -> tuple[list, list, list]:
-    # p0, p1 and pc at each checked eps, one expression per field
+def columns(model: CheatModel, eps: list) -> tuple[list, list, list]:
+    """p0, p1 and pc lists at eps that model.check_eps has already passed.
+
+    triple() without its check, for a caller that checked the list where
+    it entered; entry i is the scalar triple at eps[i] bit for bit.
+    """
     a = model.a
     if model.variant == PRIME:
         p0 = [0.5 + e for e in eps]

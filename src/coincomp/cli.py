@@ -104,12 +104,15 @@ def _cmd_compose(args) -> int:
         t = composer.exact_outcome(tree, model, result.strategy)
         payload["exact"] = {"p0": t.p0, "p1": t.p1, "pc": t.pc}
     if args.brute_force:
+        from . import game_tree
+
         grid = 1e-3 if args.grid is None else args.grid
         strategy, min_pc = composer.brute_force_min_pc(tree, model, args.eps_tot,
                                                        grid)
+        by_path = composer.strategy_to_paths(game_tree.annotate(tree), strategy)
         payload["brute_force"] = {
             "min_pc": min_pc,
-            "strategy": {path: eps for path, eps in sorted(strategy.items())},
+            "strategy": dict(sorted(by_path.items())),
         }
     _emit(payload)
     return 0
@@ -186,16 +189,17 @@ def _number_map(arg: str, kind: str) -> dict[str, float]:
 def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
     from . import composer, game_tree
 
-    if arg == "honest":
-        ann = game_tree.annotate(tree)
-        return {path: 0.0 for path, u in zip(ann.path, ann.up) if u >= 0}
     if arg.startswith("lo:"):
         try:
             eps_tot = float(arg[3:])
         except ValueError:
             raise ValueError(f"bad --strategy shorthand {arg!r}") from None
         return composer.leading_order(tree, model.a, model.b, eps_tot).strategy
-    return _number_map(arg, "strategy")
+    ann = game_tree.annotate(tree)
+    if arg == "honest":
+        return composer.strategy_from_paths(
+            ann, {path: 0.0 for path, _ in ann.internal()})
+    return composer.strategy_from_paths(ann, _number_map(arg, "strategy"))
 
 
 def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:

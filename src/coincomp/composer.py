@@ -19,14 +19,22 @@ walk module solves only the walk game.  leading_order, a_new_of_b and
 derivative_in_b check their arguments in one place, _closed_form.
 exact_outcome reads only each node's (p0, p1, pc), so it takes either box.
 
+In the library a tree strategy is one list of eps in annotate's postorder,
+0.0 at every leaf: leading_order and brute_force_min_pc return it, and
+strategy_triples, exact_outcome and simulate.simulate_tree take it.  The
+path-keyed dicts of the JSON documents exist only at that edge, through
+one converter pair: strategy_to_paths writes one, strategy_from_paths
+reads one and refuses a missing or an extra path.
+
 The tree passes (leading_order, a_new_of_b, strategy_triples and
-exact_outcome) read annotate's postorder columns and write into lists
-made once per call, never a container per node, so a pass leaves nothing
-for Python's cyclic garbage collector to scan or free.  What depends on
-Delta alone, |Delta|**(b/(b-1)) in S and each node's eps, is computed
-once per distinct Delta and reused: a best-of-15 tree has 12,869 internal
-nodes but 26 distinct Delta.  The reused float is the one a per-node
-computation would give, so the answers are unchanged bit for bit.
+exact_outcome) read annotate's postorder columns, never its path column,
+and write into lists made once per call, never a container per node, so
+a pass leaves nothing for Python's cyclic garbage collector to scan or
+free.  What depends on Delta alone, |Delta|**(b/(b-1)) in S and each
+node's eps, is computed once per distinct Delta and reused: a best-of-15
+tree has 12,869 internal nodes but 26 distinct Delta.  The reused float
+is the one a per-node computation would give, so the answers are
+unchanged bit for bit.
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -35,18 +43,22 @@ check on the closed form, importing it (and numpy) only then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import cheat_model
 from .cheat_model import CheatModel, OutcomeTriple
 from .game_tree import HALF_POWERS, GameTree, TreeAnnotation, annotate
 
-Strategy = dict[str, float]
+Strategy = list[float]  # eps per node in annotate's postorder, 0.0 at leaves
 
 
 @dataclass(frozen=True)
 class CompositionResult:
-    """Leading-order optimum: composed sensitivity, multiplier, per-node biases."""
+    """Leading-order optimum: composed sensitivity, multiplier, per-node biases.
+
+    The tree is kept for to_json_dict, which names the nodes by path; its
+    annotation is not, so a held result costs no more than its strategy.
+    """
 
     a_new: float
     lam: float  # Lagrange multiplier, serialized as "lambda"
@@ -54,16 +66,55 @@ class CompositionResult:
     eps_tot: float
     predicted_pc: float
     clipped: bool
+    tree: GameTree = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
+        by_path = strategy_to_paths(annotate(self.tree), self.strategy)
         return {
             "a_new": self.a_new,
             "lambda": self.lam,
             "eps_tot": self.eps_tot,
             "predicted_pc": self.predicted_pc,
             "clipped": self.clipped,
-            "strategy": {path: eps for path, eps in sorted(self.strategy.items())},
+            "strategy": dict(sorted(by_path.items())),
         }
+
+
+def strategy_to_paths(ann: TreeAnnotation, strategy: Strategy) -> dict[str, float]:
+    """Path -> eps of every internal node, in postorder: the JSON edge's form."""
+    _check_list(ann, strategy)
+    return {at: eps for at, eps, u in zip(ann.path, strategy, ann.up) if u >= 0}
+
+
+def strategy_from_paths(ann: TreeAnnotation, by_path: dict[str, float]) -> Strategy:
+    """The list form of a path-keyed strategy.
+
+    Its keys must be exactly the paths of the internal nodes; leaves get 0.0.
+    The eps values are checked where the list is read (strategy_triples).
+    """
+    strategy = [0.0] * len(ann.up)
+    for i, (at, u) in enumerate(zip(ann.path, ann.up)):
+        if u >= 0:
+            try:
+                strategy[i] = by_path[at]
+            except KeyError:
+                raise ValueError(f"strategy is missing node '{at}'") from None
+    if len(by_path) > len(ann.up) - ann.up.count(-1):
+        extra = sorted(set(by_path).difference(
+            at for at, u in zip(ann.path, ann.up) if u >= 0))
+        raise ValueError(f"strategy names {len(extra)} paths that are not "
+                         f"internal nodes, first '{extra[0]}'")
+    return strategy
+
+
+def _check_list(ann: TreeAnnotation, strategy: Strategy) -> None:
+    if not isinstance(strategy, list):
+        raise ValueError(f"a tree strategy is a list of eps in postorder, got "
+                         f"{type(strategy).__name__}; strategy_from_paths "
+                         "reads a path-keyed one")
+    if len(strategy) != len(ann.up):
+        raise ValueError(f"strategy has {len(strategy)} entries, the tree has "
+                         f"{len(ann.up)} nodes")
 
 
 def _check_eps_tot(eps_tot: float) -> None:
@@ -104,10 +155,10 @@ def _closed_form(name: str, tree: GameTree, a: float,
         raise ValueError("tree has no internal node; nothing to compose")
     if abs(ann.p_w_root - 0.5) > 1e-12:
         raise ValueError(f"tree is not fair: P_W(root) = {ann.p_w_root}")
-    s = _weight_sum(ann, b)
-    if s == 0.0:
-        raise ValueError("every Delta is zero; no strategy can move the outcome")
-    return ann, s
+    # S > 0: the deepest node whose P_W is neither 0 nor 1 (the root's is
+    # near 1/2, so there is one, at depth <= 51) has |Delta| = 1, so its
+    # term alone makes S >= 2**-51
+    return ann, _weight_sum(ann, b)
 
 
 def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> CompositionResult:
@@ -115,32 +166,29 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
 
     Requires b > 1 and a fair tree: at b = 1 the package solves only the
     walk game, not trees.  Nodes with Delta = 0 cannot move the outcome
-    and get eps = 0.  Biases exceeding 1/2 in magnitude (possible when
-    b != 2) are clamped and reported through the clipped flag.
+    and get eps = 0, as do the leaves.  Biases exceeding 1/2 in magnitude
+    (possible when b != 2) are clamped and reported through the clipped
+    flag.
     """
     _check_eps_tot(eps_tot)
     ann, s = _closed_form("leading_order", tree, a, b)
 
     expo = 1.0 / (b - 1.0)
-    strategy: Strategy = {}
-    bias: dict[float, float] = {}  # eps per distinct Delta
+    bias: dict[float | None, float] = {None: 0.0}  # eps per distinct Delta
     clipped = False
-    for at, gap in zip(ann.path, ann.delta):
-        if gap is None:
-            continue
-        eps = bias.get(gap)
-        if eps is None:
-            eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
-            if abs(eps) > 0.5:
-                eps = math.copysign(0.5, eps)
-                clipped = True
-            bias[gap] = eps
-        strategy[at] = eps
+    for gap in set(ann.delta).difference(bias):
+        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
+        if abs(eps) > 0.5:
+            eps = math.copysign(0.5, eps)
+            clipped = True
+        bias[gap] = eps
+    strategy = list(map(bias.__getitem__, ann.delta))
 
     a_new = a * s ** (1.0 - b)
     lam = math.copysign(a * b * (abs(eps_tot) / s) ** (b - 1.0), eps_tot)
     predicted_pc = a_new * abs(eps_tot) ** b
-    return CompositionResult(a_new, lam, strategy, eps_tot, predicted_pc, clipped)
+    return CompositionResult(a_new, lam, strategy, eps_tot, predicted_pc, clipped,
+                             tree)
 
 
 def a_new_of_b(tree: GameTree, a: float, b: float) -> float:
@@ -165,32 +213,29 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
                      strategy: Strategy) -> tuple[list[float], ...]:
     """Per-node p0, p1 and pc of a tree strategy, as lists in postorder.
 
-    The one reader of a tree strategy: its keys must be exactly the paths
-    of the internal nodes.  Leaves read 0.0.  Each distinct eps costs one
-    scalar cheat_model.triple call (an array call can round |eps|**b
-    differently), and every later node with that eps one memo lookup.
-    -0.0 equals 0.0 as a dict key, but the prime model's pc = a*eps tells
-    them apart, so -0.0 is memoized under its own key, None.
+    The one reader of a tree strategy, and its one check: a list with an
+    entry per node and 0.0 at every leaf, whose eps the model allows.
+    Leaves read 0.0.  Each distinct eps costs one scalar cheat_model.triple
+    call, which checks it, and every later node with that eps one memo
+    lookup.  -0.0 equals 0.0 as a dict key, but the prime model's
+    pc = a*eps tells them apart, so -0.0 is memoized under its own key,
+    None.
     """
-    size = len(ann.path)
+    _check_list(ann, strategy)
+    size = len(strategy)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
     memo: dict[float | None, OutcomeTriple] = {}
-    for i, (at, u) in enumerate(zip(ann.path, ann.up)):
-        if u >= 0:
-            try:
-                eps = strategy[at]
-            except KeyError:
-                raise ValueError(f"strategy is missing node '{at}'") from None
-            key = eps if eps or math.copysign(1.0, eps) > 0.0 else None
-            t = memo.get(key)
-            if t is None:
-                t = memo[key] = cheat_model.triple(model, eps)
-            p0[i], p1[i], pc[i] = t
-    if len(strategy) > size - ann.up.count(-1):
-        extra = sorted(set(strategy).difference(
-            at for at, u in zip(ann.path, ann.up) if u >= 0))
-        raise ValueError(f"strategy names {len(extra)} paths that are not "
-                         f"internal nodes, first '{extra[0]}'")
+    for i, (eps, u) in enumerate(zip(strategy, ann.up)):
+        if u < 0:
+            if eps != 0.0:
+                raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
+                                 f"postorder position {i}; leaves take 0.0")
+            continue
+        key = eps if eps or math.copysign(1.0, eps) > 0.0 else None
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = cheat_model.triple(model, eps)
+        p0[i], p1[i], pc[i] = t
     return p0, p1, pc
 
 
@@ -202,7 +247,7 @@ def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> Outc
     preallocated column per outcome.
     """
     ann = annotate(tree)
-    size = len(ann.path)
+    size = len(ann.up)
     o0, o1, oc = [0.0] * size, [0.0] * size, [0.0] * size
     for i, (w, u, dn, p0, p1, pc) in enumerate(zip(
             ann.p_w, ann.up, ann.down, *strategy_triples(ann, model, strategy))):
@@ -221,7 +266,8 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
 
     Over strategies with every eps(x) on the grid of multiples of grid_step,
     restricted to those whose exact win excess reaches eps_tot*(1 - grid_step),
-    returns a strategy of minimum exact catch probability and that minimum.
+    returns a strategy of minimum exact catch probability, a list in
+    annotate's postorder, and that minimum.
     eps_tot must be finite with |eps_tot| <= 1/2.  Small trees only; the
     search is exact over the full grid product.
     """

@@ -16,9 +16,13 @@ machine precision instead of approximately.  Generators and the parser
 also refuse trees of more than MAX_NODES nodes, so that a call ends in
 seconds instead of running for minutes or exhausting memory.
 
-annotate writes one column per quantity (path, depth, P_W, Delta and the
+annotate writes one column per quantity (depth, P_W, Delta and the
 child positions), appending to each in postorder; it keeps no container
-per node.  Every recursion over a tree is a module-level function that
+per node and builds no path string.  The path column, the node names of
+the JSON documents, is built on first use, once per annotation, from the
+child positions: only the JSON edge (tree analyze, composer's strategy
+converters, `nodes` and `internal()`) reads it, and the analyses never
+do.  Every recursion over a tree is a module-level function that
 takes its state as arguments.  A nested function that calls itself holds
 itself through its closure cell, a reference cycle that keeps it and all
 it refers to (such as a result list) alive until the cyclic garbage
@@ -71,17 +75,27 @@ class NodeInfo:
 class TreeAnnotation:
     """Per-node columns in postorder (children before parents, root last).
 
-    path[i] runs from the root ('' = root, then U/D); leaves have delta None
-    and child positions up/down of -1.  `nodes` and `internal` build
-    NodeInfo records on request, for callers that want them by path.
+    Leaves have delta None and child positions up/down of -1.  `path`,
+    `nodes` and `internal` are built on request, for the JSON edge.
     """
 
-    path: list[str]
     depth: list[int]
     p_w: list[float]
     delta: list[float | None]
     up: list[int]
     down: list[int]
+
+    @cached_property
+    def path(self) -> list[str]:
+        """Each node's path from the root ('' = root, then U/D), in postorder."""
+        path = [""] * len(self.up)
+        # reversed postorder visits every parent before its children
+        for i in range(len(path) - 1, -1, -1):
+            u = self.up[i]
+            if u >= 0:
+                at = path[i]
+                path[u], path[self.down[i]] = at + "U", at + "D"
+        return path
 
     @cached_property
     def nodes(self) -> dict[str, NodeInfo]:
@@ -301,12 +315,12 @@ def annotate(tree: GameTree) -> TreeAnnotation:
     The one traversal of a Flip/Leaf tree; every analysis reads its columns.
     A node deeper than MAX_DEPTH stops the pass as soon as it is reached.
     """
-    ann = TreeAnnotation([], [], [], [], [], [])
-    _annotate(tree, 0, "", ann)
+    ann = TreeAnnotation([], [], [], [], [])
+    _annotate(tree, 0, ann)
     return ann
 
 
-def _annotate(node: Node, d: int, at: str, ann: TreeAnnotation) -> float:
+def _annotate(node: Node, d: int, ann: TreeAnnotation) -> float:
     # appends node's subtree to ann's columns in postorder; returns its P_W
     if d > MAX_DEPTH:
         raise ValueError(_TOO_DEEP)
@@ -314,13 +328,12 @@ def _annotate(node: Node, d: int, at: str, ann: TreeAnnotation) -> float:
         w = 1.0 if node.label == 0 else 0.0
         gap, u, dn = None, -1, -1
     else:
-        pu = _annotate(node.up, d + 1, at + "U", ann)
-        u = len(ann.path) - 1
-        pd = _annotate(node.down, d + 1, at + "D", ann)
-        dn = len(ann.path) - 1
+        pu = _annotate(node.up, d + 1, ann)
+        u = len(ann.depth) - 1
+        pd = _annotate(node.down, d + 1, ann)
+        dn = len(ann.depth) - 1
         w = (pu + pd) / 2.0
         gap = pu - pd
-    ann.path.append(at)
     ann.depth.append(d)
     ann.p_w.append(w)
     ann.delta.append(gap)

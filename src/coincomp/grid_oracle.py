@@ -5,6 +5,9 @@ grid_step, done as an exact dynamic program over per-subtree Pareto
 frontiers of (win, catch) probability: the same minimum as a literal
 product loop, in feasible time.  It is the independent check on composer's
 closed form, so it reads only the annotated tree and never calls composer.
+It reads the annotation's columns, not its path column, and returns the
+strategy it found as the library's one tree strategy form: a list of eps
+in the annotation's postorder, 0.0 at the leaves.
 """
 
 from __future__ import annotations
@@ -338,8 +341,9 @@ def _first_dearer(pc, p, c, tail, best: float) -> np.ndarray:
 
 
 def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
-           grid_step: float) -> tuple[dict[str, float], float]:
-    """brute_force_min_pc's search on checked arguments: (strategy, min_pc)."""
+           grid_step: float) -> tuple[list[float], float]:
+    """brute_force_min_pc's search on checked arguments: (strategy, min_pc),
+    the strategy a list of eps in the annotation's postorder."""
     kmax = int(math.floor(0.5 / grid_step + 1e-9))
     grid = [k * grid_step for k in range(-kmax, kmax + 1)]
     grid = [e for e in grid
@@ -401,17 +405,17 @@ def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
 
     # top-down over the reversed postorder: each node's frontier entry is
     # set by its parent first; -1 marks a subtree the cheater plays honestly
-    entry = [-1] * len(ann.path)
+    # (the strategy list starts honest, so such a subtree and the leaves
+    # keep their 0.0)
+    entry = [-1] * len(ann.up)
     min_pc, e_idx, entry[ann.up[-1]], entry[ann.down[-1]] = best
-    strategy: dict[str, float] = {"": grid[e_idx]}
+    strategy = [0.0] * len(ann.up)
+    strategy[-1] = grid[e_idx]
     for i in range(len(frontier) - 1, -1, -1):
         u, k = ann.up[i], entry[i]
-        if u < 0:
-            continue
-        if k < 0:
-            strategy[ann.path[i]] = 0.0
+        if u < 0 or k < 0:
             continue
         f = frontier[i]
-        strategy[ann.path[i]] = grid[int(f.eps_idx[k])]
+        strategy[i] = grid[int(f.eps_idx[k])]
         entry[u], entry[ann.down[i]] = int(f.up_idx[k]), int(f.down_idx[k])
     return strategy, min_pc

@@ -58,11 +58,13 @@ and the draws a walk makes after its absorption or past the cap are never
 read, so every count is the one a one-draw-per-pass loop over all trials
 would give.
 
-A tree game reads its strategy through composer.strategy_triples, which
-makes one scalar cheat_model.triple call per distinct eps (with -0.0 kept
-apart from 0.0): the leading-order best-of-15 strategy at eps_tot 0.2 has
-12,869 internal nodes but only 26 distinct values.  Timings before and
-after are in the README's Monte Carlo section.
+A tree game takes its strategy as the library's one tree strategy form, a
+list of eps in annotate's postorder (composer.strategy_from_paths reads a
+path-keyed one), and reads it through composer.strategy_triples, which
+checks it once and makes one scalar cheat_model.triple call per distinct
+eps (with -0.0 kept apart from 0.0): the leading-order best-of-15 strategy
+at eps_tot 0.2 has 12,869 internal nodes but only 26 distinct values.
+Timings before and after are in the README's Monte Carlo section.
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     if step_cap is None:
         step_cap = 64 * n * n
     _check_count("step_cap", step_cap, 4 * n * n, "4*N^2 = ")
-    t = cheat_model.triple(game.model, check_policy(game, policy))
-    p0, p1 = np.array(t.p0), np.array(t.p1)
+    p0, p1, _ = cheat_model.columns(game.model, check_policy(game, policy))
+    p0, p1 = np.array(p0), np.array(p1)
 
     # node i is site i - n; the boundary nodes stop the walk
     node = np.arange(2 * n + 1)

@@ -32,7 +32,8 @@ elimination pass, one back substitution pass that also checks every
 row's residual, and one improvement loop.  The site-keyed dicts and the
 bound verdict exist only on the returned WalkSolution, built on first
 use.  A site-keyed policy is validated once, by check_policy, where it
-enters, and a bare eps list by cheat_model.triple.
+enters (its lists then go through cheat_model.columns, which checks
+nothing again), and a bare eps list by cheat_model.triple.
 
 Improving a site compares q(0) with q(eps_max) in both boxes, ties to 0;
 the standard box's q is a quadratic whose vertex, where it is concave, is
@@ -182,22 +183,25 @@ def evaluate_policy(game: WalkGame,
                     policy: WalkPolicy | list[float] | _Improved) -> WalkSolution:
     """Solve the walk's linear system for a fixed policy.
 
-    The policy is site-keyed, or a list of eps over the interior at index
-    z + N - 1, which cheat_model.triple checks and turns into (p0, p1, pc)
-    lists, or improve_policy's result for this game, whose lists are solved
-    as they are.  Direct tridiagonal (Thomas) elimination.  The matrix has
-    unit diagonal and off-diagonals -p0, -p1 with p0 + p1 <= 1, and the
-    honest boundary rows keep it nonsingular; the pivots and the
-    per-equation residuals are checked anyway and a failure raises
-    RuntimeError.
+    The policy is site-keyed, which check_policy checks, or a list of eps
+    over the interior at index z + N - 1, which cheat_model.triple checks
+    and turns into (p0, p1, pc) lists, or improve_policy's result for this
+    game, whose lists are solved as they are.  Direct tridiagonal (Thomas)
+    elimination.  The matrix has unit diagonal and off-diagonals -p0, -p1
+    with p0 + p1 <= 1, and the honest boundary rows keep it nonsingular;
+    the pivots and the per-equation residuals are checked anyway and a
+    failure raises RuntimeError.
     """
     n = game.n
     m = 2 * n - 1
     if isinstance(policy, _Improved):
         eps, p0, p1, pc = policy
-    else:
-        eps = policy if isinstance(policy, list) else check_policy(game, policy)
+    elif isinstance(policy, list):
+        eps = policy
         p0, p1, pc = cheat_model.triple(game.model, eps)
+    else:  # check_policy checks the eps domain too
+        eps = check_policy(game, policy)
+        p0, p1, pc = cheat_model.columns(game.model, eps)
     if len(eps) != m:
         raise ValueError(f"policy list has {len(eps)} entries, the "
                          f"interior has {m} sites")

@@ -50,6 +50,15 @@ def generated_trees():
     )
 
 
+def deep_chain(depth):
+    """A tree of the given depth with one flip per level: each up child is
+    a 0 leaf, and the deepest flip is over a 0 and a 1 leaf."""
+    node = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
+    for _ in range(depth - 1):
+        node = game_tree.Flip(game_tree.Leaf(0), node)
+    return node
+
+
 def json_digest(records):
     """sha256 over one JSON line per record; json spells floats exactly."""
     h = hashlib.sha256()

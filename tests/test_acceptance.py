@@ -75,8 +75,9 @@ def test_criterion_03_quadratic_fixed_point(capsys):
             res = composer.leading_order(tree, a, 2.0, 0.1)
             worst_rel = max(worst_rel, abs(res.a_new - a) / a)
             if a == 1.0:
+                strategy = composer.strategy_to_paths(ann, res.strategy)
                 for path, info in ann.internal():
-                    gap = abs(res.strategy[path] - 0.1 * info.delta)
+                    gap = abs(strategy[path] - 0.1 * info.delta)
                     worst_strategy = max(worst_strategy, gap)
     ok = worst_rel <= 1e-10 and worst_strategy <= 1e-12
     verdict(capsys, 3, "b=2 composition is a fixed point", ok,
@@ -182,7 +183,7 @@ def test_criterion_10_monte_carlo(capsys):
     one_flip = game_tree.gen_full(1, [0, 1])
     bo3 = FAIR_SUITE["best_of_3"]
 
-    r = simulate.simulate_tree(one_flip, m2, {"": 0.0}, trials, seed)
+    r = simulate.simulate_tree(one_flip, m2, [0.0, 0.0, 0.0], trials, seed)
     check("one-flip honest", r, "win", 0.5)
 
     res = composer.leading_order(bo3, 1.0, 2.0, 0.1)

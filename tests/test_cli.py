@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -372,10 +373,11 @@ class TestSimulate:
         assert json.loads(out)["catches"] > 0
 
     def test_tree_strategy_file(self, capsys, bo3_file, tmp_path):
-        strat = composer.leading_order(
-            game_tree.parse_tree(CANONICAL_BEST_OF_3), 1.0, 2.0, 0.1).strategy
+        tree = game_tree.parse_tree(CANONICAL_BEST_OF_3)
+        strat = composer.leading_order(tree, 1.0, 2.0, 0.1).strategy
         path = tmp_path / "strategy.json"
-        path.write_text(json.dumps(strat))
+        path.write_text(json.dumps(
+            composer.strategy_to_paths(game_tree.annotate(tree), strat)))
         code, out, _ = run(capsys, "simulate", "--tree", bo3_file,
                            "--model", "std:a=1,b=2", "--strategy", str(path),
                            "--trials", "20000", "--seed", "7")
@@ -650,8 +652,12 @@ class TestSeedRange:
 
 
 # sha256 of stdout: they pin the order of `tree analyze`'s nodes, which no
-# other test checks, and every float of both payloads.  random-fair(9, 11)
-# is a root over two leaves.
+# other test checks, and every float of the payloads.  random-fair(9, 11)
+# is a root over two leaves.  The compose and best-of-15 simulate pins,
+# taken when strategies were still path-keyed dicts inside the library,
+# hold the JSON edge's bytes: the path-keyed strategy payloads and the
+# strategy file read back to paths.  STRATEGY_FILE stands for a file of
+# seeded eps per path, -0.0 among them (see _seeded_strategy).
 STDOUT_PINS = {
     "analyze-best-of-5": (
         ("best-of-5", "tree", "analyze", "--in"),
@@ -663,19 +669,56 @@ STDOUT_PINS = {
         ("best-of-3", "simulate", "--model", "std:a=1,b=2", "--strategy",
          "honest", "--trials", "20000", "--seed", "3", "--tree"),
         "02b1aacf26a2661b9cc428ed1b4e82aaa9e6c3704f7c46790c242e9dc0f0a49a"),
+    "compose-exact-brute-force-best-of-3": (
+        ("best-of-3", "compose", "--a", "1", "--b", "2", "--eps-tot", "0.05",
+         "--exact", "--brute-force", "--tree"),
+        "acc3c2334ddd01b2b64510022d2c26123f17885f65136ab17195e3f70140f857"),
+    "compose-exact-best-of-15-b1.5": (
+        ("best-of-15", "compose", "--a", "1", "--b", "1.5", "--eps-tot", "0.05",
+         "--exact", "--tree"),
+        "4d022894e4141b68ad89a2418d0b93f7151743c893058b9c7f15169211d8aba6"),
+    "compose-exact-best-of-15-b2": (
+        ("best-of-15", "compose", "--a", "1", "--b", "2", "--eps-tot", "0.05",
+         "--exact", "--tree"),
+        "d00ffb176bf651ffd5ef3cd7f6aa632ed1b5900033666a68145d28ecb852c722"),
+    "compose-exact-best-of-15-b3": (
+        ("best-of-15", "compose", "--a", "1", "--b", "3", "--eps-tot", "0.05",
+         "--exact", "--tree"),
+        "8f87885cd32859b97382ec4682569f1422a970ffb7aa3c4b650656e367504aa5"),
+    "simulate-lo-best-of-15": (
+        ("best-of-15", "simulate", "--model", "std:a=1,b=2", "--strategy",
+         "lo:0.2", "--trials", "20000", "--seed", "5", "--tree"),
+        "5816029c70ee1176732dfd300d6f6128b8f5884c16c7d7cfbab684e719bcc905"),
+    "simulate-file-best-of-15": (
+        ("best-of-15", "simulate", "--model", "std:a=1,b=2", "--strategy",
+         "STRATEGY_FILE", "--trials", "20000", "--seed", "6", "--tree"),
+        "501b9d231fbb6aa91db80297ee485ba6e46b1ce92d90010a286bb48f4c04d96f"),
 }
 PIN_TREES = {
     "best-of-3": lambda: game_tree.gen_best_of(3),
     "best-of-5": lambda: game_tree.gen_best_of(5),
+    "best-of-15": lambda: game_tree.gen_best_of(15),
     "random-fair-9-11": lambda: game_tree.gen_random_fair(9, 11),
 }
+
+
+def _seeded_strategy(tree) -> dict:
+    """A strategy file's path -> eps, seeded, in the annotation's postorder."""
+    pick = random.Random(24).choice
+    return {p: pick([-0.1, -0.0, 0.0, 0.05, 0.2])
+            for p, _ in game_tree.annotate(tree).internal()}
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_PINS))
 def test_stdout_pinned(capsys, tmp_path, name):
     (tree_name, *argv), digest = STDOUT_PINS[name]
+    tree = PIN_TREES[tree_name]()
     path = tmp_path / "tree.json"
-    path.write_text(game_tree.serialize_tree(PIN_TREES[tree_name]()))
+    path.write_text(game_tree.serialize_tree(tree))
+    if "STRATEGY_FILE" in argv:
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(_seeded_strategy(tree)))
+        argv[argv.index("STRATEGY_FILE")] = str(strategy)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -16,7 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, grid_oracle, simulate
 from coincomp.cheat_model import CheatModel
-from conftest import SMALL_SUITE, generated_trees, json_digest
+from conftest import SMALL_SUITE, deep_chain, generated_trees, json_digest
+
+
+def by_path(tree, strategy):
+    """A library strategy list as the JSON edge's path -> eps dict."""
+    return composer.strategy_to_paths(game_tree.annotate(tree), strategy)
+
+
+def from_paths(tree, strategy):
+    """A path -> eps dict as the library's strategy list."""
+    return composer.strategy_from_paths(game_tree.annotate(tree), strategy)
 
 
 def literal_grid_min(tree, model, eps_tot, grid_step):
@@ -35,7 +45,8 @@ def literal_grid_min(tree, model, eps_tot, grid_step):
     best = None
     best_vec = None
     for combo in itertools.product(grid, repeat=len(paths)):
-        t = composer.exact_outcome(tree, model, dict(zip(paths, combo)))
+        strategy = composer.strategy_from_paths(ann, dict(zip(paths, combo)))
+        t = composer.exact_outcome(tree, model, strategy)
         if t.p0 >= target and (best is None or t.pc < best
                                or (t.pc == best and combo < best_vec)):
             best = t.pc
@@ -177,18 +188,17 @@ def reference_brute_force_min_pc(tree, model, eps_tot, grid_step):
 
     # top-down over the reversed postorder: each node's frontier entry is
     # set by its parent first; -1 marks a subtree the cheater plays honestly
-    entry = [-1] * len(ann.path)
+    # (a strategy list in postorder, 0.0 where the cheater plays honestly)
+    entry = [-1] * len(ann.up)
     min_pc, e_idx, entry[ann.up[-1]], entry[ann.down[-1]] = best
-    strategy = {"": grid[e_idx]}
+    strategy = [0.0] * len(ann.up)
+    strategy[-1] = grid[e_idx]
     for i in range(len(frontier) - 1, -1, -1):
         u, k = ann.up[i], entry[i]
-        if u < 0:
-            continue
-        if k < 0:
-            strategy[ann.path[i]] = 0.0
+        if u < 0 or k < 0:
             continue
         f = frontier[i]
-        strategy[ann.path[i]] = grid[int(f.eps_idx[k])]
+        strategy[i] = grid[int(f.eps_idx[k])]
         entry[u], entry[ann.down[i]] = int(f.up_idx[k]), int(f.down_idx[k])
     return strategy, min_pc
 
@@ -210,8 +220,9 @@ class TestLeadingOrder:
     def test_quadratic_strategy_is_eps_tot_times_delta(self, fair_tree):
         res = composer.leading_order(fair_tree, 1.0, 2.0, 0.1)
         ann = game_tree.annotate(fair_tree)
+        strategy = by_path(fair_tree, res.strategy)
         for path, info in ann.internal():
-            assert abs(res.strategy[path] - 0.1 * info.delta) <= 1e-12
+            assert abs(strategy[path] - 0.1 * info.delta) <= 1e-12
 
     def test_cubic_pinned_value(self, bo3):
         # S = (1/2)^{3/2} + 2 (1/2)(1/2)^{3/2} + 2 (1/4) = 1.20710678...
@@ -232,25 +243,26 @@ class TestLeadingOrder:
         a, b, eps_tot = 1.0, 2.5, 0.05
         res = composer.leading_order(fair_tree, a, b, eps_tot)
         ann = game_tree.annotate(fair_tree)
+        strategy = by_path(fair_tree, res.strategy)
         for path, info in ann.internal():
             if abs(info.delta) < 1e-15 or res.clipped:
                 continue
-            eps = res.strategy[path]
+            eps = strategy[path]
             lhs = math.copysign(a * b * abs(eps) ** (b - 1.0), eps)
             assert math.isclose(lhs, res.lam * info.delta,
                                 rel_tol=1e-10, abs_tol=1e-15)
 
     def test_zero_eps_tot_gives_honest_strategy(self, fair_tree):
         res = composer.leading_order(fair_tree, 1.0, 2.0, 0.0)
-        assert all(v == 0.0 for v in res.strategy.values())
+        assert all(v == 0.0 for v in res.strategy)
         assert res.predicted_pc == 0.0
         assert not res.clipped
 
     def test_negative_eps_tot_flips_signs(self, bo3):
         pos = composer.leading_order(bo3, 1.0, 2.0, 0.1)
         neg = composer.leading_order(bo3, 1.0, 2.0, -0.1)
-        for path, eps in pos.strategy.items():
-            assert neg.strategy[path] == -eps
+        for eps, flipped in zip(pos.strategy, neg.strategy, strict=True):
+            assert flipped == -eps
         assert neg.a_new == pos.a_new
         assert neg.lam == -pos.lam
 
@@ -292,7 +304,7 @@ class TestLeadingOrder:
         tree = LEADING_ORDER_TREES["best-of-5"]
         res = composer.leading_order(tree, 0.75, 1.5, -0.5)
         assert res.clipped
-        assert 0 < sum(abs(e) == 0.5 for e in res.strategy.values()) < 19
+        assert 0 < sum(abs(e) == 0.5 for e in res.strategy) < 19
 
     def test_clipping_flagged(self):
         # a unit-delta node wants eps = eps_tot * S^{-1/(b-1)} ... large
@@ -300,7 +312,7 @@ class TestLeadingOrder:
         tree = game_tree.gen_best_of(7)
         res = composer.leading_order(tree, 1.0, 1.2, 0.5)
         assert res.clipped
-        assert all(abs(v) <= 0.5 for v in res.strategy.values())
+        assert all(abs(v) <= 0.5 for v in res.strategy)
 
     def test_unclipped_for_small_bias(self, fair_tree):
         res = composer.leading_order(fair_tree, 1.0, 2.0, 0.01)
@@ -345,7 +357,7 @@ CLOSED_FORM_CALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CALLS))
-def test_closed_form_refusals_worded_once(monkeypatch, bo3, name):
+def test_closed_form_refusals_worded_once(bo3, name):
     call = CLOSED_FORM_CALLS[name]
     # b = 1: the message names the call and the walk, the one game solved there
     with pytest.raises(ValueError, match=re.escape(
@@ -357,13 +369,38 @@ def test_closed_form_refusals_worded_once(monkeypatch, bo3, name):
             (game_tree.gen_full(2, [0, 0, 0, 1]), "tree is not fair: P_W(root) = 0.75")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             call(tree, 1.0, 2.0)
-    # a fair tree has a node of |Delta| = 1 (the deepest one whose P_W is
-    # not 0 or 1), so S > 0 on every tree that passes; force S = 0 to reach
-    # the refusal, which the three calls share word for word
-    monkeypatch.setattr(composer, "_weight_sum", lambda ann, b: 0.0)
-    with pytest.raises(ValueError, match="^every Delta is zero; no strategy "
-                                         "can move the outcome$"):
-        call(bo3, 1.0, 2.0)
+
+
+@st.composite
+def fair_trees(draw):
+    """gen_random_fair, best-of and gen_full trees with as many 0 as 1 leaves."""
+    kind = draw(st.sampled_from(["random-fair", "best-of", "full"]))
+    if kind == "random-fair":
+        return game_tree.gen_random_fair(draw(st.integers(1, 10)),
+                                         draw(st.integers(0, 2 ** 32)))
+    if kind == "best-of":
+        return game_tree.gen_best_of(draw(st.sampled_from(range(1, 16, 2))))
+    depth = draw(st.integers(1, 8))
+    return game_tree.gen_full(depth, draw(st.permutations([0, 1] * 2 ** (depth - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=fair_trees())
+# the deepest node whose P_W is neither 0 nor 1 at depth 51, the deepest
+# it can be: S is then 2**-51 and a little more from the nodes above it
+@example(tree=game_tree.Flip(deep_chain(51), game_tree.mirror(deep_chain(51))))
+def test_fair_tree_weight_sum_is_at_least_2_to_minus_52(tree):
+    # A fair tree's deepest node whose P_W is neither 0 nor 1 has children
+    # of P_W 0 and 1, so |Delta| = 1 there; it sits at depth <= 51, so its
+    # term of S is at least 2**-52 at every b > 1, and a float sum of
+    # nonnegative terms is no smaller than any of them.  S = 0 never
+    # reaches the closed form's power of S.
+    ann = game_tree.annotate(tree)
+    assert ann.p_w_root == 0.5
+    assert any(abs(x) == 1.0 and d <= 51 for d, x in zip(ann.depth, ann.delta)
+               if x is not None)
+    for b in (1.5, 2.0, 3.0):
+        assert composer._weight_sum(ann, b) >= 2.0 ** -52
 
 
 class TestANewOfB:
@@ -449,7 +486,8 @@ class TestExactOutcome:
         ann = game_tree.annotate(tree)
         values = _PRIME_EPS_VALUES if model == _PRIME else _EPS_VALUES
         pick = random.Random(seed).choice
-        strategy = {p: pick(values) for p, _ in ann.internal()}
+        strategy = composer.strategy_from_paths(
+            ann, {p: pick(values) for p, _ in ann.internal()})
         got = composer.exact_outcome(tree, model, strategy)
         want = exact_pass(tree, ann, composer.strategy_triples(ann, model, strategy))
         for x, y in zip(got, want):
@@ -457,7 +495,7 @@ class TestExactOutcome:
 
     def test_honest_play(self, fair_tree):
         ann = game_tree.annotate(fair_tree)
-        strategy = {p: 0.0 for p, _ in ann.internal()}
+        strategy = [0.0] * len(ann.up)
         t = composer.exact_outcome(fair_tree, CheatModel(1.0, 2.0), strategy)
         assert t.p0 == ann.p_w_root
         assert t.p1 == 1.0 - ann.p_w_root
@@ -471,7 +509,7 @@ class TestExactOutcome:
 
     def test_one_flip_by_hand(self):
         tree = game_tree.gen_full(1, [0, 1])
-        t = composer.exact_outcome(tree, CheatModel(1.0, 2.0), {"": 0.1})
+        t = composer.exact_outcome(tree, CheatModel(1.0, 2.0), [0.0, 0.0, 0.1])
         keep = 1.0 - 0.01
         assert t.p0 == keep * 0.6
         assert t.p1 == keep * 0.4
@@ -480,7 +518,7 @@ class TestExactOutcome:
     def test_two_level_by_hand(self):
         # bias only the root of a depth-2 tree; children play honestly
         tree = game_tree.gen_full(2, [0, 1, 1, 0])
-        strategy = {"": 0.1, "U": 0.0, "D": 0.0}
+        strategy = from_paths(tree, {"": 0.1, "U": 0.0, "D": 0.0})
         t = composer.exact_outcome(tree, CheatModel(1.0, 2.0), strategy)
         # both children have P_W = 1/2, so the root bias cancels exactly
         assert math.isclose(t.p0, (1.0 - 0.01) * 0.5, abs_tol=1e-15)
@@ -488,8 +526,7 @@ class TestExactOutcome:
 
     def test_missing_path_rejected(self, bo3):
         with pytest.raises(ValueError, match="UD"):
-            composer.exact_outcome(bo3, CheatModel(1.0, 2.0),
-                                   {"": 0.0, "U": 0.0, "D": 0.0, "DU": 0.0})
+            from_paths(bo3, {"": 0.0, "U": 0.0, "D": 0.0, "DU": 0.0})
 
     def test_win_excess_tracks_eps_tot(self, bo3):
         # the leading-order strategy really does deliver ~eps_tot of bias
@@ -528,9 +565,10 @@ class TestStrategyTriples:
         paths = [p for p, _ in ann.internal()]
         values = self.MIXED if model.variant == cheat_model.PRIME else \
             [e * s for e, s in zip(self.MIXED, itertools.cycle([1, -1, 1]))]
-        strategy = dict(zip(paths, values))
+        named = dict(zip(paths, values))
         want = {p: [v.hex() for v in cheat_model.triple(model, e).as_tuple()]
-                for p, e in strategy.items()}
+                for p, e in named.items()}
+        strategy = composer.strategy_from_paths(ann, named)
         calls, real = [], cheat_model.triple
 
         def counted(model, eps):
@@ -546,7 +584,7 @@ class TestStrategyTriples:
         assert len(calls) == len({(e, math.copysign(1.0, e)) for e in values})
         # the prime catch probability keeps the sign of a zero eps
         if model.variant == cheat_model.PRIME:
-            assert {want[p][2] for p in paths if strategy[p] == 0.0} == \
+            assert {want[p][2] for p in paths if named[p] == 0.0} == \
                 {(0.0).hex(), (-0.0).hex()}
 
 
@@ -558,9 +596,92 @@ class TestStrategyTriples:
         # the zeros fill the memo first; the bad value must still be checked
         ann = game_tree.annotate(game_tree.gen_full(3, [0, 1] * 4))
         paths = [p for p, _ in ann.internal()]
-        strategy = dict(zip(paths, [0.0, -0.0] * 3 + [bad]))
+        strategy = composer.strategy_from_paths(
+            ann, dict(zip(paths, [0.0, -0.0] * 3 + [bad])))
         with pytest.raises(ValueError, match=f"{bad}"):
             composer.strategy_triples(ann, model, strategy)
+
+
+class TestStrategyEdge:
+    """The list form in the library and the path-keyed form at the JSON edge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=generated_trees(), seed=st.integers(0, 2 ** 32))
+    def test_round_trip_keeps_negative_zero(self, tree, seed):
+        ann = game_tree.annotate(tree)
+        pick = random.Random(seed).choice
+        named = {p: pick(_PRIME_EPS_VALUES) for p, _ in ann.internal()}
+        listed = composer.strategy_from_paths(ann, named)
+        back = composer.strategy_to_paths(ann, listed)
+        # the same paths, in postorder, each with its float spelled alike
+        assert [(p, repr(e)) for p, e in back.items()] == \
+            [(p, repr(e)) for p, e in named.items()]
+        # and the prime catch probability pc = a*eps keeps each zero's sign
+        pc = composer.strategy_triples(ann, _PRIME, listed)[2]
+        for i, (eps, u) in enumerate(zip(listed, ann.up)):
+            if u >= 0:
+                assert math.copysign(1.0, pc[i]) == math.copysign(1.0, eps)
+
+    def test_reader_names_a_missing_and_an_extra_path(self, bo3):
+        ann = game_tree.annotate(bo3)
+        named = {p: 0.0 for p, _ in ann.internal()}
+        del named["DU"]
+        with pytest.raises(ValueError, match="^strategy is missing node 'DU'$"):
+            composer.strategy_from_paths(ann, named)
+        named.update({"DU": 0.0, "UU": 0.1, "X": 0.1})
+        with pytest.raises(ValueError, match="^strategy names 2 paths that are "
+                                             "not internal nodes, first 'UU'$"):
+            composer.strategy_from_paths(ann, named)
+
+    @pytest.mark.parametrize("call", ["exact_outcome", "strategy_triples",
+                                      "simulate_tree", "strategy_to_paths"])
+    def test_list_form_checked_once_at_entry(self, bo3, call):
+        ann, model = game_tree.annotate(bo3), CheatModel(1.0, 2.0)
+        run = {
+            "exact_outcome": lambda s: composer.exact_outcome(bo3, model, s),
+            "strategy_triples": lambda s: composer.strategy_triples(ann, model, s),
+            "simulate_tree": lambda s: simulate.simulate_tree(bo3, model, s, 10, 1),
+            "strategy_to_paths": lambda s: composer.strategy_to_paths(ann, s),
+        }[call]
+        honest = {p: 0.0 for p, _ in ann.internal()}
+        with pytest.raises(ValueError, match="^a tree strategy is a list of eps "
+                                             "in postorder, got dict; "
+                                             "strategy_from_paths reads a "
+                                             "path-keyed one$"):
+            run(honest)
+        with pytest.raises(ValueError, match="^strategy has 10 entries, the "
+                                             "tree has 11 nodes$"):
+            run([0.0] * 10)
+        if call != "strategy_to_paths":  # which reads no eps
+            # position 0 is the leaf UU
+            with pytest.raises(ValueError, match=re.escape(
+                    "strategy gives eps = 0.1 to the leaf at postorder "
+                    "position 0; leaves take 0.0")):
+                run([0.1] + [0.0] * 10)
+            with pytest.raises(ValueError, match="standard model requires "
+                                                 r"\|eps\| <= 1/2, got 0.7"):
+                run([0.0] * 10 + [0.7])
+
+    def test_tree_passes_build_no_path_column(self, monkeypatch, bo3):
+        # only the JSON edge names nodes by path; the passes read the columns
+        def refuse(self):
+            raise AssertionError("a tree pass read the path column")
+
+        monkeypatch.setattr(game_tree.TreeAnnotation, "path", property(refuse))
+        model = CheatModel(1.0, 2.0)
+        res = composer.leading_order(bo3, 1.0, 2.0, 0.05)
+        composer.exact_outcome(bo3, model, res.strategy)
+        simulate.simulate_tree(bo3, model, res.strategy, 100, 1)
+        composer.brute_force_min_pc(bo3, model, 0.05, 0.01)
+        with pytest.raises(AssertionError, match="path column"):
+            res.to_json_dict()
+
+    def test_result_keeps_the_tree_not_its_annotation(self, bo3):
+        res = composer.leading_order(bo3, 1.0, 2.0, 0.05)
+        assert res.tree is bo3
+        assert not any(isinstance(v, game_tree.TreeAnnotation)
+                       for v in vars(res).values())
+        assert "tree" not in repr(res)
 
 
 class TestBruteForce:
@@ -574,7 +695,7 @@ class TestBruteForce:
             got_strat, got_pc = composer.brute_force_min_pc(tree, m, eps_tot,
                                                             grid_step)
             assert got_pc == want_pc, name
-            assert got_strat == want_strat, name
+            assert by_path(tree, got_strat) == want_strat, name
 
     def test_matches_literal_enumeration_best_of_3(self):
         m = CheatModel(1.0, 2.0)
@@ -582,7 +703,7 @@ class TestBruteForce:
         want_strat, want_pc = literal_grid_min(tree, m, 0.1, 0.125)
         got_strat, got_pc = composer.brute_force_min_pc(tree, m, 0.1, 0.125)
         assert got_pc == want_pc
-        assert got_strat == want_strat
+        assert by_path(tree, got_strat) == want_strat
 
     def test_matches_literal_on_other_exponents(self):
         tree = SMALL_SUITE["full2_a"]
@@ -592,7 +713,7 @@ class TestBruteForce:
             want_strat, want_pc = literal_grid_min(tree, m, 0.05, 0.1)
             got_strat, got_pc = composer.brute_force_min_pc(tree, m, 0.05, 0.1)
             assert got_pc == want_pc, (a, b)
-            assert got_strat == want_strat, (a, b)
+            assert by_path(tree, got_strat) == want_strat, (a, b)
 
     def test_returned_strategy_reproduces_minimum(self, small_tree):
         m = CheatModel(1.0, 2.0)
@@ -612,7 +733,7 @@ class TestBruteForce:
         m = CheatModel(1.0, 2.0)
         strat, min_pc = composer.brute_force_min_pc(small_tree, m, 0.0, 0.1)
         assert min_pc == 0.0
-        assert all(v == 0.0 for v in strat.values())
+        assert all(v == 0.0 for v in strat)
 
     def test_infeasible_target_raises(self):
         # the strongest achievable excess with a=2, b=1.5 caps out well
@@ -654,7 +775,7 @@ class TestBruteForce:
         # steps -1/2, 0, 1/2: the only cheat is a certain catch
         strat, min_pc = composer.brute_force_min_pc(
             SMALL_SUITE["one_flip"], CheatModel(1.0, 2.0), 0.05, 0.5)
-        assert strat == {"": 0.5}
+        assert strat == [0.0, 0.0, 0.5]
         assert min_pc == 0.25
 
     def test_never_beats_leading_order_by_more_than_slack(self, small_tree):
@@ -685,12 +806,12 @@ def _flip(up, down):
 
 
 def _oracle_answer(search, tree, model, eps_tot, grid_step):
-    """repr of the strategy (key order included) and min_pc, or the error."""
+    """repr of the strategy list and min_pc, or the error."""
     try:
         strategy, min_pc = search(tree, model, eps_tot, grid_step)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return repr((list(strategy.items()), min_pc))
+    return repr((strategy, min_pc))
 
 
 # (4, 2), (2, 1) and (8, 3) catch with certainty at eps = +-1/2, where both
@@ -921,7 +1042,7 @@ class TestPinnedTreeAnswers:
                     res = composer.leading_order(tree, 0.75, b, eps_tot)
                     records.append([name, b, eps_tot, res.a_new, res.lam,
                                     res.predicted_pc, res.clipped,
-                                    list(res.strategy.items())])
+                                    list(by_path(tree, res.strategy).items())])
         assert json_digest(records) == (
             "ed1f88d6cb0b0ea2bc781b400e12f6226ef564c1bcffc53653dae092c21e9d7c")
 
@@ -941,7 +1062,8 @@ class TestPinnedTreeAnswers:
             paths = [p for p, _ in game_tree.annotate(tree).internal()]
             for model in _OUTCOME_MODELS:
                 strategy = {p: rng.choice(_EPS_VALUES) for p in paths}
-                records.append(list(composer.exact_outcome(tree, model, strategy)))
+                records.append(list(composer.exact_outcome(
+                    tree, model, from_paths(tree, strategy))))
                 drawn.update(map(repr, strategy.values()))
         assert drawn == set(map(repr, _EPS_VALUES))  # -0.0 and 1e-9 among them
         assert json_digest(records) == (
@@ -954,10 +1076,11 @@ class TestPinnedTreeAnswers:
         assert (r.wins, r.losses, r.catches, r.overruns) == (11863, 7940, 197, 0)
 
     def test_brute_force_best_of_3(self):
+        tree = game_tree.gen_best_of(3)
         strategy, min_pc = composer.brute_force_min_pc(
-            game_tree.gen_best_of(3), CheatModel(1.0, 2.0), 0.05, 1e-3)
+            tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
         assert min_pc == 0.002646773543068613
-        assert strategy == {"": 0.026000000000000002, "D": 0.026000000000000002,
+        assert by_path(tree, strategy) == {"": 0.026000000000000002, "D": 0.026000000000000002,
                             "DU": 0.051000000000000004, "U": 0.026000000000000002,
                             "UD": 0.051000000000000004}
 
@@ -965,21 +1088,23 @@ class TestPinnedTreeAnswers:
     def test_brute_force_live_random_fair(self):
         # five live nodes; the root search visits 103 of 1001 grid points,
         # the most of any live 5-flip gen_random_fair(3, seed) tree
+        tree = game_tree.gen_random_fair(3, 0)
         strategy, min_pc = composer.brute_force_min_pc(
-            game_tree.gen_random_fair(3, 0), CheatModel(1.0, 2.0), 0.05, 1e-3)
+            tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
         assert min_pc == 0.002646773543068613
-        assert list(strategy.items()) == [
-            ("", 0.026000000000000002), ("D", 0.026000000000000002),
-            ("DU", 0.051000000000000004), ("U", -0.026000000000000002),
-            ("UU", -0.051000000000000004)]
+        assert by_path(tree, strategy) == {
+            "": 0.026000000000000002, "D": 0.026000000000000002,
+            "DU": 0.051000000000000004, "U": -0.026000000000000002,
+            "UU": -0.051000000000000004}
 
     def test_brute_force_best_of_3_certain_catch(self):
         # (4, 2) catches with certainty at eps = +-1/2, where both branch
         # probabilities are zero
+        tree = game_tree.gen_best_of(3)
         strategy, min_pc = composer.brute_force_min_pc(
-            game_tree.gen_best_of(3), CheatModel(4.0, 2.0), 0.05, 1e-3)
+            tree, CheatModel(4.0, 2.0), 0.05, 1e-3)
         assert min_pc == 0.012951084287640923
-        assert strategy == {"": 0.029, "D": 0.035, "DU": 0.056, "U": 0.023,
+        assert by_path(tree, strategy) == {"": 0.029, "D": 0.035, "DU": 0.056, "U": 0.023,
                             "UD": 0.055}
 
 
@@ -991,10 +1116,11 @@ def test_leading_order_properties_random_trees(seed, eps_tot, b):
     tree = game_tree.gen_random_fair(6, seed)
     res = composer.leading_order(tree, 1.0, b, eps_tot)
     assert res.a_new > 0.0
-    assert all(abs(v) <= 0.5 for v in res.strategy.values())
+    assert all(abs(v) <= 0.5 for v in res.strategy)
     ann = game_tree.annotate(tree)
+    strategy = by_path(tree, res.strategy)
     for path, info in ann.internal():
-        eps = res.strategy[path]
+        eps = strategy[path]
         # each node biases toward its own advantage direction
         if info.delta == 0.0 or eps_tot == 0.0:
             assert eps == 0.0

@@ -6,11 +6,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coincomp import game_tree
 from coincomp.game_tree import Flip, Leaf, NodeInfo, TreeParseError
-from conftest import BAD_SEEDS, generated_trees, seed_refused
+from conftest import BAD_SEEDS, deep_chain, generated_trees, seed_refused
 
 
 CANONICAL_BEST_OF_3 = (
@@ -254,6 +254,15 @@ def exact_annotate(tree):
     return rows
 
 
+def postorder_paths(node, at=""):
+    """Every path of node's subtree in postorder: up subtree, down subtree,
+    then the node."""
+    if isinstance(node, Leaf):
+        return [at]
+    return (postorder_paths(node.up, at + "U")
+            + postorder_paths(node.down, at + "D") + [at])
+
+
 class TestAnnotate:
     @settings(max_examples=80, deadline=None)
     @given(generated_trees())
@@ -271,6 +280,18 @@ class TestAnnotate:
             else:
                 assert Fraction(ann.delta[i]) == gap
                 assert (ann.path[ann.up[i]], ann.path[ann.down[i]]) == (at + "U", at + "D")
+
+    @settings(max_examples=80, deadline=None)
+    @given(generated_trees())
+    @example(deep_chain(52))
+    def test_lazy_path_column_is_the_postorder_of_paths(self, tree):
+        # annotate builds no path string; the column is built on first use,
+        # once, from the child positions, and lists the paths in the order
+        # a recursion over the Flip/Leaf tree itself visits them
+        ann = game_tree.annotate(tree)
+        assert "path" not in vars(ann)
+        assert ann.path == postorder_paths(tree)
+        assert ann.path is ann.path
 
     def test_leaf_win_convention(self):
         # outcome 0 is the win for the analyzed player

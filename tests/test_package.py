@@ -115,6 +115,19 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
     assert [code for code, _, _ in runs] == [0, 0, 0, 1, 0, 0, 1, 0]
+    # the JSON edge's bytes, pinned on every Python the numpy-free job runs:
+    # the trees, the analysis (paths from the lazy path column) and the
+    # compose payloads (path-keyed strategies from the list form); the two
+    # refusals print nothing
+    assert [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in runs] == [
+        "9e2e8b6394b319a02be068d443442f45ecacf8373238f371deb1af2d6a45d7d1",
+        "3421db5149f92e64b6b737ce9710960cf0eb5e3217552e87c646b736cfc2b515",
+        "9f1a2ef0d51fd4510bacc49c5d2b5fbdfa1f9e9c2e73185270c19c3fd28ed59d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "04511980bd06f2ea2226465cbbd4f976a4c36706c0324d326ac4a4bdecfa1d68",
+        "4a203665582fc4f2661bd5bc90fc3cbd521aa4804934424be968d281f43b6bb8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d9fe4119caaf3b199dcc3223215ea473692fe400d09d4e04906dbd5e148eb526"]
     assert runs[3] == (1, "", "error: seed must be an int in [0, 2**64), "
                               "got -1\n")
     assert json.loads(runs[4][1])["lemma_sum"] == 1.0

@@ -29,13 +29,13 @@ class TestTree:
 
     def test_single_trial(self, bo3):
         m = CheatModel(1.0, 2.0)
-        strategy = {p: 0.0 for p, _ in game_tree.annotate(bo3).internal()}
+        strategy = [0.0] * len(game_tree.annotate(bo3).up)
         r = simulate.simulate_tree(bo3, m, strategy, 1, 42)
         assert r.wins + r.losses + r.catches == 1
 
     def test_honest_one_flip_near_half(self):
         tree = game_tree.gen_full(1, [0, 1])
-        r = simulate.simulate_tree(tree, CheatModel(1.0, 2.0), {"": 0.0},
+        r = simulate.simulate_tree(tree, CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    200_000, 42)
         assert r.catches == 0
         assert within_4se(r, "win", 0.5)
@@ -69,19 +69,23 @@ class TestTree:
     def test_pure_catch_strategy(self):
         # eps at the domain edge of a=4,b=2 is caught with certainty
         tree = game_tree.gen_full(1, [0, 1])
-        r = simulate.simulate_tree(tree, CheatModel(4.0, 2.0), {"": 0.5},
+        r = simulate.simulate_tree(tree, CheatModel(4.0, 2.0), [0.0, 0.0, 0.5],
                                    1_000, 0)
         assert r.catches == 1_000
 
     def test_strategy_must_cover_internal_nodes(self, bo3):
-        with pytest.raises(ValueError, match="missing"):
-            simulate.simulate_tree(bo3, CheatModel(1.0, 2.0), {"": 0.0},
+        # a list with an entry per node; a path-keyed one is read at the edge
+        with pytest.raises(ValueError, match="^strategy has 3 entries, the "
+                                             "tree has 11 nodes$"):
+            simulate.simulate_tree(bo3, CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    10, 1)
+        with pytest.raises(ValueError, match="missing node 'UD'"):
+            composer.strategy_from_paths(game_tree.annotate(bo3), {"": 0.0})
 
     def test_trials_validated(self):
         tree = game_tree.gen_full(1, [0, 1])
         with pytest.raises(ValueError):
-            simulate.simulate_tree(tree, CheatModel(1.0, 2.0), {"": 0.0},
+            simulate.simulate_tree(tree, CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    0, 1)
 
     @pytest.mark.parametrize("workers", [0, -4])
@@ -89,12 +93,12 @@ class TestTree:
         # a count below 1 ran serially without a word
         tree = game_tree.gen_full(1, [0, 1])
         with pytest.raises(ValueError, match="workers must be an int >= 1"):
-            simulate.simulate_tree(tree, CheatModel(1.0, 2.0), {"": 0.0},
+            simulate.simulate_tree(tree, CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    10, 1, workers=workers)
 
     def test_report_shape(self, bo3):
         m = CheatModel(1.0, 2.0)
-        strategy = {p: 0.0 for p, _ in game_tree.annotate(bo3).internal()}
+        strategy = [0.0] * len(game_tree.annotate(bo3).up)
         r = simulate.simulate_tree(bo3, m, strategy, 100, 17)
         d = r.to_json_dict()
         assert set(d) == {"trials", "wins", "losses", "catches", "overruns",
@@ -208,7 +212,7 @@ class TestWalk:
 # one cheap run of each simulator, given its seed
 SEEDED = {
     "tree": lambda seed: simulate.simulate_tree(
-        game_tree.gen_full(1, [0, 1]), CheatModel(1.0, 2.0), {"": 0.1}, 100, seed),
+        game_tree.gen_full(1, [0, 1]), CheatModel(1.0, 2.0), [0.0, 0.0, 0.1], 100, seed),
     "walk": lambda seed: simulate.simulate_walk(
         walk.WalkGame(2, CheatModel(1.0, 1.0, PRIME)), {-1: 0.1, 0: 0.1, 1: 0.1},
         100, seed),
@@ -244,7 +248,7 @@ class TestCountRule:
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} must be an int >= 1, got {value!r}")):
             simulate.simulate_tree(game_tree.gen_full(1, [0, 1]),
-                                   CheatModel(1.0, 2.0), {"": 0.0},
+                                   CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    args["trials"], 1, workers=args["workers"])
 
     @pytest.mark.parametrize("name,value", BAD_COUNTS + [
@@ -620,7 +624,11 @@ class TestTreeMatchesReference:
     # 7 trials take one 64-row block, and 5 of them are caught inside it
     @example((_BO15, CheatModel(1.0, 2.0), _everywhere(_BO15, 0.45), 7, 4, 1))
     def test_reports_identical(self, case):
-        assert simulate.simulate_tree(*case) == reference_simulate_tree(*case)
+        # the cases are path-keyed, as the reference reads them
+        tree, model, strategy, *rest = case
+        listed = composer.strategy_from_paths(game_tree.annotate(tree), strategy)
+        assert simulate.simulate_tree(tree, model, listed, *rest) == \
+            reference_simulate_tree(*case)
 
 
 def pinned_grid_reports():

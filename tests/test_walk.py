@@ -606,6 +606,27 @@ class TestArrayPath:
         eps = walk.check_policy(g, policy)
         assert eps == [0.0, 0.0, 0.0, 0.25, 0.25]
 
+    @pytest.mark.parametrize("variant", [PRIME, STD])
+    @pytest.mark.parametrize("call", ["evaluate_policy", "simulate_walk"])
+    def test_site_keyed_policy_checked_once(self, monkeypatch, variant, call):
+        # check_policy checks the eps list where the policy enters; the
+        # triples are then built from it without a second check
+        g = walk.WalkGame(4, CheatModel(1.0, 1.0, variant))
+        policy = {z: 0.1 * (z > 0) for z in g.interior()}
+        lists, check = [], CheatModel.check_eps
+
+        def spy(model, eps):
+            if isinstance(eps, list):
+                lists.append(eps)
+            return check(model, eps)
+
+        monkeypatch.setattr(CheatModel, "check_eps", spy)
+        if call == "evaluate_policy":
+            walk.evaluate_policy(g, policy)
+        else:
+            simulate.simulate_walk(g, policy, 100, 1)
+        assert lists == [[policy[z] for z in g.interior()]]
+
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 0.3])
     def test_check_policy_rejects_bad_eps(self, bad):
         g = prime_game(3)
