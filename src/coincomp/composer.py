@@ -30,11 +30,14 @@ The tree passes (leading_order, a_new_of_b, strategy_triples and
 exact_outcome) read annotate's postorder columns, never its path column,
 and write into lists made once per call, never a container per node, so
 a pass leaves nothing for Python's cyclic garbage collector to scan or
-free.  What depends on Delta alone, |Delta|**(b/(b-1)) in S and each
-node's eps, is computed once per distinct Delta and reused: a best-of-15
-tree has 12,869 internal nodes but 26 distinct Delta.  The reused float
-is the one a per-node computation would give, so the answers are
-unchanged bit for bit.
+free.  What depends on Delta alone, |Delta|**(b/(b-1)) in S, each
+node's eps and ln|Delta| in derivative_in_b, is computed once per
+distinct Delta and reused: a best-of-15 tree has 12,869 internal nodes
+but 26 distinct Delta.  The pass that sums S keeps |Delta|**(b/(b-1))
+in a memo keyed by Delta; leading_order and derivative_in_b take the
+distinct nonzero Deltas from its keys, with no second pass over the
+delta column.  The reused float is the one a per-node computation would
+give, so the answers are unchanged bit for bit.
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -126,9 +129,11 @@ def _check_eps_tot(eps_tot: float) -> None:
         raise ValueError(f"|eps_tot| must be <= 1/2, got {eps_tot}")
 
 
-def _weight_sum(ann: TreeAnnotation, b: float) -> float:
+def _weight_sum(ann: TreeAnnotation,
+                b: float) -> tuple[float, dict[float, float]]:
+    """S, and its memo: |Delta|**(b/(b-1)) of every distinct nonzero Delta."""
     expo = b / (b - 1.0)
-    weight: dict[float, float] = {}  # |Delta|**expo per distinct Delta
+    weight: dict[float, float] = {}
     total = 0.0
     for d, gap in zip(ann.depth, ann.delta):
         if gap:  # None on leaves, 0.0 where a node cannot move the outcome
@@ -136,12 +141,12 @@ def _weight_sum(ann: TreeAnnotation, b: float) -> float:
             if g is None:
                 g = weight[gap] = abs(gap) ** expo
             total += HALF_POWERS[d] * g
-    return total
+    return total, weight
 
 
 def _closed_form(name: str, tree: GameTree, a: float,
-                 b: float) -> tuple[TreeAnnotation, float]:
-    """The closed form's entry check; returns the annotation and S.
+                 b: float) -> tuple[TreeAnnotation, float, dict[float, float]]:
+    """The closed form's entry check; returns the annotation, S and S's memo.
 
     CheatModel refuses a non-finite a or b, a <= 0 and b < 1; the exponent
     1/(b-1) rules out b = 1.  The tree must be fair, with an internal node.
@@ -158,7 +163,7 @@ def _closed_form(name: str, tree: GameTree, a: float,
     # S > 0: the deepest node whose P_W is neither 0 nor 1 (the root's is
     # near 1/2, so there is one, at depth <= 51) has |Delta| = 1, so its
     # term alone makes S >= 2**-51
-    return ann, _weight_sum(ann, b)
+    return ann, *_weight_sum(ann, b)
 
 
 def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> CompositionResult:
@@ -171,13 +176,14 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
     flag.
     """
     _check_eps_tot(eps_tot)
-    ann, s = _closed_form("leading_order", tree, a, b)
+    ann, s, weight = _closed_form("leading_order", tree, a, b)
 
     expo = 1.0 / (b - 1.0)
-    bias: dict[float | None, float] = {None: 0.0}  # eps per distinct Delta
+    # eps per distinct Delta: S's memo holds every nonzero one
+    bias: dict[float | None, float] = {None: 0.0, 0.0: 0.0}
     clipped = False
-    for gap in set(ann.delta).difference(bias):
-        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s if gap else 0.0
+    for gap in weight:
+        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s
         if abs(eps) > 0.5:
             eps = math.copysign(0.5, eps)
             clipped = True
@@ -193,19 +199,19 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
 
 def a_new_of_b(tree: GameTree, a: float, b: float) -> float:
     """Composed sensitivity a * S**(1-b) without building the strategy."""
-    _, s = _closed_form("a_new_of_b", tree, a, b)
+    _, s, _ = _closed_form("a_new_of_b", tree, a, b)
     return a * s ** (1.0 - b)
 
 
 def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     """Exact d a_new / db = a_new (-ln S + (1-b) S'/S) = a_new (L/((b-1) S) - ln S),
     where S' = L dp/db, L = sum 2**-D |Delta|**p ln|Delta|, p = b/(b-1)."""
-    ann, s = _closed_form("derivative_in_b", tree, a, b)
-    expo = b / (b - 1.0)
+    ann, s, weight = _closed_form("derivative_in_b", tree, a, b)
+    log = {gap: math.log(abs(gap)) for gap in weight}
     log_sum = 0.0
     for d, gap in zip(ann.depth, ann.delta):
         if gap:
-            log_sum += HALF_POWERS[d] * abs(gap) ** expo * math.log(abs(gap))
+            log_sum += HALF_POWERS[d] * weight[gap] * log[gap]
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 

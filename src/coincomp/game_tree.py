@@ -16,18 +16,21 @@ machine precision instead of approximately.  Generators and the parser
 also refuse trees of more than MAX_NODES nodes, so that a call ends in
 seconds instead of running for minutes or exhausting memory.
 
-annotate writes one column per quantity (depth, P_W, Delta and the
-child positions), appending to each in postorder; it keeps no container
-per node and builds no path string.  The path column, the node names of
-the JSON documents, is built on first use, once per annotation, from the
-child positions: only the JSON edge (tree analyze, composer's strategy
-converters, `nodes` and `internal()`) reads it, and the analyses never
-do.  Every recursion over a tree is a module-level function that
-takes its state as arguments.  A nested function that calls itself holds
-itself through its closure cell, a reference cycle that keeps it and all
-it refers to (such as a result list) alive until the cyclic garbage
-collector runs; with no cycles, a pass's garbage is freed by reference
-counting as soon as the pass ends.
+annotate writes one column per quantity (depth, P_W, Delta and the child
+positions), appending to each in postorder; it keeps no container per
+node and builds no path string.  Its recursion enters Flips only: each
+Flip appends its leaf children's rows itself, so a pass makes one call
+per internal node, and the depth cap is checked on Flips, since a node
+lies deeper than MAX_DEPTH exactly when a Flip sits at MAX_DEPTH.  The
+path column, the node names of the JSON documents, is built on first
+use, once per annotation, from the child positions: only the JSON edge
+(tree analyze, composer's strategy converters, `nodes` and `internal()`)
+reads it, and the analyses never do.  Every recursion over a tree is a
+module-level function that takes its state as arguments.  A nested
+function that calls itself holds itself through its closure cell, a
+reference cycle that keeps it and all it refers to (such as a result
+list) alive until the cyclic garbage collector runs; with no cycles, a
+pass's garbage is freed by reference counting as soon as the pass ends.
 """
 
 from __future__ import annotations
@@ -156,36 +159,42 @@ def _label_int(literal: str) -> int:
 
 
 def _parse_node(obj, path: str, room: list[int]) -> Node:
-    # room[0] counts down the nodes still allowed
-    where = f"node at path '{path}'"
+    # room[0] counts down the nodes still allowed.  A valid node is tested
+    # with len and in alone; a message is formatted only when a check fails.
     room[0] -= 1
     if room[0] < 0:
-        raise TreeParseError(f"{where}: the document passes the budget of "
-                             f"{MAX_NODES} nodes")
+        raise _parse_error(path, f"the document passes the budget of "
+                                 f"{MAX_NODES} nodes")
     if not isinstance(obj, dict):
-        raise TreeParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    if set(obj) == {"leaf"}:
-        label = obj["leaf"]
-        # the int 0 or 1 only: not a bool (an int subclass) or a float like 1.0
-        if type(label) is not int or label not in (0, 1):
-            raise TreeParseError(f"{where}: leaf label must be 0 or 1, got {label!r}")
-        return Leaf(label)
-    if set(obj) == {"flip"}:
-        inner = obj["flip"]
-        if not isinstance(inner, dict):
-            raise TreeParseError(f"{where}: 'flip' must hold an object")
-        for child in ("up", "down"):
-            if child not in inner:
-                raise TreeParseError(f"{where}: missing '{child}' child")
-        if set(inner) != {"up", "down"}:
-            extra = sorted(set(inner) - {"up", "down"})
-            raise TreeParseError(f"{where}: unexpected keys {extra}")
-        if len(path) >= MAX_DEPTH:
-            raise TreeParseError(f"{where}: a flip here makes the tree deeper "
-                                 f"than {MAX_DEPTH}")
-        return Flip(_parse_node(inner["up"], path + "U", room),
-                    _parse_node(inner["down"], path + "D", room))
-    raise TreeParseError(f"{where}: expected exactly one of 'leaf' or 'flip'")
+        raise _parse_error(path, f"expected an object, got {type(obj).__name__}")
+    if len(obj) == 1:
+        if "leaf" in obj:
+            label = obj["leaf"]
+            # the int 0 or 1 only: not a bool (an int subclass) or a float like 1.0
+            if type(label) is not int or label not in (0, 1):
+                raise _parse_error(path, f"leaf label must be 0 or 1, got {label!r}")
+            return Leaf(label)
+        if "flip" in obj:
+            inner = obj["flip"]
+            if not isinstance(inner, dict):
+                raise _parse_error(path, "'flip' must hold an object")
+            if "up" not in inner:
+                raise _parse_error(path, "missing 'up' child")
+            if "down" not in inner:
+                raise _parse_error(path, "missing 'down' child")
+            if len(inner) != 2:
+                extra = sorted(set(inner) - {"up", "down"})
+                raise _parse_error(path, f"unexpected keys {extra}")
+            if len(path) >= MAX_DEPTH:
+                raise _parse_error(path, f"a flip here makes the tree deeper "
+                                         f"than {MAX_DEPTH}")
+            return Flip(_parse_node(inner["up"], path + "U", room),
+                        _parse_node(inner["down"], path + "D", room))
+    raise _parse_error(path, "expected exactly one of 'leaf' or 'flip'")
+
+
+def _parse_error(path: str, what: str) -> TreeParseError:
+    return TreeParseError(f"node at path '{path}': {what}")
 
 
 def serialize_tree(tree: GameTree) -> str:
@@ -313,32 +322,54 @@ def annotate(tree: GameTree) -> TreeAnnotation:
     """Compute depth, P_W and Delta for every node in one bottom-up pass.
 
     The one traversal of a Flip/Leaf tree; every analysis reads its columns.
-    A node deeper than MAX_DEPTH stops the pass as soon as it is reached.
+    The pass recurses into Flips only: each Flip writes its leaf children's
+    rows itself, and a tree that is one leaf gets its one row here.  A Flip
+    at depth MAX_DEPTH, whose children would lie deeper than the cap, stops
+    the pass as soon as it is reached.
     """
+    if isinstance(tree, Leaf):
+        return TreeAnnotation([0], [1.0 if tree.label == 0 else 0.0], [None],
+                              [-1], [-1])
     ann = TreeAnnotation([], [], [], [], [])
-    _annotate(tree, 0, ann)
+    _annotate(tree, 0, ann.depth, ann.p_w, ann.delta, ann.up, ann.down)
     return ann
 
 
-def _annotate(node: Node, d: int, ann: TreeAnnotation) -> float:
-    # appends node's subtree to ann's columns in postorder; returns its P_W
-    if d > MAX_DEPTH:
+def _annotate(node: Flip, d: int, depth: list, p_w: list, delta: list,
+              up: list, down: list) -> float:
+    # appends the Flip's subtree to the columns in postorder; returns its P_W.
+    # The columns come as arguments: a local is read faster than ann.<column>.
+    if d >= MAX_DEPTH:
         raise ValueError(_TOO_DEEP)
-    if isinstance(node, Leaf):
-        w = 1.0 if node.label == 0 else 0.0
-        gap, u, dn = None, -1, -1
+    c = d + 1
+    child = node.up
+    if isinstance(child, Leaf):
+        pu = 1.0 if child.label == 0 else 0.0
+        depth.append(c)
+        p_w.append(pu)
+        delta.append(None)
+        up.append(-1)
+        down.append(-1)
     else:
-        pu = _annotate(node.up, d + 1, ann)
-        u = len(ann.depth) - 1
-        pd = _annotate(node.down, d + 1, ann)
-        dn = len(ann.depth) - 1
-        w = (pu + pd) / 2.0
-        gap = pu - pd
-    ann.depth.append(d)
-    ann.p_w.append(w)
-    ann.delta.append(gap)
-    ann.up.append(u)
-    ann.down.append(dn)
+        pu = _annotate(child, c, depth, p_w, delta, up, down)
+    u = len(depth) - 1
+    child = node.down
+    if isinstance(child, Leaf):
+        pd = 1.0 if child.label == 0 else 0.0
+        depth.append(c)
+        p_w.append(pd)
+        delta.append(None)
+        up.append(-1)
+        down.append(-1)
+    else:
+        pd = _annotate(child, c, depth, p_w, delta, up, down)
+    dn = len(depth) - 1
+    w = (pu + pd) / 2.0
+    depth.append(d)
+    p_w.append(w)
+    delta.append(pu - pd)
+    up.append(u)
+    down.append(dn)
     return w
 
 

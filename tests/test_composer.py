@@ -400,7 +400,10 @@ def test_fair_tree_weight_sum_is_at_least_2_to_minus_52(tree):
     assert any(abs(x) == 1.0 and d <= 51 for d, x in zip(ann.depth, ann.delta)
                if x is not None)
     for b in (1.5, 2.0, 3.0):
-        assert composer._weight_sum(ann, b) >= 2.0 ** -52
+        s, weight = composer._weight_sum(ann, b)
+        assert s >= 2.0 ** -52
+        # the memo's keys are the distinct nonzero Deltas leading_order visits
+        assert set(weight) == {x for x in ann.delta if x}
 
 
 class TestANewOfB:
@@ -1033,6 +1036,14 @@ class TestPinnedTreeAnswers:
         assert h.hexdigest() == ("a7d33783b158f5c9da883f5a8d1b6bb3"
                                  "2a677d853633609d752083ee7b8ec1b6")
 
+    def test_a_new_and_derivative_in_b_digest(self):
+        # a_new_of_b and derivative_in_b read S's memo of |Delta|**p
+        records = [[name, b, composer.a_new_of_b(tree, 1.0, b),
+                    composer.derivative_in_b(tree, 1.0, b)]
+                   for name, tree in self._trees() for b in (1.5, 2.0, 3.0)]
+        assert json_digest(records) == (
+            "d90a81f5c1ebb5e1f4df544c2f6cdd6d70e6c61b22fc22fa769436cae1400da2")
+
     def test_leading_order_digest(self):
         # every float of each result, and the strategy in its postorder
         records = []
@@ -1106,6 +1117,26 @@ class TestPinnedTreeAnswers:
         assert min_pc == 0.012951084287640923
         assert by_path(tree, strategy) == {"": 0.029, "D": 0.035, "DU": 0.056, "U": 0.023,
                             "UD": 0.055}
+
+
+@pytest.mark.parametrize("tree", [
+    game_tree.gen_full(2, [0, 1, 0, 1]),
+    game_tree.Flip(game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(0)),
+                   game_tree.Flip(game_tree.Leaf(1), game_tree.Leaf(1))),
+    game_tree.gen_random_fair(6, 0)], ids=["root", "children", "random-fair"])
+def test_leading_order_gives_zero_where_delta_is_zero(tree):
+    # a node with Delta = 0 is no key of S's memo; it and every leaf get
+    # exactly +0.0
+    ann = game_tree.annotate(tree)
+    assert 0.0 in ann.delta
+    for b in (1.5, 2.0, 3.0):
+        for eps_tot in (0.05, -0.5):
+            strategy = composer.leading_order(tree, 1.0, b, eps_tot).strategy
+            for gap, eps in zip(ann.delta, strategy):
+                if not gap:
+                    assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
+                else:
+                    assert eps * eps_tot * gap > 0.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -44,22 +44,39 @@ class TestParse:
         tree = game_tree.parse_tree(CANONICAL_BEST_OF_3)
         assert game_tree.serialize_tree(tree) == CANONICAL_BEST_OF_3
 
-    @pytest.mark.parametrize("bad", [
-        "",
-        "not json",
-        "[]",
-        '{"leaf": 2}',
-        '{"leaf": true}',
-        '{"leaf": 0.5}',
-        '{"leaf": 1.0}',
-        '{"flip": {"up": {"leaf": 0}}}',
-        '{"flip": {"up": {"leaf": 0}, "down": {"leaf": 1}, "mid": {"leaf": 0}}}',
-        '{"leaf": 0, "flip": {}}',
-        '{"branch": {}}',
-        '{}',
-    ])
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(TreeParseError):
+    # the exact message of each refusal; the checks run in a fixed order:
+    # budget, object, leaf label, inner object, missing up then down, extra
+    # keys, depth
+    MALFORMED = [
+        ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "node at path '': expected an object, got list"),
+        ('{"leaf": 2}', "node at path '': leaf label must be 0 or 1, got 2"),
+        ('{"leaf": true}', "node at path '': leaf label must be 0 or 1, got True"),
+        ('{"leaf": 0.5}', "node at path '': leaf label must be 0 or 1, got 0.5"),
+        ('{"leaf": 1.0}', "node at path '': leaf label must be 0 or 1, got 1.0"),
+        ('{"flip": {"up": {"leaf": 0}}}', "node at path '': missing 'down' child"),
+        ('{"flip": {"up": {"leaf": 0}, "down": {"leaf": 1}, "mid": {"leaf": 0}}}',
+         "node at path '': unexpected keys ['mid']"),
+        ('{"leaf": 0, "flip": {}}',
+         "node at path '': expected exactly one of 'leaf' or 'flip'"),
+        ('{"branch": {}}',
+         "node at path '': expected exactly one of 'leaf' or 'flip'"),
+        ("{}", "node at path '': expected exactly one of 'leaf' or 'flip'"),
+        ('{"flip": 3}', "node at path '': 'flip' must hold an object"),
+        ('{"flip": {"down": {"leaf": 1}}}', "node at path '': missing 'up' child"),
+        # the extra keys are checked before the children are parsed
+        ('{"flip": {"up": {"leaf": 0}, "down": {"flip": {"up": {"leaf": 1}, '
+         '"down": 7, "x": 1}}}}', "node at path 'D': unexpected keys ['x']"),
+        ('{"flip": {"up": {"leaf": 0}, "down": {"flip": {"up": {"leaf": 1}, '
+         '"down": {"leaf": 0}, "b": 1, "a": 2}}}}',
+         "node at path 'D': unexpected keys ['a', 'b']"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", MALFORMED,
+                             ids=[bad for bad, _ in MALFORMED])
+    def test_rejects_malformed(self, bad, message):
+        with pytest.raises(TreeParseError, match=f"^{re.escape(message)}$"):
             game_tree.parse_tree(bad)
 
     def test_error_names_offending_path(self):
@@ -293,6 +310,33 @@ class TestAnnotate:
         assert ann.path == postorder_paths(tree)
         assert ann.path is ann.path
 
+    @pytest.mark.parametrize("tree", [
+        game_tree.gen_best_of(5), game_tree.gen_full(3, [0, 1, 1, 0, 1, 0, 0, 1]),
+        game_tree.gen_random_fair(6, 3)], ids=["best-of-5", "full(3)", "random-fair"])
+    def test_recursion_enters_internal_nodes_only(self, monkeypatch, tree):
+        # each Flip writes its leaf children's rows, so the recursion runs
+        # once per internal node, and the columns are those of a plain run
+        plain = game_tree.annotate(tree)
+        calls = []
+        real = game_tree._annotate
+
+        def spy(node, *args):
+            calls.append(node)
+            return real(node, *args)
+
+        monkeypatch.setattr(game_tree, "_annotate", spy)
+        ann = game_tree.annotate(tree)
+        assert all(isinstance(node, Flip) for node in calls)
+        assert len(calls) == sum(u >= 0 for u in ann.up) < len(ann.up)
+        assert vars(ann) == vars(plain)
+
+    def test_leaf_tree_gets_its_row_without_recursion(self, monkeypatch):
+        monkeypatch.setattr(game_tree, "_annotate", None)  # a call would fail
+        ann = game_tree.annotate(Leaf(0))
+        assert (ann.depth, ann.p_w, ann.delta, ann.up, ann.down) == (
+            [0], [1.0], [None], [-1], [-1])
+        assert ann.path == [""]
+
     def test_leaf_win_convention(self):
         # outcome 0 is the win for the analyzed player
         assert game_tree.annotate(Leaf(0)).p_w_root == 1.0
@@ -330,6 +374,19 @@ class TestAnnotate:
     def test_p_w_root_equals_leaf_mass_random(self, doc):
         tree = game_tree.parse_tree(json.dumps(doc))
         assert game_tree.annotate(tree).p_w_root == game_tree.leaf_win_mass(tree)
+
+    def test_flip_at_depth_52_stops_the_pass(self):
+        # the cap is checked on Flips: one at depth 52 would put its two
+        # leaf children at depth 53
+        tree = Flip(Leaf(0), Leaf(1))
+        for _ in range(52):
+            tree = Flip(Leaf(0), tree)
+        with pytest.raises(ValueError, match=f"^tree depth exceeds "
+                                             f"{game_tree.MAX_DEPTH};"):
+            game_tree.annotate(tree)
+        ann = game_tree.annotate(deep_chain(52))
+        assert max(ann.depth) == 52
+        assert max(d for d, u in zip(ann.depth, ann.up) if u >= 0) == 51
 
     def test_depth_cap_enforced(self):
         tree = Leaf(0)

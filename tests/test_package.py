@@ -95,6 +95,8 @@ def test_walk_commands_run_without_numpy(capsys):
 def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
     tree = str(tmp_path / "bo5.json")
     Path(tree).write_text(game_tree.serialize_tree(game_tree.gen_best_of(5)))
+    malformed = str(tmp_path / "leaf2.json")
+    Path(malformed).write_text('{"leaf": 2}')
     compose = ["compose", "--tree", tree, "--a", "1", "--b", "2",
                "--eps-tot", "0.05"]
     commands = [["tree", "gen", "--kind", "best-of", "--n", "5"],
@@ -106,6 +108,8 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
                 ["tree", "gen", "--kind", "random-fair", "--depth", "3",
                  "--seed=-1"],
                 ["tree", "analyze", "--in", tree],
+                # the parser's messages need no numpy either
+                ["tree", "analyze", "--in", malformed],
                 compose,
                 # refused for its size before the oracle would load numpy
                 [*compose, "--brute-force"],
@@ -114,10 +118,10 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _, _ in runs] == [0, 0, 0, 1, 0, 0, 1, 0]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 1, 0, 1, 0, 1, 0]
     # the JSON edge's bytes, pinned on every Python the numpy-free job runs:
     # the trees, the analysis (paths from the lazy path column) and the
-    # compose payloads (path-keyed strategies from the list form); the two
+    # compose payloads (path-keyed strategies from the list form); the three
     # refusals print nothing
     assert [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in runs] == [
         "9e2e8b6394b319a02be068d443442f45ecacf8373238f371deb1af2d6a45d7d1",
@@ -125,13 +129,16 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "9f1a2ef0d51fd4510bacc49c5d2b5fbdfa1f9e9c2e73185270c19c3fd28ed59d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "04511980bd06f2ea2226465cbbd4f976a4c36706c0324d326ac4a4bdecfa1d68",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "4a203665582fc4f2661bd5bc90fc3cbd521aa4804934424be968d281f43b6bb8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "d9fe4119caaf3b199dcc3223215ea473692fe400d09d4e04906dbd5e148eb526"]
     assert runs[3] == (1, "", "error: seed must be an int in [0, 2**64), "
                               "got -1\n")
     assert json.loads(runs[4][1])["lemma_sum"] == 1.0
-    assert runs[6] == (1, "", "error: tree too large: 19 internal nodes, "
+    assert runs[5] == (1, "", "error: node at path '': leaf label must be "
+                              "0 or 1, got 2\n")
+    assert runs[7] == (1, "", "error: tree too large: 19 internal nodes, "
                               "limit 5\n")
     doc = json.loads(runs[-1][1])
     assert abs(doc["a_new"] - 1.0) <= 1e-12
