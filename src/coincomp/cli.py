@@ -197,8 +197,7 @@ def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
         return composer.leading_order(tree, model.a, model.b, eps_tot).strategy
     ann = game_tree.annotate(tree)
     if arg == "honest":
-        return composer.strategy_from_paths(
-            ann, {path: 0.0 for path, _ in ann.internal()})
+        return [0.0] * len(ann.row)
     return composer.strategy_from_paths(ann, _number_map(arg, "strategy"))
 
 

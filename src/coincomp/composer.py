@@ -21,23 +21,31 @@ exact_outcome reads only each node's (p0, p1, pc), so it takes either box.
 
 In the library a tree strategy is one list of eps in annotate's postorder,
 0.0 at every leaf: leading_order and brute_force_min_pc return it, and
-strategy_triples, exact_outcome and simulate.simulate_tree take it.  The
-path-keyed dicts of the JSON documents exist only at that edge, through
-one converter pair: strategy_to_paths writes one, strategy_from_paths
-reads one and refuses a missing or an extra path.
+strategy_triples, strategy_table, exact_outcome and simulate.simulate_tree
+take it.  The path-keyed dicts of the JSON documents exist only at that
+edge, through one converter pair: strategy_to_paths writes one,
+strategy_from_paths reads one and refuses a missing or an extra path.
 
-The tree passes (leading_order, a_new_of_b, strategy_triples and
-exact_outcome) read annotate's postorder columns, never its path column,
-and write into lists made once per call, never a container per node, so
-a pass leaves nothing for Python's cyclic garbage collector to scan or
-free.  What depends on Delta alone, |Delta|**(b/(b-1)) in S, each
-node's eps and ln|Delta| in derivative_in_b, is computed once per
-distinct Delta and reused: a best-of-15 tree has 12,869 internal nodes
-but 26 distinct Delta.  The pass that sums S keeps |Delta|**(b/(b-1))
-in a memo keyed by Delta; leading_order and derivative_in_b take the
-distinct nonzero Deltas from its keys, with no second pass over the
-delta column.  The reused float is the one a per-node computation would
-give, so the answers are unchanged bit for bit.
+The tree passes (leading_order, a_new_of_b, exact_outcome and
+simulate_tree) read annotate's DAG and occurrence columns, never its path
+column, and write into lists made once per call, never a container per
+node, so a pass leaves nothing for Python's cyclic garbage collector to
+scan or free.  What depends on a subtree alone is computed once per
+distinct subtree, and what depends on Delta alone once per distinct
+Delta: a best-of-15 tree has 12,869 internal nodes but 64 distinct
+internal subtrees and 26 distinct Delta.  The pass that sums S keeps
+|Delta|**(b/(b-1)) in a memo keyed by Delta; leading_order and
+derivative_in_b take the distinct nonzero Deltas from its keys.
+leading_order computes eps once per DAG row and spreads it over the
+nodes with one pass over the occurrence column.  S, derivative_in_b's
+sum and lemma_sum still add one term per node, left to right in
+postorder: that order is what keeps every float identical, so each is a
+plain loop, never sum() (which compensates its rounding from Python 3.12
+on) or math.fsum.  exact_outcome and simulate_tree run one loop over a
+node table from strategy_table: the DAG when every copy of each distinct
+subtree carries the same eps, bit for bit, and the tree's nodes in
+postorder otherwise.  The reused float is the one a per-node computation
+would give, so the answers are unchanged bit for bit.
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -46,6 +54,7 @@ check on the closed form, importing it (and numpy) only then.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from . import cheat_model
@@ -115,9 +124,9 @@ def _check_list(ann: TreeAnnotation, strategy: Strategy) -> None:
         raise ValueError(f"a tree strategy is a list of eps in postorder, got "
                          f"{type(strategy).__name__}; strategy_from_paths "
                          "reads a path-keyed one")
-    if len(strategy) != len(ann.up):
+    if len(strategy) != len(ann.row):
         raise ValueError(f"strategy has {len(strategy)} entries, the tree has "
-                         f"{len(ann.up)} nodes")
+                         f"{len(ann.row)} nodes")
 
 
 def _check_eps_tot(eps_tot: float) -> None:
@@ -131,15 +140,26 @@ def _check_eps_tot(eps_tot: float) -> None:
 
 def _weight_sum(ann: TreeAnnotation,
                 b: float) -> tuple[float, dict[float, float]]:
-    """S, and its memo: |Delta|**(b/(b-1)) of every distinct nonzero Delta."""
+    """S, and its memo: |Delta|**(b/(b-1)) of every distinct nonzero Delta.
+
+    One term 2**-D * |Delta|**(b/(b-1)) per node with Delta != 0, added
+    left to right in postorder.
+    """
     expo = b / (b - 1.0)
     weight: dict[float, float] = {}
-    total = 0.0
-    for d, gap in zip(ann.depth, ann.delta):
+    by_row = []
+    for gap in ann.dag_delta:
         if gap:  # None on leaves, 0.0 where a node cannot move the outcome
             g = weight.get(gap)
             if g is None:
                 g = weight[gap] = abs(gap) ** expo
+            by_row.append(g)
+        else:
+            by_row.append(0.0)
+    total = 0.0
+    for d, k in zip(ann.depth, ann.row):
+        g = by_row[k]
+        if g:
             total += HALF_POWERS[d] * g
     return total, weight
 
@@ -156,7 +176,7 @@ def _closed_form(name: str, tree: GameTree, a: float,
         raise ValueError(f"{name} requires b > 1, got {b}; at b = 1 only the "
                          "walk game is solved (walk solve), not trees")
     ann = annotate(tree)
-    if ann.up[-1] < 0:
+    if ann.dag_up[-1] < 0:
         raise ValueError("tree has no internal node; nothing to compose")
     if abs(ann.p_w_root - 0.5) > 1e-12:
         raise ValueError(f"tree is not fair: P_W(root) = {ann.p_w_root}")
@@ -188,7 +208,9 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
             eps = math.copysign(0.5, eps)
             clipped = True
         bias[gap] = eps
-    strategy = list(map(bias.__getitem__, ann.delta))
+    # eps per DAG row, then per node
+    by_row = [bias[gap] for gap in ann.dag_delta]
+    strategy = [by_row[k] for k in ann.row]
 
     a_new = a * s ** (1.0 - b)
     lam = math.copysign(a * b * (abs(eps_tot) / s) ** (b - 1.0), eps_tot)
@@ -208,8 +230,10 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     where S' = L dp/db, L = sum 2**-D |Delta|**p ln|Delta|, p = b/(b-1)."""
     ann, s, weight = _closed_form("derivative_in_b", tree, a, b)
     log = {gap: math.log(abs(gap)) for gap in weight}
+    delta = ann.dag_delta
     log_sum = 0.0
-    for d, gap in zip(ann.depth, ann.delta):
+    for d, k in zip(ann.depth, ann.row):
+        gap = delta[k]
         if gap:
             log_sum += HALF_POWERS[d] * weight[gap] * log[gap]
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
@@ -219,19 +243,23 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
                      strategy: Strategy) -> tuple[list[float], ...]:
     """Per-node p0, p1 and pc of a tree strategy, as lists in postorder.
 
-    The one reader of a tree strategy, and its one check: a list with an
-    entry per node and 0.0 at every leaf, whose eps the model allows.
-    Leaves read 0.0.  Each distinct eps costs one scalar cheat_model.triple
-    call, which checks it, and every later node with that eps one memo
-    lookup.  -0.0 equals 0.0 as a dict key, but the prime model's
-    pc = a*eps tells them apart, so -0.0 is memoized under its own key,
-    None.
+    The check of a tree strategy: a list with an entry per node and 0.0 at
+    every leaf, whose eps the model allows.  Leaves read 0.0.
     """
     _check_list(ann, strategy)
+    return _triples(ann.up, model, strategy)
+
+
+def _triples(up, model: CheatModel, strategy) -> tuple[list[float], ...]:
+    # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0.
+    # Each distinct eps costs one scalar cheat_model.triple call, which
+    # checks it, and every later row with that eps one memo lookup.  -0.0
+    # equals 0.0 as a dict key, but the prime model's pc = a*eps tells them
+    # apart, so -0.0 is memoized under its own key, None.
     size = len(strategy)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
     memo: dict[float | None, OutcomeTriple] = {}
-    for i, (eps, u) in enumerate(zip(strategy, ann.up)):
+    for i, (eps, u) in enumerate(zip(strategy, up)):
         if u < 0:
             if eps != 0.0:
                 raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
@@ -245,18 +273,56 @@ def strategy_triples(ann: TreeAnnotation, model: CheatModel,
     return p0, p1, pc
 
 
+def strategy_table(ann: TreeAnnotation, model: CheatModel,
+                   strategy: Strategy) -> tuple[list, ...]:
+    """The node table a tree pass runs on: (P_W, up, down, p0, p1, pc) columns.
+
+    It is the DAG, one row per distinct subtree, when every copy of each
+    distinct subtree carries the same eps, and the tree's nodes in
+    postorder otherwise.  Either way children come before parents, the
+    root is last, leaves have up and down -1, and every row's triple is
+    that of each node it stands for.  The strategy is checked where it is
+    read, in the same order: a DAG row takes the eps of its first node in
+    postorder, so an eps the model refuses is the same in either table.
+    """
+    _check_list(ann, strategy)
+    by_row = [0.0 if i < 0 else strategy[i] for i in ann.dag_at]
+    if _copies_agree(ann, by_row, strategy):
+        return (ann.dag_p_w, ann.dag_up, ann.dag_down,
+                *_triples(ann.dag_up, model, by_row))
+    return (ann.p_w, ann.up, ann.down, *_triples(ann.up, model, strategy))
+
+
+def _copies_agree(ann: TreeAnnotation, by_row: list, strategy: Strategy) -> bool:
+    # Does every node carry its row's eps, bit for bit?  Equal values can
+    # still differ in the sign of a zero, which the prime model's pc = a*eps
+    # keeps, so where an internal row's eps is a zero the doubles' bytes
+    # are compared too.  Leaves take no triple, so a leaf's -0.0 (which the
+    # check accepts, as it accepts 0.0) matters only then.  A leaf given a
+    # nonzero eps makes the lists differ, and the postorder table's check
+    # refuses it.
+    spread = [by_row[k] for k in ann.row]
+    if spread != strategy:
+        return False
+    if all(eps != 0.0 for eps, u in zip(by_row, ann.dag_up) if u >= 0):
+        return True
+    try:
+        return array("d", spread).tobytes() == array("d", strategy).tobytes()
+    except (TypeError, OverflowError):  # not floats: the postorder check refuses them
+        return False
+
+
 def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> OutcomeTriple:
     """Exact game outcome (p0, p1, pc) under a full per-node strategy.
 
-    No leading-order approximation: one bottom-up pass weighting children by
-    the per-node triple and accumulating catch mass along the way, into one
-    preallocated column per outcome.
+    No leading-order approximation: one bottom-up pass over strategy_table's
+    rows, weighting children by the row's triple and accumulating catch
+    mass along the way, into one preallocated column per outcome.
     """
-    ann = annotate(tree)
-    size = len(ann.up)
+    p_w, up, down, *triples = strategy_table(annotate(tree), model, strategy)
+    size = len(up)
     o0, o1, oc = [0.0] * size, [0.0] * size, [0.0] * size
-    for i, (w, u, dn, p0, p1, pc) in enumerate(zip(
-            ann.p_w, ann.up, ann.down, *strategy_triples(ann, model, strategy))):
+    for i, (w, u, dn, p0, p1, pc) in enumerate(zip(p_w, up, down, *triples)):
         if u < 0:
             o0[i], o1[i] = w, 1.0 - w
             continue

@@ -16,19 +16,33 @@ machine precision instead of approximately.  Generators and the parser
 also refuse trees of more than MAX_NODES nodes, so that a call ends in
 seconds instead of running for minutes or exhausting memory.
 
-annotate writes one column per quantity (depth, P_W, Delta and the child
-positions), appending to each in postorder; it keeps no container per
-node and builds no path string.  Its recursion enters Flips only: each
-Flip appends its leaf children's rows itself, so a pass makes one call
-per internal node, and the depth cap is checked on Flips, since a node
-lies deeper than MAX_DEPTH exactly when a Flip sits at MAX_DEPTH.  The
-path column, the node names of the JSON documents, is built on first
-use, once per annotation, from the child positions: only the JSON edge
-(tree analyze, composer's strategy converters, `nodes` and `internal()`)
-reads it, and the analyses never do.  Every recursion over a tree is a
-module-level function that takes its state as arguments.  A nested
-function that calls itself holds itself through its closure cell, a
-reference cycle that keeps it and all it refers to (such as a result
+Trees are built hash-consed.  The generators, mirror and parse_tree
+hand out the two shared leaves, and inside one call one Flip object per
+distinct subtree: a table kept for the call, keyed by the identities of
+a Flip's two children, returns the Flip already made over them
+(gen_best_of keys its table by the game's state, which names the
+subtree).  No table outlives its call.  The paper's protocols compose
+the same box again and again, so their trees repeat themselves:
+best-of-15 has 25,739 nodes but 64 distinct Flips.  Trees still compare
+by value, and a hand-built tree that shares nothing is a tree like any
+other.
+
+annotate recurses once per distinct Flip object and writes two kinds of
+column.  The DAG columns hold one row per distinct subtree, children
+before parents and the root last: P_W, Delta and the rows of the two
+children, with rows 0 and 1 the leaves when the root is a Flip.  The
+occurrence columns hold one entry per node of the tree, in postorder: the
+node's DAG row and its depth.  A subtree met again copies its first block
+of the occurrence columns by slice, shifted in depth, and a copy that
+lies deeper than the first is checked against the depth cap by its
+deepest node.  The per-node columns of the tree (P_W, Delta and the
+positions of each node's children in postorder), the path column (the
+node names of the JSON documents), `nodes` and `internal()` are views
+built on first use, for the JSON edge, the grid oracle and the tests;
+the analyses read the DAG and occurrence columns.  Every recursion over
+a tree is a module-level function that takes its state as arguments.  A
+nested function that calls itself holds itself through its closure cell,
+a reference cycle that keeps it and all it refers to (such as a result
 list) alive until the cyclic garbage collector runs; with no cycles, a
 pass's garbage is freed by reference counting as soon as the pass ends.
 """
@@ -65,6 +79,18 @@ class Flip:
 
 Node = Leaf | Flip
 GameTree = Node
+_LEAVES = (Leaf(0), Leaf(1))  # the leaves the generators and parse_tree hand out
+
+
+def _flip(made: dict, up: Node, down: Node) -> Flip:
+    # the call's one Flip over these two child objects.  Every child comes
+    # from `made` or _LEAVES, so it lives as long as the table and its id
+    # is not reused within the call.
+    key = id(up), id(down)
+    node = made.get(key)
+    if node is None:
+        node = made[key] = Flip(up, down)
+    return node
 
 
 @dataclass(frozen=True)
@@ -76,28 +102,62 @@ class NodeInfo:
 
 @dataclass(frozen=True)
 class TreeAnnotation:
-    """Per-node columns in postorder (children before parents, root last).
+    """A tree's DAG columns and its occurrence columns.
 
-    Leaves have delta None and child positions up/down of -1.  `path`,
-    `nodes` and `internal` are built on request, for the JSON edge.
+    DAG columns, one row per distinct subtree, children before parents and
+    the root last: dag_p_w, dag_delta (None on leaves), the child rows
+    dag_up and dag_down (-1 on leaves), and dag_at, the position in
+    postorder of the row's first node (-1 on leaves).  Occurrence columns,
+    one entry per node of the tree in postorder (up subtree, down subtree,
+    node): `row`, the node's DAG row, and `depth`.  The per-node columns
+    p_w, delta, up and down (child positions in postorder, -1 on leaves),
+    and `path`, `nodes` and `internal`, are views built on request.
     """
 
+    dag_p_w: list[float]
+    dag_delta: list[float | None]
+    dag_up: list[int]
+    dag_down: list[int]
+    dag_at: list[int]
+    row: list[int]
     depth: list[int]
-    p_w: list[float]
-    delta: list[float | None]
-    up: list[int]
-    down: list[int]
+
+    @cached_property
+    def p_w(self) -> list[float]:
+        """Each node's P_W, in postorder."""
+        return list(map(self.dag_p_w.__getitem__, self.row))
+
+    @cached_property
+    def delta(self) -> list[float | None]:
+        """Each node's Delta (None on leaves), in postorder."""
+        return list(map(self.dag_delta.__getitem__, self.row))
+
+    @cached_property
+    def up(self) -> list[int]:
+        """Each node's up child's position: just before its down subtree."""
+        size: list[int] = []  # each row's subtree, in nodes
+        for u, dn in zip(self.dag_up, self.dag_down):
+            size.append(1 + size[u] + size[dn] if u >= 0 else 1)
+        return [i - 1 - size[dn] if dn >= 0 else -1
+                for i, dn in enumerate(map(self.dag_down.__getitem__, self.row))]
+
+    @cached_property
+    def down(self) -> list[int]:
+        """Each node's down child's position: just before the node."""
+        dag_up = self.dag_up
+        return [i - 1 if dag_up[k] >= 0 else -1 for i, k in enumerate(self.row)]
 
     @cached_property
     def path(self) -> list[str]:
         """Each node's path from the root ('' = root, then U/D), in postorder."""
-        path = [""] * len(self.up)
+        path = [""] * len(self.row)
+        up, down = self.up, self.down
         # reversed postorder visits every parent before its children
         for i in range(len(path) - 1, -1, -1):
-            u = self.up[i]
+            u = up[i]
             if u >= 0:
                 at = path[i]
-                path[u], path[self.down[i]] = at + "U", at + "D"
+                path[u], path[down[i]] = at + "U", at + "D"
         return path
 
     @cached_property
@@ -108,7 +168,7 @@ class TreeAnnotation:
 
     @property
     def p_w_root(self) -> float:
-        return self.p_w[-1]
+        return self.dag_p_w[-1]
 
     def internal(self) -> list[tuple[str, NodeInfo]]:
         """(path, NodeInfo) of every internal node, in postorder."""
@@ -146,7 +206,7 @@ def parse_tree(text: str) -> GameTree:
     except RecursionError:
         raise TreeParseError(f"invalid JSON: nested too deeply for a tree of "
                              f"depth <= {MAX_DEPTH}") from None
-    return _parse_node(doc, "", [MAX_NODES])
+    return _parse_node(doc, "", [MAX_NODES], {})
 
 
 def _label_int(literal: str) -> int:
@@ -158,9 +218,11 @@ def _label_int(literal: str) -> int:
     return int(literal)
 
 
-def _parse_node(obj, path: str, room: list[int]) -> Node:
-    # room[0] counts down the nodes still allowed.  A valid node is tested
-    # with len and in alone; a message is formatted only when a check fails.
+def _parse_node(obj, path: str, room: list[int], made: dict) -> Node:
+    # room[0] counts down the nodes still allowed, one per node of the
+    # document; `made` is the call's table of Flips (see _flip).  A valid
+    # node is tested with len and in alone; a message is formatted only when
+    # a check fails.
     room[0] -= 1
     if room[0] < 0:
         raise _parse_error(path, f"the document passes the budget of "
@@ -173,7 +235,7 @@ def _parse_node(obj, path: str, room: list[int]) -> Node:
             # the int 0 or 1 only: not a bool (an int subclass) or a float like 1.0
             if type(label) is not int or label not in (0, 1):
                 raise _parse_error(path, f"leaf label must be 0 or 1, got {label!r}")
-            return Leaf(label)
+            return _LEAVES[label]
         if "flip" in obj:
             inner = obj["flip"]
             if not isinstance(inner, dict):
@@ -188,8 +250,8 @@ def _parse_node(obj, path: str, room: list[int]) -> Node:
             if len(path) >= MAX_DEPTH:
                 raise _parse_error(path, f"a flip here makes the tree deeper "
                                          f"than {MAX_DEPTH}")
-            return Flip(_parse_node(inner["up"], path + "U", room),
-                        _parse_node(inner["down"], path + "D", room))
+            return _flip(made, _parse_node(inner["up"], path + "U", room, made),
+                         _parse_node(inner["down"], path + "D", room, made))
     raise _parse_error(path, "expected exactly one of 'leaf' or 'flip'")
 
 
@@ -232,16 +294,24 @@ def gen_best_of(n: int) -> GameTree:
         raise ValueError(f"best-of-{n} has {size} nodes, over the budget of "
                          f"{MAX_NODES}")
 
-    return _best_of(0, 0, need)
+    return _best_of(0, 0, need, {})
 
 
-def _best_of(up_wins: int, down_wins: int, need: int) -> Node:
+def _best_of(up_wins: int, down_wins: int, need: int, made: dict) -> Node:
+    # `made` maps each state met so far to its subtree.  A state names its
+    # subtree (the subtree of need - up_wins more ups against need -
+    # down_wins more downs), so equal subtrees are one object, and each is
+    # built once.
     if up_wins == need:
-        return Leaf(0)
+        return _LEAVES[0]
     if down_wins == need:
-        return Leaf(1)
-    return Flip(_best_of(up_wins + 1, down_wins, need),
-                _best_of(up_wins, down_wins + 1, need))
+        return _LEAVES[1]
+    node = made.get((up_wins, down_wins))
+    if node is None:
+        node = made[up_wins, down_wins] = Flip(
+            _best_of(up_wins + 1, down_wins, need, made),
+            _best_of(up_wins, down_wins + 1, need, made))
+    return node
 
 
 def gen_full(tree_depth: int, labels) -> GameTree:
@@ -258,40 +328,46 @@ def gen_full(tree_depth: int, labels) -> GameTree:
         if type(lab) is not int or lab not in (0, 1):
             raise ValueError(f"leaf label must be 0 or 1, got {lab!r}")
 
-    return _full(labels, 0, 2 ** tree_depth)
-
-
-def _full(labels: list, lo: int, hi: int) -> Node:
-    # the complete subtree over leaf labels lo..hi-1
-    if hi - lo == 1:
-        return Leaf(labels[lo])
-    mid = (lo + hi) // 2
-    return Flip(_full(labels, lo, mid), _full(labels, mid, hi))
+    # one level at a time from the leaves up, each node over two neighbours
+    made: dict = {}
+    level = [_LEAVES[lab] for lab in labels]
+    while len(level) > 1:
+        level = [_flip(made, level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def mirror(tree: GameTree) -> GameTree:
     """Same shape with every leaf label complemented."""
-    return _mirror(tree, 0)
+    return _mirror(tree, 0, {}, {})
 
 
-def _mirror(node: Node, d: int) -> Node:
+def _mirror(node: Node, d: int, made: dict, done: dict) -> Node:
+    # `done` maps (id(node), d) to the mirror already made of that subtree
+    # at that depth: a subtree met again at the same depth is mirrored once,
+    # and one met at another depth is walked again under the depth check
     if d > MAX_DEPTH:
         raise ValueError(_TOO_DEEP)
     if isinstance(node, Leaf):
-        return Leaf(1 - node.label)
-    return Flip(_mirror(node.up, d + 1), _mirror(node.down, d + 1))
+        return _LEAVES[1] if node.label == 0 else _LEAVES[0]
+    key = id(node), d
+    got = done.get(key)
+    if got is None:
+        got = done[key] = _flip(made, _mirror(node.up, d + 1, made, done),
+                                _mirror(node.down, d + 1, made, done))
+    return got
 
 
-def _random_node(budget: int, stream: splitmix.Stream, room: list[int]) -> Node:
-    # room[0] counts down the nodes still allowed
+def _random_node(budget: int, stream: splitmix.Stream, room: list[int],
+                 made: dict) -> Node:
+    # room[0] counts down the nodes still allowed, one per node drawn
     room[0] -= 1
     if room[0] < 0:
         raise ValueError(f"random tree passes the budget of {MAX_NODES} nodes")
     if budget > 0 and stream.next_double() >= 1.0 / 3.0:
-        up = _random_node(budget - 1, stream, room)
-        down = _random_node(budget - 1, stream, room)
-        return Flip(up, down)
-    return Leaf(stream.next_u64() & 1)
+        up = _random_node(budget - 1, stream, room, made)
+        down = _random_node(budget - 1, stream, room, made)
+        return _flip(made, up, down)
+    return _LEAVES[stream.next_u64() & 1]
 
 
 def gen_random(max_depth: int, seed: int) -> GameTree:
@@ -302,7 +378,7 @@ def gen_random(max_depth: int, seed: int) -> GameTree:
     """
     _check_depth("max_depth", max_depth, 0)
     splitmix.check_seed(seed)
-    return _random_node(max_depth, splitmix.Stream(seed), [MAX_NODES])
+    return _random_node(max_depth, splitmix.Stream(seed), [MAX_NODES], {})
 
 
 def gen_random_fair(max_depth: int, seed: int) -> GameTree:
@@ -314,63 +390,100 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
     """
     _check_depth("max_depth", max_depth, 1)
     splitmix.check_seed(seed)
-    sub = _random_node(max_depth - 1, splitmix.Stream(seed), [(MAX_NODES - 1) // 2])
-    return Flip(sub, mirror(sub))
+    made: dict = {}
+    sub = _random_node(max_depth - 1, splitmix.Stream(seed),
+                       [(MAX_NODES - 1) // 2], made)
+    return _flip(made, sub, _mirror(sub, 0, made, {}))
 
 
 def annotate(tree: GameTree) -> TreeAnnotation:
-    """Compute depth, P_W and Delta for every node in one bottom-up pass.
+    """Compute P_W and Delta for every distinct subtree, and every node's
+    row and depth, in one bottom-up pass.
 
     The one traversal of a Flip/Leaf tree; every analysis reads its columns.
-    The pass recurses into Flips only: each Flip writes its leaf children's
-    rows itself, and a tree that is one leaf gets its one row here.  A Flip
-    at depth MAX_DEPTH, whose children would lie deeper than the cap, stops
-    the pass as soon as it is reached.
+    The pass recurses once per distinct Flip object: each Flip writes its
+    leaf children's entries itself, a Flip met again copies its first
+    block of occurrence entries, and a tree that is one leaf gets its one
+    row here.  A Flip at depth MAX_DEPTH, whose children would lie deeper
+    than the cap, stops the pass as soon as it is reached.
     """
     if isinstance(tree, Leaf):
-        return TreeAnnotation([0], [1.0 if tree.label == 0 else 0.0], [None],
-                              [-1], [-1])
-    ann = TreeAnnotation([], [], [], [], [])
-    _annotate(tree, 0, ann.depth, ann.p_w, ann.delta, ann.up, ann.down)
+        return TreeAnnotation([1.0 if tree.label == 0 else 0.0], [None], [-1], [-1],
+                              [-1], [0], [0])
+    # rows 0 and 1 are the leaves, labels 0 and 1
+    ann = TreeAnnotation([1.0, 0.0], [None, None], [-1, -1], [-1, -1], [-1, -1],
+                         [], [])
+    _annotate(tree, 0, {}, [-1, -1], ann.dag_p_w, ann.dag_delta, ann.dag_up,
+              ann.dag_down, ann.dag_at, ann.row, ann.depth)
     return ann
 
 
-def _annotate(node: Flip, d: int, depth: list, p_w: list, delta: list,
-              up: list, down: list) -> float:
-    # appends the Flip's subtree to the columns in postorder; returns its P_W.
-    # The columns come as arguments: a local is read faster than ann.<column>.
+def _annotate(node: Flip, d: int, seen: dict, starts: list, p_w: list,
+              delta: list, up: list, down: list, at: list, row: list,
+              depth: list) -> int:
+    # The first visit of a distinct Flip, at depth d: appends its DAG row
+    # and its block of occurrence entries, and returns the row.  `seen` maps
+    # each Flip visited so far, by identity, to its row k, and row k's first
+    # block runs from starts[k] to its own entry, at[k].  Each holds ints,
+    # which cost less to make than a slice or a tuple per Flip.  The columns
+    # come as arguments: a local is read faster than ann.<column>.
     if d >= MAX_DEPTH:
         raise ValueError(_TOO_DEEP)
+    start = len(row)
     c = d + 1
     child = node.up
     if isinstance(child, Leaf):
-        pu = 1.0 if child.label == 0 else 0.0
+        u = 0 if child.label == 0 else 1
+        row.append(u)
         depth.append(c)
-        p_w.append(pu)
-        delta.append(None)
-        up.append(-1)
-        down.append(-1)
     else:
-        pu = _annotate(child, c, depth, p_w, delta, up, down)
-    u = len(depth) - 1
+        u = seen.get(id(child))
+        if u is None:
+            u = _annotate(child, c, seen, starts, p_w, delta, up, down, at, row,
+                          depth)
+        else:
+            _repeat(u, c, starts, at, row, depth)
     child = node.down
     if isinstance(child, Leaf):
-        pd = 1.0 if child.label == 0 else 0.0
+        dn = 0 if child.label == 0 else 1
+        row.append(dn)
         depth.append(c)
-        p_w.append(pd)
-        delta.append(None)
-        up.append(-1)
-        down.append(-1)
     else:
-        pd = _annotate(child, c, depth, p_w, delta, up, down)
-    dn = len(depth) - 1
-    w = (pu + pd) / 2.0
-    depth.append(d)
-    p_w.append(w)
+        dn = seen.get(id(child))
+        if dn is None:
+            dn = _annotate(child, c, seen, starts, p_w, delta, up, down, at, row,
+                           depth)
+        else:
+            _repeat(dn, c, starts, at, row, depth)
+    k = len(p_w)
+    pu, pd = p_w[u], p_w[dn]
+    p_w.append((pu + pd) / 2.0)
     delta.append(pu - pd)
     up.append(u)
     down.append(dn)
-    return w
+    starts.append(start)
+    at.append(len(row))
+    row.append(k)
+    depth.append(d)
+    seen[id(node)] = k
+    return k
+
+
+def _repeat(k: int, d: int, starts: list, at: list, row: list, depth: list) -> None:
+    # Row k's Flip met again, at depth d: appends a copy of its first block,
+    # shifted in depth.  A copy deeper than the first is refused when its
+    # deepest node passes the cap, exactly when a Flip of the copy sits at
+    # MAX_DEPTH or deeper.
+    start, end = starts[k], at[k] + 1
+    row.extend(row[start:end])
+    shift = d - depth[at[k]]
+    if shift == 0:
+        depth.extend(depth[start:end])
+        return
+    copied = depth[start:end]
+    if shift > 0 and max(copied) + shift > MAX_DEPTH:
+        raise ValueError(_TOO_DEEP)
+    depth.extend(map(shift.__add__, copied))
 
 
 def lemma_sum(tree: GameTree) -> float:

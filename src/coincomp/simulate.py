@@ -17,8 +17,10 @@ counted as overruns and settled by draw step_cap against the honest value
 (N+z)/(2N), so every trial contributes to exactly one count.
 
 Both games share one phase-1 loop.  A game is a set of per-node tables:
-the annotation's postorder for a tree, sites -N..N as nodes 0..2N for a
-walk, plus one sink node for caught trials.  The loop draws a step-major
+composer.strategy_table's rows for a tree (the DAG of its distinct
+subtrees when every copy of a subtree carries the same eps, its nodes in
+postorder otherwise), sites -N..N as nodes 0..2N for a walk, plus one
+sink node for caught trials.  The loop draws a step-major
 block of up to 64 steps for every uncaught trial in one call, row j
 holding draw k + j of each, and about 2**14 draws in all, so a block of
 more trials than that is one step deep.  It advances the trials row by
@@ -60,11 +62,14 @@ would give.
 
 A tree game takes its strategy as the library's one tree strategy form, a
 list of eps in annotate's postorder (composer.strategy_from_paths reads a
-path-keyed one), and reads it through composer.strategy_triples, which
+path-keyed one), and reads it through composer.strategy_table, which
 checks it once and makes one scalar cheat_model.triple call per distinct
-eps (with -0.0 kept apart from 0.0): the leading-order best-of-15 strategy
-at eps_tot 0.2 has 12,869 internal nodes but only 26 distinct values.
-Timings before and after are in the README's Monte Carlo section.
+eps (with -0.0 kept apart from 0.0).  A trial at a row draws against the
+row's thresholds, which are those of every node the row stands for, so
+the DAG and the postorder table play every trial alike: the
+leading-order best-of-15 strategy at eps_tot 0.2 runs on 66 rows, not
+25,739, with only 26 distinct eps.  Timings before and after are in the
+README's Monte Carlo section.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ import numpy as np
 
 from . import cheat_model, rng
 from .cheat_model import CheatModel
-from .composer import Strategy, strategy_triples
+from .composer import Strategy, strategy_table
 from .game_tree import GameTree, annotate
 from .splitmix import HALF_U64, check_seed
 from .walk import WalkGame, WalkPolicy, check_policy
@@ -244,12 +249,13 @@ def _displacements(x: np.ndarray) -> np.ndarray:
 
 
 def _tree_graph(tree: GameTree, model: CheatModel, strategy: Strategy):
-    # per node, in the annotation's postorder: draw thresholds (0 on leaves);
-    # the annotation is dropped on return, before any trial is played
-    ann = annotate(tree)
-    p0, p1, _ = strategy_triples(ann, model, strategy)
-    up = np.fromiter(ann.up, np.intp, len(p0))
-    return _graph(p0, p1, up, ann.down, np.fromiter(ann.p_w, float, len(p0)) == 1.0)
+    # per row of strategy_table, the root last: draw thresholds (0 on
+    # leaves); the annotation is dropped on return, before any trial is
+    # played
+    p_w, up, down, p0, p1, _ = strategy_table(annotate(tree), model, strategy)
+    size = len(up)
+    return _graph(p0, p1, np.fromiter(up, np.intp, size), down,
+                  np.fromiter(p_w, float, size) == 1.0)
 
 
 def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
@@ -260,7 +266,8 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
     nodes = graph[0].size // 3 - 1  # the root is last, before the sink
 
     def block(lo: int, hi: int):
-        # no trial makes as many draws as the tree has nodes
+        # no trial makes as many draws as the table has rows: a trial meets
+        # a different row at each draw
         streams = rng.np_stream_seeds(seed, lo, hi)
         wins, _, caught = _phase1(graph, streams, nodes - 1, nodes)
         catches = sum(s.size for _, s, _ in caught)

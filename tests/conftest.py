@@ -59,6 +59,25 @@ def deep_chain(depth):
     return node
 
 
+def unshared(node):
+    """A copy of the tree built by a plain recursion, in which no two nodes
+    are one object."""
+    if isinstance(node, game_tree.Leaf):
+        return game_tree.Leaf(node.label)
+    return game_tree.Flip(unshared(node.up), unshared(node.down))
+
+
+def distinct_flips(tree):
+    """Every distinct Flip object of the tree, by identity."""
+    found, todo = {}, [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, game_tree.Flip) and id(node) not in found:
+            found[id(node)] = node
+            todo += [node.up, node.down]
+    return list(found.values())
+
+
 def json_digest(records):
     """sha256 over one JSON line per record; json spells floats exactly."""
     h = hashlib.sha256()

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, grid_oracle, simulate
 from coincomp.cheat_model import CheatModel
-from conftest import SMALL_SUITE, deep_chain, generated_trees, json_digest
+from conftest import (SMALL_SUITE, deep_chain, generated_trees, json_digest,
+                      unshared)
 
 
 def by_path(tree, strategy):
@@ -551,6 +552,125 @@ class TestExactOutcome:
             if prev_gap is not None:
                 assert gap < prev_gap
             prev_gap = gap
+
+
+def float_pass(tree, model, named):
+    """exact_outcome's floats by a recursion over the tree itself: each
+    internal node reads cheat_model.triple at its path's eps, and the
+    outcomes combine in exact_outcome's order."""
+    def visit(node, at):
+        if isinstance(node, game_tree.Leaf):
+            w = 1.0 if node.label == 0 else 0.0
+            return w, 1.0 - w, 0.0
+        p0, p1, pc = cheat_model.triple(model, named[at])
+        u0, u1, uc = visit(node.up, at + "U")
+        d0, d1, dc = visit(node.down, at + "D")
+        return p0 * u0 + p1 * d0, p0 * u1 + p1 * d1, pc + p0 * uc + p1 * dc
+
+    return visit(tree, "")
+
+
+def _result_bits(res):
+    return [repr(res.a_new), repr(res.lam), repr(res.predicted_pc), res.clipped,
+            [repr(eps) for eps in res.strategy]]
+
+
+class TestDagTable:
+    """The DAG of distinct subtrees and the postorder table give the same
+    answers, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=fair_trees())
+    def test_shared_and_unshared_trees_agree(self, tree):
+        # a parsed tree shares its equal subtrees, a copy built by a plain
+        # recursion shares none: every answer is the same to the bit
+        shared = game_tree.parse_tree(game_tree.serialize_tree(tree))
+        plain = unshared(tree)
+        for b in (1.5, 2.0, 3.0):
+            assert _result_bits(composer.leading_order(shared, 0.7, b, 0.05)) == \
+                _result_bits(composer.leading_order(plain, 0.7, b, 0.05))
+        model = CheatModel(0.7, 2.0)
+        strategy = composer.leading_order(shared, 0.7, 2.0, 0.2).strategy
+        assert [repr(x) for x in composer.exact_outcome(shared, model, strategy)] \
+            == [repr(x) for x in composer.exact_outcome(plain, model, strategy)]
+        assert simulate.simulate_tree(shared, model, strategy, 3000, 17) == \
+            simulate.simulate_tree(plain, model, strategy, 3000, 17)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree=fair_trees(), seed=st.integers(0, 2 ** 32),
+           model=st.sampled_from(_OUTCOME_MODELS + [_PRIME]), per_row=st.booleans())
+    def test_table_follows_the_strategy(self, tree, seed, model, per_row):
+        # eps drawn per DAG row runs on the DAG; eps drawn per node, which
+        # gives copies of one subtree different eps, runs on the postorder
+        # table unless the draws happen to agree.  Either way the outcome is
+        # the recursion's, bit for bit.
+        ann = game_tree.annotate(tree)
+        pick = random.Random(seed).choice
+        values = _PRIME_EPS_VALUES if model == _PRIME else _EPS_VALUES
+        if per_row:
+            eps = [pick(values) if u >= 0 else 0.0 for u in ann.dag_up]
+            strategy = [eps[k] for k in ann.row]
+        else:
+            strategy = [pick(values) if u >= 0 else 0.0 for u in ann.up]
+        copies = {}
+        for k, e in zip(ann.row, strategy):
+            copies.setdefault(k, set()).add(repr(e))
+        agree = all(len(spelled) == 1 for spelled in copies.values())
+        assert agree or not per_row
+        table = composer.strategy_table(ann, model, strategy)
+        assert len(table[1]) == (len(ann.dag_up) if agree else len(ann.row))
+        named = composer.strategy_to_paths(ann, strategy)
+        assert [repr(x) for x in composer.exact_outcome(tree, model, strategy)] \
+            == [repr(x) for x in float_pass(tree, model, named)]
+
+    def test_copies_with_both_zeros_run_on_the_postorder_table(self):
+        # under prime, pc = a*eps keeps the sign of a zero eps, so a subtree
+        # given 0.0 on one copy and -0.0 on another is two kinds of node
+        sub = game_tree.gen_best_of(3)
+        tree = game_tree.Flip(sub, game_tree.Flip(sub, game_tree.Leaf(1)))
+        ann = game_tree.annotate(tree)
+        for zero in (0.0, -0.0):
+            named = {p: 0.1 for p, _ in ann.internal()}
+            named["UD"], named["DUD"] = zero, -zero
+            strategy = composer.strategy_from_paths(ann, named)
+            p_w, up, down, p0, p1, pc = composer.strategy_table(ann, _PRIME, strategy)
+            assert len(up) == len(ann.row)
+            assert [math.copysign(1.0, c) for c, u in zip(pc, up) if u >= 0] == \
+                [math.copysign(1.0, named[p]) for p, _ in ann.internal()]
+            assert [repr(x) for x in composer.exact_outcome(tree, _PRIME, strategy)] \
+                == [repr(x) for x in float_pass(tree, _PRIME, named)]
+            # the same zero on both copies is one row again
+            named["DUD"] = zero
+            same = composer.strategy_from_paths(ann, named)
+            assert len(composer.strategy_table(ann, _PRIME, same)[1]) == len(ann.dag_up)
+            assert [repr(x) for x in composer.exact_outcome(tree, _PRIME, same)] \
+                == [repr(x) for x in float_pass(tree, _PRIME, named)]
+
+    def test_refusals_are_those_of_the_postorder_table(self):
+        # a DAG row takes its first node's eps, so the first refused node in
+        # postorder names the same eps on either table; a leaf's eps is
+        # refused at its own position
+        tree = game_tree.gen_best_of(5)
+        ann = game_tree.annotate(tree)
+        model = CheatModel(1.0, 2.0)
+        by_row = [0.7 if k == 5 else 0.1 for k in range(len(ann.dag_up))]
+        with pytest.raises(ValueError, match="got 0.7$"):
+            composer.exact_outcome(tree, model, [
+                by_row[k] if ann.dag_up[k] >= 0 else 0.0 for k in ann.row])
+        leaf = ann.row.index(1, 3)
+        bad = [0.0] * len(ann.row)
+        bad[leaf] = 0.2
+        with pytest.raises(ValueError, match=re.escape(
+                f"eps = 0.2 to the leaf at postorder position {leaf};")):
+            composer.exact_outcome(tree, model, bad)
+        # a root eps that is not a float, beside zeros on the other nodes,
+        # which the bytes of the doubles are compared for
+        for eps, error, message in [
+                ("x", TypeError, "bad operand type for abs(): 'str'"),
+                (10 ** 400, ValueError, "standard model requires |eps| <= 1/2"),
+                (True, ValueError, "standard model requires |eps| <= 1/2, got True")]:
+            with pytest.raises(error, match=f"^{re.escape(message)}"):
+                composer.exact_outcome(tree, model, [0.0] * (len(ann.row) - 1) + [eps])
 
 
 class TestStrategyTriples:

@@ -1,5 +1,6 @@
 """Tree parsing, generation and annotation."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import game_tree
 from coincomp.game_tree import Flip, Leaf, NodeInfo, TreeParseError
-from conftest import BAD_SEEDS, deep_chain, generated_trees, seed_refused
+from conftest import (BAD_SEEDS, deep_chain, distinct_flips, generated_trees,
+                      seed_refused, unshared)
 
 
 CANONICAL_BEST_OF_3 = (
@@ -313,9 +315,10 @@ class TestAnnotate:
     @pytest.mark.parametrize("tree", [
         game_tree.gen_best_of(5), game_tree.gen_full(3, [0, 1, 1, 0, 1, 0, 0, 1]),
         game_tree.gen_random_fair(6, 3)], ids=["best-of-5", "full(3)", "random-fair"])
-    def test_recursion_enters_internal_nodes_only(self, monkeypatch, tree):
-        # each Flip writes its leaf children's rows, so the recursion runs
-        # once per internal node, and the columns are those of a plain run
+    def test_recursion_enters_each_distinct_flip_once(self, monkeypatch, tree):
+        # each Flip writes its leaf children's entries, and a Flip met again
+        # copies its first block, so the recursion runs once per distinct
+        # Flip object, and the columns are those of a plain run
         plain = game_tree.annotate(tree)
         calls = []
         real = game_tree._annotate
@@ -327,8 +330,10 @@ class TestAnnotate:
         monkeypatch.setattr(game_tree, "_annotate", spy)
         ann = game_tree.annotate(tree)
         assert all(isinstance(node, Flip) for node in calls)
-        assert len(calls) == sum(u >= 0 for u in ann.up) < len(ann.up)
-        assert vars(ann) == vars(plain)
+        assert len({id(node) for node in calls}) == len(calls)
+        assert len(calls) == len(distinct_flips(tree)) == len(ann.dag_up) - 2
+        assert len(calls) <= sum(u >= 0 for u in ann.up) < len(ann.up)
+        assert dataclasses.astuple(ann) == dataclasses.astuple(plain)
 
     def test_leaf_tree_gets_its_row_without_recursion(self, monkeypatch):
         monkeypatch.setattr(game_tree, "_annotate", None)  # a call would fail
@@ -459,6 +464,98 @@ class TestAnnotate:
         got = ann.internal()
         assert "nodes" not in vars(ann)  # no NodeInfo built for the leaves
         assert got == [(p, i) for p, i in ann.nodes.items() if i.delta is not None]
+
+
+class TestSharing:
+    """Hash-consed construction, and annotate's DAG and occurrence columns."""
+
+    @staticmethod
+    def _all_built():
+        return [game_tree.gen_best_of(9), game_tree.gen_full(5, [0, 1] * 16),
+                game_tree.gen_random(8, 4), game_tree.gen_random_fair(9, 2),
+                game_tree.mirror(game_tree.gen_best_of(7)),
+                game_tree.parse_tree(CANONICAL_BEST_OF_3)]
+
+    def test_best_of_15_holds_64_distinct_flips(self):
+        tree = game_tree.gen_best_of(15)
+        assert len(distinct_flips(tree)) == 64
+        ann = game_tree.annotate(tree)
+        assert (len(ann.dag_up), len(ann.row)) == (66, 25_739)
+
+    def test_best_of_21_is_refused_as_before(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "best-of-21 has 1410863 nodes, over the budget of 1048576")):
+            game_tree.gen_best_of(21)
+
+    def test_equal_subtrees_are_one_object(self):
+        for tree in self._all_built():
+            flips = distinct_flips(tree)
+            assert len({game_tree.serialize_tree(f) for f in flips}) == len(flips)
+            leaves = {id(n) for f in flips for n in (f.up, f.down)
+                      if isinstance(n, Leaf)}
+            assert len(leaves) <= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_documents(max_depth=6))
+    def test_parsed_subtrees_are_shared(self, doc):
+        tree = game_tree.parse_tree(json.dumps(doc))
+        flips = distinct_flips(tree)
+        assert len({game_tree.serialize_tree(f) for f in flips}) == len(flips)
+
+    def test_no_table_outlives_its_call(self):
+        # each call builds its own Flips; only the two leaves are shared
+        for make in (lambda: game_tree.gen_best_of(5),
+                     lambda: game_tree.gen_full(2, [0, 1, 1, 0]),
+                     lambda: game_tree.gen_random_fair(6, 3),
+                     lambda: game_tree.parse_tree(CANONICAL_BEST_OF_3)):
+            first, second = make(), make()
+            assert first == second and first is not second
+
+    def test_mirror_shares_and_round_trips(self):
+        tree = game_tree.gen_best_of(9)
+        flipped = game_tree.mirror(tree)
+        assert len(distinct_flips(flipped)) == len(distinct_flips(tree))
+        assert game_tree.mirror(flipped) == tree == unshared(tree)
+        assert game_tree.mirror(unshared(tree)) == flipped
+
+    @settings(max_examples=80, deadline=None)
+    @given(generated_trees())
+    def test_views_equal_those_of_an_unshared_copy(self, tree):
+        # a tree that shares nothing has one DAG row per Flip, and every
+        # per-node view is the same as the shared tree's
+        ann, plain = game_tree.annotate(tree), game_tree.annotate(unshared(tree))
+        flips = (len(plain.row) - 1) // 2
+        assert len(plain.dag_up) == (1 if isinstance(tree, Leaf) else flips + 2)
+        for view in ("depth", "p_w", "delta", "up", "down", "path"):
+            assert getattr(ann, view) == getattr(plain, view), view
+        assert ann.nodes == plain.nodes
+        assert ann.internal() == plain.internal()
+        assert repr(ann.lemma_sum()) == repr(plain.lemma_sum())
+        assert [ann.row[i] for i in ann.dag_at if i >= 0] == [
+            k for k, u in enumerate(ann.dag_up) if u >= 0]
+
+    @staticmethod
+    def _two_copies(extra, deeper_first=False):
+        # one 40-deep subtree, at depth 1 and at depth 1 + extra
+        sub = deep_chain(40)
+        node = sub
+        for _ in range(extra):
+            node = Flip(Leaf(0), node)
+        return Flip(node, sub) if deeper_first else Flip(sub, node)
+
+    @pytest.mark.parametrize("deeper_first", [False, True])
+    def test_subtree_shared_at_two_depths(self, deeper_first):
+        # the deeper copy reaches depth 52 and annotates; one level more
+        # refuses the tree, whichever copy the pass meets first
+        ann = game_tree.annotate(self._two_copies(11, deeper_first))
+        assert max(ann.depth) == 52
+        assert ann.depth == game_tree.annotate(
+            unshared(self._two_copies(11, deeper_first))).depth
+        tree = self._two_copies(12, deeper_first)
+        for walk in (game_tree.annotate, game_tree.mirror, game_tree.leaf_win_mass):
+            with pytest.raises(ValueError, match=f"^tree depth exceeds "
+                                                 f"{game_tree.MAX_DEPTH};"):
+                walk(tree)
 
 
 class TestNodeBudget:

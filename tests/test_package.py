@@ -95,6 +95,8 @@ def test_walk_commands_run_without_numpy(capsys):
 def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
     tree = str(tmp_path / "bo5.json")
     Path(tree).write_text(game_tree.serialize_tree(game_tree.gen_best_of(5)))
+    bo7 = str(tmp_path / "bo7.json")
+    Path(bo7).write_text(game_tree.serialize_tree(game_tree.gen_best_of(7)))
     malformed = str(tmp_path / "leaf2.json")
     Path(malformed).write_text('{"leaf": 2}')
     compose = ["compose", "--tree", tree, "--a", "1", "--b", "2",
@@ -113,12 +115,17 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
                 compose,
                 # refused for its size before the oracle would load numpy
                 [*compose, "--brute-force"],
-                [*compose, "--exact"]]
+                [*compose, "--exact"],
+                # S summed left to right reads 0x1.7043f83be6da5p+0 here; a
+                # compensated or exact sum (Python 3.12's sum(), math.fsum)
+                # reads ...6da6p+0, and so does a sum in another order
+                ["compose", "--tree", bo7, "--a", "1", "--b", "3",
+                 "--eps-tot", "0.05", "--exact"]]
     runs, loaded = run_without_numpy(commands, [
         "coincomp.rng", "coincomp.grid_oracle", "coincomp.simulate"])
     assert loaded == []
     assert runs == [run_in_process(capsys, argv) for argv in commands]
-    assert [code for code, _, _ in runs] == [0, 0, 0, 1, 0, 1, 0, 1, 0]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 1, 0, 1, 0, 1, 0, 0]
     # the JSON edge's bytes, pinned on every Python the numpy-free job runs:
     # the trees, the analysis (paths from the lazy path column) and the
     # compose payloads (path-keyed strategies from the list form); the three
@@ -132,7 +139,8 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "4a203665582fc4f2661bd5bc90fc3cbd521aa4804934424be968d281f43b6bb8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "d9fe4119caaf3b199dcc3223215ea473692fe400d09d4e04906dbd5e148eb526"]
+        "d9fe4119caaf3b199dcc3223215ea473692fe400d09d4e04906dbd5e148eb526",
+        "a3caaccc09239315a5cd743c84eb881564dae91abf2a33811c648b512c3bf438"]
     assert runs[3] == (1, "", "error: seed must be an int in [0, 2**64), "
                               "got -1\n")
     assert json.loads(runs[4][1])["lemma_sum"] == 1.0
@@ -140,7 +148,7 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
                               "0 or 1, got 2\n")
     assert runs[7] == (1, "", "error: tree too large: 19 internal nodes, "
                               "limit 5\n")
-    doc = json.loads(runs[-1][1])
+    doc = json.loads(runs[-2][1])
     assert abs(doc["a_new"] - 1.0) <= 1e-12
     assert isinstance(doc["exact"], dict)
 

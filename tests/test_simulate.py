@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -629,6 +630,47 @@ class TestTreeMatchesReference:
         listed = composer.strategy_from_paths(game_tree.annotate(tree), strategy)
         assert simulate.simulate_tree(tree, model, listed, *rest) == \
             reference_simulate_tree(*case)
+
+
+class TestTreeTables:
+    """simulate_tree on the DAG and on the postorder table, against the
+    reference, which reads the tree's per-node columns."""
+
+    @pytest.mark.parametrize("per_row", [True, False], ids=["per-row", "per-node"])
+    @pytest.mark.parametrize("model", [CheatModel(1.0, 2.0),
+                                       CheatModel(1.0, 1.0, PRIME)],
+                             ids=["std", "prime"])
+    def test_seeded_strategies_match_reference(self, model, per_row):
+        # eps drawn per DAG row runs on the DAG's 18 rows, eps drawn per
+        # node on the 139 nodes of best-of-7
+        ann = game_tree.annotate(_BO7)
+        draw = random.Random(26).uniform
+        if per_row:
+            eps = [draw(0.0, model.eps_max) if u >= 0 else 0.0 for u in ann.dag_up]
+            strategy = [eps[k] for k in ann.row]
+        else:
+            strategy = [draw(0.0, model.eps_max) if u >= 0 else 0.0 for u in ann.up]
+        rows = len(composer.strategy_table(ann, model, strategy)[1])
+        assert rows == (18 if per_row else 139)
+        named = composer.strategy_to_paths(ann, strategy)
+        for trials, seed in ((7, 3), (20_000, 26)):
+            assert simulate.simulate_tree(_BO7, model, strategy, trials, seed) == \
+                reference_simulate_tree(_BO7, model, named, trials, seed)
+
+    def test_copies_with_both_zeros_match_reference(self):
+        # 0.0 on one copy of a subtree and -0.0 on another, under prime
+        ann = game_tree.annotate(_BO7)
+        named = _everywhere(_BO7, 0.1)
+        shared = next(k for k, u in enumerate(ann.dag_up)
+                      if u >= 0 and ann.row.count(k) > 1)
+        first = ann.path[ann.dag_at[shared]]
+        copy = next(p for p, k in zip(ann.path, ann.row) if k == shared and p != first)
+        named[first], named[copy] = 0.0, -0.0
+        strategy = composer.strategy_from_paths(ann, named)
+        model = CheatModel(1.0, 1.0, PRIME)
+        assert len(composer.strategy_table(ann, model, strategy)[1]) == 139
+        assert simulate.simulate_tree(_BO7, model, strategy, 5000, 9) == \
+            reference_simulate_tree(_BO7, model, named, 5000, 9)
 
 
 def pinned_grid_reports():
