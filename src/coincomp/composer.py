@@ -21,10 +21,10 @@ exact_outcome reads only each node's (p0, p1, pc), so it takes either box.
 
 In the library a tree strategy is one list of eps in annotate's postorder,
 0.0 at every leaf: leading_order and brute_force_min_pc return it, and
-strategy_triples, strategy_table, exact_outcome and simulate.simulate_tree
-take it.  The path-keyed dicts of the JSON documents exist only at that
-edge, through one converter pair: strategy_to_paths writes one,
-strategy_from_paths reads one and refuses a missing or an extra path.
+strategy_table, exact_outcome and simulate.simulate_tree take it.  The
+path-keyed dicts of the JSON documents exist only at that edge, through
+one converter pair: strategy_to_paths writes one, strategy_from_paths
+reads one and refuses a missing or an extra path.
 
 The tree passes (leading_order, a_new_of_b, exact_outcome and
 simulate_tree) read annotate's DAG and occurrence columns, never its path
@@ -102,7 +102,7 @@ def strategy_from_paths(ann: TreeAnnotation, by_path: dict[str, float]) -> Strat
     """The list form of a path-keyed strategy.
 
     Its keys must be exactly the paths of the internal nodes; leaves get 0.0.
-    The eps values are checked where the list is read (strategy_triples).
+    The eps values are checked where the list is read (strategy_table).
     """
     strategy = [0.0] * len(ann.up)
     for i, (at, u) in enumerate(zip(ann.path, ann.up)):
@@ -239,17 +239,6 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 
-def strategy_triples(ann: TreeAnnotation, model: CheatModel,
-                     strategy: Strategy) -> tuple[list[float], ...]:
-    """Per-node p0, p1 and pc of a tree strategy, as lists in postorder.
-
-    The check of a tree strategy: a list with an entry per node and 0.0 at
-    every leaf, whose eps the model allows.  Leaves read 0.0.
-    """
-    _check_list(ann, strategy)
-    return _triples(ann.up, model, strategy)
-
-
 def _triples(up, model: CheatModel, strategy) -> tuple[list[float], ...]:
     # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0.
     # Each distinct eps costs one scalar cheat_model.triple call, which
@@ -341,7 +330,11 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     returns a strategy of minimum exact catch probability, a list in
     annotate's postorder, and that minimum.
     eps_tot must be finite with |eps_tot| <= 1/2.  Small trees only; the
-    search is exact over the full grid product.
+    search is exact over the full grid product.  The same search on a
+    coarse subgrid first bounds the minimum, and each node is then built
+    only up to the catch its parent can use under that bound, which
+    changes no answer.  A tree is refused when a node, under its cap,
+    covers more than 10,000,000 grid combinations.
     """
     if model.variant != cheat_model.STD:
         raise ValueError("brute force searches the standard model grid only")

@@ -63,10 +63,11 @@ from .game_tree import TreeAnnotation
 # _SAMPLE_STRIDE-th grid point's candidates, run by run, go through the
 # same mask against it before their _pareto.  Any set of achievable
 # candidates makes an exact prefilter, so the coarse step changes only the
-# work: on the 11 5-flip oracle calls of the tree-oracle benchmark (seed 1)
-# that _pareto gets 141,483 candidates instead of 613,932, and at
-# best-of-3's two large nodes the traced peak of _combine falls from 2.16
-# and 2.69 MiB to 1.38 and 1.95 MiB.
+# work: on the 11 5-flip oracle calls of the tree-oracle benchmark (seed 1),
+# with no bound (below), that _pareto gets 141,483 candidates instead of
+# 613,932, and at best-of-3's two large nodes the traced peak of _combine
+# falls from 2.16 and 2.69 MiB to 1.38 and 1.95 MiB (0.40 and 0.38 MiB
+# under their caps).
 #
 # Most candidates are dropped without being built.  Each run's (grid point,
 # down entry, up entry) block is cut into tiles of up to _TILE entries on
@@ -78,10 +79,11 @@ from .game_tree import TreeAnnotation
 # _block.  With k the first frontier pair whose w reaches that largest w,
 # fc[k] < least c means pair k strictly dominates every candidate of the
 # tile (w' >= w, c' < c), so the mask would drop them all and the tile is
-# skipped.  The frontier's (inf, inf) sentinel never skips a tile.  Only the
-# live tiles are built, in groups of about _CHUNK candidates, and go
-# through the mask; at grid 1e-3 a large node builds 7-13% of its grid
-# combinations.
+# skipped.  The frontier ends in a virtual pair (inf, the least double
+# above the node's catch cap, below), which skips only tiles that lie above
+# the cap, and none with no cap.  Only the live tiles are built, in groups
+# of about _CHUNK candidates, and go through the mask; at grid 1e-3 a large
+# node with no cap builds 7-13% of its grid combinations.
 #
 # The root is never materialized.  At each grid point every candidate is
 # (pc + p0*uc[i]) + p1*dc[j]; both frontiers ascend in c, p0 and p1 are
@@ -102,12 +104,73 @@ from .game_tree import TreeAnnotation
 # _first_feasible call per block for each entry's first feasible down entry
 # and one minimum over the block.  A block searches past the first lb above
 # the best only up to its own end, at grid points whose slices are then
-# empty or dearer.  On the 11 oracle calls above, the root searches 349,626
-# up entries at 837 grid points, where a search of each visited grid
+# empty or dearer.  On the 11 oracle calls above, with no bound, the root
+# searches 349,626 up entries at 837 grid points, where a search of each visited grid
 # point's whole up frontier (3,304-5,403 entries) took 2,772,521 at 761.
 #
-# On a 2-vCPU Xeon VM, a 5-flip call at grid 1e-3 takes 18-25 ms (25-42 ms
-# with whole up frontiers at the root and the sample built in one step).
+# Catch caps.  Most of an uncapped frontier costs more than any optimal
+# root strategy can pay there, so the search bounds the optimum first and
+# then builds each node only as far as its parent can use it.
+#
+# The bound.  _bound runs the same frontier DP and root search, with no
+# caps, on the subgrid of every _SAMPLE_STRIDE-th grid index counted from
+# the index of eps = 0, with the same triple arrays and the fine target.
+# Its optimum is a grid strategy whose catch comes from the same float
+# expressions, so it is an upper bound B on the fine optimum.  Where that
+# search finds no strategy, or is refused, B = inf.
+#
+# The caps, top down (_caps).  The root's cap is B.  A child behind branch
+# probabilities p (p0 for up, p1 for down) of a node with cap kappa gets
+#
+#     kappa' = g * max over e of max(kappa*g - pc[e], tiny) / p[e],
+#
+# over the node's grid points with pc[e] <= kappa and p[e] > 0 (0 if none),
+# where g = 1 + 2**-40 is the relative margin and tiny = 2**-1022, the least
+# normal double.  A capped _combine leaves out the grid points with
+# pc > kappa, and its mask's virtual pair (inf, nextafter(kappa, inf))
+# drops every candidate with c > kappa, in the sample stages as in the
+# tiles.  B = inf makes every cap inf and the virtual pair (inf, inf): the
+# search with no bound.
+#
+# Why every answer is unchanged, bit for bit (u = 2**-53):
+# - Every term is >= 0 and rounding is monotone, so a candidate's catch
+#   fl(fl(p1*dc) + fl(pc + fl(p0*uc))) is >= pc, and >= fl(pc + fl(p*x))
+#   for the entry x of either child behind p.  A grid point with pc > kappa
+#   gives only candidates above kappa.
+# - A child entry x > kappa' costs more than kappa at every kept grid point
+#   e.  There p*x > max(fl(kappa*g) - pc, tiny) * g*(1-u)**2 >= tiny, so
+#   fl(p*x) is normal and exceeds fl(kappa*g) - pc, since g*(1-u)**4 > 1.
+#   Then fl(pc + fl(p*x)) > fl(kappa*g)*(1-u) > kappa when kappa*g is
+#   normal, and fl(pc + fl(p*x)) >= fl(p*x) >= tiny > kappa otherwise.  So
+#   every candidate of catch <= kappa is built from child entries within
+#   the children's caps.
+# - A pair with c <= kappa can be strictly dominated only by a pair with
+#   c' <= kappa, and _prune keeps it exactly when no pair before it in its
+#   order has a catch <= c.  So the frontier's pairs with c <= kappa depend
+#   only on the candidates with c <= kappa, which the capped node builds,
+#   in the same generation order, but for strictly dominated ones that the
+#   mask may drop as before.
+# - Frontiers ascend strictly in c, so each capped frontier is a prefix of
+#   the uncapped one, and, by induction from the leaves, every eps_idx,
+#   up_idx and down_idx keeps its value.
+# - The root search is cut at B from its first block.  Its optimum and
+#   every tie have c = c* <= B, and every root candidate of catch <= B is
+#   built from entries within the caps, with the same values, so the
+#   search picks the same one.
+#
+# On the 11 oracle calls above, the nodes cover 246,418 grid combinations
+# (the coarse pass included) instead of 9,592,044, the mask sees 113,098
+# candidates instead of 1,643,530, the frontiers hold 15,090 entries
+# instead of 105,347, and the root searches 149,719 up entries instead of
+# 349,626.  Nodes under a cap also cover fewer combinations, so _MAX_COMBOS
+# refuses fewer trees: Flip(Flip(pair, pair), Leaf(0)) at grid 1e-3 and
+# eps_tot 0.05 covers 2,932,736 at its largest node instead of 189,036,645.
+#
+# On a 2-vCPU Xeon VM, pinned to one CPU, the 11 calls take 56-63 ms a
+# pass against 193-222 ms with no bound (medians of 7 passes in 6
+# alternating rounds of fresh interpreters), and 5-12 ms a call against
+# 17-31 ms; the host's speed drifts, and slower rounds read 90-115 ms a
+# pass against 283-315 ms.
 # ---------------------------------------------------------------------------
 
 # cap on the grid combinations one node covers, whether its tiles build
@@ -159,7 +222,7 @@ def _pareto(w, c) -> np.ndarray:
     order = np.lexsort((c, -w))
     cs = c[order]
     keep = np.empty(len(cs), dtype=bool)
-    keep[0] = True
+    keep[:1] = True  # a sample stage under a cap may have no pairs at all
     running = np.minimum.accumulate(cs)
     keep[1:] = cs[1:] < running[:-1]
     return order[keep][::-1]
@@ -180,13 +243,14 @@ def _side(child: _Frontier, p: float) -> tuple:
     return _ABSENT
 
 
-def _runs(p0, p1, up: _Frontier, down: _Frontier) -> list:
+def _runs(p0, p1, pc, up: _Frontier, down: _Frontier, cap: float) -> list:
     """Maximal runs (lo, hi, up side, down side) of grid points lo..hi-1
-    whose children enter the combination the same way."""
-    reach = (p0 > 0.0) + 2 * (p1 > 0.0)
+    whose children enter the combination the same way, leaving out the grid
+    points whose pc is above the cap."""
+    reach = np.where(pc > cap, -1, (p0 > 0.0) + 2 * (p1 > 0.0))
     cuts = [0, *(np.flatnonzero(np.diff(reach)) + 1).tolist(), len(reach)]
     return [(lo, hi, _side(up, p0[lo]), _side(down, p1[lo]))
-            for lo, hi in zip(cuts[:-1], cuts[1:])]
+            for lo, hi in zip(cuts[:-1], cuts[1:]) if reach[lo] >= 0]
 
 
 def _block(p0, p1, pc, up, down):
@@ -204,7 +268,8 @@ def _block(p0, p1, pc, up, down):
 def _undominated(fw, fc, w, c) -> np.ndarray:
     """Mask of the pairs that no pair of the frontier (fw, fc) strictly dominates.
 
-    The frontier ends in a pair (inf, inf).  Frontier pairs with w' >= w
+    The frontier ends in a virtual pair (inf, the least double above the
+    cap), which drops every pair above the cap.  Frontier pairs with w' >= w
     have c' >= fc[k], k the first of them, so only that pair needs checking.
     """
     k = np.searchsorted(fw, w)
@@ -222,8 +287,10 @@ def _tiles(n: int) -> tuple:
     return first, np.minimum(first + t, n) - 1, np.minimum(slots, n - 1), slots < n
 
 
-def _combine(p0, p1, pc, up: _Frontier, down: _Frontier) -> _Frontier:
-    runs = _runs(p0, p1, up, down)
+def _combine(p0, p1, pc, up: _Frontier, down: _Frontier,
+             cap: float = math.inf) -> _Frontier:
+    """The node's frontier of catch <= cap: all of it at the default, no cap."""
+    runs = _runs(p0, p1, pc, up, down, cap)
     total = sum((hi - lo) * len(u[0]) * len(d[0]) for lo, hi, u, d in runs)
     if total > _MAX_COMBOS:
         raise ValueError(f"tree too large for brute force at this grid step "
@@ -231,7 +298,8 @@ def _combine(p0, p1, pc, up: _Frontier, down: _Frontier) -> _Frontier:
 
     # the sample frontier, coarse to fine: the frontier of every
     # (_SAMPLE_STRIDE**2)-th grid point prefilters every _SAMPLE_STRIDE-th
-    fw, fc = np.array([np.inf]), np.array([np.inf])
+    ceiling = np.nextafter(cap, np.inf)
+    fw, fc = np.array([np.inf]), np.array([ceiling])
     for s in (_SAMPLE_STRIDE ** 2, _SAMPLE_STRIDE):
         sw, sc = [], []
         for lo, hi, u, d in runs:
@@ -241,7 +309,7 @@ def _combine(p0, p1, pc, up: _Frontier, down: _Frontier) -> _Frontier:
             sc.append(c[keep])
         sw, sc = np.concatenate(sw), np.concatenate(sc)
         sel = _pareto(sw, sc)
-        fw, fc = np.append(sw[sel], np.inf), np.append(sc[sel], np.inf)
+        fw, fc = np.append(sw[sel], np.inf), np.append(sc[sel], ceiling)
 
     ws, cs, es, us, ds = [], [], [], [], []
     for lo, hi, u, d in runs:
@@ -340,27 +408,44 @@ def _first_dearer(pc, p, c, tail, best: float) -> np.ndarray:
     return _settle(k, n, lambda k: (pc + p * c[k]) + tail > best)
 
 
-def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
-           grid_step: float) -> tuple[list[float], float]:
-    """brute_force_min_pc's search on checked arguments: (strategy, min_pc),
-    the strategy a list of eps in the annotation's postorder."""
-    kmax = int(math.floor(0.5 / grid_step + 1e-9))
-    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
-    grid = [e for e in grid
-            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
-    t = cheat_model.triple(model, grid)
-    p0, p1, pc = np.array(t.p0), np.array(t.p1), np.array(t.pc)
-    target = ann.p_w_root + eps_tot * (1.0 - grid_step)
+def _child_cap(cap: float, pc, p) -> float:
+    """The catch cap of a child behind branch probabilities p, under its
+    parent's cap: above it, a child entry costs the parent more than cap at
+    every grid point the parent keeps."""
+    reach = (pc <= cap) & (p > 0.0)
+    grow = 1.0 + 2.0 ** -40  # the relative margin, far above rounding
+    slack = np.maximum(cap * grow - pc[reach], np.finfo(float).tiny)
+    with np.errstate(over="ignore"):  # a cap that overflows is no cap
+        return float(np.max(slack / p[reach], initial=0.0) * grow)
 
-    # per node below the root, in postorder; the root is searched below
-    # against the target instead of materializing its frontier
+
+def _caps(ann: TreeAnnotation, p0, p1, pc, bound: float) -> list[float]:
+    """Per node in postorder, its catch cap: bound at the root, and each
+    child's from its parent's, top down."""
+    caps = [math.inf] * len(ann.up)
+    caps[-1] = bound
+    for i in range(len(caps) - 1, -1, -1):
+        if ann.up[i] >= 0:
+            caps[ann.up[i]] = _child_cap(caps[i], pc, p0)
+            caps[ann.down[i]] = _child_cap(caps[i], pc, p1)
+    return caps
+
+
+def _frontiers(ann: TreeAnnotation, p0, p1, pc, caps) -> list[_Frontier]:
+    """Per node below the root, in postorder, its frontier under its cap;
+    the root is searched by _best instead."""
     frontier: list[_Frontier] = []
-    for w, u, dn in zip(ann.p_w[:-1], ann.up, ann.down):
+    for w, u, dn, cap in zip(ann.p_w[:-1], ann.up, ann.down, caps):
         frontier.append(_Frontier.leaf(w) if u < 0
-                        else _combine(p0, p1, pc, frontier[u], frontier[dn]))
+                        else _combine(p0, p1, pc, frontier[u], frontier[dn], cap))
+    return frontier
 
-    up, down = frontier[ann.up[-1]], frontier[ann.down[-1]]
-    nu = len(up)
+
+def _best(p0, p1, pc, up: _Frontier, down: _Frontier, target: float,
+          bound: float):
+    """The root's (pc, eps_idx, up entry, down entry) of least catch <= bound
+    that reaches the target, ties to the smallest grid index and then to the
+    first up entry; None if there is none."""
     # a child behind a zero-probability branch enters with its first entry
     # alone, under index -1; p * x adds +0.0 for every entry x, so its
     # values are those of the one-entry frontier
@@ -368,19 +453,19 @@ def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
     # up entries before i_lo miss the target even with the last down entry
     i_lo = _first_feasible(p0, up.w, p1 * down.w[-1], target)
     order = np.argsort(lb, kind="stable")
-    best = None  # (pc, eps_idx, up_entry, down_entry)
+    best = None
     at, size = 0, 1
     while at < len(order):
         g = order[at:at + size]
         at, size = at + size, min(2 * size, _ROOT_BLOCK)
-        if best is not None and lb[g[0]] > best[0]:
+        cut = bound if best is None else best[0]
+        if lb[g[0]] > cut:
             break
         q0, q1, qc = p0[g], p1[g], pc[g]
         lo = i_lo[g]
-        # up entries from i_hi on cost more than best even with the first
-        # down entry; a tie stays, for the tie rule
-        hi = nu if best is None else _first_dearer(qc, q0, up.c,
-                                                   q1 * down.c[0], best[0])
+        # up entries from i_hi on cost more than the cut even with the
+        # first down entry; a tie stays, for the tie rule
+        hi = _first_dearer(qc, q0, up.c, q1 * down.c[0], cut)
         hi = np.where(q0 > 0.0, hi, np.minimum(hi, 1))
         n = np.maximum(hi - lo, 0)
         if not n.any():
@@ -398,7 +483,41 @@ def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
         if best is None or key < best[:2]:
             best = (*key, int(i[k]) if q0[k] > 0.0 else -1,
                     int(j[k]) if q1[k] > 0.0 else -1)
+    return best
 
+
+def _bound(ann: TreeAnnotation, p0, p1, pc, target: float, zero: int) -> float:
+    """An upper bound on the least catch: the same search, uncapped, over
+    every _SAMPLE_STRIDE-th grid point counted from eps = 0 (grid index
+    zero); inf if that search is infeasible or refused."""
+    sub = slice(zero % _SAMPLE_STRIDE, None, _SAMPLE_STRIDE)
+    p0, p1, pc = p0[sub], p1[sub], pc[sub]
+    try:
+        frontier = _frontiers(ann, p0, p1, pc, [math.inf] * len(ann.up))
+    except ValueError:
+        return math.inf
+    best = _best(p0, p1, pc, frontier[ann.up[-1]], frontier[ann.down[-1]],
+                 target, math.inf)
+    return math.inf if best is None else best[0]
+
+
+def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
+           grid_step: float) -> tuple[list[float], float]:
+    """brute_force_min_pc's search on checked arguments: (strategy, min_pc),
+    the strategy a list of eps in the annotation's postorder."""
+    kmax = int(math.floor(0.5 / grid_step + 1e-9))
+    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
+    grid = [e for e in grid
+            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
+    t = cheat_model.triple(model, grid)
+    p0, p1, pc = np.array(t.p0), np.array(t.p1), np.array(t.pc)
+    target = ann.p_w_root + eps_tot * (1.0 - grid_step)
+    root_up, root_down = ann.up[-1], ann.down[-1]
+
+    bound = _bound(ann, p0, p1, pc, target, grid.index(0.0))
+    frontier = _frontiers(ann, p0, p1, pc, _caps(ann, p0, p1, pc, bound))
+    best = _best(p0, p1, pc, frontier[root_up], frontier[root_down], target,
+                 bound)
     if best is None:
         raise ValueError(f"no grid strategy reaches win excess "
                          f"{eps_tot * (1.0 - grid_step)}")
@@ -408,7 +527,7 @@ def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
     # (the strategy list starts honest, so such a subtree and the leaves
     # keep their 0.0)
     entry = [-1] * len(ann.up)
-    min_pc, e_idx, entry[ann.up[-1]], entry[ann.down[-1]] = best
+    min_pc, e_idx, entry[root_up], entry[root_down] = best
     strategy = [0.0] * len(ann.up)
     strategy[-1] = grid[e_idx]
     for i in range(len(frontier) - 1, -1, -1):

@@ -9,6 +9,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -456,8 +457,8 @@ class TestDerivativeInB:
 
 def exact_pass(tree, ann, triples):
     """The tree's outcome (p0, p1, pc) in Fractions, reading each internal
-    node's float triple (postorder columns, as strategy_triples returns
-    them) exactly."""
+    node's float triple (postorder columns, as composer._triples returns
+    them over the postorder table) exactly."""
     by_path = {at: t for at, *t in zip(ann.path, *triples)}
 
     def visit(node, at):
@@ -493,7 +494,7 @@ class TestExactOutcome:
         strategy = composer.strategy_from_paths(
             ann, {p: pick(values) for p, _ in ann.internal()})
         got = composer.exact_outcome(tree, model, strategy)
-        want = exact_pass(tree, ann, composer.strategy_triples(ann, model, strategy))
+        want = exact_pass(tree, ann, composer._triples(ann.up, model, strategy))
         for x, y in zip(got, want):
             assert abs(Fraction(x) - y) <= 1e-15
 
@@ -674,6 +675,9 @@ class TestDagTable:
 
 
 class TestStrategyTriples:
+    """A strategy's per-node triples over the postorder table: composer's
+    _triples, which strategy_table calls on either table."""
+
     # repeated values and both zeros; prime takes eps >= 0, so -0.0 too
     MIXED = [0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 0.05, 0.1, -0.0, 0.05, 0.0,
              -0.0, 0.1, 0.05, 0.0]
@@ -699,7 +703,7 @@ class TestStrategyTriples:
             return real(model, eps)
 
         monkeypatch.setattr(cheat_model, "triple", counted)
-        got = composer.strategy_triples(ann, model, strategy)
+        got = composer._triples(ann.up, model, strategy)
         for i, (at, u) in enumerate(zip(ann.path, ann.up)):
             if u >= 0:
                 assert [t[i].hex() for t in got] == want[at], at
@@ -722,7 +726,7 @@ class TestStrategyTriples:
         strategy = composer.strategy_from_paths(
             ann, dict(zip(paths, [0.0, -0.0] * 3 + [bad])))
         with pytest.raises(ValueError, match=f"{bad}"):
-            composer.strategy_triples(ann, model, strategy)
+            composer._triples(ann.up, model, strategy)
 
 
 class TestStrategyEdge:
@@ -740,7 +744,7 @@ class TestStrategyEdge:
         assert [(p, repr(e)) for p, e in back.items()] == \
             [(p, repr(e)) for p, e in named.items()]
         # and the prime catch probability pc = a*eps keeps each zero's sign
-        pc = composer.strategy_triples(ann, _PRIME, listed)[2]
+        pc = composer._triples(ann.up, _PRIME, listed)[2]
         for i, (eps, u) in enumerate(zip(listed, ann.up)):
             if u >= 0:
                 assert math.copysign(1.0, pc[i]) == math.copysign(1.0, eps)
@@ -756,13 +760,13 @@ class TestStrategyEdge:
                                              "not internal nodes, first 'UU'$"):
             composer.strategy_from_paths(ann, named)
 
-    @pytest.mark.parametrize("call", ["exact_outcome", "strategy_triples",
+    @pytest.mark.parametrize("call", ["exact_outcome", "strategy_table",
                                       "simulate_tree", "strategy_to_paths"])
     def test_list_form_checked_once_at_entry(self, bo3, call):
         ann, model = game_tree.annotate(bo3), CheatModel(1.0, 2.0)
         run = {
             "exact_outcome": lambda s: composer.exact_outcome(bo3, model, s),
-            "strategy_triples": lambda s: composer.strategy_triples(ann, model, s),
+            "strategy_table": lambda s: composer.strategy_table(ann, model, s),
             "simulate_tree": lambda s: simulate.simulate_tree(bo3, model, s, 10, 1),
             "strategy_to_paths": lambda s: composer.strategy_to_paths(ann, s),
         }[call]
@@ -870,14 +874,36 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 0.1)
 
-    @pytest.mark.parametrize("grid_step, combos", [(1e-3, 189036645),
-                                                   (2e-3, 23714912)])
-    def test_combination_cap(self, grid_step, combos):
+    # Flip(Flip(pair, pair), Leaf(0)): its node with two internal children
+    # counts the combinations it covers under its catch cap.  At eps_tot
+    # 0.1 the coarse pass bounds the catch, and the cap still leaves more
+    # than _MAX_COMBOS; at 0.2 no strategy on the coarse grid reaches the
+    # target, so there is no bound and the node covers every combination
+    @pytest.mark.parametrize("grid_step, eps_tot, combos",
+                             [(1e-3, 0.1, 35006580), (2e-3, 0.2, 23714912)])
+    def test_combination_cap(self, grid_step, eps_tot, combos):
         pair = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
         tree = game_tree.Flip(game_tree.Flip(pair, pair), game_tree.Leaf(0))
         with pytest.raises(ValueError,
                            match=rf"\({combos} grid combinations at one node\)"):
-            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, grid_step)
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), eps_tot,
+                                        grid_step)
+
+    def test_two_internal_children_at_the_finest_grid(self):
+        # at eps_tot 0.05 the node with two internal children covers
+        # 189,036,645 grid combinations uncapped and 2,932,736 under its
+        # cap, so the finest grid is answered
+        pair = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
+        tree = game_tree.Flip(game_tree.Flip(pair, pair), game_tree.Leaf(0))
+        m = CheatModel(1.0, 2.0)
+        strategy, min_pc = composer.brute_force_min_pc(tree, m, 0.05, 1e-3)
+        assert min_pc == 0.003854827729973
+        t = composer.exact_outcome(tree, m, strategy)
+        assert t.pc == min_pc
+        assert t.p0 >= game_tree.annotate(tree).p_w_root + 0.05 * (1.0 - 1e-3)
+        # the reference, which counts every combination, runs at 0.01
+        assert composer.brute_force_min_pc(tree, m, 0.05, 0.01) == \
+            reference_brute_force_min_pc(tree, m, 0.05, 0.01)
 
     def test_too_fine_grid_rejected(self, bo3):
         with pytest.raises(ValueError):
@@ -977,6 +1003,41 @@ class TestBruteForceMatchesReference:
                            grid_step)
 
 
+_COMBOS = re.compile(r"\((\d+) grid combinations at one node\)")
+
+
+class TestCatchCaps:
+    """The coarse-grid bound and the catch caps it gives each node change
+    no answer: the search with them against the same search with no bound."""
+
+    # half the grid steps are fine ones, where the bound is finite and
+    # most nodes are capped
+    @settings(max_examples=150, deadline=None)
+    @given(tree=small_trees(), model=st.sampled_from(ORACLE_MODELS),
+           eps_tot=st.sampled_from([0.0, 0.05, -0.05, 0.1, 0.2, 0.35]),
+           grid_step=st.sampled_from([2e-3, 3e-3, 5e-3, 0.01]) | st.floats(2e-3, 0.5))
+    @example(tree=game_tree.gen_best_of(3), model=(1.0, 2.0), eps_tot=0.05,
+             grid_step=2e-3)
+    @example(tree=game_tree.gen_random_fair(3, 0), model=(8.0, 3.0),
+             eps_tot=0.1, grid_step=2e-3)
+    @example(tree=game_tree.gen_full(2, [0, 1, 1, 0]), model=(4.0, 2.0),
+             eps_tot=0.0, grid_step=2e-3)
+    def test_capped_search_matches_uncapped(self, tree, model, eps_tot, grid_step):
+        m = CheatModel(*model)
+        capped = _oracle_answer(composer.brute_force_min_pc, tree, m, eps_tot,
+                                grid_step)
+        with mock.patch.object(grid_oracle, "_bound", lambda *args: math.inf):
+            uncapped = _oracle_answer(composer.brute_force_min_pc, tree, m,
+                                      eps_tot, grid_step)
+        refused = isinstance(uncapped, tuple) and _COMBOS.search(uncapped[1])
+        if not refused:  # answered, or infeasible: the same, bit for bit
+            assert capped == uncapped
+        elif isinstance(capped, tuple):
+            # refused by the combination guard both times: the capped
+            # search counts no more combinations
+            assert int(_COMBOS.search(capped[1])[1]) <= int(refused[1])
+
+
 def _frontier_bytes(f):
     return [(x.dtype.str, x.tobytes())
             for x in (f.w, f.c, f.eps_idx, f.up_idx, f.down_idx)]
@@ -1023,7 +1084,10 @@ class TestCombineMatchesReference:
 
     def test_tiles_skip_most_of_large_nodes(self, monkeypatch):
         # a node is checked tile by tile before its candidates are built;
-        # whole-grid passes would send every grid combination to _undominated
+        # whole-grid passes would send every grid combination to _undominated.
+        # The ratio is taken with no bound, where every node is uncapped;
+        # the search with its catch caps builds fewer still, its coarse
+        # pass included
         undominated, combine = grid_oracle._undominated, grid_oracle._combine
         built, nodes = [0], []
 
@@ -1031,69 +1095,99 @@ class TestCombineMatchesReference:
             built[0] += w.size
             return undominated(fw, fc, w, c)
 
-        def recording_combine(p0, p1, pc, up, down):
+        def recording_combine(p0, p1, pc, up, down, cap=math.inf):
             built[0] = 0
-            f = combine(p0, p1, pc, up, down)
+            f = combine(p0, p1, pc, up, down, cap)
             total = sum((hi - lo) * len(u[0]) * len(d[0]) for lo, hi, u, d
-                        in grid_oracle._runs(p0, p1, up, down))
+                        in grid_oracle._runs(p0, p1, pc, up, down, cap))
             nodes.append((total, built[0]))
             return f
 
         monkeypatch.setattr(grid_oracle, "_undominated", counting_undominated)
         monkeypatch.setattr(grid_oracle, "_combine", recording_combine)
-        for tree in (game_tree.gen_best_of(3), game_tree.gen_random_fair(3, 0)):
-            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
-        large = [(total, n) for total, n in nodes if total > 100_000]
+        trees = (game_tree.gen_best_of(3), game_tree.gen_random_fair(3, 0))
+        with mock.patch.object(grid_oracle, "_bound", lambda *args: math.inf):
+            for tree in trees:
+                composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
+        uncapped, nodes[:] = nodes[:], []
+        large = [(total, n) for total, n in uncapped if total > 100_000]
         assert len(large) == 4
         assert all(0 < n < total / 4 for total, n in large), large
+        for tree in trees:
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
+        assert 0 < sum(n for _, n in nodes) < sum(n for _, n in uncapped) / 4, \
+            (nodes, uncapped)
 
     def test_root_searches_live_slices(self, monkeypatch):
         # at each visited grid point the root sends to the feasibility
         # search only the up entries that can be feasible and no dearer
-        # than the best catch so far, not the whole up frontier
+        # than the best catch so far, not the whole up frontier.  The
+        # ratio is taken with no bound, on uncapped frontiers; under the
+        # bound and the caps the root searches fewer entries still
         first_feasible = grid_oracle._first_feasible
         first_dearer = grid_oracle._first_dearer
-        roots = []
+        best = grid_oracle._best
+        roots, active = [], []  # active: the fine grid's root search under way
+
+        def recording_best(p0, p1, pc, up, down, target, bound):
+            if len(p0) < 1001:  # the coarse pass's root
+                return best(p0, p1, pc, up, down, target, bound)
+            active.append({"up": 0, "searched": 0, "visited": 0})
+            try:
+                return best(p0, p1, pc, up, down, target, bound)
+            finally:
+                roots.append(active.pop())
 
         def counting_first_feasible(p, w, base, target):
-            if not roots[-1]["up"]:  # the first call finds i_lo over the grid
-                roots[-1]["up"] = len(w)
-            else:
-                roots[-1]["searched"] += base.size
+            if active and not active[0]["up"]:  # the first call finds i_lo
+                active[0]["up"] = len(w)
+            elif active:
+                active[0]["searched"] += base.size
             return first_feasible(p, w, base, target)
 
-        def counting_first_dearer(pc, p, c, tail, best):
-            roots[-1]["visited"] += pc.size
-            return first_dearer(pc, p, c, tail, best)
+        def counting_first_dearer(pc, p, c, tail, cut):
+            if active:
+                active[0]["visited"] += pc.size
+            return first_dearer(pc, p, c, tail, cut)
 
+        monkeypatch.setattr(grid_oracle, "_best", recording_best)
         monkeypatch.setattr(grid_oracle, "_first_feasible", counting_first_feasible)
         monkeypatch.setattr(grid_oracle, "_first_dearer", counting_first_dearer)
-        for tree in (game_tree.gen_best_of(3), game_tree.gen_random_fair(3, 0)):
-            # the first block, one grid point, is searched before any best
-            roots.append({"up": 0, "searched": 0, "visited": 1})
-            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
-        for root in roots:
+        trees = (game_tree.gen_best_of(3), game_tree.gen_random_fair(3, 0))
+        with mock.patch.object(grid_oracle, "_bound", lambda *args: math.inf):
+            for tree in trees:
+                composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
+        uncapped, roots[:] = roots[:], []
+        for root in uncapped:
             assert root["up"] > 1000 and root["visited"] > 10, root
             assert 0 < root["searched"] < root["visited"] * root["up"] / 4, root
+        for tree in trees:
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 1e-3)
+        for root, was in zip(roots, uncapped, strict=True):
+            assert 0 < root["searched"] < was["searched"], (root, was)
 
     def test_combine_peak_memory(self, monkeypatch):
         # every node's combine of best-of-3 at grid 1e-3, the two large
-        # ones included, stays under 2.85 MiB of traced allocations
+        # ones included, stays under 2.85 MiB of traced allocations: with
+        # no bound (four uncapped nodes), and in the search as it runs
+        # (four coarse-pass nodes, then the four under their caps)
         combine, peaks = grid_oracle._combine, []
 
-        def traced_combine(p0, p1, pc, up, down):
+        def traced_combine(p0, p1, pc, up, down, cap=math.inf):
             tracemalloc.start()
             try:
-                f = combine(p0, p1, pc, up, down)
+                f = combine(p0, p1, pc, up, down, cap)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             return f
 
         monkeypatch.setattr(grid_oracle, "_combine", traced_combine)
-        composer.brute_force_min_pc(game_tree.gen_best_of(3), CheatModel(1.0, 2.0),
-                                    0.05, 1e-3)
-        assert len(peaks) == 4
+        tree, m = game_tree.gen_best_of(3), CheatModel(1.0, 2.0)
+        with mock.patch.object(grid_oracle, "_bound", lambda *args: math.inf):
+            composer.brute_force_min_pc(tree, m, 0.05, 1e-3)
+        composer.brute_force_min_pc(tree, m, 0.05, 1e-3)
+        assert len(peaks) == 12
         assert max(peaks) <= 2.85 * 2 ** 20, peaks
 
 
@@ -1109,7 +1203,7 @@ def test_tree_passes_leave_no_cyclic_garbage():
         "leading_order": lambda: composer.leading_order(tree, 1.0, 3.0, 0.1),
         "a_new_of_b": lambda: composer.a_new_of_b(fair, 1.0, 1.5),
         "exact_outcome": lambda: composer.exact_outcome(tree, model, strategy),
-        "strategy_triples": lambda: composer.strategy_triples(ann, model, strategy),
+        "strategy_table": lambda: composer.strategy_table(ann, model, strategy),
         "simulate_tree": lambda: simulate.simulate_tree(tree, model, strategy,
                                                         2000, 5),
         "gen_best_of": lambda: game_tree.gen_best_of(7),
