@@ -330,11 +330,14 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
     returns a strategy of minimum exact catch probability, a list in
     annotate's postorder, and that minimum.
     eps_tot must be finite with |eps_tot| <= 1/2.  Small trees only; the
-    search is exact over the full grid product.  The same search on a
-    coarse subgrid first bounds the minimum, and each node is then built
-    only up to the catch its parent can use under that bound, which
-    changes no answer.  A tree is refused when a node, under its cap,
-    covers more than 10,000,000 grid combinations.
+    search is exact over the full grid product.  A one-pass search for the
+    largest win comes first, and a target that no grid strategy reaches is
+    refused before any frontier is built.  The least catch of a few grid
+    strategies that reach the target (the leading-order shape scaled along
+    the grid, and the largest-win strategy) then bounds the minimum, and
+    each node is built only up to the catch its parent can use under that
+    bound, which changes no answer.  A tree is refused when a node, under
+    its cap, covers more than 10,000,000 grid combinations.
     """
     if model.variant != cheat_model.STD:
         raise ValueError("brute force searches the standard model grid only")

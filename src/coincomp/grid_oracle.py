@@ -12,6 +12,7 @@ in the annotation's postorder, 0.0 at the leaves.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,7 +45,8 @@ from .game_tree import TreeAnnotation
 # broadcast by _block.  The grid's triples come from one list call to
 # cheat_model.triple, whose entries are the scalar triples bit for bit, and
 # feed these arrays, so every candidate is the same float as in a loop over
-# grid points.
+# grid points.  _grid builds the grid and these arrays once per (model,
+# grid_step) and keeps them read-only, so that repeated calls share them.
 #
 # Before the one _prune, a prefilter drops every candidate strictly
 # dominated by the frontier of a sample of grid points: w' > w and c' <= c,
@@ -66,7 +68,7 @@ from .game_tree import TreeAnnotation
 # work: on the 11 5-flip oracle calls of the tree-oracle benchmark (seed 1),
 # with no bound (below), that _pareto gets 141,483 candidates instead of
 # 613,932, and at best-of-3's two large nodes the traced peak of _combine
-# falls from 2.16 and 2.69 MiB to 1.38 and 1.95 MiB (0.40 and 0.38 MiB
+# falls from 2.16 and 2.69 MiB to 1.38 and 1.95 MiB (0.39 and 0.37 MiB
 # under their caps).
 #
 # Most candidates are dropped without being built.  Each run's (grid point,
@@ -112,12 +114,35 @@ from .game_tree import TreeAnnotation
 # root strategy can pay there, so the search bounds the optimum first and
 # then builds each node only as far as its parent can use it.
 #
-# The bound.  _bound runs the same frontier DP and root search, with no
-# caps, on the subgrid of every _SAMPLE_STRIDE-th grid index counted from
-# the index of eps = 0, with the same triple arrays and the fine target.
-# Its optimum is a grid strategy whose catch comes from the same float
-# expressions, so it is an upper bound B on the fine optimum.  Where that
-# search finds no strategy, or is refused, B = inf.
+# The bound.  Before any frontier is built, _max_win runs a one-pass DP:
+# per node, the largest p1*W_dn + p0*W_up over the grid, with W a child's
+# largest win (a leaf's P_W) and the first grid point of that value picked.
+# A candidate's win is nondecreasing in each child's and rounding is
+# monotone, so W is the largest win of the node's frontier, bit for bit,
+# and the root's W that of any grid strategy: below the target, search
+# refuses the target at once.  Otherwise _bound evaluates candidate grid
+# strategies, and B is the least catch among those that reach the target:
+# - the shape family: eps_t(x) is the grid point nearest t*s(x), with
+#   s(x) = sign(Delta(x)) * (|Delta(x)| / max |Delta|)**(1/(b-1)), and at
+#   b = 1 sign(Delta(x)) on the nodes of largest |Delta| and 0 elsewhere,
+#   for t over the grid's nonnegative points, all of them at once in one
+#   postorder pass over arrays indexed by t;
+# - the max-win strategy, whose win is the root's W, so that B is finite
+#   whenever the target is feasible.
+# A candidate's (w, c) comes from the DP's own expressions,
+# p1*w_dn + p0*w_up and p1*c_dn + (pc + p0*c_up), on the same triple
+# arrays: it is the float that one path through the frontier DP yields.
+# By induction from the leaves every node's frontier holds a pair that
+# weakly dominates the candidate's pair there: the candidate of the node's
+# grid point and its children's dominating pairs has a win no lower and a
+# catch no higher, rounding being monotone, and the frontier keeps a pair
+# that weakly dominates each candidate.  So the root search has a strategy
+# of win >= the target and catch <= B, and the optimum is <= B.  Any such
+# B gives the same answer (below), so the shape, which is the direction
+# of the leading-order optimum (computed here from the annotation; this
+# module calls nothing in composer), steers only how much work the capped
+# search does.  On the benchmark's trees at eps_tot 0.05 B is the optimum
+# itself, and at 0.02 it is 2.5% above it.
 #
 # The caps, top down (_caps).  The root's cap is B.  A child behind branch
 # probabilities p (p0 for up, p1 for down) of a node with cap kappa gets
@@ -158,19 +183,19 @@ from .game_tree import TreeAnnotation
 #   built from entries within the caps, with the same values, so the
 #   search picks the same one.
 #
-# On the 11 oracle calls above, the nodes cover 246,418 grid combinations
-# (the coarse pass included) instead of 9,592,044, the mask sees 113,098
-# candidates instead of 1,643,530, the frontiers hold 15,090 entries
-# instead of 105,347, and the root searches 149,719 up entries instead of
-# 349,626.  Nodes under a cap also cover fewer combinations, so _MAX_COMBOS
-# refuses fewer trees: Flip(Flip(pair, pair), Leaf(0)) at grid 1e-3 and
-# eps_tot 0.05 covers 2,932,736 at its largest node instead of 189,036,645.
+# On the 11 oracle calls above, the nodes cover 182,594 grid combinations
+# instead of 9,592,044, the mask sees 82,554 candidates instead of
+# 1,643,530, the frontiers hold 10,649 entries instead of 105,347, and the
+# root searches 129,630 up entries instead of 349,626.  Nodes under a cap
+# also cover fewer combinations, so _MAX_COMBOS refuses fewer trees:
+# Flip(Flip(pair, pair), Leaf(0)) at grid 1e-3 and eps_tot 0.05 covers
+# 2,810,052 at its largest node instead of 189,036,645.
 #
-# On a 2-vCPU Xeon VM, pinned to one CPU, the 11 calls take 56-63 ms a
-# pass against 193-222 ms with no bound (medians of 7 passes in 6
-# alternating rounds of fresh interpreters), and 5-12 ms a call against
-# 17-31 ms; the host's speed drifts, and slower rounds read 90-115 ms a
-# pass against 283-315 ms.
+# On a 2-vCPU Xeon VM, pinned to one CPU, the 11 calls take 30-33 ms a pass
+# against 163-170 ms with no bound (medians of 7 passes, in alternating
+# rounds of fresh interpreters; one round of ten read 50 ms), and 1.9-4.1
+# ms a call against 13-17 ms.  _max_win and _bound take about 0.11 ms of
+# a call.
 # ---------------------------------------------------------------------------
 
 # cap on the grid combinations one node covers, whether its tiles build
@@ -486,41 +511,97 @@ def _best(p0, p1, pc, up: _Frontier, down: _Frontier, target: float,
     return best
 
 
-def _bound(ann: TreeAnnotation, p0, p1, pc, target: float, zero: int) -> float:
-    """An upper bound on the least catch: the same search, uncapped, over
-    every _SAMPLE_STRIDE-th grid point counted from eps = 0 (grid index
-    zero); inf if that search is infeasible or refused."""
-    sub = slice(zero % _SAMPLE_STRIDE, None, _SAMPLE_STRIDE)
-    p0, p1, pc = p0[sub], p1[sub], pc[sub]
-    try:
-        frontier = _frontiers(ann, p0, p1, pc, [math.inf] * len(ann.up))
-    except ValueError:
-        return math.inf
-    best = _best(p0, p1, pc, frontier[ann.up[-1]], frontier[ann.down[-1]],
-                 target, math.inf)
-    return math.inf if best is None else best[0]
+def _max_win(ann: TreeAnnotation, p0, p1) -> tuple[float, list[int]]:
+    """The largest win of any grid strategy, and a strategy that reaches it:
+    per node in postorder, the first grid index of largest p1*W_dn + p0*W_up
+    (-1 at the leaves)."""
+    win: list = []
+    pick: list[int] = []
+    for w, u, dn in zip(ann.p_w, ann.up, ann.down):
+        if u < 0:
+            win.append(w)
+            pick.append(-1)
+            continue
+        x = p1 * win[dn] + p0 * win[u]
+        k = int(np.argmax(x))
+        win.append(x[k])
+        pick.append(k)
+    return float(win[-1]), pick
+
+
+def _candidates(ann: TreeAnnotation, b: float, p0, p1, pc, zero: int,
+                pick: list[int]) -> tuple:
+    """The candidate grid strategies of the bound, and their root (w, c).
+
+    Returns the grid index per node in postorder (rows) and candidate
+    (columns), and the root's win and catch per candidate.  Column k < the
+    number of nonnegative grid points is the shape scaled to the k-th of
+    them; the last column is the max-win strategy pick.  Leaf rows are
+    never read.
+    """
+    gap = np.array([d if u >= 0 else 0.0 for d, u in zip(ann.delta, ann.up)])
+    top = np.max(np.abs(gap))
+    if top == 0.0:  # no node moves the outcome: only the honest strategy
+        shape = np.zeros(len(gap))
+    elif b == 1.0:
+        shape = np.sign(gap) * (np.abs(gap) == top)
+    else:
+        shape = np.sign(gap) * (np.abs(gap) / top) ** (1.0 / (b - 1.0))
+    k = np.arange(len(p0) - zero)
+    idx = np.rint(shape[:, None] * k).astype(np.intp) + zero
+    idx = np.column_stack((np.clip(idx, 0, len(p0) - 1), pick))
+    w: list = []
+    c: list = []
+    for i, (p_w, u, dn) in enumerate(zip(ann.p_w, ann.up, ann.down)):
+        if u < 0:
+            w.append(p_w)
+            c.append(0.0)
+            continue
+        e = idx[i]
+        q0, q1 = p0[e], p1[e]
+        w.append(q1 * w[dn] + q0 * w[u])
+        c.append(q1 * c[dn] + (pc[e] + q0 * c[u]))
+    return idx, w[-1], c[-1]
+
+
+def _bound(ann: TreeAnnotation, b: float, p0, p1, pc, zero: int,
+           pick: list[int], target: float) -> float:
+    """An upper bound on the least catch: the least catch among the
+    candidate strategies that reach the target; inf if none does."""
+    _, w, c = _candidates(ann, b, p0, p1, pc, zero, pick)
+    return float(np.min(c[w >= target], initial=np.inf))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(model: CheatModel, grid_step: float) -> tuple:
+    """(grid, p0, p1, pc, index of eps = 0) of one model and grid step: the
+    grid as a tuple, its triples as read-only float64 arrays."""
+    kmax = int(math.floor(0.5 / grid_step + 1e-9))
+    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
+    grid = [e for e in grid
+            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
+    arrays = [np.array(x) for x in cheat_model.triple(model, grid)]
+    for x in arrays:
+        x.flags.writeable = False
+    return tuple(grid), *arrays, grid.index(0.0)
 
 
 def search(ann: TreeAnnotation, model: CheatModel, eps_tot: float,
            grid_step: float) -> tuple[list[float], float]:
     """brute_force_min_pc's search on checked arguments: (strategy, min_pc),
     the strategy a list of eps in the annotation's postorder."""
-    kmax = int(math.floor(0.5 / grid_step + 1e-9))
-    grid = [k * grid_step for k in range(-kmax, kmax + 1)]
-    grid = [e for e in grid
-            if abs(e) <= 0.5 and model.a * abs(e) ** model.b <= 1.0]
-    t = cheat_model.triple(model, grid)
-    p0, p1, pc = np.array(t.p0), np.array(t.p1), np.array(t.pc)
+    grid, p0, p1, pc, zero = _grid(model, grid_step)
     target = ann.p_w_root + eps_tot * (1.0 - grid_step)
     root_up, root_down = ann.up[-1], ann.down[-1]
 
-    bound = _bound(ann, p0, p1, pc, target, grid.index(0.0))
+    win, pick = _max_win(ann, p0, p1)
+    if win < target:
+        raise ValueError(f"no grid strategy reaches win excess "
+                         f"{eps_tot * (1.0 - grid_step)}")
+    bound = _bound(ann, model.b, p0, p1, pc, zero, pick, target)
     frontier = _frontiers(ann, p0, p1, pc, _caps(ann, p0, p1, pc, bound))
     best = _best(p0, p1, pc, frontier[root_up], frontier[root_down], target,
                  bound)
-    if best is None:
-        raise ValueError(f"no grid strategy reaches win excess "
-                         f"{eps_tot * (1.0 - grid_step)}")
 
     # top-down over the reversed postorder: each node's frontier entry is
     # set by its parent first; -1 marks a subtree the cheater plays honestly

@@ -876,11 +876,10 @@ class TestBruteForce:
 
     # Flip(Flip(pair, pair), Leaf(0)): its node with two internal children
     # counts the combinations it covers under its catch cap.  At eps_tot
-    # 0.1 the coarse pass bounds the catch, and the cap still leaves more
-    # than _MAX_COMBOS; at 0.2 no strategy on the coarse grid reaches the
-    # target, so there is no bound and the node covers every combination
+    # 0.1 the candidates' bound caps the catch, and the cap still leaves
+    # more than _MAX_COMBOS
     @pytest.mark.parametrize("grid_step, eps_tot, combos",
-                             [(1e-3, 0.1, 35006580), (2e-3, 0.2, 23714912)])
+                             [(1e-3, 0.1, 33957081)])
     def test_combination_cap(self, grid_step, eps_tot, combos):
         pair = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
         tree = game_tree.Flip(game_tree.Flip(pair, pair), game_tree.Leaf(0))
@@ -888,6 +887,21 @@ class TestBruteForce:
                            match=rf"\({combos} grid combinations at one node\)"):
             composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), eps_tot,
                                         grid_step)
+
+    def test_infeasible_target_refused_before_any_frontier(self, monkeypatch):
+        # at eps_tot 0.2 no grid strategy of Flip(Flip(pair, pair), Leaf(0))
+        # reaches the target: its best win is 0.8951 against 0.9496 at grid
+        # 2e-3.  The max-win pass says so before any node is combined, where
+        # an uncapped node would cover 23,714,912 combinations (189,036,645
+        # at 1e-3), too many to search
+        pair = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
+        tree = game_tree.Flip(game_tree.Flip(pair, pair), game_tree.Leaf(0))
+        monkeypatch.setattr(grid_oracle, "_combine", None)  # never called
+        for grid_step in (1e-3, 2e-3):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"no grid strategy reaches win excess {0.2 * (1.0 - grid_step)}")):
+                composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.2,
+                                            grid_step)
 
     def test_two_internal_children_at_the_finest_grid(self):
         # at eps_tot 0.05 the node with two internal children covers
@@ -1007,8 +1021,9 @@ _COMBOS = re.compile(r"\((\d+) grid combinations at one node\)")
 
 
 class TestCatchCaps:
-    """The coarse-grid bound and the catch caps it gives each node change
-    no answer: the search with them against the same search with no bound."""
+    """The bound from candidate fine-grid strategies and the catch caps it
+    gives each node change no answer: the search with them against the
+    same search with no bound."""
 
     # half the grid steps are fine ones, where the bound is finite and
     # most nodes are capped
@@ -1036,6 +1051,78 @@ class TestCatchCaps:
             # refused by the combination guard both times: the capped
             # search counts no more combinations
             assert int(_COMBOS.search(capped[1])[1]) <= int(refused[1])
+
+
+def _bound_inputs(tree, m, eps_tot, grid_step):
+    """The search's bound, its arguments and the grid they come from."""
+    ann = game_tree.annotate(tree)
+    grid, p0, p1, pc, zero = grid_oracle._grid(m, grid_step)
+    target = ann.p_w_root + eps_tot * (1.0 - grid_step)
+    win, pick = grid_oracle._max_win(ann, p0, p1)
+    args = (ann, m.b, p0, p1, pc, zero, pick, target)
+    return grid_oracle._bound(*args), args, grid, win
+
+
+class TestCandidateBound:
+    """The bound is the catch of a candidate fine-grid strategy that reaches
+    the target: finite exactly where the target is feasible, never below
+    the optimum, and close to it on the benchmark's trees."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=small_trees(), model=st.sampled_from(ORACLE_MODELS),
+           eps_tot=st.sampled_from([0.0, 0.05, -0.05, 0.1, 0.2, 0.35]),
+           grid_step=st.sampled_from([2e-3, 5e-3, 0.01]) | st.floats(2e-3, 0.5))
+    @example(tree=game_tree.gen_full(2, [0, 1, 1, 0]), model=(2.0, 1.0),
+             eps_tot=0.1, grid_step=2e-3)
+    # a catch summed as (p1*c_dn + pc) + p0*c_up puts B one ulp low here
+    @example(tree=game_tree.gen_best_of(3), model=(1.0, 3.0), eps_tot=0.1,
+             grid_step=2e-3)
+    def test_bound_is_a_feasible_candidates_catch(self, tree, model, eps_tot,
+                                                  grid_step):
+        m = CheatModel(*model)
+        bound, args, grid, win = _bound_inputs(tree, m, eps_tot, grid_step)
+        ann, target = args[0], args[-1]
+        assert math.isfinite(bound) == (win >= target)
+        if not math.isfinite(bound):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"no grid strategy reaches win excess "
+                    f"{eps_tot * (1.0 - grid_step)}")):
+                composer.brute_force_min_pc(tree, m, eps_tot, grid_step)
+            return
+        # the max-win strategy's win is its exact outcome's, bit for bit
+        idx, w, c = grid_oracle._candidates(*args[:-1])
+        won = [grid[e] if u >= 0 else 0.0 for e, u in zip(idx[:, -1], ann.up)]
+        assert composer.exact_outcome(tree, m, won).p0 == win
+        feasible = np.flatnonzero(w >= target)
+        k = feasible[np.argmin(c[feasible])]
+        strategy = [grid[e] if u >= 0 else 0.0 for e, u in zip(idx[:, k], ann.up)]
+        t = composer.exact_outcome(tree, m, strategy)
+        assert t.pc == bound and t.p0 >= target
+        try:
+            _, min_pc = composer.brute_force_min_pc(tree, m, eps_tot, grid_step)
+        except ValueError as exc:  # refused as too large
+            assert _COMBOS.search(str(exc)), exc
+        else:
+            assert bound >= min_pc
+
+    @pytest.mark.parametrize("tree", [game_tree.gen_best_of(3),
+                                      game_tree.gen_random_fair(3, 0)],
+                             ids=["best-of-3", "random-fair(3, 0)"])
+    def test_bound_is_tight_on_fair_trees(self, tree):
+        m = CheatModel(1.0, 2.0)
+        bound = _bound_inputs(tree, m, 0.05, 1e-3)[0]
+        _, min_pc = composer.brute_force_min_pc(tree, m, 0.05, 1e-3)
+        assert min_pc <= bound <= 1.1 * min_pc
+
+    def test_grid_built_once_per_model_and_step(self):
+        m = CheatModel(1.0, 2.0)
+        grid, p0, p1, pc, zero = grid_oracle._grid(m, 1e-3)
+        assert grid_oracle._grid(CheatModel(1.0, 2.0), 1e-3)[1] is p0
+        assert list(grid) == _reference_grid(m, 1e-3) and grid[zero] == 0.0
+        t = cheat_model.triple(m, list(grid))
+        for got, want in zip((p0, p1, pc), t):
+            assert got.tobytes() == np.array(want).tobytes()
+            assert not got.flags.writeable
 
 
 def _frontier_bytes(f):
@@ -1086,8 +1173,7 @@ class TestCombineMatchesReference:
         # a node is checked tile by tile before its candidates are built;
         # whole-grid passes would send every grid combination to _undominated.
         # The ratio is taken with no bound, where every node is uncapped;
-        # the search with its catch caps builds fewer still, its coarse
-        # pass included
+        # the search with its catch caps builds fewer still
         undominated, combine = grid_oracle._undominated, grid_oracle._combine
         built, nodes = [0], []
 
@@ -1127,11 +1213,9 @@ class TestCombineMatchesReference:
         first_feasible = grid_oracle._first_feasible
         first_dearer = grid_oracle._first_dearer
         best = grid_oracle._best
-        roots, active = [], []  # active: the fine grid's root search under way
+        roots, active = [], []  # active: the root search under way
 
         def recording_best(p0, p1, pc, up, down, target, bound):
-            if len(p0) < 1001:  # the coarse pass's root
-                return best(p0, p1, pc, up, down, target, bound)
             active.append({"up": 0, "searched": 0, "visited": 0})
             try:
                 return best(p0, p1, pc, up, down, target, bound)
@@ -1169,8 +1253,8 @@ class TestCombineMatchesReference:
     def test_combine_peak_memory(self, monkeypatch):
         # every node's combine of best-of-3 at grid 1e-3, the two large
         # ones included, stays under 2.85 MiB of traced allocations: with
-        # no bound (four uncapped nodes), and in the search as it runs
-        # (four coarse-pass nodes, then the four under their caps)
+        # no bound (four uncapped nodes), and in the search as it runs (the
+        # four under their caps)
         combine, peaks = grid_oracle._combine, []
 
         def traced_combine(p0, p1, pc, up, down, cap=math.inf):
@@ -1187,7 +1271,7 @@ class TestCombineMatchesReference:
         with mock.patch.object(grid_oracle, "_bound", lambda *args: math.inf):
             composer.brute_force_min_pc(tree, m, 0.05, 1e-3)
         composer.brute_force_min_pc(tree, m, 0.05, 1e-3)
-        assert len(peaks) == 12
+        assert len(peaks) == 8
         assert max(peaks) <= 2.85 * 2 ** 20, peaks
 
 
