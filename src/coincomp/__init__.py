@@ -18,7 +18,7 @@ import importlib
 # commands only `compose --brute-force` and `simulate` load it (the tree
 # generators draw from splitmix, which needs no numpy).
 _EXPORTS = {
-    "cheat_model": ("PRIME", "STD", "CheatModel", "OutcomeTriple", "dominates",
+    "cheat_model": ("PRIME", "STD", "CheatModel", "OutcomeTriple",
                     "parse_model_string"),
     "composer": ("CompositionResult", "a_new_of_b", "brute_force_min_pc",
                  "derivative_in_b", "exact_outcome", "leading_order",

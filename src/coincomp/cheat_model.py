@@ -146,24 +146,6 @@ def columns(model: CheatModel, eps: list) -> tuple[list, list, list]:
             [(1.0 - c) * (0.5 - e) for c, e in zip(pc, eps)], pc)
 
 
-def dominates(prime: CheatModel, standard: CheatModel, eps: float) -> bool:
-    """True when the prime box is at least as good for the cheater at this eps.
-
-    Good means p0 no smaller and pc no larger.  Expected to hold on the whole
-    shared domain 0 <= eps <= eps_max; any bound proved for the prime box then
-    carries over to the standard linear box.
-    """
-    if prime.variant != PRIME or standard.variant != STD:
-        raise ValueError("expected (prime, standard) models in that order")
-    if standard.b != 1:
-        raise ValueError(f"dominance compares linear boxes, got b = {standard.b}")
-    if prime.a != standard.a:
-        raise ValueError(f"mismatched a: {prime.a} vs {standard.a}")
-    tp = triple(prime, eps)
-    ts = triple(standard, eps)
-    return tp.p0 >= ts.p0 and tp.pc <= ts.pc
-
-
 def parse_model_string(text: str) -> CheatModel:
     """Parse CLI model syntax: "std:a=1,b=2" or "prime:a=1" (case-insensitive)."""
     s = text.strip().lower()

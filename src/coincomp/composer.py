@@ -31,21 +31,18 @@ simulate_tree) read annotate's DAG and occurrence columns, never its path
 column, and write into lists made once per call, never a container per
 node, so a pass leaves nothing for Python's cyclic garbage collector to
 scan or free.  What depends on a subtree alone is computed once per
-distinct subtree, and what depends on Delta alone once per distinct
-Delta: a best-of-15 tree has 12,869 internal nodes but 64 distinct
-internal subtrees and 26 distinct Delta.  The pass that sums S keeps
-|Delta|**(b/(b-1)) in a memo keyed by Delta; leading_order and
-derivative_in_b take the distinct nonzero Deltas from its keys.
-leading_order computes eps once per DAG row and spreads it over the
-nodes with one pass over the occurrence column.  S, derivative_in_b's
-sum and lemma_sum still add one term per node, left to right in
-postorder: that order is what keeps every float identical, so each is a
-plain loop, never sum() (which compensates its rounding from Python 3.12
-on) or math.fsum.  exact_outcome and simulate_tree run one loop over a
-node table from strategy_table: the DAG when every copy of each distinct
-subtree carries the same eps, bit for bit, and the tree's nodes in
-postorder otherwise.  The reused float is the one a per-node computation
-would give, so the answers are unchanged bit for bit.
+distinct subtree: a best-of-15 tree has 12,869 internal nodes but 64
+distinct internal subtrees.  _closed_form computes |Delta|**(b/(b-1))
+once per DAG row; leading_order computes eps once per DAG row and
+spreads it over the nodes with one pass over the occurrence column.  S,
+derivative_in_b's L and lemma_sum are each one call of
+TreeAnnotation.node_sum on a value per row: it adds one term per node,
+left to right in postorder, the order that keeps every float identical.
+exact_outcome and simulate_tree run one loop over a node table from
+strategy_table: the DAG when every copy of each distinct subtree carries
+the same eps, bit for bit, and the tree's nodes in postorder otherwise.
+The reused float is the one a per-node computation would give, so the
+answers are unchanged bit for bit.
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -59,7 +56,7 @@ from dataclasses import dataclass, field
 
 from . import cheat_model
 from .cheat_model import CheatModel, OutcomeTriple
-from .game_tree import HALF_POWERS, GameTree, TreeAnnotation, annotate
+from .game_tree import GameTree, TreeAnnotation, annotate
 
 Strategy = list[float]  # eps per node in annotate's postorder, 0.0 at leaves
 
@@ -138,35 +135,11 @@ def _check_eps_tot(eps_tot: float) -> None:
         raise ValueError(f"|eps_tot| must be <= 1/2, got {eps_tot}")
 
 
-def _weight_sum(ann: TreeAnnotation,
-                b: float) -> tuple[float, dict[float, float]]:
-    """S, and its memo: |Delta|**(b/(b-1)) of every distinct nonzero Delta.
-
-    One term 2**-D * |Delta|**(b/(b-1)) per node with Delta != 0, added
-    left to right in postorder.
-    """
-    expo = b / (b - 1.0)
-    weight: dict[float, float] = {}
-    by_row = []
-    for gap in ann.dag_delta:
-        if gap:  # None on leaves, 0.0 where a node cannot move the outcome
-            g = weight.get(gap)
-            if g is None:
-                g = weight[gap] = abs(gap) ** expo
-            by_row.append(g)
-        else:
-            by_row.append(0.0)
-    total = 0.0
-    for d, k in zip(ann.depth, ann.row):
-        g = by_row[k]
-        if g:
-            total += HALF_POWERS[d] * g
-    return total, weight
-
-
 def _closed_form(name: str, tree: GameTree, a: float,
-                 b: float) -> tuple[TreeAnnotation, float, dict[float, float]]:
-    """The closed form's entry check; returns the annotation, S and S's memo.
+                 b: float) -> tuple[TreeAnnotation, float, list[float]]:
+    """The closed form's entry check; returns the annotation, S and the
+    weight |Delta|**(b/(b-1)) of each DAG row, 0.0 on leaves and where
+    Delta = 0.
 
     CheatModel refuses a non-finite a or b, a <= 0 and b < 1; the exponent
     1/(b-1) rules out b = 1.  The tree must be fair, with an internal node.
@@ -180,10 +153,12 @@ def _closed_form(name: str, tree: GameTree, a: float,
         raise ValueError("tree has no internal node; nothing to compose")
     if abs(ann.p_w_root - 0.5) > 1e-12:
         raise ValueError(f"tree is not fair: P_W(root) = {ann.p_w_root}")
+    expo = b / (b - 1.0)
+    weight = [abs(gap) ** expo if gap else 0.0 for gap in ann.dag_delta]
     # S > 0: the deepest node whose P_W is neither 0 nor 1 (the root's is
     # near 1/2, so there is one, at depth <= 51) has |Delta| = 1, so its
     # term alone makes S >= 2**-51
-    return ann, *_weight_sum(ann, b)
+    return ann, ann.node_sum(weight), weight
 
 
 def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> CompositionResult:
@@ -196,20 +171,19 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
     flag.
     """
     _check_eps_tot(eps_tot)
-    ann, s, weight = _closed_form("leading_order", tree, a, b)
+    ann, s, _ = _closed_form("leading_order", tree, a, b)
 
     expo = 1.0 / (b - 1.0)
-    # eps per distinct Delta: S's memo holds every nonzero one
-    bias: dict[float | None, float] = {None: 0.0, 0.0: 0.0}
-    clipped = False
-    for gap in weight:
-        eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s
-        if abs(eps) > 0.5:
-            eps = math.copysign(0.5, eps)
-            clipped = True
-        bias[gap] = eps
     # eps per DAG row, then per node
-    by_row = [bias[gap] for gap in ann.dag_delta]
+    by_row = [0.0] * len(ann.dag_delta)
+    clipped = False
+    for k, gap in enumerate(ann.dag_delta):
+        if gap:  # None on leaves, 0.0 where a node cannot move the outcome
+            eps = eps_tot * math.copysign(abs(gap) ** expo, gap) / s
+            if abs(eps) > 0.5:
+                eps = math.copysign(0.5, eps)
+                clipped = True
+            by_row[k] = eps
     strategy = [by_row[k] for k in ann.row]
 
     a_new = a * s ** (1.0 - b)
@@ -229,13 +203,10 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     """Exact d a_new / db = a_new (-ln S + (1-b) S'/S) = a_new (L/((b-1) S) - ln S),
     where S' = L dp/db, L = sum 2**-D |Delta|**p ln|Delta|, p = b/(b-1)."""
     ann, s, weight = _closed_form("derivative_in_b", tree, a, b)
-    log = {gap: math.log(abs(gap)) for gap in weight}
-    delta = ann.dag_delta
-    log_sum = 0.0
-    for d, k in zip(ann.depth, ann.row):
-        gap = delta[k]
-        if gap:
-            log_sum += HALF_POWERS[d] * weight[gap] * log[gap]
+    # each term 2**-D * (w ln|Delta|) is the float (2**-D * w) ln|Delta|:
+    # scaling by a power of two is exact above the subnormal range
+    log_sum = ann.node_sum([w * math.log(abs(gap)) if w else 0.0
+                            for w, gap in zip(weight, ann.dag_delta)])
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 

@@ -39,12 +39,15 @@ deepest node.  The per-node columns of the tree (P_W, Delta and the
 positions of each node's children in postorder), the path column (the
 node names of the JSON documents), `nodes` and `internal()` are views
 built on first use, for the JSON edge, the grid oracle and the tests;
-the analyses read the DAG and occurrence columns.  Every recursion over
-a tree is a module-level function that takes its state as arguments.  A
-nested function that calls itself holds itself through its closure cell,
-a reference cycle that keeps it and all it refers to (such as a result
-list) alive until the cyclic garbage collector runs; with no cycles, a
-pass's garbage is freed by reference counting as soon as the pass ends.
+the analyses read the DAG and occurrence columns.  The sums over the
+nodes of 2**-D times a value of the node's row (the closed form's S and
+L, and lemma_sum) are one method, node_sum, the one reader of
+HALF_POWERS.  Every recursion over a tree is a module-level function
+that takes its state as arguments.  A nested function that calls itself
+holds itself through its closure cell, a reference cycle that keeps it
+and all it refers to (such as a result list) alive until the cyclic
+garbage collector runs; with no cycles, a pass's garbage is freed by
+reference counting as soon as the pass ends.
 """
 
 from __future__ import annotations
@@ -176,13 +179,24 @@ class TreeAnnotation:
                 for p, d, w, x in zip(self.path, self.depth, self.p_w, self.delta)
                 if x is not None]
 
+    def node_sum(self, by_row: list[float]) -> float:
+        """Sum over the tree's nodes of 2**-D(x) * by_row[row(x)].
+
+        One term per node whose row's value is nonzero, added left to right
+        in postorder in a plain loop, never sum() (which compensates its
+        rounding from Python 3.12 on) or math.fsum: that order keeps S,
+        derivative_in_b's L and lemma_sum the same floats on every Python.
+        """
+        total = 0.0
+        for d, k in zip(self.depth, self.row):
+            value = by_row[k]
+            if value:
+                total += HALF_POWERS[d] * value
+        return total
+
     def lemma_sum(self) -> float:
         """Sum over internal nodes of 2**-D(x) * Delta(x)**2 (see lemma_sum)."""
-        total = 0.0
-        for d, gap in zip(self.depth, self.delta):
-            if gap is not None:
-                total += HALF_POWERS[d] * gap * gap
-        return total
+        return self.node_sum([gap * gap if gap else 0.0 for gap in self.dag_delta])
 
 
 def parse_tree(text: str) -> GameTree:

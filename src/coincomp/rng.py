@@ -49,10 +49,6 @@ def _np_finalize_own(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def np_finalize(z: np.ndarray) -> np.ndarray:
-    return _np_finalize_own(np.array(z, dtype=np.uint64))  # input untouched
-
-
 def np_stream_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
     """mix(seed, i) for i in [lo, hi) as a uint64 array."""
     idx = np.arange(lo, hi, dtype=np.uint64)

@@ -250,21 +250,15 @@ class TestDominance:
     @given(st.floats(min_value=0.1, max_value=4.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_prime_never_worse_for_cheater(self, a, frac):
+        # at equal a, on the shared domain 0 <= eps <= eps_max, the prime box
+        # gives the cheater a p0 no smaller and a pc no larger than the
+        # standard linear box, so a bound proved for the prime box carries
+        # over to the standard one
         prime = CheatModel(a, 1.0, PRIME)
-        std = CheatModel(a, 1.0, STD)
         eps = frac * prime.eps_max
-        assert cheat_model.dominates(prime, std, eps)
-
-    def test_requires_matching_a(self):
-        with pytest.raises(ValueError):
-            cheat_model.dominates(CheatModel(1.0, 1.0, PRIME),
-                                  CheatModel(2.0, 1.0, STD), 0.1)
-
-    def test_requires_variant_order(self):
-        std = CheatModel(1.0, 1.0, STD)
-        prime = CheatModel(1.0, 1.0, PRIME)
-        with pytest.raises(ValueError):
-            cheat_model.dominates(std, prime, 0.1)
+        tp = cheat_model.triple(prime, eps)
+        ts = cheat_model.triple(CheatModel(a, 1.0, STD), eps)
+        assert tp.p0 >= ts.p0 and tp.pc <= ts.pc
 
 
 class TestParseModelString:

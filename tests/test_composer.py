@@ -402,10 +402,63 @@ def test_fair_tree_weight_sum_is_at_least_2_to_minus_52(tree):
     assert any(abs(x) == 1.0 and d <= 51 for d, x in zip(ann.depth, ann.delta)
                if x is not None)
     for b in (1.5, 2.0, 3.0):
-        s, weight = composer._weight_sum(ann, b)
+        _, s, weight = composer._closed_form("test", tree, 1.0, b)
         assert s >= 2.0 ** -52
-        # the memo's keys are the distinct nonzero Deltas leading_order visits
-        assert set(weight) == {x for x in ann.delta if x}
+        # one weight per DAG row: |Delta|**(b/(b-1)), 0.0 on leaves and
+        # where Delta = 0
+        assert weight == [abs(x) ** (b / (b - 1.0)) if x else 0.0
+                          for x in ann.dag_delta]
+
+
+def _node_order_sums(ann, b):
+    """S and L with one term per node, left to right in postorder, read
+    from the per-node depth and delta views."""
+    p = b / (b - 1.0)
+    s = log_sum = 0.0
+    for d, x in zip(ann.depth, ann.delta):
+        if x is not None:
+            s += 2.0 ** -d * abs(x) ** p
+            if x:
+                log_sum += (2.0 ** -d * abs(x) ** p) * math.log(abs(x))
+    return s, log_sum
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree=st.one_of(generated_trees(), fair_trees()), copy=st.booleans())
+# best-of-7 at b = 3: a compensated or exact sum reads S one ulp higher
+@example(tree=game_tree.gen_best_of(7), copy=False)
+@example(tree=game_tree.gen_best_of(11), copy=True)
+def test_sums_add_one_term_per_node_in_postorder(tree, copy):
+    # S, derivative_in_b's L and lemma_sum each add 2**-D * (the node's
+    # row value) over the nodes, left to right in postorder; the strategy
+    # is eps_tot * sign(Delta) |Delta|**(1/(b-1)) / S, clamped at 1/2.
+    # An unshared copy has one DAG row per node; copies stop at best-of-11's
+    # 1,847 nodes, so that the test stays well under a second
+    ann = game_tree.annotate(tree)
+    if copy and len(ann.row) < 2000:
+        tree = unshared(tree)
+        ann = game_tree.annotate(tree)
+    lemma = 0.0
+    for d, x in zip(ann.depth, ann.delta):
+        if x is not None:
+            lemma += 2.0 ** -d * x * x
+    assert game_tree.lemma_sum(tree).hex() == lemma.hex()
+    if ann.p_w_root != 0.5:
+        return
+    for b in (1.0001, 1.01, 1.05, 1.5, 2.0, 3.0, 17.0):
+        s, log_sum = _node_order_sums(ann, b)
+        assert composer._closed_form("test", tree, 1.0, b)[1].hex() == s.hex()
+        want = s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
+        assert composer.derivative_in_b(tree, 1.0, b).hex() == want.hex()
+        eps_tot, strategy = 0.05, []
+        for x in ann.delta:
+            eps = 0.0
+            if x:
+                eps = eps_tot * math.copysign(abs(x) ** (1.0 / (b - 1.0)), x) / s
+                eps = max(-0.5, min(0.5, eps))
+            strategy.append(eps.hex())
+        assert [eps.hex() for eps in
+                composer.leading_order(tree, 1.0, b, eps_tot).strategy] == strategy
 
 
 class TestANewOfB:
@@ -905,7 +958,7 @@ class TestBruteForce:
 
     def test_two_internal_children_at_the_finest_grid(self):
         # at eps_tot 0.05 the node with two internal children covers
-        # 189,036,645 grid combinations uncapped and 2,932,736 under its
+        # 189,036,645 grid combinations uncapped and 2,810,052 under its
         # cap, so the finest grid is answered
         pair = game_tree.Flip(game_tree.Leaf(0), game_tree.Leaf(1))
         tree = game_tree.Flip(game_tree.Flip(pair, pair), game_tree.Leaf(0))
@@ -1335,7 +1388,7 @@ class TestPinnedTreeAnswers:
                                  "2a677d853633609d752083ee7b8ec1b6")
 
     def test_a_new_and_derivative_in_b_digest(self):
-        # a_new_of_b and derivative_in_b read S's memo of |Delta|**p
+        # a_new_of_b and derivative_in_b read the per-row |Delta|**p of S
         records = [[name, b, composer.a_new_of_b(tree, 1.0, b),
                     composer.derivative_in_b(tree, 1.0, b)]
                    for name, tree in self._trees() for b in (1.5, 2.0, 3.0)]
@@ -1423,7 +1476,7 @@ class TestPinnedTreeAnswers:
                    game_tree.Flip(game_tree.Leaf(1), game_tree.Leaf(1))),
     game_tree.gen_random_fair(6, 0)], ids=["root", "children", "random-fair"])
 def test_leading_order_gives_zero_where_delta_is_zero(tree):
-    # a node with Delta = 0 is no key of S's memo; it and every leaf get
+    # a node with Delta = 0 gets no weight in S; it and every leaf get
     # exactly +0.0
     ann = game_tree.annotate(tree)
     assert 0.0 in ann.delta

@@ -174,12 +174,6 @@ def test_top_bit_is_the_fair_coin():
                               rng.np_draw_double(seeds, k) < 0.5)
 
 
-def test_finalize_leaves_its_input():
-    z = np.arange(1, 9, dtype=np.uint64)
-    rng.np_finalize(z)
-    assert z.tolist() == list(range(1, 9))
-
-
 def _truncated_draws(seeds, k, width):
     # draws k .. k + width - 1 of each stream, as rows, through np_draw_top
     shape = (width, seeds.size)
