@@ -220,15 +220,14 @@ def _policy_from_arg(arg: str, game: WalkGame) -> walk.WalkPolicy:
 
 
 def _check_against_exact(report: simulate.SimReport, exact: dict[str, float]) -> None:
-    for key, value in exact.items():
-        diff = abs(report.estimates[key] - value)
-        # an estimate of 0 or 1 has stderr 0; the exact value's is the floor
-        tol = 4.0 * max(report.stderr[key],
-                        math.sqrt(max(0.0, value * (1.0 - value)) / report.trials))
-        if diff > tol:
-            raise RuntimeError(f"estimate {key} = {report.estimates[key]} is "
-                               f"{diff} away from exact {value}, beyond "
-                               f"4*stderr = {tol}")
+    from .simulate import DIVERGENCE_LIMIT, divergence
+
+    counts = {"win": report.wins, "loss": report.losses, "catch": report.catches}
+    for key, p in exact.items():
+        if (stat := divergence(counts[key], report.trials, p)) > DIVERGENCE_LIMIT:
+            se = math.sqrt(max(0.0, p * (1.0 - p)) / report.trials)
+            raise RuntimeError(f"estimate {key} = {report.estimates[key]}, exact {p} "
+                               f"(stderr {se}): trials*D = {stat} > {DIVERGENCE_LIMIT}")
 
 
 def _cmd_simulate(args) -> int:

@@ -113,6 +113,28 @@ class SimReport:
         return asdict(self)
 
 
+# The one rule for an estimate's agreement with its exact value: a count
+# agrees with p when divergence(count, trials, p) <= DIVERGENCE_LIMIT.
+# 8 = 4**2/2: near normal, trials*D is about z**2/2, so this is a 4-sigma
+# check (at 20,000 trials and p = 1/2 the cut falls at |z| = 3.99).  By the
+# Chernoff bound (Hoeffding, JASA 1963), each tail of trials*D >= t has
+# probability at most e**-t, so a comparison with the true p fails by
+# chance with probability at most 2e**-8 = 6.7e-4, for every trials and p.
+DIVERGENCE_LIMIT = 8.0
+
+
+def divergence(count: int, trials: int, p: float) -> float:
+    """trials * D(count/trials || p), with D(q||p) = q ln(q/p) +
+    (1-q) ln((1-q)/(1-p)) and 0 ln 0 = 0: inf when an outcome of exact
+    probability 0 or 1 is contradicted, -trials * ln(1-p) for a count of 0.
+    """
+    stat = 0.0
+    for k, mean in ((count, trials * p), (trials - count, trials * (1.0 - p))):
+        if k:
+            stat += k * math.log(k / mean) if mean > 0.0 else math.inf
+    return stat
+
+
 def _stderr(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
 

@@ -363,7 +363,7 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["trials"] == 20000
         assert doc["wins"] + doc["losses"] + doc["catches"] == 20000
-        assert abs(doc["estimates"]["win"] - 0.5) <= 4 * doc["stderr"]["win"]
+        assert simulate.divergence(doc["wins"], 20000, 0.5) <= simulate.DIVERGENCE_LIMIT
 
     def test_tree_lo_shorthand(self, capsys, bo3_file):
         code, out, _ = run(capsys, "simulate", "--tree", bo3_file,
@@ -463,7 +463,7 @@ class TestSimulate:
                            "--trials", "20000", "--seed", "42")
         assert code == 0
         doc = json.loads(out)
-        assert abs(doc["estimates"]["win"] - 0.875) <= 4 * doc["stderr"]["win"]
+        assert simulate.divergence(doc["wins"], 20000, 0.875) <= simulate.DIVERGENCE_LIMIT
 
     def test_walk_policy_file(self, capsys, tmp_path):
         path = tmp_path / "policy.json"
@@ -541,8 +541,19 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "estimate win = 0.9" in err
 
-    # an estimate of 0 or 1 has stderr 0, so the check allows the stderr at
-    # the exact value, or these valid runs would exit 2
+    def test_impossible_catch_exits_2(self, capsys, bo3_file, monkeypatch):
+        # an honest strategy is never caught, so 2 catches in 20,000 trials
+        # contradict its exact catch probability of 0, however few they are
+        monkeypatch.setattr(simulate, "simulate_tree", lambda *args, **kwargs:
+                            simulate._report(20000, 9999, 9999, 2, 0, 42))
+        code, out, err = run(capsys, "simulate", "--tree", bo3_file,
+                             "--model", "std:a=1,b=2", "--strategy", "honest",
+                             "--trials", "20000", "--seed", "42")
+        assert (code, out) == (2, "")
+        assert "estimate catch = 0.0001, exact 0.0" in err
+
+    # an estimate of 0 or 1 has stderr 0, and these valid runs must not
+    # exit 2: a count of 0 against p < 1 has the finite -trials*ln(1-p)
     @pytest.mark.parametrize("argv", [
         *[["--walk", "--n", "1", "--model", "prime:a=0.001", "--policy", "optimal",
            "--trials", "100", "--seed", seed] for seed in "123"],

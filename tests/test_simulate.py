@@ -1,4 +1,6 @@
-"""Monte Carlo cross-checks: determinism, worker invariance, 4-sigma accuracy."""
+"""Monte Carlo cross-checks: determinism, worker invariance, and agreement
+with exact values by the package's one rule, simulate.divergence (a count
+agrees with p when trials * D(count/trials || p) <= 8)."""
 
 import hashlib
 import json
@@ -13,11 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from coincomp import cheat_model, composer, game_tree, rng, simulate, splitmix, walk
 from coincomp.cheat_model import CheatModel, PRIME, STD
+from coincomp.simulate import DIVERGENCE_LIMIT, divergence
 from conftest import BAD_SEEDS, finalize_input, seed_refused, unxorshift
-
-
-def within_4se(report, key, exact):
-    return abs(report.estimates[key] - exact) <= 4.0 * report.stderr[key]
 
 
 class TestTree:
@@ -39,16 +38,16 @@ class TestTree:
         r = simulate.simulate_tree(tree, CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    200_000, 42)
         assert r.catches == 0
-        assert within_4se(r, "win", 0.5)
+        assert divergence(r.wins, r.trials, 0.5) <= DIVERGENCE_LIMIT
 
     def test_estimates_match_exact_recursion(self, bo3):
         m = CheatModel(1.0, 2.0)
         res = composer.leading_order(bo3, 1.0, 2.0, 0.1)
         exact = composer.exact_outcome(bo3, m, res.strategy)
         r = simulate.simulate_tree(bo3, m, res.strategy, 200_000, 42)
-        assert within_4se(r, "win", exact.p0)
-        assert within_4se(r, "loss", exact.p1)
-        assert within_4se(r, "catch", exact.pc)
+        assert divergence(r.wins, r.trials, exact.p0) <= DIVERGENCE_LIMIT
+        assert divergence(r.losses, r.trials, exact.p1) <= DIVERGENCE_LIMIT
+        assert divergence(r.catches, r.trials, exact.pc) <= DIVERGENCE_LIMIT
 
     def test_deterministic_in_seed(self, bo3):
         m = CheatModel(1.0, 2.0)
@@ -110,11 +109,39 @@ class TestTree:
         assert d["seed"] == 17
 
 
+class TestDivergence:
+    NS = [1, 2, 3, 10, 100, 1000, 20000]
+    PS = [0.0, 1e-9, 1e-4, 0.019, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 1.0]
+
+    def test_false_alarm_rate_within_chernoff_bound(self):
+        # the exact binomial probability that a count of true probability p
+        # fails the rule, summed in log space
+        def xlog(k, p):  # ln(p**k), with 0**0 = 1
+            if not k:
+                return 0.0
+            return k * math.log(p) if p else -math.inf
+
+        for n in self.NS:
+            log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+            for p in self.PS:
+                alarm = sum(math.exp(log_fact[n] - log_fact[k] - log_fact[n - k]
+                                     + xlog(k, p) + xlog(n - k, 1.0 - p))
+                            for k in range(n + 1)
+                            if divergence(k, n, p) > DIVERGENCE_LIMIT)
+                assert alarm <= 2 * math.exp(-DIVERGENCE_LIMIT), (n, p, alarm)
+
+    def test_four_sigma_in_the_normal_regime(self):
+        n, sd = 20000, math.sqrt(20000 * 0.25)
+        ks = [k for k in range(n + 1) if divergence(k, n, 0.5) <= DIVERGENCE_LIMIT]
+        assert 3.95 <= (ks[-1] + 1 - n / 2) / sd <= 4.05
+        assert 3.95 <= (n / 2 - (ks[0] - 1)) / sd <= 4.05
+
+
 class TestWalk:
     def test_honest_near_half(self):
         g = walk.WalkGame(5, CheatModel(1.0, 1.0, PRIME))
         r = simulate.simulate_walk(g, walk.honest_policy(g), 200_000, 42)
-        assert within_4se(r, "win", 0.5)
+        assert divergence(r.wins, r.trials, 0.5) <= DIVERGENCE_LIMIT
         assert r.catches == 0
         assert r.overruns == 0
 
@@ -129,13 +156,13 @@ class TestWalk:
         r = simulate.simulate_walk(g, policy, 200_000, 42)
         assert r.catches > 0
         assert r.wins + r.losses == r.trials
-        assert within_4se(r, "win", exact)
+        assert divergence(r.wins, r.trials, exact) <= DIVERGENCE_LIMIT
 
     def test_optimal_policy_agrees_with_solver(self):
         g = walk.WalkGame(10, CheatModel(1.0, 1.0, PRIME))
         sol = walk.optimize(g)
         r = simulate.simulate_walk(g, sol.policy, 200_000, 42)
-        assert within_4se(r, "win", sol.bias + 0.5)
+        assert divergence(r.wins, r.trials, sol.bias + 0.5) <= DIVERGENCE_LIMIT
 
     def test_overruns_settled_not_dropped(self):
         # a tight step cap leaves some honest walks unabsorbed; they settle
@@ -145,7 +172,7 @@ class TestWalk:
                                    step_cap=1600)
         assert r.overruns == 901
         assert r.wins + r.losses == r.trials
-        assert within_4se(r, "win", 0.5)
+        assert divergence(r.wins, r.trials, 0.5) <= DIVERGENCE_LIMIT
 
     def test_step_cap_floor_enforced(self):
         g = walk.WalkGame(5, CheatModel(1.0, 1.0, PRIME))
@@ -207,7 +234,7 @@ class TestWalk:
         g = walk.WalkGame(2, CheatModel(1.0, 1.0))
         sol = walk.optimize(g)
         r = simulate.simulate_walk(g, sol.policy, 200_000, 8)
-        assert within_4se(r, "win", sol.bias + 0.5)
+        assert divergence(r.wins, r.trials, sol.bias + 0.5) <= DIVERGENCE_LIMIT
 
 
 # one cheap run of each simulator, given its seed
