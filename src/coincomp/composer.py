@@ -27,17 +27,18 @@ one converter pair: strategy_to_paths writes one, strategy_from_paths
 reads one and refuses a missing or an extra path.
 
 The tree passes (leading_order, a_new_of_b, exact_outcome and
-simulate_tree) read annotate's DAG and occurrence columns, never its path
-column, and write into lists made once per call, never a container per
-node, so a pass leaves nothing for Python's cyclic garbage collector to
-scan or free.  What depends on a subtree alone is computed once per
-distinct subtree: a best-of-15 tree has 12,869 internal nodes but 64
-distinct internal subtrees.  _closed_form computes |Delta|**(b/(b-1))
-once per DAG row; leading_order computes eps once per DAG row and
-spreads it over the nodes with one pass over the occurrence column.  S,
-derivative_in_b's L and lemma_sum are each one call of
-TreeAnnotation.node_sum on a value per row: it adds one term per node,
-left to right in postorder, the order that keeps every float identical.
+simulate_tree) read annotate's DAG columns and occurrence column, never
+its path column, and write into lists made once per call, never a
+container per node, so a pass leaves nothing for Python's cyclic garbage
+collector to scan or free.  What depends on a subtree alone is computed
+once per distinct subtree: a best-of-15 tree has 12,869 internal nodes
+but 64 distinct internal subtrees.  _closed_form computes
+|Delta|**(b/(b-1)) once per DAG row; leading_order computes eps once per
+DAG row and spreads it over the nodes with one pass over the occurrence
+column.  S, derivative_in_b's L and lemma_sum are each one call of
+TreeAnnotation.node_sum on a value per row: one pass over the DAG rows,
+children before parents, each row adding its value to half its
+children's totals, so the sums cost one step per distinct subtree.
 exact_outcome and simulate_tree run one loop over a node table from
 strategy_table: the DAG when every copy of each distinct subtree carries
 the same eps, bit for bit, and the tree's nodes in postorder otherwise.
@@ -156,8 +157,10 @@ def _closed_form(name: str, tree: GameTree, a: float,
     expo = b / (b - 1.0)
     weight = [abs(gap) ** expo if gap else 0.0 for gap in ann.dag_delta]
     # S > 0: the deepest node whose P_W is neither 0 nor 1 (the root's is
-    # near 1/2, so there is one, at depth <= 51) has |Delta| = 1, so its
-    # term alone makes S >= 2**-51
+    # near 1/2, so there is one, at depth <= 51) has |Delta| = 1.  node_sum
+    # adds nonnegative values, whose rounding is monotone, and halves
+    # exactly, so that row's weight of 1 reaches the root as at least
+    # 2**-51 and S >= 2**-51
     return ann, ann.node_sum(weight), weight
 
 
@@ -184,7 +187,7 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
                 eps = math.copysign(0.5, eps)
                 clipped = True
             by_row[k] = eps
-    strategy = [by_row[k] for k in ann.row]
+    strategy = list(map(by_row.__getitem__, ann.row))
 
     a_new = a * s ** (1.0 - b)
     lam = math.copysign(a * b * (abs(eps_tot) / s) ** (b - 1.0), eps_tot)
@@ -203,8 +206,9 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     """Exact d a_new / db = a_new (-ln S + (1-b) S'/S) = a_new (L/((b-1) S) - ln S),
     where S' = L dp/db, L = sum 2**-D |Delta|**p ln|Delta|, p = b/(b-1)."""
     ann, s, weight = _closed_form("derivative_in_b", tree, a, b)
-    # each term 2**-D * (w ln|Delta|) is the float (2**-D * w) ln|Delta|:
-    # scaling by a power of two is exact above the subnormal range
+    # each row's value is the float w ln|Delta|, and node_sum's halvings
+    # are exact above the subnormal range, so L is summed as S is, from
+    # the same rows; every value is <= 0, as |Delta| <= 1
     log_sum = ann.node_sum([w * math.log(abs(gap)) if w else 0.0
                             for w, gap in zip(weight, ann.dag_delta)])
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
@@ -261,7 +265,7 @@ def _copies_agree(ann: TreeAnnotation, by_row: list, strategy: Strategy) -> bool
     # check accepts, as it accepts 0.0) matters only then.  A leaf given a
     # nonzero eps makes the lists differ, and the postorder table's check
     # refuses it.
-    spread = [by_row[k] for k in ann.row]
+    spread = list(map(by_row.__getitem__, ann.row))
     if spread != strategy:
         return False
     if all(eps != 0.0 for eps, u in zip(by_row, ann.dag_up) if u >= 0):

@@ -31,23 +31,26 @@ annotate recurses once per distinct Flip object and writes two kinds of
 column.  The DAG columns hold one row per distinct subtree, children
 before parents and the root last: P_W, Delta and the rows of the two
 children, with rows 0 and 1 the leaves when the root is a Flip.  The
-occurrence columns hold one entry per node of the tree, in postorder: the
-node's DAG row and its depth.  A subtree met again copies its first block
-of the occurrence columns by slice, shifted in depth, and a copy that
-lies deeper than the first is checked against the depth cap by its
-deepest node.  The per-node columns of the tree (P_W, Delta and the
-positions of each node's children in postorder), the path column (the
-node names of the JSON documents), `nodes` and `internal()` are views
-built on first use, for the JSON edge, the grid oracle and the tests;
-the analyses read the DAG and occurrence columns.  The sums over the
-nodes of 2**-D times a value of the node's row (the closed form's S and
-L, and lemma_sum) are one method, node_sum, the one reader of
-HALF_POWERS.  Every recursion over a tree is a module-level function
-that takes its state as arguments.  A nested function that calls itself
-holds itself through its closure cell, a reference cycle that keeps it
-and all it refers to (such as a result list) alive until the cyclic
-garbage collector runs; with no cycles, a pass's garbage is freed by
-reference counting as soon as the pass ends.
+occurrence column holds one entry per node of the tree, in postorder:
+the node's DAG row.  A subtree met again copies its first block of the
+occurrence column by slice, and a copy that lies deeper than the first
+is checked against the depth cap by the height of its row.  The per-node
+columns of the tree (depth, P_W, Delta and the positions of each node's
+children in postorder), the path column (the node names of the JSON
+documents), `nodes` and `internal()` are views built on first use, for
+the JSON edge, the grid oracle and the tests; the analyses read the DAG
+columns and the occurrence column.  The sums over the nodes of 2**-D
+times a value of the node's row (the closed form's S and L, and
+lemma_sum) are one method, node_sum: one pass over the DAG rows,
+children before parents, in which a row's total is its value plus half
+the totals of its two children.
+
+Every recursion over a tree is a module-level function that takes its
+state as arguments.  A nested function that calls itself holds itself
+through its closure cell, a reference cycle that keeps it and all it
+refers to (such as a result list) alive until the cyclic garbage
+collector runs; with no cycles, a pass's garbage is freed by reference
+counting as soon as the pass ends.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from . import splitmix
 
 MAX_DEPTH = 52
 MAX_NODES = 1 << 20  # node budget for generated and parsed trees
-HALF_POWERS = [2.0 ** (-d) for d in range(MAX_DEPTH + 1)]  # 2**-D for every depth
 _TOO_DEEP = f"tree depth exceeds {MAX_DEPTH}; dyadic exactness would be lost"
 
 
@@ -105,16 +107,16 @@ class NodeInfo:
 
 @dataclass(frozen=True)
 class TreeAnnotation:
-    """A tree's DAG columns and its occurrence columns.
+    """A tree's DAG columns and its occurrence column.
 
     DAG columns, one row per distinct subtree, children before parents and
     the root last: dag_p_w, dag_delta (None on leaves), the child rows
     dag_up and dag_down (-1 on leaves), and dag_at, the position in
-    postorder of the row's first node (-1 on leaves).  Occurrence columns,
+    postorder of the row's first node (-1 on leaves).  Occurrence column,
     one entry per node of the tree in postorder (up subtree, down subtree,
-    node): `row`, the node's DAG row, and `depth`.  The per-node columns
-    p_w, delta, up and down (child positions in postorder, -1 on leaves),
-    and `path`, `nodes` and `internal`, are views built on request.
+    node): `row`, the node's DAG row.  The per-node columns depth, p_w,
+    delta, up and down (child positions in postorder, -1 on leaves), and
+    `path`, `nodes` and `internal`, are views built on request.
     """
 
     dag_p_w: list[float]
@@ -123,7 +125,6 @@ class TreeAnnotation:
     dag_down: list[int]
     dag_at: list[int]
     row: list[int]
-    depth: list[int]
 
     @cached_property
     def p_w(self) -> list[float]:
@@ -164,6 +165,11 @@ class TreeAnnotation:
         return path
 
     @cached_property
+    def depth(self) -> list[int]:
+        """Each node's depth, the length of its path, in postorder."""
+        return list(map(len, self.path))
+
+    @cached_property
     def nodes(self) -> dict[str, NodeInfo]:
         """Path -> NodeInfo, in postorder."""
         return {p: NodeInfo(d, w, x)
@@ -182,17 +188,19 @@ class TreeAnnotation:
     def node_sum(self, by_row: list[float]) -> float:
         """Sum over the tree's nodes of 2**-D(x) * by_row[row(x)].
 
-        One term per node whose row's value is nonzero, added left to right
-        in postorder in a plain loop, never sum() (which compensates its
-        rounding from Python 3.12 on) or math.fsum: that order keeps S,
-        derivative_in_b's L and lemma_sum the same floats on every Python.
+        One pass over the DAG rows, children before parents: a leaf row's
+        total is its value, an internal row's is its value plus half the
+        sum of its children's totals, and the root's total is returned.
+        Halving is exact, and a row's total depends on its subtree alone,
+        so an unshared copy of a tree gives the same float.  It is a plain
+        loop, never sum() (which compensates its rounding from Python 3.12
+        on) or math.fsum, so S, derivative_in_b's L and lemma_sum are the
+        same floats on every Python.
         """
-        total = 0.0
-        for d, k in zip(self.depth, self.row):
-            value = by_row[k]
-            if value:
-                total += HALF_POWERS[d] * value
-        return total
+        total = [0.0] * len(by_row)
+        for k, (value, u, dn) in enumerate(zip(by_row, self.dag_up, self.dag_down)):
+            total[k] = value + 0.5 * (total[u] + total[dn]) if u >= 0 else value
+        return total[-1]
 
     def lemma_sum(self) -> float:
         """Sum over internal nodes of 2**-D(x) * Delta(x)**2 (see lemma_sum)."""
@@ -412,7 +420,7 @@ def gen_random_fair(max_depth: int, seed: int) -> GameTree:
 
 def annotate(tree: GameTree) -> TreeAnnotation:
     """Compute P_W and Delta for every distinct subtree, and every node's
-    row and depth, in one bottom-up pass.
+    row, in one bottom-up pass.
 
     The one traversal of a Flip/Leaf tree; every analysis reads its columns.
     The pass recurses once per distinct Flip object: each Flip writes its
@@ -423,24 +431,25 @@ def annotate(tree: GameTree) -> TreeAnnotation:
     """
     if isinstance(tree, Leaf):
         return TreeAnnotation([1.0 if tree.label == 0 else 0.0], [None], [-1], [-1],
-                              [-1], [0], [0])
+                              [-1], [0])
     # rows 0 and 1 are the leaves, labels 0 and 1
     ann = TreeAnnotation([1.0, 0.0], [None, None], [-1, -1], [-1, -1], [-1, -1],
-                         [], [])
-    _annotate(tree, 0, {}, [-1, -1], ann.dag_p_w, ann.dag_delta, ann.dag_up,
-              ann.dag_down, ann.dag_at, ann.row, ann.depth)
+                         [])
+    _annotate(tree, 0, {}, [-1, -1], [0, 0], ann.dag_p_w, ann.dag_delta,
+              ann.dag_up, ann.dag_down, ann.dag_at, ann.row)
     return ann
 
 
-def _annotate(node: Flip, d: int, seen: dict, starts: list, p_w: list,
-              delta: list, up: list, down: list, at: list, row: list,
-              depth: list) -> int:
+def _annotate(node: Flip, d: int, seen: dict, starts: list, height: list,
+              p_w: list, delta: list, up: list, down: list, at: list,
+              row: list) -> int:
     # The first visit of a distinct Flip, at depth d: appends its DAG row
     # and its block of occurrence entries, and returns the row.  `seen` maps
-    # each Flip visited so far, by identity, to its row k, and row k's first
-    # block runs from starts[k] to its own entry, at[k].  Each holds ints,
-    # which cost less to make than a slice or a tuple per Flip.  The columns
-    # come as arguments: a local is read faster than ann.<column>.
+    # each Flip visited so far, by identity, to its row k; row k's first
+    # block runs from starts[k] to its own entry, at[k], and its subtree
+    # is height[k] levels deep.  Each holds ints, which cost less to make
+    # than a slice or a tuple per Flip.  The columns come as arguments: a
+    # local is read faster than ann.<column>.
     if d >= MAX_DEPTH:
         raise ValueError(_TOO_DEEP)
     start = len(row)
@@ -449,26 +458,24 @@ def _annotate(node: Flip, d: int, seen: dict, starts: list, p_w: list,
     if isinstance(child, Leaf):
         u = 0 if child.label == 0 else 1
         row.append(u)
-        depth.append(c)
     else:
         u = seen.get(id(child))
         if u is None:
-            u = _annotate(child, c, seen, starts, p_w, delta, up, down, at, row,
-                          depth)
+            u = _annotate(child, c, seen, starts, height, p_w, delta, up, down,
+                          at, row)
         else:
-            _repeat(u, c, starts, at, row, depth)
+            _repeat(u, c, starts, height, at, row)
     child = node.down
     if isinstance(child, Leaf):
         dn = 0 if child.label == 0 else 1
         row.append(dn)
-        depth.append(c)
     else:
         dn = seen.get(id(child))
         if dn is None:
-            dn = _annotate(child, c, seen, starts, p_w, delta, up, down, at, row,
-                           depth)
+            dn = _annotate(child, c, seen, starts, height, p_w, delta, up, down,
+                           at, row)
         else:
-            _repeat(dn, c, starts, at, row, depth)
+            _repeat(dn, c, starts, height, at, row)
     k = len(p_w)
     pu, pd = p_w[u], p_w[dn]
     p_w.append((pu + pd) / 2.0)
@@ -476,28 +483,23 @@ def _annotate(node: Flip, d: int, seen: dict, starts: list, p_w: list,
     up.append(u)
     down.append(dn)
     starts.append(start)
+    hu, hd = height[u], height[dn]
+    height.append(1 + (hu if hu > hd else hd))  # no max(): a call per row
     at.append(len(row))
     row.append(k)
-    depth.append(d)
     seen[id(node)] = k
     return k
 
 
-def _repeat(k: int, d: int, starts: list, at: list, row: list, depth: list) -> None:
-    # Row k's Flip met again, at depth d: appends a copy of its first block,
-    # shifted in depth.  A copy deeper than the first is refused when its
-    # deepest node passes the cap, exactly when a Flip of the copy sits at
-    # MAX_DEPTH or deeper.
-    start, end = starts[k], at[k] + 1
-    row.extend(row[start:end])
-    shift = d - depth[at[k]]
-    if shift == 0:
-        depth.extend(depth[start:end])
-        return
-    copied = depth[start:end]
-    if shift > 0 and max(copied) + shift > MAX_DEPTH:
+def _repeat(k: int, d: int, starts: list, height: list, at: list,
+            row: list) -> None:
+    # Row k's Flip met again, at depth d: appends a copy of its first
+    # block.  The copy is refused when its deepest node, height[k] levels
+    # below d, passes the cap, exactly when a Flip of the copy sits at
+    # MAX_DEPTH or deeper; a copy no deeper than the first never is.
+    if d + height[k] > MAX_DEPTH:
         raise ValueError(_TOO_DEEP)
-    depth.extend(map(shift.__add__, copied))
+    row.extend(row[starts[k]:at[k] + 1])
 
 
 def lemma_sum(tree: GameTree) -> float:

@@ -695,7 +695,7 @@ STDOUT_PINS = {
     "compose-exact-best-of-15-b3": (
         ("best-of-15", "compose", "--a", "1", "--b", "3", "--eps-tot", "0.05",
          "--exact", "--tree"),
-        "8f87885cd32859b97382ec4682569f1422a970ffb7aa3c4b650656e367504aa5"),
+        "eb26edb7835529f984ebdcd525fd44438b8f5bc30a9c827a36f8025b0735135d"),
     "simulate-lo-best-of-15": (
         ("best-of-15", "simulate", "--model", "std:a=1,b=2", "--strategy",
          "lo:0.2", "--trials", "20000", "--seed", "5", "--tree"),

@@ -393,10 +393,10 @@ def fair_trees(draw):
 @example(tree=game_tree.Flip(deep_chain(51), game_tree.mirror(deep_chain(51))))
 def test_fair_tree_weight_sum_is_at_least_2_to_minus_52(tree):
     # A fair tree's deepest node whose P_W is neither 0 nor 1 has children
-    # of P_W 0 and 1, so |Delta| = 1 there; it sits at depth <= 51, so its
-    # term of S is at least 2**-52 at every b > 1, and a float sum of
-    # nonnegative terms is no smaller than any of them.  S = 0 never
-    # reaches the closed form's power of S.
+    # of P_W 0 and 1, so |Delta| = 1 there; it sits at depth <= 51, and
+    # node_sum halves exactly and rounds sums of nonnegative values
+    # monotonely, so its weight of 1 reaches S as at least 2**-51 at every
+    # b > 1.  S = 0 never reaches the closed form's power of S.
     ann = game_tree.annotate(tree)
     assert ann.p_w_root == 0.5
     assert any(abs(x) == 1.0 and d <= 51 for d, x in zip(ann.depth, ann.delta)
@@ -410,48 +410,79 @@ def test_fair_tree_weight_sum_is_at_least_2_to_minus_52(tree):
                           for x in ann.dag_delta]
 
 
-def _node_order_sums(ann, b):
-    """S and L with one term per node, left to right in postorder, read
-    from the per-node depth and delta views."""
+def _postorder_deltas(node, out):
+    """P_W of the subtree, from its leaves; appends each node's Delta (None
+    on leaves) to `out` in postorder, up subtree, down subtree, node."""
+    if isinstance(node, game_tree.Leaf):
+        out.append(None)
+        return 1.0 if node.label == 0 else 0.0
+    pu = _postorder_deltas(node.up, out)
+    pd = _postorder_deltas(node.down, out)
+    out.append(pu - pd)
+    return (pu + pd) / 2.0
+
+
+def _weights(b):
+    """S's value of a node's Delta at b, |Delta|**(b/(b-1)) (0.0 where
+    Delta = 0), and derivative_in_b's L value, that times ln|Delta|."""
     p = b / (b - 1.0)
-    s = log_sum = 0.0
-    for d, x in zip(ann.depth, ann.delta):
-        if x is not None:
-            s += 2.0 ** -d * abs(x) ** p
-            if x:
-                log_sum += (2.0 ** -d * abs(x) ** p) * math.log(abs(x))
-    return s, log_sum
+
+    def weight(gap):
+        return abs(gap) ** p if gap else 0.0
+
+    def log_weight(gap):
+        w = weight(gap)
+        return w * math.log(abs(gap)) if w else 0.0
+
+    return weight, log_weight
+
+
+def _object_sum(node, value, memo):
+    """(P_W, sum) of the subtree, from the Flip and Leaf objects alone: a
+    node's sum is value(Delta) plus half the sum of its children's sums.
+    `memo` holds each object worked out so far, by identity."""
+    got = memo.get(id(node))
+    if got is None:
+        if isinstance(node, game_tree.Leaf):
+            got = (1.0 if node.label == 0 else 0.0), 0.0
+        else:
+            pu, su = _object_sum(node.up, value, memo)
+            pd, sd = _object_sum(node.down, value, memo)
+            got = (pu + pd) / 2.0, value(pu - pd) + 0.5 * (su + sd)
+        memo[id(node)] = got
+    return got
 
 
 @settings(max_examples=25, deadline=None)
 @given(tree=st.one_of(generated_trees(), fair_trees()), copy=st.booleans())
-# best-of-7 at b = 3: a compensated or exact sum reads S one ulp higher
+# on each of these, a loop adding one term per node in postorder, one
+# adding a reach weight times the value per DAG row, and math.fsum each
+# give a float that differs from the pass in its last bits
 @example(tree=game_tree.gen_best_of(7), copy=False)
 @example(tree=game_tree.gen_best_of(11), copy=True)
-def test_sums_add_one_term_per_node_in_postorder(tree, copy):
-    # S, derivative_in_b's L and lemma_sum each add 2**-D * (the node's
-    # row value) over the nodes, left to right in postorder; the strategy
-    # is eps_tot * sign(Delta) |Delta|**(1/(b-1)) / S, clamped at 1/2.
-    # An unshared copy has one DAG row per node; copies stop at best-of-11's
-    # 1,847 nodes, so that the test stays well under a second
-    ann = game_tree.annotate(tree)
-    if copy and len(ann.row) < 2000:
+def test_sums_match_a_recursion_over_the_objects(tree, copy):
+    # S, derivative_in_b's L and lemma_sum, and the strategy eps_tot *
+    # sign(Delta) |Delta|**(1/(b-1)) / S clamped at 1/2, bit for bit
+    # against a recursion over the tree's objects that reads no annotation
+    # column.  An unshared copy has one DAG row per node; copies stop at
+    # best-of-11's 1,847 nodes, so that the test stays well under a second
+    deltas = []
+    p_w_root = _postorder_deltas(tree, deltas)
+    if copy and len(deltas) < 2000:
         tree = unshared(tree)
-        ann = game_tree.annotate(tree)
-    lemma = 0.0
-    for d, x in zip(ann.depth, ann.delta):
-        if x is not None:
-            lemma += 2.0 ** -d * x * x
+    lemma = _object_sum(tree, lambda gap: gap * gap, {})[1]
     assert game_tree.lemma_sum(tree).hex() == lemma.hex()
-    if ann.p_w_root != 0.5:
+    if p_w_root != 0.5:
         return
     for b in (1.0001, 1.01, 1.05, 1.5, 2.0, 3.0, 17.0):
-        s, log_sum = _node_order_sums(ann, b)
+        weight, log_weight = _weights(b)
+        s = _object_sum(tree, weight, {})[1]
+        log_sum = _object_sum(tree, log_weight, {})[1]
         assert composer._closed_form("test", tree, 1.0, b)[1].hex() == s.hex()
         want = s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
         assert composer.derivative_in_b(tree, 1.0, b).hex() == want.hex()
         eps_tot, strategy = 0.05, []
-        for x in ann.delta:
+        for x in deltas:
             eps = 0.0
             if x:
                 eps = eps_tot * math.copysign(abs(x) ** (1.0 / (b - 1.0)), x) / s
@@ -459,6 +490,42 @@ def test_sums_add_one_term_per_node_in_postorder(tree, copy):
             strategy.append(eps.hex())
         assert [eps.hex() for eps in
                 composer.leading_order(tree, 1.0, b, eps_tot).strategy] == strategy
+
+
+ACCURACY_TREES = {f"best-of-{n}": game_tree.gen_best_of(n) for n in range(3, 16, 2)}
+ACCURACY_TREES.update((f"full({d})", game_tree.gen_full(d, [0, 1] * 2 ** (d - 1)))
+                      for d in range(1, 9))
+ACCURACY_TREES.update((f"random-fair({d},{d})", game_tree.gen_random_fair(d, d))
+                      for d in range(4, 11))
+ACCURACY_TREES.update((f"unshared {name}", unshared(ACCURACY_TREES[name]))
+                      for name in ("best-of-9", "full(8)", "random-fair(10,10)"))
+
+
+@pytest.mark.parametrize("name", sorted(ACCURACY_TREES))
+def test_sums_within_rounding_of_the_exact_sum(name):
+    # node_sum rounds twice per level of its pass over nonnegative (for L,
+    # nonpositive) values, so S, L and lemma_sum lie within 2 * height *
+    # 2**-53 of the exact sum, over the nodes, of 2**-D times the float
+    # value of the node's row; a loop of one term per node in postorder
+    # drifted 16 times past that on best-of-15 at b = 3
+    tree = ACCURACY_TREES[name]
+    ann = game_tree.annotate(tree)
+    reach = {}  # Delta -> the sum of 2**(52 - D) over its nodes, an exact int
+    for d, gap in zip(ann.depth, ann.delta):
+        if gap is not None:
+            reach[gap] = reach.get(gap, 0) + 2 ** (game_tree.MAX_DEPTH - d)
+    bound = Fraction(2 * max(ann.depth), 2 ** 53)
+
+    def assert_close(got, value):
+        exact = sum(Fraction(value(gap)) * count for gap, count in reach.items())
+        exact /= 2 ** game_tree.MAX_DEPTH
+        assert abs(Fraction(got) - exact) <= bound * abs(exact)
+
+    assert_close(game_tree.lemma_sum(tree), lambda gap: gap * gap)
+    for b in (1.05, 1.5, 2.0, 3.0, 17.0):
+        weight, log_weight = _weights(b)
+        assert_close(composer._closed_form("test", tree, 1.0, b)[1], weight)
+        assert_close(ann.node_sum(list(map(log_weight, ann.dag_delta))), log_weight)
 
 
 class TestANewOfB:
@@ -1384,8 +1451,8 @@ class TestPinnedTreeAnswers:
                                                res.strategy)
                 rec[f"b={b}"] = [res.to_json_dict(), exact.as_tuple()]
             h.update((json.dumps(rec, sort_keys=True) + "\n").encode())
-        assert h.hexdigest() == ("a7d33783b158f5c9da883f5a8d1b6bb3"
-                                 "2a677d853633609d752083ee7b8ec1b6")
+        assert h.hexdigest() == ("f787f2224a8402a45f94108bb148acbe"
+                                 "ffbabaee8b711c3d8190e8a01cfed69a")
 
     def test_a_new_and_derivative_in_b_digest(self):
         # a_new_of_b and derivative_in_b read the per-row |Delta|**p of S
@@ -1393,7 +1460,7 @@ class TestPinnedTreeAnswers:
                     composer.derivative_in_b(tree, 1.0, b)]
                    for name, tree in self._trees() for b in (1.5, 2.0, 3.0)]
         assert json_digest(records) == (
-            "d90a81f5c1ebb5e1f4df544c2f6cdd6d70e6c61b22fc22fa769436cae1400da2")
+            "4dfef21edfd2a1c97cfa6e422c6f0580be0da8ed3876be2dbe00ee121c3ca55e")
 
     def test_leading_order_digest(self):
         # every float of each result, and the strategy in its postorder
@@ -1406,7 +1473,7 @@ class TestPinnedTreeAnswers:
                                     res.predicted_pc, res.clipped,
                                     list(by_path(tree, res.strategy).items())])
         assert json_digest(records) == (
-            "ed1f88d6cb0b0ea2bc781b400e12f6226ef564c1bcffc53653dae092c21e9d7c")
+            "e38939004923b43f4d3130e0e8d941bafda382cf3762c7fc93cc11a5d9654b18")
 
     def test_exact_outcome_digest(self):
         # six trees of each generator family at each std model of

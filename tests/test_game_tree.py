@@ -312,6 +312,18 @@ class TestAnnotate:
         assert ann.path == postorder_paths(tree)
         assert ann.path is ann.path
 
+    @settings(max_examples=80, deadline=None)
+    @given(generated_trees())
+    @example(deep_chain(52))
+    def test_lazy_depth_column_is_each_nodes_depth(self, tree):
+        # annotate writes no per-node depth; the column is built on first
+        # use, once, and holds each node's depth, the length of its path,
+        # in postorder
+        ann = game_tree.annotate(tree)
+        assert "depth" not in vars(ann)
+        assert ann.depth == [len(at) for at in postorder_paths(tree)]
+        assert ann.depth is ann.depth
+
     @pytest.mark.parametrize("tree", [
         game_tree.gen_best_of(5), game_tree.gen_full(3, [0, 1, 1, 0, 1, 0, 0, 1]),
         game_tree.gen_random_fair(6, 3)], ids=["best-of-5", "full(3)", "random-fair"])
@@ -467,7 +479,7 @@ class TestAnnotate:
 
 
 class TestSharing:
-    """Hash-consed construction, and annotate's DAG and occurrence columns."""
+    """Hash-consed construction, and annotate's DAG columns and occurrence column."""
 
     @staticmethod
     def _all_built():

@@ -116,9 +116,11 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
                 # refused for its size before the oracle would load numpy
                 [*compose, "--brute-force"],
                 [*compose, "--exact"],
-                # S summed left to right reads 0x1.7043f83be6da5p+0 here; a
-                # compensated or exact sum (Python 3.12's sum(), math.fsum)
-                # reads ...6da6p+0, and so does a sum in another order
+                # node_sum's pass over the DAG rows reads S as
+                # 0x1.7043f83be6da6p+0 here; one term per node added left
+                # to right, or a reach weight times each row's weight,
+                # reads ...6da5p+0, and so does sum() over the nodes up to
+                # Python 3.11 (it compensates its rounding from 3.12 on)
                 ["compose", "--tree", bo7, "--a", "1", "--b", "3",
                  "--eps-tot", "0.05", "--exact"]]
     runs, loaded = run_without_numpy(commands, [
@@ -140,7 +142,7 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
         "4a203665582fc4f2661bd5bc90fc3cbd521aa4804934424be968d281f43b6bb8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "d9fe4119caaf3b199dcc3223215ea473692fe400d09d4e04906dbd5e148eb526",
-        "a3caaccc09239315a5cd743c84eb881564dae91abf2a33811c648b512c3bf438"]
+        "72337fef957b4c6929930569307d66eb09b6540e636263988f3f662ef670f3fa"]
     assert runs[3] == (1, "", "error: seed must be an int in [0, 2**64), "
                               "got -1\n")
     assert json.loads(runs[4][1])["lemma_sum"] == 1.0
