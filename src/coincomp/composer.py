@@ -67,7 +67,8 @@ class CompositionResult:
     """Leading-order optimum: composed sensitivity, multiplier, per-node biases.
 
     The tree is kept for to_json_dict, which names the nodes by path; its
-    annotation is not, so a held result costs no more than its strategy.
+    annotation is not, so a held result costs its strategy plus the
+    columns the tree keeps from its first annotate (see game_tree).
     """
 
     a_new: float
@@ -321,7 +322,9 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
                          f"got {grid_step}")
     _check_eps_tot(eps_tot)
     ann = annotate(tree)
-    n_internal = sum(u >= 0 for u in ann.up)
+    # rows 0 and 1 are the leaves, so the occurrence column counts the
+    # internal nodes without the per-node up view
+    n_internal = len(ann.row) - ann.row.count(0) - ann.row.count(1)
     if n_internal == 0:
         raise ValueError("tree has no internal node; nothing to search")
     if n_internal > 5:

@@ -45,6 +45,18 @@ lemma_sum) are one method, node_sum: one pass over the DAG rows,
 children before parents, in which a row's total is its value plus half
 the totals of its two children.
 
+The columns are made once per tree object.  The first annotate of a
+Flip keeps them on that object (Flip._columns, a cached property), and
+every call, the first included, returns a new TreeAnnotation over those
+lists, so the views one call builds die with its annotation.  The
+columns are read-only: no pass writes to them.  The cache is per object,
+not per value: an equal tree built apart recurses once for itself, and a
+tree deeper than the cap raises on every call and keeps nothing.  The
+columns live as long as the tree: O(rows) of DAG columns and 8 bytes
+per node of occurrence column, about 0.2 MiB on best-of-15 and 3.0 MiB
+on best-of-19.  A tree that is one leaf keeps nothing, since the two
+shared leaves carry no state.
+
 Every recursion over a tree is a module-level function that takes its
 state as arguments.  A nested function that calls itself holds itself
 through its closure cell, a reference cycle that keeps it and all it
@@ -81,6 +93,15 @@ class Flip:
     up: "Node"
     down: "Node"
 
+    @cached_property
+    def _columns(self) -> tuple[list, ...]:
+        # annotate's six columns, made on the first annotate of this object
+        # (a pass that raises caches nothing); rows 0 and 1 are the leaves,
+        # labels 0 and 1
+        columns = [1.0, 0.0], [None, None], [-1, -1], [-1, -1], [-1, -1], []
+        _annotate(self, 0, {}, [-1, -1], [0, 0], *columns)
+        return columns
+
 
 Node = Leaf | Flip
 GameTree = Node
@@ -116,7 +137,9 @@ class TreeAnnotation:
     one entry per node of the tree in postorder (up subtree, down subtree,
     node): `row`, the node's DAG row.  The per-node columns depth, p_w,
     delta, up and down (child positions in postorder, -1 on leaves), and
-    `path`, `nodes` and `internal`, are views built on request.
+    `path`, `nodes` and `internal`, are views built on request.  Every
+    annotation of one tree object shares its six columns, which no one
+    writes to; the views are the annotation's own.
     """
 
     dag_p_w: list[float]
@@ -423,21 +446,20 @@ def annotate(tree: GameTree) -> TreeAnnotation:
     row, in one bottom-up pass.
 
     The one traversal of a Flip/Leaf tree; every analysis reads its columns.
-    The pass recurses once per distinct Flip object: each Flip writes its
-    leaf children's entries itself, a Flip met again copies its first
-    block of occurrence entries, and a tree that is one leaf gets its one
-    row here.  A Flip at depth MAX_DEPTH, whose children would lie deeper
-    than the cap, stops the pass as soon as it is reached.
+    It runs on the first annotate of a Flip object, which keeps the
+    columns: every call returns a new TreeAnnotation over the same
+    read-only lists (see the module docstring).  The pass recurses once
+    per distinct Flip object: each Flip writes its leaf children's entries
+    itself, and a Flip met again copies its first block of occurrence
+    entries.  A tree that is one leaf gets a new one-row annotation on
+    every call.  A Flip at depth MAX_DEPTH, whose children would lie
+    deeper than the cap, stops the pass as soon as it is reached, on
+    every call.
     """
     if isinstance(tree, Leaf):
         return TreeAnnotation([1.0 if tree.label == 0 else 0.0], [None], [-1], [-1],
                               [-1], [0])
-    # rows 0 and 1 are the leaves, labels 0 and 1
-    ann = TreeAnnotation([1.0, 0.0], [None, None], [-1, -1], [-1, -1], [-1, -1],
-                         [])
-    _annotate(tree, 0, {}, [-1, -1], [0, 0], ann.dag_p_w, ann.dag_delta,
-              ann.dag_up, ann.dag_down, ann.dag_at, ann.row)
-    return ann
+    return TreeAnnotation(*tree._columns)
 
 
 def _annotate(node: Flip, d: int, seen: dict, starts: list, height: list,

@@ -272,8 +272,8 @@ def _displacements(x: np.ndarray) -> np.ndarray:
 
 def _tree_graph(tree: GameTree, model: CheatModel, strategy: Strategy):
     # per row of strategy_table, the root last: draw thresholds (0 on
-    # leaves); the annotation is dropped on return, before any trial is
-    # played
+    # leaves); the annotation and its views are dropped on return, before
+    # any trial is played, and its columns stay with the tree
     p_w, up, down, p0, p1, _ = strategy_table(annotate(tree), model, strategy)
     size = len(up)
     return _graph(p0, p1, np.fromiter(up, np.intp, size), down,

@@ -222,6 +222,27 @@ class TestCompose:
         # the delivered excess trails eps_tot by an O(eps_tot^2) term
         assert abs(doc["exact"]["p0"] - 0.5 - 0.1) < 1e-2
 
+    def test_exact_and_brute_force_annotate_the_tree_once(self, capsys, bo3_file,
+                                                          monkeypatch):
+        # leading_order, its JSON edge, exact_outcome, the oracle and the
+        # oracle's JSON edge all annotate the one parsed tree: the first
+        # call's recursion makes the columns, and the later calls reuse them
+        roots = []
+        real = game_tree._annotate
+
+        def spy(node, d, *args):
+            if d == 0:
+                roots.append(node)
+            return real(node, d, *args)
+
+        monkeypatch.setattr(game_tree, "_annotate", spy)
+        code, out, _ = run(capsys, "compose", "--tree", bo3_file, "--a", "1",
+                           "--b", "2", "--eps-tot", "0.05", "--exact",
+                           "--brute-force", "--grid", "0.01")
+        assert code == 0
+        assert set(json.loads(out)) >= {"exact", "brute_force"}
+        assert len(roots) == 1
+
     def test_brute_force_section(self, capsys, one_flip_file):
         code, out, _ = run(capsys, "compose", "--tree", one_flip_file,
                            "--a", "1", "--b", "2", "--eps-tot", "0.05",

@@ -923,6 +923,17 @@ class TestStrategyEdge:
         with pytest.raises(AssertionError, match="path column"):
             res.to_json_dict()
 
+    def test_brute_force_refusal_builds_no_up_view(self, monkeypatch):
+        # the size refusal counts internal nodes on the occurrence column
+        def refuse(self):
+            raise AssertionError("the refusal read the up view")
+
+        tree = game_tree.gen_best_of(15)
+        monkeypatch.setattr(game_tree.TreeAnnotation, "up", property(refuse))
+        with pytest.raises(ValueError, match="^tree too large: 12869 internal "
+                                             "nodes, limit 5$"):
+            composer.brute_force_min_pc(tree, CheatModel(1.0, 2.0), 0.05, 0.01)
+
     def test_result_keeps_the_tree_not_its_annotation(self, bo3):
         res = composer.leading_order(bo3, 1.0, 2.0, 0.05)
         assert res.tree is bo3

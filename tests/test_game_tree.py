@@ -3,13 +3,15 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coincomp import game_tree
+from coincomp import composer, game_tree, simulate
+from coincomp.cheat_model import CheatModel
 from coincomp.game_tree import Flip, Leaf, NodeInfo, TreeParseError
 from conftest import (BAD_SEEDS, deep_chain, distinct_flips, generated_trees,
                       seed_refused, unshared)
@@ -282,6 +284,26 @@ def postorder_paths(node, at=""):
             + postorder_paths(node.down, at + "D") + [at])
 
 
+def shuffled_full_4():
+    """A fair full(4) tree whose leaf labels are shuffled."""
+    labels = [0, 1] * 8
+    random.Random(4).shuffle(labels)
+    return game_tree.gen_full(4, labels)
+
+
+def spy_on_recursion(monkeypatch):
+    """The list of nodes _annotate is entered with, from now on."""
+    calls = []
+    real = game_tree._annotate
+
+    def spy(node, *args):
+        calls.append(node)
+        return real(node, *args)
+
+    monkeypatch.setattr(game_tree, "_annotate", spy)
+    return calls
+
+
 class TestAnnotate:
     @settings(max_examples=80, deadline=None)
     @given(generated_trees())
@@ -324,22 +346,19 @@ class TestAnnotate:
         assert ann.depth == [len(at) for at in postorder_paths(tree)]
         assert ann.depth is ann.depth
 
-    @pytest.mark.parametrize("tree", [
-        game_tree.gen_best_of(5), game_tree.gen_full(3, [0, 1, 1, 0, 1, 0, 0, 1]),
-        game_tree.gen_random_fair(6, 3)], ids=["best-of-5", "full(3)", "random-fair"])
-    def test_recursion_enters_each_distinct_flip_once(self, monkeypatch, tree):
+    @pytest.mark.parametrize("make", [
+        lambda: game_tree.gen_best_of(5),
+        lambda: game_tree.gen_full(3, [0, 1, 1, 0, 1, 0, 0, 1]),
+        lambda: game_tree.gen_random_fair(6, 3)],
+        ids=["best-of-5", "full(3)", "random-fair"])
+    def test_recursion_enters_each_distinct_flip_once(self, monkeypatch, make):
         # each Flip writes its leaf children's entries, and a Flip met again
         # copies its first block, so the recursion runs once per distinct
-        # Flip object, and the columns are those of a plain run
-        plain = game_tree.annotate(tree)
-        calls = []
-        real = game_tree._annotate
-
-        def spy(node, *args):
-            calls.append(node)
-            return real(node, *args)
-
-        monkeypatch.setattr(game_tree, "_annotate", spy)
+        # Flip object, and the columns are those of a plain run.  A tree
+        # object keeps its columns, so each annotate gets a tree of its own
+        plain = game_tree.annotate(make())
+        tree = make()
+        calls = spy_on_recursion(monkeypatch)
         ann = game_tree.annotate(tree)
         assert all(isinstance(node, Flip) for node in calls)
         assert len({id(node) for node in calls}) == len(calls)
@@ -476,6 +495,86 @@ class TestAnnotate:
         got = ann.internal()
         assert "nodes" not in vars(ann)  # no NodeInfo built for the leaves
         assert got == [(p, i) for p, i in ann.nodes.items() if i.delta is not None]
+
+
+class TestColumnCache:
+    """annotate's columns are made once per Flip object and kept on it."""
+
+    def test_second_annotate_is_a_fresh_view_over_the_kept_columns(
+            self, monkeypatch):
+        tree = game_tree.gen_best_of(7)
+        first = game_tree.annotate(tree)
+        assert first.path and first.depth and first.up  # built on the first
+        calls = spy_on_recursion(monkeypatch)
+        second = game_tree.annotate(tree)
+        assert calls == []
+        assert second is not first
+        assert dataclasses.astuple(second) == dataclasses.astuple(first)
+        assert second.row is first.row  # the shared lists, not copies
+        for view in ("path", "depth", "up"):
+            assert view not in vars(second), view
+        assert second.path == first.path
+
+    def test_equal_tree_built_separately_recurses_again(self, monkeypatch):
+        game_tree.annotate(game_tree.gen_best_of(7))
+        tree = game_tree.gen_best_of(7)
+        calls = spy_on_recursion(monkeypatch)
+        game_tree.annotate(tree)
+        assert len(calls) == len(distinct_flips(tree))
+
+    def test_too_deep_tree_raises_on_every_call(self):
+        tree = deep_chain(53)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^tree depth exceeds "
+                                                 f"{game_tree.MAX_DEPTH};"):
+                game_tree.annotate(tree)
+        assert "_columns" not in vars(tree)
+
+    def test_leaf_annotations_are_fresh(self, monkeypatch):
+        calls = spy_on_recursion(monkeypatch)
+        first, second = game_tree.annotate(Leaf(0)), game_tree.annotate(Leaf(0))
+        assert first is not second and first.row is not second.row
+        assert first == second
+        shared = [game_tree.parse_tree(json.dumps({"leaf": label}))
+                  for label in (0, 1)]
+        for leaf in shared:
+            game_tree.annotate(leaf).path
+            game_tree.annotate(leaf)
+        assert [vars(leaf) for leaf in shared] == [{"label": 0}, {"label": 1}]
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: game_tree.gen_best_of(3), lambda: game_tree.gen_best_of(7),
+        lambda: game_tree.gen_random_fair(6, 3), shuffled_full_4],
+        ids=["best-of-3", "best-of-7", "random-fair", "shuffled-full(4)"])
+    def test_no_pass_writes_to_the_columns(self, make):
+        # every pass reads the shared columns; afterwards they equal those
+        # of a fresh recursion over a tree built apart
+        tree = make()
+        kept = game_tree.annotate(tree)
+        model = CheatModel(1.0, 2.0)
+        for b in (1.5, 2.0, 3.0):
+            res = composer.leading_order(tree, 1.0, b, 0.05)
+            composer.a_new_of_b(tree, 1.0, b)
+            composer.derivative_in_b(tree, 1.0, b)
+            composer.exact_outcome(tree, CheatModel(1.0, b), res.strategy)
+        res = composer.leading_order(tree, 1.0, 2.0, 0.05)
+        composer.strategy_table(game_tree.annotate(tree), model, res.strategy)
+        simulate.simulate_tree(tree, model, res.strategy, 200, 1)
+        if len(kept.row) - kept.row.count(0) - kept.row.count(1) <= 5:
+            composer.brute_force_min_pc(tree, model, 0.05, 0.05)
+        else:
+            with pytest.raises(ValueError, match="tree too large"):
+                composer.brute_force_min_pc(tree, model, 0.05, 0.05)
+        res.to_json_dict()
+        ann = game_tree.annotate(tree)
+        by_path = composer.strategy_to_paths(ann, res.strategy)
+        assert composer.strategy_from_paths(ann, by_path) == res.strategy
+        game_tree.lemma_sum(tree)
+        after = game_tree.annotate(tree)
+        assert after.row is kept.row
+        assert dataclasses.astuple(after) == dataclasses.astuple(
+            game_tree.annotate(make()))
 
 
 class TestSharing:

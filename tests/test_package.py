@@ -1,6 +1,6 @@
 """Package surface: lazy exports, and commands that never load numpy.
 
-The three `without_numpy` tests use no conftest.py fixture and load no
+The four `without_numpy` tests use no conftest.py fixture and load no
 numpy in the test process, so CI also runs them, with --noconftest, where
 numpy is not installed.
 """
@@ -153,6 +153,30 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
     doc = json.loads(runs[-2][1])
     assert abs(doc["a_new"] - 1.0) <= 1e-12
     assert isinstance(doc["exact"], dict)
+
+
+def test_compose_annotates_the_tree_once_without_numpy(monkeypatch, capsys,
+                                                       tmp_path):
+    # leading_order, its JSON edge and exact_outcome share the columns the
+    # first annotate of the parsed tree makes and keeps on it (a
+    # functools.cached_property, whose locking changed in Python 3.12)
+    tree = str(tmp_path / "bo5.json")
+    Path(tree).write_text(game_tree.serialize_tree(game_tree.gen_best_of(5)))
+    roots = []
+    real = game_tree._annotate
+
+    def spy(node, d, *args):
+        if d == 0:
+            roots.append(node)
+        return real(node, d, *args)
+
+    monkeypatch.setattr(game_tree, "_annotate", spy)
+    code, out, _ = run_in_process(capsys, [
+        "compose", "--tree", tree, "--a", "1", "--b", "2", "--eps-tot", "0.05",
+        "--exact"])
+    assert code == 0
+    assert "exact" in json.loads(out)
+    assert len(roots) == 1
 
 
 def test_numpy_commands_fail_cleanly_without_numpy(tmp_path):
