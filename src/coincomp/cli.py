@@ -162,16 +162,21 @@ def _cmd_walk_sweep(args) -> int:
 
 def _number_map(arg: str, kind: str) -> dict[str, float]:
     """A JSON file's object of finite numbers, maybe under a `kind` key."""
+    from . import game_tree  # loaded already: both callers simulate a game
+
     try:
         # float(s) rounds an integer as float(int(s)) does, with no digit
         # limit (too large is inf); + 0.0 reads "-0" as 0.0, as int() does
         data = json.loads(Path(arg).read_text(),
-                          parse_int=lambda s: float(s) + 0.0)
+                          parse_int=lambda s: float(s) + 0.0,
+                          object_pairs_hook=game_tree.unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{kind} file {arg}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError(f"{kind} file {arg}: invalid JSON: nested too "
                          "deeply") from None
+    except game_tree.TreeParseError as exc:  # a repeated key
+        raise ValueError(f"{kind} file {arg}: {exc}") from None
     if isinstance(data, dict) and isinstance(data.get(kind), dict):
         data = data[kind]
     if not isinstance(data, dict):

@@ -41,9 +41,8 @@ children before parents, each row adding its value to half its
 children's totals, so the sums cost one step per distinct subtree.
 exact_outcome and simulate_tree run one loop over a node table from
 strategy_table: the DAG when every copy of each distinct subtree carries
-the same eps, bit for bit, and the tree's nodes in postorder otherwise.
-The reused float is the one a per-node computation would give, so the
-answers are unchanged bit for bit.
+an equal eps, and the tree's nodes in postorder otherwise, with the
+answers of a per-node computation bit for bit (see strategy_table).
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -52,7 +51,6 @@ check on the closed form, importing it (and numpy) only then.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 from . import cheat_model
@@ -218,22 +216,19 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
 def _triples(up, model: CheatModel, strategy) -> tuple[list[float], ...]:
     # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0.
     # Each distinct eps costs one scalar cheat_model.triple call, which
-    # checks it, and every later row with that eps one memo lookup.  -0.0
-    # equals 0.0 as a dict key, but the prime model's pc = a*eps tells them
-    # apart, so -0.0 is memoized under its own key, None.
+    # checks it, and every later row with an equal eps one memo lookup.
     size = len(strategy)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
-    memo: dict[float | None, OutcomeTriple] = {}
+    memo: dict[float, OutcomeTriple] = {}
     for i, (eps, u) in enumerate(zip(strategy, up)):
         if u < 0:
             if eps != 0.0:
                 raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
                                  f"postorder position {i}; leaves take 0.0")
             continue
-        key = eps if eps or math.copysign(1.0, eps) > 0.0 else None
-        t = memo.get(key)
+        t = memo.get(eps)
         if t is None:
-            t = memo[key] = cheat_model.triple(model, eps)
+            t = memo[eps] = cheat_model.triple(model, eps)
         p0[i], p1[i], pc[i] = t
     return p0, p1, pc
 
@@ -243,38 +238,25 @@ def strategy_table(ann: TreeAnnotation, model: CheatModel,
     """The node table a tree pass runs on: (P_W, up, down, p0, p1, pc) columns.
 
     It is the DAG, one row per distinct subtree, when every copy of each
-    distinct subtree carries the same eps, and the tree's nodes in
+    distinct subtree carries an equal eps, and the tree's nodes in
     postorder otherwise.  Either way children come before parents, the
     root is last, leaves have up and down -1, and every row's triple is
     that of each node it stands for.  The strategy is checked where it is
     read, in the same order: a DAG row takes the eps of its first node in
     postorder, so an eps the model refuses is the same in either table.
     """
+    # 0.0 and -0.0 are equal here, and in _triples' memo, though the prime
+    # model's pc = a*eps keeps the sign.  No answer can see it: p0 and p1
+    # are the same floats at either zero in both boxes; pc enters only
+    # exact_outcome's pc + p0*oc[u] + p1*oc[dn], where every child's catch
+    # is +0.0 or positive (a leaf's is +0.0), so a -0.0 pc gives the same
+    # bits; and simulate's tables read only p0 and p0 + p1.
     _check_list(ann, strategy)
     by_row = [0.0 if i < 0 else strategy[i] for i in ann.dag_at]
-    if _copies_agree(ann, by_row, strategy):
+    if list(map(by_row.__getitem__, ann.row)) == strategy:
         return (ann.dag_p_w, ann.dag_up, ann.dag_down,
                 *_triples(ann.dag_up, model, by_row))
     return (ann.p_w, ann.up, ann.down, *_triples(ann.up, model, strategy))
-
-
-def _copies_agree(ann: TreeAnnotation, by_row: list, strategy: Strategy) -> bool:
-    # Does every node carry its row's eps, bit for bit?  Equal values can
-    # still differ in the sign of a zero, which the prime model's pc = a*eps
-    # keeps, so where an internal row's eps is a zero the doubles' bytes
-    # are compared too.  Leaves take no triple, so a leaf's -0.0 (which the
-    # check accepts, as it accepts 0.0) matters only then.  A leaf given a
-    # nonzero eps makes the lists differ, and the postorder table's check
-    # refuses it.
-    spread = list(map(by_row.__getitem__, ann.row))
-    if spread != strategy:
-        return False
-    if all(eps != 0.0 for eps, u in zip(by_row, ann.dag_up) if u >= 0):
-        return True
-    try:
-        return array("d", spread).tobytes() == array("d", strategy).tobytes()
-    except (TypeError, OverflowError):  # not floats: the postorder check refuses them
-        return False
 
 
 def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> OutcomeTriple:

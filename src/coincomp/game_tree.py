@@ -80,7 +80,7 @@ _TOO_DEEP = f"tree depth exceeds {MAX_DEPTH}; dyadic exactness would be lost"
 
 
 class TreeParseError(ValueError):
-    """Malformed tree document; message names the offending node path."""
+    """Malformed tree document; message names the node path or repeated key."""
 
 
 @dataclass(frozen=True)
@@ -238,20 +238,31 @@ def parse_tree(text: str) -> GameTree:
     document in the schema spells one "leaf" or "flip" key per node, so one
     with more of them than MAX_NODES is rejected before it is decoded;
     escaped spellings only lower the count, and the node counter of the
-    parse itself catches those.
+    parse itself catches those.  An object may not repeat a key.
     """
     keys = text.count('"leaf"') + text.count('"flip"')
     if keys > MAX_NODES:
         raise TreeParseError(f"the document spells {keys} 'leaf' and 'flip' "
                              f"keys and passes the budget of {MAX_NODES} nodes")
     try:
-        doc = json.loads(text, parse_int=_label_int)
+        doc = json.loads(text, parse_int=_label_int, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise TreeParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise TreeParseError(f"invalid JSON: nested too deeply for a tree of "
                              f"depth <= {MAX_DEPTH}") from None
     return _parse_node(doc, "", [MAX_NODES], {})
+
+
+def unique_keys(pairs: list) -> dict:
+    """json.loads's object_pairs_hook: a dict, refusing a repeated key,
+    whose earlier values a dict would drop."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise TreeParseError(f"repeated key {key!r} in one object")
+    return obj
 
 
 def _label_int(literal: str) -> int:

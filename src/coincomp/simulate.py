@@ -18,7 +18,7 @@ counted as overruns and settled by draw step_cap against the honest value
 
 Both games share one phase-1 loop.  A game is a set of per-node tables:
 composer.strategy_table's rows for a tree (the DAG of its distinct
-subtrees when every copy of a subtree carries the same eps, its nodes in
+subtrees when every copy of a subtree carries an equal eps, its nodes in
 postorder otherwise), sites -N..N as nodes 0..2N for a walk, plus one
 sink node for caught trials.  The loop draws a step-major
 block of up to 64 steps for every uncaught trial in one call, row j
@@ -64,7 +64,7 @@ A tree game takes its strategy as the library's one tree strategy form, a
 list of eps in annotate's postorder (composer.strategy_from_paths reads a
 path-keyed one), and reads it through composer.strategy_table, which
 checks it once and makes one scalar cheat_model.triple call per distinct
-eps (with -0.0 kept apart from 0.0).  A trial at a row draws against the
+eps, taking -0.0 as 0.0.  A trial at a row draws against the
 row's thresholds, which are those of every node the row stands for, so
 the DAG and the postorder table play every trial alike: the
 leading-order best-of-15 strategy at eps_tot 0.2 runs on 66 rows, not

@@ -919,6 +919,26 @@ BAD_POLICY_TEXTS = st.one_of(
         lambda key: json.dumps({**{k: 0.01 for k in _N2_SITES}, key: 0.01})),
 )
 
+# valid documents but for one key given twice: json.loads alone keeps the
+# key's last value, and each would run as some other valid input
+_FLIP = '{"flip":{'
+REPEATED_KEY_CASES = st.one_of(
+    st.tuples(st.just("tree"), st.sampled_from([
+        '{"leaf":0,"leaf":1}',
+        '{"flip":{"up":{"leaf":0},"up":{"leaf":1},"down":{"leaf":1}}}',
+        CANONICAL_BEST_OF_3.replace('{"leaf":0}', '{"leaf":0,"leaf":1}', 1),
+        _FLIP + '"down":{"leaf":0},' + CANONICAL_BEST_OF_3[len(_FLIP):]])),
+    st.tuples(st.just("strategy"), st.sampled_from(_BO3_INTERNAL).map(
+        lambda key: "{" + "".join(f'"{k}": 0.01, ' for k in _BO3_INTERNAL)
+        + f'"{key}": 0.3' + "}")),
+    st.tuples(st.just("strategy"), st.just(
+        '{"strategy": {"": 0.3}, "strategy": '
+        + json.dumps({k: 0.01 for k in _BO3_INTERNAL}) + "}")),
+    st.tuples(st.just("policy"), st.sampled_from(_N2_SITES).map(
+        lambda key: "{" + "".join(f'"{k}": 0.01, ' for k in _N2_SITES)
+        + f'"{key}": 0.2' + "}")),
+)
+
 
 def _guard_run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -934,8 +954,19 @@ def test_malformed_input_exits_1(tmp_path_factory, data, workers):
     tree_file = folder / "tree.json"
     tree_file.write_text(CANONICAL_BEST_OF_3)
     kind = data.draw(st.sampled_from(["flag", "model", "tree", "strategy",
-                                      "policy"]))
-    if kind == "flag":
+                                      "policy", "repeated"]))
+    if kind == "repeated":
+        # refused, naming the key, before any payload
+        file_kind, text = data.draw(REPEATED_KEY_CASES)
+        path = folder / f"{file_kind}.json"
+        path.write_text(text)
+        path = str(path)
+        argv = {"tree": ["tree", "analyze", "--in", path],
+                "strategy": ["simulate", "--tree", "TREE", "--model", "prime:a=1",
+                             "--strategy", path, "--trials", "20"],
+                "policy": ["simulate", "--walk", "--n", "2", "--model", "prime:a=1",
+                           "--policy", path, "--trials", "20"]}[file_kind]
+    elif kind == "flag":
         base, flag, values = data.draw(st.sampled_from(FLAG_CASES))
         i = base.index(flag)
         argv = base[:i] + [f"{flag}={data.draw(values)}"] + base[i + 2:]
@@ -972,3 +1003,7 @@ def test_malformed_input_exits_1(tmp_path_factory, data, workers):
     assert code == 1, (argv, err)
     assert out == "" or json.loads(out) is not None
     assert err.startswith("error:")
+    if kind == "repeated":
+        assert out == ""
+        assert err.endswith(" in one object\n") and err.count("\n") == 1
+        assert "repeated key '" in err

@@ -75,6 +75,11 @@ class TestParse:
         ('{"flip": {"up": {"leaf": 0}, "down": {"flip": {"up": {"leaf": 1}, '
          '"down": {"leaf": 0}, "b": 1, "a": 2}}}}',
          "node at path 'D': unexpected keys ['a', 'b']"),
+        # a dict keeps a repeated key's last value: these read as Leaf(1)
+        # and Flip(Leaf(1), Leaf(1))
+        ('{"leaf": 0, "leaf": 1}', "repeated key 'leaf' in one object"),
+        ('{"flip": {"up": {"leaf": 0}, "up": {"leaf": 1}, "down": {"leaf": 1}}}',
+         "repeated key 'up' in one object"),
     ]
 
     @pytest.mark.parametrize("bad, message", MALFORMED,
