@@ -717,6 +717,58 @@ class TestDagTable:
         assert simulate.simulate_tree(shared, model, strategy, 3000, 17) == \
             simulate.simulate_tree(plain, model, strategy, 3000, 17)
 
+    @settings(max_examples=80, deadline=None)
+    @given(tree=fair_trees(), seed=st.integers(0, 2 ** 32),
+           model=st.sampled_from(_OUTCOME_MODELS + [_PRIME]), per_row=st.booleans())
+    def test_table_follows_the_strategy(self, tree, seed, model, per_row):
+        # eps drawn per DAG row runs on the DAG; eps drawn per node, which
+        # gives copies of one subtree different eps, runs on the postorder
+        # table unless the draws happen to agree by value.  Either way the
+        # outcome is the recursion's, bit for bit.
+        ann = game_tree.annotate(tree)
+        pick = random.Random(seed).choice
+        values = _PRIME_EPS_VALUES if model == _PRIME else _EPS_VALUES
+        if per_row:
+            eps = [pick(values) if u >= 0 else 0.0 for u in ann.dag_up]
+            strategy = [eps[k] for k in ann.row]
+        else:
+            strategy = [pick(values) if u >= 0 else 0.0 for u in ann.up]
+        copies = {}
+        for k, e in zip(ann.row, strategy):
+            copies.setdefault(k, set()).add(e)
+        agree = all(len(equal) == 1 for equal in copies.values())
+        assert agree or not per_row
+        table = composer.strategy_table(ann, model, strategy)
+        assert len(table[1]) == (len(ann.dag_up) if agree else len(ann.row))
+        named = composer.strategy_to_paths(ann, strategy)
+        assert [repr(x) for x in composer.exact_outcome(tree, model, strategy)] \
+            == [repr(x) for x in float_pass(tree, model, named)]
+
+    def test_copies_with_both_zeros_run_on_the_postorder_table(self):
+        # a subtree given 0.0 on one copy and -0.0 on another, beside a node
+        # whose copies truly differ, runs on the postorder table with the
+        # answers of +0.0 on both copies; without that other difference the
+        # zero copies agree by value and run on the DAG, with the same answers
+        sub = game_tree.gen_best_of(3)
+        tree = game_tree.Flip(sub, game_tree.Flip(sub, game_tree.Leaf(1)))
+        ann = game_tree.annotate(tree)
+        for zero in (0.0, -0.0):
+            for differ, rows in ((0.05, len(ann.row)), (0.1, len(ann.dag_up))):
+                named = {p: 0.1 for p, _ in ann.internal()}
+                named["UD"], named["DUD"], named["DUU"] = zero, -zero, differ
+                strategy = composer.strategy_from_paths(ann, named)
+                table = composer.strategy_table(ann, _PRIME, strategy)
+                assert len(table[1]) == rows
+                plus = composer.strategy_from_paths(
+                    ann, {p: abs(e) for p, e in named.items()})
+                assert [[x.hex() for x in col] for col in table[3:5]] == \
+                    [[x.hex() for x in col]
+                     for col in composer.strategy_table(ann, _PRIME, plus)[3:5]]
+                outcome = [repr(x) for x in composer.exact_outcome(tree, _PRIME, strategy)]
+                assert outcome == [repr(x) for x in float_pass(tree, _PRIME, named)]
+                assert outcome == \
+                    [repr(x) for x in composer.exact_outcome(tree, _PRIME, plus)]
+
     @settings(max_examples=60, deadline=None)
     @given(tree=generated_trees(), seed=st.integers(0, 2 ** 32),
            model=st.sampled_from(_OUTCOME_MODELS + [_PRIME]), per_row=st.booleans())
@@ -782,6 +834,43 @@ class TestDagTable:
 class TestStrategyTriples:
     """A strategy's per-node triples over the postorder table: composer's
     _triples, which strategy_table calls on either table."""
+
+    # repeated values and both zeros; prime takes eps >= 0, so -0.0 too
+    MIXED = [0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 0.05, 0.1, -0.0, 0.05, 0.0,
+             -0.0, 0.1, 0.05, 0.0]
+
+    @pytest.mark.parametrize("model", [CheatModel(2.0, 1.0, cheat_model.PRIME),
+                                       CheatModel(1.0, 2.0),
+                                       CheatModel(0.5, 3.0)],
+                             ids=["prime", "std-b2", "std-b3"])
+    def test_memo_matches_scalar_calls_bit_for_bit(self, model, monkeypatch):
+        tree = game_tree.gen_full(4, [0, 1] * 8)
+        ann = game_tree.annotate(tree)
+        paths = [p for p, _ in ann.internal()]
+        values = self.MIXED if model.variant == cheat_model.PRIME else \
+            [e * s for e, s in zip(self.MIXED, itertools.cycle([1, -1, 1]))]
+        named = dict(zip(paths, values))
+        want = {p: cheat_model.triple(model, e).as_tuple() for p, e in named.items()}
+        strategy = composer.strategy_from_paths(ann, named)
+        calls, real = [], cheat_model.triple
+
+        def counted(model, eps):
+            calls.append(eps)
+            return real(model, eps)
+
+        monkeypatch.setattr(cheat_model, "triple", counted)
+        got = composer._triples(ann.up, model, strategy)
+        for i, (at, u) in enumerate(zip(ann.path, ann.up)):
+            if u >= 0:
+                # the memo keys 0.0 and -0.0 as one eps, so a zero node may
+                # read the pc of the other zero: equal, and +-0.0 either way
+                p0, p1, pc = (t[i] for t in got)
+                assert [p0.hex(), p1.hex()] == [w.hex() for w in want[at][:2]], at
+                assert pc == want[at][2], at
+                if named[at] != 0.0:
+                    assert pc.hex() == want[at][2].hex(), at
+        # one scalar call per distinct value, 0.0 and -0.0 being one
+        assert len(calls) == len(set(values))
 
     @pytest.mark.parametrize("model, bad", [
         (CheatModel(1.0, 2.0), 0.7), (CheatModel(1.0, 2.0), math.nan),
