@@ -36,10 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _read_json(path: str, kind: str) -> str:
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} file {path}: not UTF-8: {exc}") from None
+
+
 def _read_tree(path: str) -> game_tree.GameTree:
     from . import game_tree
 
-    return game_tree.parse_tree(Path(path).read_text())
+    return game_tree.parse_tree(_read_json(path, "tree"))
 
 
 def _emit(payload) -> None:
@@ -164,10 +172,11 @@ def _number_map(arg: str, kind: str) -> dict[str, float]:
     """A JSON file's object of finite numbers, maybe under a `kind` key."""
     from . import game_tree  # loaded already: both callers simulate a game
 
+    text = _read_json(arg, kind)
     try:
         # float(s) rounds an integer as float(int(s)) does, with no digit
         # limit (too large is inf); + 0.0 reads "-0" as 0.0, as int() does
-        data = json.loads(Path(arg).read_text(),
+        data = json.loads(text,
                           parse_int=lambda s: float(s) + 0.0,
                           object_pairs_hook=game_tree.unique_keys)
     except json.JSONDecodeError as exc:
@@ -202,7 +211,7 @@ def _strategy_from_arg(arg: str, tree, model: CheatModel) -> composer.Strategy:
         return composer.leading_order(tree, model.a, model.b, eps_tot).strategy
     ann = game_tree.annotate(tree)
     if arg == "honest":
-        return [0.0] * len(ann.row)
+        return [0.0] * len(ann.dag_up)  # one eps per DAG row
     return composer.strategy_from_paths(ann, _number_map(arg, "strategy"))
 
 

@@ -19,30 +19,36 @@ walk module solves only the walk game.  leading_order, a_new_of_b and
 derivative_in_b check their arguments in one place, _closed_form.
 exact_outcome reads only each node's (p0, p1, pc), so it takes either box.
 
-In the library a tree strategy is one list of eps in annotate's postorder,
-0.0 at every leaf: leading_order and brute_force_min_pc return it, and
-strategy_table, exact_outcome and simulate.simulate_tree take it.  The
-path-keyed dicts of the JSON documents exist only at that edge, through
-one converter pair: strategy_to_paths writes one, strategy_from_paths
-reads one and refuses a missing or an extra path.
+In the library a tree strategy is a list of eps, 0.0 at every leaf, in
+one of two lengths.  Per DAG row of annotate, one eps per distinct
+subtree, is the form leading_order returns: its optimum gives equal
+subtrees equal eps.  Per node, in annotate's postorder, is the form for
+a strategy whose copies of a subtree may differ: strategy_from_paths and
+brute_force_min_pc return it.  strategy_table, exact_outcome and
+simulate.simulate_tree take either, told apart by the list's length.
+The path-keyed dicts of the JSON documents exist only at that edge,
+through one converter pair: strategy_to_paths writes one from either
+form, strategy_from_paths reads one and refuses a missing or an extra
+path.
 
 The tree passes (leading_order, a_new_of_b, exact_outcome and
-simulate_tree) read annotate's DAG columns and occurrence column, never
-its path column, and write into lists made once per call, never a
-container per node, so a pass leaves nothing for Python's cyclic garbage
-collector to scan or free.  What depends on a subtree alone is computed
+simulate_tree) read annotate's DAG columns, and its occurrence column
+only for a per-node strategy, never its path column, and write into
+lists made once per call, never a container per node, so a pass leaves
+nothing for Python's cyclic garbage collector to scan or free.  What depends on a subtree alone is computed
 once per distinct subtree: a best-of-15 tree has 12,869 internal nodes
 but 64 distinct internal subtrees.  _closed_form computes
-|Delta|**(b/(b-1)) once per DAG row; leading_order computes eps once per
-DAG row and spreads it over the nodes with one pass over the occurrence
-column.  S, derivative_in_b's L and lemma_sum are each one call of
-TreeAnnotation.node_sum on a value per row: one pass over the DAG rows,
-children before parents, each row adding its value to half its
-children's totals, so the sums cost one step per distinct subtree.
-exact_outcome and simulate_tree run one loop over a node table from
-strategy_table: the DAG when every copy of each distinct subtree carries
-an equal eps, and the tree's nodes in postorder otherwise, with the
-answers of a per-node computation bit for bit (see strategy_table).
+|Delta|**(b/(b-1)) once per DAG row, and leading_order computes eps once
+per DAG row and returns that list.  S, derivative_in_b's L and lemma_sum
+are each one call of TreeAnnotation.node_sum on a value per row: one
+pass over the DAG rows, children before parents, each row adding its
+value to half its children's totals, so the sums cost one step per
+distinct subtree.  exact_outcome and simulate_tree run one loop over a
+node table from strategy_table: the DAG for a per-row strategy, and for
+a per-node one whose copies of each distinct subtree carry an equal eps,
+and the tree's nodes in postorder otherwise, with the answers of a
+per-node computation bit for bit (see strategy_table).  So a per-row
+strategy costs O(rows) from leading_order to the answer.
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -57,16 +63,18 @@ from . import cheat_model
 from .cheat_model import CheatModel, OutcomeTriple
 from .game_tree import GameTree, TreeAnnotation, annotate
 
-Strategy = list[float]  # eps per node in annotate's postorder, 0.0 at leaves
+# eps per DAG row, or per node in annotate's postorder; 0.0 at leaves
+Strategy = list[float]
 
 
 @dataclass(frozen=True)
 class CompositionResult:
-    """Leading-order optimum: composed sensitivity, multiplier, per-node biases.
+    """Leading-order optimum: composed sensitivity, multiplier, per-row biases.
 
-    The tree is kept for to_json_dict, which names the nodes by path; its
-    annotation is not, so a held result costs its strategy plus the
-    columns the tree keeps from its first annotate (see game_tree).
+    The strategy holds one eps per DAG row of annotate(tree).  The tree is
+    kept for to_json_dict, which names the nodes by path; its annotation
+    is not, so a held result costs its strategy plus the columns the tree
+    keeps from its first annotate (see game_tree).
     """
 
     a_new: float
@@ -90,8 +98,13 @@ class CompositionResult:
 
 
 def strategy_to_paths(ann: TreeAnnotation, strategy: Strategy) -> dict[str, float]:
-    """Path -> eps of every internal node, in postorder: the JSON edge's form."""
-    _check_list(ann, strategy)
+    """Path -> eps of every internal node, in postorder: the JSON edge's form.
+
+    A per-row strategy is spread over the nodes first, each node taking
+    its row's eps.
+    """
+    if _check_list(ann, strategy):
+        strategy = list(map(strategy.__getitem__, ann.row))
     return {at: eps for at, eps, u in zip(ann.path, strategy, ann.up) if u >= 0}
 
 
@@ -116,14 +129,27 @@ def strategy_from_paths(ann: TreeAnnotation, by_path: dict[str, float]) -> Strat
     return strategy
 
 
-def _check_list(ann: TreeAnnotation, strategy: Strategy) -> None:
+def _check_list(ann: TreeAnnotation, strategy: Strategy) -> bool:
+    # True for a per-row strategy, False for a per-node one.  The lengths
+    # are equal only when the tree has at most one Flip.  A tree of I
+    # internal nodes has 2I + 1 nodes; with a Flip at the root its DAG has
+    # the two leaf rows and one row per distinct Flip, at most I of them,
+    # so 2I + 1 <= I + 2 and I <= 1.  That leaves a lone leaf, whose one
+    # row is its one node, and Flip(Leaf, Leaf), whose rows and nodes are
+    # both leaf, leaf, root.  Leaves take 0.0, so a list that either
+    # reading accepts is [0.0] or [0.0, 0.0, e], and means the same table
+    # in both.
     if not isinstance(strategy, list):
-        raise ValueError(f"a tree strategy is a list of eps in postorder, got "
-                         f"{type(strategy).__name__}; strategy_from_paths "
-                         "reads a path-keyed one")
+        raise ValueError(f"a tree strategy is a list of eps per DAG row or per "
+                         f"node in postorder, got {type(strategy).__name__}; "
+                         "strategy_from_paths reads a path-keyed one")
+    if len(strategy) == len(ann.dag_up):
+        return True
     if len(strategy) != len(ann.row):
-        raise ValueError(f"strategy has {len(strategy)} entries, the tree has "
-                         f"{len(ann.row)} nodes")
+        raise ValueError(f"strategy has {len(strategy)} entries; the tree takes "
+                         f"one per DAG row ({len(ann.dag_up)}) or one per node "
+                         f"({len(ann.row)})")
+    return False
 
 
 def _check_eps_tot(eps_tot: float) -> None:
@@ -166,17 +192,16 @@ def _closed_form(name: str, tree: GameTree, a: float,
 def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> CompositionResult:
     """Closed-form optimal small-bias strategy and the composed a_new.
 
-    Requires b > 1 and a fair tree: at b = 1 the package solves only the
-    walk game, not trees.  Nodes with Delta = 0 cannot move the outcome
-    and get eps = 0, as do the leaves.  Biases exceeding 1/2 in magnitude
-    (possible when b != 2) are clamped and reported through the clipped
-    flag.
+    The strategy has one eps per DAG row of annotate(tree).  Requires b > 1
+    and a fair tree: at b = 1 the package solves only the walk game, not
+    trees.  Nodes with Delta = 0 cannot move the outcome and get eps = 0,
+    as do the leaves.  Biases exceeding 1/2 in magnitude (possible when
+    b != 2) are clamped and reported through the clipped flag.
     """
     _check_eps_tot(eps_tot)
     ann, s, _ = _closed_form("leading_order", tree, a, b)
 
     expo = 1.0 / (b - 1.0)
-    # eps per DAG row, then per node
     by_row = [0.0] * len(ann.dag_delta)
     clipped = False
     for k, gap in enumerate(ann.dag_delta):
@@ -186,12 +211,11 @@ def leading_order(tree: GameTree, a: float, b: float, eps_tot: float) -> Composi
                 eps = math.copysign(0.5, eps)
                 clipped = True
             by_row[k] = eps
-    strategy = list(map(by_row.__getitem__, ann.row))
 
     a_new = a * s ** (1.0 - b)
     lam = math.copysign(a * b * (abs(eps_tot) / s) ** (b - 1.0), eps_tot)
     predicted_pc = a_new * abs(eps_tot) ** b
-    return CompositionResult(a_new, lam, strategy, eps_tot, predicted_pc, clipped,
+    return CompositionResult(a_new, lam, by_row, eps_tot, predicted_pc, clipped,
                              tree)
 
 
@@ -213,10 +237,12 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 
-def _triples(up, model: CheatModel, strategy) -> tuple[list[float], ...]:
-    # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0.
-    # Each distinct eps costs one scalar cheat_model.triple call, which
-    # checks it, and every later row with an equal eps one memo lookup.
+def _triples(up, model: CheatModel, strategy,
+             where: str = "postorder position") -> tuple[list[float], ...]:
+    # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0;
+    # `where` names a row in the leaf message.  Each distinct eps costs
+    # one scalar cheat_model.triple call, which checks it, and every later
+    # row with an equal eps one memo lookup.
     size = len(strategy)
     p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
     memo: dict[float, OutcomeTriple] = {}
@@ -224,7 +250,7 @@ def _triples(up, model: CheatModel, strategy) -> tuple[list[float], ...]:
         if u < 0:
             if eps != 0.0:
                 raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
-                                 f"postorder position {i}; leaves take 0.0")
+                                 f"{where} {i}; leaves take 0.0")
             continue
         t = memo.get(eps)
         if t is None:
@@ -237,13 +263,15 @@ def strategy_table(ann: TreeAnnotation, model: CheatModel,
                    strategy: Strategy) -> tuple[list, ...]:
     """The node table a tree pass runs on: (P_W, up, down, p0, p1, pc) columns.
 
-    It is the DAG, one row per distinct subtree, when every copy of each
-    distinct subtree carries an equal eps, and the tree's nodes in
+    A per-row strategy gives the DAG, one row per distinct subtree, built
+    straight from the list.  A per-node one gives the DAG when every copy
+    of each distinct subtree carries an equal eps, and the tree's nodes in
     postorder otherwise.  Either way children come before parents, the
     root is last, leaves have up and down -1, and every row's triple is
     that of each node it stands for.  The strategy is checked where it is
-    read, in the same order: a DAG row takes the eps of its first node in
-    postorder, so an eps the model refuses is the same in either table.
+    read, in the same order: a DAG row of a per-node strategy takes the
+    eps of its first node in postorder, so an eps the model refuses is the
+    same in either table.
     """
     # 0.0 and -0.0 are equal here, and in _triples' memo, though the prime
     # model's pc = a*eps keeps the sign.  No answer can see it: p0 and p1
@@ -251,16 +279,17 @@ def strategy_table(ann: TreeAnnotation, model: CheatModel,
     # exact_outcome's pc + p0*oc[u] + p1*oc[dn], where every child's catch
     # is +0.0 or positive (a leaf's is +0.0), so a -0.0 pc gives the same
     # bits; and simulate's tables read only p0 and p0 + p1.
-    _check_list(ann, strategy)
-    by_row = [0.0 if i < 0 else strategy[i] for i in ann.dag_at]
-    if list(map(by_row.__getitem__, ann.row)) == strategy:
-        return (ann.dag_p_w, ann.dag_up, ann.dag_down,
-                *_triples(ann.dag_up, model, by_row))
-    return (ann.p_w, ann.up, ann.down, *_triples(ann.up, model, strategy))
+    if not _check_list(ann, strategy):
+        by_row = [0.0 if i < 0 else strategy[i] for i in ann.dag_at]
+        if list(map(by_row.__getitem__, ann.row)) != strategy:
+            return (ann.p_w, ann.up, ann.down, *_triples(ann.up, model, strategy))
+        strategy = by_row
+    return (ann.dag_p_w, ann.dag_up, ann.dag_down,
+            *_triples(ann.dag_up, model, strategy, "DAG row"))
 
 
 def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> OutcomeTriple:
-    """Exact game outcome (p0, p1, pc) under a full per-node strategy.
+    """Exact game outcome (p0, p1, pc) under a per-row or per-node strategy.
 
     No leading-order approximation: one bottom-up pass over strategy_table's
     rows, weighting children by the row's triple and accumulating catch
@@ -285,8 +314,9 @@ def brute_force_min_pc(tree: GameTree, model: CheatModel, eps_tot: float,
 
     Over strategies with every eps(x) on the grid of multiples of grid_step,
     restricted to those whose exact win excess reaches eps_tot*(1 - grid_step),
-    returns a strategy of minimum exact catch probability, a list in
-    annotate's postorder, and that minimum.
+    returns a strategy of minimum exact catch probability, a per-node list
+    in annotate's postorder (copies of a subtree may differ), and that
+    minimum.
     eps_tot must be finite with |eps_tot| <= 1/2.  Small trees only; the
     search is exact over the full grid product.  A one-pass search for the
     largest win comes first, and a target that no grid strategy reaches is

@@ -6,8 +6,9 @@ frontiers of (win, catch) probability: the same minimum as a literal
 product loop, in feasible time.  It is the independent check on composer's
 closed form, so it reads only the annotated tree and never calls composer.
 It reads the annotation's columns, not its path column, and returns the
-strategy it found as the library's one tree strategy form: a list of eps
-in the annotation's postorder, 0.0 at the leaves.
+strategy it found in the library's per-node form, in which copies of a
+subtree may differ: a list of eps in the annotation's postorder, 0.0 at
+the leaves.
 """
 
 from __future__ import annotations

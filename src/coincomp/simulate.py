@@ -18,8 +18,9 @@ counted as overruns and settled by draw step_cap against the honest value
 
 Both games share one phase-1 loop.  A game is a set of per-node tables:
 composer.strategy_table's rows for a tree (the DAG of its distinct
-subtrees when every copy of a subtree carries an equal eps, its nodes in
-postorder otherwise), sites -N..N as nodes 0..2N for a walk, plus one
+subtrees for a per-row strategy, or a per-node one whose copies of each
+subtree carry an equal eps, and its nodes in postorder otherwise), sites
+-N..N as nodes 0..2N for a walk, plus one
 sink node for caught trials.  The loop draws a step-major
 block of up to 64 steps for every uncaught trial in one call, row j
 holding draw k + j of each, and about 2**14 draws in all, so a block of
@@ -60,16 +61,17 @@ and the draws a walk makes after its absorption or past the cap are never
 read, so every count is the one a one-draw-per-pass loop over all trials
 would give.
 
-A tree game takes its strategy as the library's one tree strategy form, a
-list of eps in annotate's postorder (composer.strategy_from_paths reads a
-path-keyed one), and reads it through composer.strategy_table, which
-checks it once and makes one scalar cheat_model.triple call per distinct
-eps, taking -0.0 as 0.0.  A trial at a row draws against the
-row's thresholds, which are those of every node the row stands for, so
-the DAG and the postorder table play every trial alike: the
-leading-order best-of-15 strategy at eps_tot 0.2 runs on 66 rows, not
-25,739, with only 26 distinct eps.  Timings before and after are in the
-README's Monte Carlo section.
+A tree game takes its strategy as a list of eps, one per DAG row of
+annotate (leading_order's form) or one per node in its postorder (the
+form composer.strategy_from_paths reads a path-keyed one into), and
+reads it through composer.strategy_table, which checks it once and makes
+one scalar cheat_model.triple call per distinct eps, taking -0.0 as 0.0.
+A trial at a row draws against the row's thresholds, which are those of
+every node the row stands for, so the DAG and the postorder table play
+every trial alike: the leading-order best-of-15 strategy at eps_tot 0.2
+is 66 eps, one per row, and runs on those 66 rows, not 25,739 nodes,
+with only 26 distinct eps.  Timings before and after are in the README's
+Monte Carlo section.
 """
 
 from __future__ import annotations

@@ -67,6 +67,12 @@ def unshared(node):
     return game_tree.Flip(unshared(node.up), unshared(node.down))
 
 
+def per_node(tree, by_row):
+    """A per-row strategy (one eps per DAG row) spread over the tree's
+    nodes, in postorder: each node takes its row's eps."""
+    return [by_row[k] for k in game_tree.annotate(tree).row]
+
+
 def distinct_flips(tree):
     """Every distinct Flip object of the tree, by identity."""
     found, todo = {}, [tree]

@@ -649,6 +649,37 @@ class TestNonFiniteInput:
         assert capsys.readouterr().out == ""
 
 
+class TestNotUtf8:
+    """JSON files are read as UTF-8 (RFC 8259), whatever the locale says: a
+    byte that does not decode names the file and its kind, and exits 1."""
+
+    # one case per reader, with the file given as BAD
+    READERS = {
+        "tree-analyze": ("tree", ["tree", "analyze", "--in", "BAD"]),
+        "simulate-tree": ("tree", ["simulate", "--tree", "BAD", "--model",
+                                   "std:a=1,b=2", "--strategy", "honest",
+                                   "--trials", "10"]),
+        "strategy": ("strategy", ["simulate", "--tree", "TREE", "--model",
+                                  "std:a=1,b=2", "--strategy", "BAD",
+                                  "--trials", "10"]),
+        "policy": ("policy", ["simulate", "--walk", "--n", "2", "--model",
+                              "prime:a=1", "--policy", "BAD", "--trials", "10"]),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_names_the_file_and_exits_1(self, capsys, tmp_path, bo3_file, reader):
+        kind, argv = self.READERS[reader]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"leaf": \xff}')
+        argv = [{"BAD": str(bad), "TREE": bo3_file}.get(a, a) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {kind} file {bad}: not UTF-8: 'utf-8' codec "
+                       "can't decode byte 0xff in position 9: invalid start "
+                       "byte\n")
+
+
 # the commands that take --seed, each valid as it stands
 SEEDED = {
     "tree-gen": ["tree", "gen", "--kind", "random-fair", "--depth", "3"],

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from coincomp import cheat_model, composer, game_tree, grid_oracle, simulate
 from coincomp.cheat_model import CheatModel
 from conftest import (SMALL_SUITE, deep_chain, generated_trees, json_digest,
-                      unshared)
+                      per_node, unshared)
 
 
 def by_path(tree, strategy):
@@ -306,7 +306,7 @@ class TestLeadingOrder:
         tree = LEADING_ORDER_TREES["best-of-5"]
         res = composer.leading_order(tree, 0.75, 1.5, -0.5)
         assert res.clipped
-        assert 0 < sum(abs(e) == 0.5 for e in res.strategy) < 19
+        assert 0 < sum(abs(e) == 0.5 for e in per_node(tree, res.strategy)) < 19
 
     def test_clipping_flagged(self):
         # a unit-delta node wants eps = eps_tot * S^{-1/(b-1)} ... large
@@ -481,15 +481,27 @@ def test_sums_match_a_recursion_over_the_objects(tree, copy):
         assert composer._closed_form("test", tree, 1.0, b)[1].hex() == s.hex()
         want = s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
         assert composer.derivative_in_b(tree, 1.0, b).hex() == want.hex()
-        eps_tot, strategy = 0.05, []
-        for x in deltas:
-            eps = 0.0
-            if x:
-                eps = eps_tot * math.copysign(abs(x) ** (1.0 / (b - 1.0)), x) / s
-                eps = max(-0.5, min(0.5, eps))
-            strategy.append(eps.hex())
-        assert [eps.hex() for eps in
-                composer.leading_order(tree, 1.0, b, eps_tot).strategy] == strategy
+        res = composer.leading_order(tree, 1.0, b, 0.05)
+        assert [eps.hex() for eps in per_node(tree, res.strategy)] == \
+            _object_strategy(tree, b, 0.05)
+
+
+def _object_strategy(tree, b, eps_tot):
+    """leading_order's strategy per node in postorder, as float.hex, from
+    the Flip and Leaf objects alone: eps_tot * sign(Delta) *
+    |Delta|**(1/(b-1)) / S clamped at 1/2, and 0.0 on leaves and where
+    Delta = 0."""
+    deltas = []
+    _postorder_deltas(tree, deltas)
+    s = _object_sum(tree, _weights(b)[0], {})[1]
+    strategy = []
+    for x in deltas:
+        eps = 0.0
+        if x:
+            eps = eps_tot * math.copysign(abs(x) ** (1.0 / (b - 1.0)), x) / s
+            eps = max(-0.5, min(0.5, eps))
+        strategy.append(eps.hex())
+    return strategy
 
 
 ACCURACY_TREES = {f"best-of-{n}": game_tree.gen_best_of(n) for n in range(3, 16, 2)}
@@ -692,8 +704,10 @@ def float_pass(tree, model, named):
 
 
 def _result_bits(res):
+    # the strategy spread over the nodes, which a shared tree and its
+    # unshared copy have alike
     return [repr(res.a_new), repr(res.lam), repr(res.predicted_pc), res.clipped,
-            [repr(eps) for eps in res.strategy]]
+            [repr(eps) for eps in per_node(res.tree, res.strategy)]]
 
 
 class TestDagTable:
@@ -711,7 +725,7 @@ class TestDagTable:
             assert _result_bits(composer.leading_order(shared, 0.7, b, 0.05)) == \
                 _result_bits(composer.leading_order(plain, 0.7, b, 0.05))
         model = CheatModel(0.7, 2.0)
-        strategy = composer.leading_order(shared, 0.7, 2.0, 0.2).strategy
+        strategy = per_node(shared, composer.leading_order(shared, 0.7, 2.0, 0.2).strategy)
         assert [repr(x) for x in composer.exact_outcome(shared, model, strategy)] \
             == [repr(x) for x in composer.exact_outcome(plain, model, strategy)]
         assert simulate.simulate_tree(shared, model, strategy, 3000, 17) == \
@@ -821,14 +835,87 @@ class TestDagTable:
         with pytest.raises(ValueError, match=re.escape(
                 f"eps = 0.2 to the leaf at postorder position {leaf};")):
             composer.exact_outcome(tree, model, bad)
-        # a root eps that is not a float, beside zeros on the other nodes,
-        # which the bytes of the doubles are compared for
+        # a root eps that is not a float, beside zeros on the other nodes:
+        # the copies agree by value, so the DAG table reads it, and
+        # cheat_model.triple refuses it as it would for any caller
         for eps, error, message in [
                 ("x", TypeError, "bad operand type for abs(): 'str'"),
                 (10 ** 400, ValueError, "standard model requires |eps| <= 1/2"),
                 (True, ValueError, "standard model requires |eps| <= 1/2, got True")]:
             with pytest.raises(error, match=f"^{re.escape(message)}"):
                 composer.exact_outcome(tree, model, [0.0] * (len(ann.row) - 1) + [eps])
+
+
+class TestPerRowStrategy:
+    """A strategy with one eps per DAG row: leading_order's form, read by
+    strategy_table straight into the DAG table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=st.one_of(generated_trees(), fair_trees()), copy=st.booleans(),
+           seed=st.integers(0, 2 ** 32))
+    @example(tree=game_tree.gen_best_of(15), copy=False, seed=0)
+    @example(tree=game_tree.Leaf(1), copy=False, seed=0)
+    def test_per_row_strategy_is_its_spread(self, tree, copy, seed):
+        # an unshared copy has one DAG row per node; copies stop at
+        # best-of-11's 1,847 nodes, so that the test stays well under a second
+        if copy and len(game_tree.annotate(tree).row) < 2000:
+            tree = unshared(tree)
+        ann = game_tree.annotate(tree)
+        cases = []
+        if ann.dag_up[-1] >= 0 and ann.p_w_root == 0.5:
+            for b in (1.5, 2.0, 3.0):
+                res = composer.leading_order(tree, 0.7, b, 0.05)
+                assert len(res.strategy) == len(ann.dag_up)
+                assert [eps.hex() for eps in per_node(tree, res.strategy)] == \
+                    _object_strategy(tree, b, 0.05)
+                cases.append((CheatModel(0.7, b), res.strategy))
+        else:  # leading_order refuses the tree: eps drawn per row
+            pick = random.Random(seed).choice
+            cases = [(model, [pick(_PRIME_EPS_VALUES) if u >= 0 else 0.0
+                              for u in ann.dag_up])
+                     for model in (CheatModel(1.0, 2.0), _PRIME)]
+        for model, by_row in cases:
+            spread = per_node(tree, by_row)
+            assert [x.hex() for x in composer.exact_outcome(tree, model, by_row)] \
+                == [x.hex() for x in composer.exact_outcome(tree, model, spread)]
+            assert simulate.simulate_tree(tree, model, by_row, 300, seed) == \
+                simulate.simulate_tree(tree, model, spread, 300, seed)
+            assert composer.strategy_to_paths(ann, by_row) == \
+                composer.strategy_to_paths(ann, spread)
+        # refusals: a length that is neither, a leaf row's eps, a non-list
+        model, by_row = cases[0]
+        rows, nodes = len(ann.dag_up), len(ann.row)
+        with pytest.raises(ValueError, match=re.escape(
+                f"strategy has {nodes + 1} entries; the tree takes one per DAG "
+                f"row ({rows}) or one per node ({nodes})")):
+            composer.exact_outcome(tree, model, by_row + [0.0] * (nodes + 1 - rows))
+        leaf = ann.dag_up.index(-1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"strategy gives eps = 0.1 to the leaf at DAG row {leaf}; "
+                "leaves take 0.0")):
+            composer.exact_outcome(tree, model, [0.1 if k == leaf else e
+                                                 for k, e in enumerate(by_row)])
+        with pytest.raises(ValueError, match="^a tree strategy is a list of eps "
+                                             "per DAG row or per node in "
+                                             "postorder, got tuple;"):
+            simulate.simulate_tree(tree, model, tuple(by_row), 10, seed)
+
+    @pytest.mark.parametrize("model", [CheatModel(1.0, 2.0), _PRIME],
+                             ids=["std", "prime"])
+    def test_one_flip_reads_alike_either_way(self, model):
+        # Flip(Leaf(1), Leaf(0)) has three rows (leaf 0, leaf 1, root) and
+        # three nodes (leaf 1, leaf 0, root): only the root takes an eps, so
+        # [0.0, 0.0, e] is one strategy per row and per node alike
+        tree = game_tree.Flip(game_tree.Leaf(1), game_tree.Leaf(0))
+        ann = game_tree.annotate(tree)
+        assert (ann.row, ann.dag_p_w) == ([1, 0, 2], [1.0, 0.0, 0.5])
+        strategy = [0.0, 0.0, 0.2]
+        assert composer.strategy_to_paths(ann, strategy) == {"": 0.2}
+        got = composer.exact_outcome(tree, model, strategy)
+        assert [x.hex() for x in got] == \
+            [x.hex() for x in float_pass(tree, model, {"": 0.2})]
+        with pytest.raises(ValueError, match="to the leaf at DAG row 0;"):
+            composer.exact_outcome(tree, model, [0.1, 0.0, 0.2])
 
 
 class TestStrategyTriples:
@@ -924,12 +1011,14 @@ class TestStrategyEdge:
         }[call]
         honest = {p: 0.0 for p, _ in ann.internal()}
         with pytest.raises(ValueError, match="^a tree strategy is a list of eps "
-                                             "in postorder, got dict; "
+                                             "per DAG row or per node in "
+                                             "postorder, got dict; "
                                              "strategy_from_paths reads a "
                                              "path-keyed one$"):
             run(honest)
-        with pytest.raises(ValueError, match="^strategy has 10 entries, the "
-                                             "tree has 11 nodes$"):
+        with pytest.raises(ValueError, match=re.escape(
+                "strategy has 10 entries; the tree takes one per DAG row (6) "
+                "or one per node (11)")):
             run([0.0] * 10)
         if call != "strategy_to_paths":  # which reads no eps
             # position 0 is the leaf UU
@@ -1593,7 +1682,7 @@ def test_leading_order_gives_zero_where_delta_is_zero(tree):
     for b in (1.5, 2.0, 3.0):
         for eps_tot in (0.05, -0.5):
             strategy = composer.leading_order(tree, 1.0, b, eps_tot).strategy
-            for gap, eps in zip(ann.delta, strategy):
+            for gap, eps in zip(ann.delta, per_node(tree, strategy)):
                 if not gap:
                     assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
                 else:

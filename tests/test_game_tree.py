@@ -574,7 +574,8 @@ class TestColumnCache:
         res.to_json_dict()
         ann = game_tree.annotate(tree)
         by_path = composer.strategy_to_paths(ann, res.strategy)
-        assert composer.strategy_from_paths(ann, by_path) == res.strategy
+        assert composer.strategy_from_paths(ann, by_path) == \
+            [res.strategy[k] for k in ann.row]
         game_tree.lemma_sum(tree)
         after = game_tree.annotate(tree)
         assert after.row is kept.row

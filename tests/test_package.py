@@ -1,6 +1,6 @@
 """Package surface: lazy exports, and commands that never load numpy.
 
-The four `without_numpy` tests use no conftest.py fixture and load no
+The five `without_numpy` tests use no conftest.py fixture and load no
 numpy in the test process, so CI also runs them, with --noconftest, where
 numpy is not installed.
 """
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coincomp
 from coincomp import game_tree
@@ -177,6 +179,39 @@ def test_compose_annotates_the_tree_once_without_numpy(monkeypatch, capsys,
     assert code == 0
     assert "exact" in json.loads(out)
     assert len(roots) == 1
+
+
+class _Unread(list):
+    """A column that refuses to be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("a pass iterated the occurrence column")
+
+
+def test_per_row_strategy_reads_no_occurrence_column_without_numpy(monkeypatch):
+    # leading_order returns one eps per DAG row and exact_outcome builds its
+    # table straight from that list, so neither iterates the occurrence
+    # column: 66 rows against 25,739 nodes on best-of-15
+    from coincomp import composer
+    from coincomp.cheat_model import CheatModel
+
+    tree = game_tree.gen_best_of(15)
+    model = CheatModel(1.0, 2.0)
+    want = composer.exact_outcome(tree, model,
+                                  composer.leading_order(tree, 1.0, 2.0, 0.1).strategy)
+    columns = game_tree.annotate(tree)
+    guarded = (columns.dag_p_w, columns.dag_delta, columns.dag_up,
+               columns.dag_down, columns.dag_at, _Unread(columns.row))
+    monkeypatch.setattr(composer, "annotate",
+                        lambda t: game_tree.TreeAnnotation(*guarded))
+    res = composer.leading_order(tree, 1.0, 2.0, 0.1)
+    assert len(res.strategy) == 66
+    assert composer.exact_outcome(tree, model, res.strategy) == want
+    # the guard is live: the same strategy spread over the nodes is read
+    # through the occurrence column
+    spread = [res.strategy[k] for k in list.__iter__(guarded[-1])]
+    with pytest.raises(AssertionError, match="occurrence column"):
+        composer.exact_outcome(tree, model, spread)
 
 
 def test_numpy_commands_fail_cleanly_without_numpy(tmp_path):

@@ -74,9 +74,11 @@ class TestTree:
         assert r.catches == 1_000
 
     def test_strategy_must_cover_internal_nodes(self, bo3):
-        # a list with an entry per node; a path-keyed one is read at the edge
-        with pytest.raises(ValueError, match="^strategy has 3 entries, the "
-                                             "tree has 11 nodes$"):
+        # a list with an entry per DAG row or per node; a path-keyed one is
+        # read at the edge
+        with pytest.raises(ValueError, match=re.escape(
+                "strategy has 3 entries; the tree takes one per DAG row (6) "
+                "or one per node (11)")):
             simulate.simulate_tree(bo3, CheatModel(1.0, 2.0), [0.0, 0.0, 0.0],
                                    10, 1)
         with pytest.raises(ValueError, match="missing node 'UD'"):
