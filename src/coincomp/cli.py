@@ -11,6 +11,16 @@ emitted quietly).
 commands import their modules when they run, and only
 `compose --brute-force` and `simulate` load numpy.  Without numpy those two
 exit 1 with a one-line error.
+
+`main()` is the in-process API: it returns the exit code.  `entry()`, the
+console script and `python -m coincomp`, flushes stdout and stderr itself
+and ends the process with `os._exit`, skipping the interpreter's teardown,
+which only frees what a finished process no longer needs.  Nothing a call
+needs is skipped: the package registers no atexit handler, input files are
+read and closed before the command returns, `simulate`'s worker threads are
+joined when its pool's `with` block ends, and the streams are flushed first.
+A stdout that cannot take the output (a reader that has gone) exits 1 with
+one `error:` line, whether the write fails in the command or in that flush.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -364,7 +375,28 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """Run `main` on the process's arguments, flush, and end the process.
+
+    os._exit is safe here: no atexit handler is registered, no thread is
+    alive (simulate's pool is joined), input files are closed, and stdout and
+    stderr are flushed just before.  An exception out of `main`, and the
+    SystemExit of `--help`, propagate and end the process the ordinary way.
+    """
+    code = main(sys.argv[1:])
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        # the output is lost; a failed write in the command already said so
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":

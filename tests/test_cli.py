@@ -811,28 +811,112 @@ class TestTopLevel:
         with pytest.raises(ImportError, match="scipy"):
             cli.main(["tree", "gen", "--kind", "best-of", "--n", "3"])
 
-    def test_entry_raises_system_exit(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.argv", ["coincomp", "walk", "solve",
-                                         "--n", "1", "--model", "prime:a=1"])
+    def test_entry_flushes_then_exits_with_the_code(self, monkeypatch, capsys):
+        # entry() ends the process with os._exit, so record the call instead;
+        # stdout is block-buffered, so its bytes reach the file only when
+        # flushed, and are read at the moment of the exit call
+        calls = []
+        monkeypatch.setattr(cli.os, "_exit",
+                            lambda code: calls.append((code, raw.getvalue())))
+
+        def invariant(args):
+            raise RuntimeError("impossible")
+
+        solve = ["walk", "solve", "--n", "2", "--model", "prime:a=1"]
+        want = run(capsys, *solve)[1].encode()
+        cases = [(solve, 0, want),
+                 (["walk", "solve", "--n", "2", "--model", "bad"], 1, b""),
+                 (["tree", "gen", "--kind", "best-of", "--n", "3"], 2, b"")]
+        for argv, code, out in cases:
+            if code == 2:
+                monkeypatch.setattr(cli, "_cmd_tree_gen", invariant)
+            raw = io.BytesIO()
+            monkeypatch.setattr("sys.stdout", io.TextIOWrapper(
+                io.BufferedWriter(raw, buffer_size=1 << 16), encoding="utf-8"))
+            monkeypatch.setattr("sys.argv", ["coincomp", *argv])
+            calls.clear()
+            cli.entry()
+            assert calls == [(code, out)]
+        assert want.startswith(b'{"n": 2,') and want.endswith(b"}\n")
+
+    def test_entry_lets_faults_and_help_propagate(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.os, "_exit", calls.append)
+
+        def broken(args):
+            raise ImportError("no module named 'scipy'", name="scipy")
+
+        monkeypatch.setattr(cli, "_cmd_tree_gen", broken)
+        monkeypatch.setattr("sys.argv", ["coincomp", "tree", "gen", "--kind",
+                                         "best-of", "--n", "3"])
+        with pytest.raises(ImportError, match="scipy"):
+            cli.entry()
+        monkeypatch.setattr("sys.argv", ["coincomp", "--help"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 0
-        capsys.readouterr()
+        assert calls == []
+        assert "usage: coincomp" in capsys.readouterr().out
 
     @pytest.mark.parametrize("module", ["coincomp", "coincomp.cli"])
     def test_module_entry_points(self, module):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", module, "walk", "solve", "--n", "2",
              "--model", "prime:a=1"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["n"] == 2
         assert doc["bound_ok"] is True
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    @pytest.mark.parametrize("argv", [
+        ["walk", "solve", "--n", "2", "--model", "prime:a=1"],
+        # 17 KB written row by row, so the write fails inside the command
+        ["walk", "sweep", "--n-max", "200", "--model", "prime:a=1", "--csv"]])
+    def test_closed_stdout_exits_1(self, argv, unbuffered):
+        # a pipe whose reader has gone: with stdout block-buffered the small
+        # output fails only in the final flush, the large one in the command
+        env = _child_env()
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from coincomp.cli import entry; entry()",
+                 *argv], stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "Exception ignored" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_pool_finishes_before_the_exit(self, capsys):
+        # simulate's two worker threads are joined before entry() ends the
+        # process, so the child prints what main() returns in process
+        argv = ["simulate", "--walk", "--n", "5", "--model", "std:a=2,b=1",
+                "--policy", "optimal", "--trials", "200000", "--workers", "2"]
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coincomp", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        assert json.loads(out)["trials"] == 200000
+
+
+def _child_env():
+    """The environment, with the package's source first on PYTHONPATH and
+    stdout block-buffered, so what a child prints waits for entry()'s flush."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Package surface: lazy exports, and commands that never load numpy.
 
-The five `without_numpy` tests use no conftest.py fixture and load no
+The six `without_numpy` tests use no conftest.py fixture and load no
 numpy in the test process, so CI also runs them, with --noconftest, where
 numpy is not installed.
 """
@@ -23,10 +23,14 @@ SRC = str(Path(coincomp.__file__).resolve().parents[1])
 # Runs the cli commands given as JSON in argv[1] with numpy made unimportable,
 # the last of them as `python -m coincomp`, and prints as JSON each command's
 # exit code, stdout and stderr, then every loaded module that is numpy's or
-# is named in argv[2].
+# is named in argv[2].  cli.entry() ends the process with os._exit, so that
+# is replaced by a SystemExit the child catches.
 CHILD = r"""
-import contextlib, io, json, runpy, sys
+import contextlib, io, json, os, runpy, sys
 sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 from coincomp.cli import main
 *commands, last = json.loads(sys.argv[1])
 banned = json.loads(sys.argv[2])
@@ -48,15 +52,23 @@ print(json.dumps({"runs": runs, "loaded": sorted(
 """
 
 
-def run_without_numpy(commands, banned):
-    """(exit code, stdout, stderr) of each command and the banned modules
-    loaded."""
+def child_env():
+    """The environment, with the package's source first on PYTHONPATH and
+    stdout block-buffered, so what cli.entry() prints waits for its flush."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_without_numpy(commands, banned):
+    """(exit code, stdout, stderr) of each command and the banned modules
+    loaded."""
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands),
                            json.dumps(banned)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     return [tuple(run) for run in result["runs"]], result["loaded"]
@@ -155,6 +167,31 @@ def test_tree_and_compose_commands_run_without_numpy(capsys, tmp_path):
     doc = json.loads(runs[-2][1])
     assert abs(doc["a_new"] - 1.0) <= 1e-12
     assert isinstance(doc["exact"], dict)
+
+
+def test_entry_processes_without_numpy(capsys):
+    # real children, ended by cli.entry()'s os._exit after its flush: what
+    # they print is what main() prints in process, and nothing is lost
+    env = child_env()
+    starts = [[sys.executable, "-m", "coincomp"],
+              [sys.executable, "-c", "from coincomp.cli import entry; entry()"]]
+    commands = [["walk", "solve", "--n", "40", "--model", "std:a=1,b=1"],
+                ["walk", "sweep", "--n-max", "60", "--model", "prime:a=1",
+                 "--csv"]]
+    for start in starts:
+        for argv in commands:
+            proc = subprocess.run(start + argv, capture_output=True, env=env,
+                                  timeout=120)
+            code, out, err = run_in_process(capsys, argv)
+            assert (code, err) == (0, "")
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0, out.encode(), b"")
+        proc = subprocess.run(start + ["walk", "solve", "--n", "2",
+                                       "--model", "std:a=1"],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 def test_compose_annotates_the_tree_once_without_numpy(monkeypatch, capsys,
