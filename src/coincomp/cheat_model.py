@@ -18,9 +18,9 @@ triple() takes one eps or a list of them.  A list gives three lists, built
 element by element with the very expressions the scalar call uses (the
 scalar call is a list of one), so a list entry equals the scalar triple at
 that eps bit for bit for every b.  columns() is triple() on a list whose
-eps a boundary has already checked (walk.check_policy), so that each
-value is checked once.  The module needs no numpy: the walk
-solver, its one caller on lists, runs on plain lists too.
+eps have already been checked (by walk.check_policy, or one by one in
+composer's strategy table), so that each value is checked once.  The
+module needs no numpy: the walk solver runs on plain lists too.
 """
 
 from __future__ import annotations

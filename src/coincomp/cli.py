@@ -20,7 +20,8 @@ needs is skipped: the package registers no atexit handler, input files are
 read and closed before the command returns, `simulate`'s worker threads are
 joined when its pool's `with` block ends, and the streams are flushed first.
 A stdout that cannot take the output (a reader that has gone) exits 1 with
-one `error:` line, whether the write fails in the command or in that flush.
+one `error:` line, whether the write fails in the command or in that flush;
+the help text of `--help` takes the same path.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through the exit-1 path
     def error(self, message):
         raise ValueError(message)
+
+    # argparse drops an OSError from writing its help text, so an unbuffered
+    # --help into a closed pipe would exit 0; main reports it like any
+    # command's lost stdout.  A stream that is None still writes nothing.
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
 
 
 def _read_json(path: str, kind: str) -> str:
@@ -379,10 +388,14 @@ def entry() -> None:
 
     os._exit is safe here: no atexit handler is registered, no thread is
     alive (simulate's pool is joined), input files are closed, and stdout and
-    stderr are flushed just before.  An exception out of `main`, and the
-    SystemExit of `--help`, propagate and end the process the ordinary way.
+    stderr are flushed just before.  The SystemExit of `--help` ends the
+    process here too, with its code; an exception out of `main` propagates
+    and ends the process the ordinary way.
     """
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # argparse's --help, with an int status
+        code = exc.code
     try:
         if sys.stdout is not None:  # None when fd 1 was closed at start
             sys.stdout.flush()

@@ -240,23 +240,28 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
 def _triples(up, model: CheatModel, strategy,
              where: str = "postorder position") -> tuple[list[float], ...]:
     # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0;
-    # `where` names a row in the leaf message.  Each distinct eps costs
-    # one scalar cheat_model.triple call, which checks it, and every later
-    # row with an equal eps one memo lookup.
-    size = len(strategy)
-    p0, p1, pc = [0.0] * size, [0.0] * size, [0.0] * size
-    memo: dict[float, OutcomeTriple] = {}
+    # `where` names a row in the leaf message.  Each distinct eps is checked
+    # by model.check_eps where it first appears, in row order, and one
+    # cheat_model.columns call over the distinct list makes their triples,
+    # each the scalar triple bit for bit.
+    memo: dict[float, int] = {}
+    keys = []
     for i, (eps, u) in enumerate(zip(strategy, up)):
         if u < 0:
             if eps != 0.0:
                 raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
                                  f"{where} {i}; leaves take 0.0")
+            keys.append(-1)
             continue
-        t = memo.get(eps)
-        if t is None:
-            t = memo[eps] = cheat_model.triple(model, eps)
-        p0[i], p1[i], pc[i] = t
-    return p0, p1, pc
+        k = memo.get(eps)
+        if k is None:
+            model.check_eps(eps)
+            k = memo[eps] = len(memo)
+        keys.append(k)
+    cols = cheat_model.columns(model, list(memo))
+    for col in cols:
+        col.append(0.0)  # what key -1, a leaf's, reads
+    return tuple([col[k] for k in keys] for col in cols)
 
 
 def strategy_table(ann: TreeAnnotation, model: CheatModel,

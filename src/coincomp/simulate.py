@@ -40,7 +40,8 @@ of them, playing the fair coin many steps per pass.
 A pass is laid out step-major, as a (width x walks) block whose row j
 holds draw j of every walk in the batch: each walk's stream is skipped to
 its next draw, so row j adds the same offset (j + 1) * GOLDEN to every
-seed, and those offsets are computed once per call.  The block is
+seed, and those offsets are computed once per process, on first use, and
+kept read-only.  The block is
 finalized in place in one buffer plus one scratch buffer, and without
 splitmix64's last xorshift: a fair step only asks whether the output is
 below 2**63 (the double below 1/2, HALF_U64), and z ^ (z >> 31)
@@ -64,8 +65,9 @@ would give.
 A tree game takes its strategy as a list of eps, one per DAG row of
 annotate (leading_order's form) or one per node in its postorder (the
 form composer.strategy_from_paths reads a path-keyed one into), and
-reads it through composer.strategy_table, which checks it once and makes
-one scalar cheat_model.triple call per distinct eps, taking -0.0 as 0.0.
+reads it through composer.strategy_table, which checks each distinct
+eps once, taking -0.0 as 0.0, and makes one cheat_model.columns call
+over them.
 A trial at a row draws against the row's thresholds, which are those of
 every node the row stands for, so the DAG and the postorder table play
 every trial alike: the leading-order best-of-15 strategy at eps_tot 0.2
@@ -76,6 +78,7 @@ Monte Carlo section.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -301,6 +304,15 @@ def simulate_tree(tree: GameTree, model: CheatModel, strategy: Strategy,
     return _report(trials, wins, losses, catches, overruns, seed)
 
 
+@functools.lru_cache(maxsize=1)
+def _fair_offsets() -> np.ndarray:
+    """rng.np_draw_offsets over a fair pass's widest block, read-only: the
+    same in every call, so made once, on first use."""
+    offsets = rng.np_draw_offsets(_FAIR_WIDTH)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
                   step_cap: int | None = None, workers: int = 1) -> SimReport:
     """Run the walk game; catches switch the trial to a fair coin."""
@@ -325,7 +337,7 @@ def simulate_walk(game: WalkGame, policy: WalkPolicy, trials: int, seed: int,
     rows = max(1, _FAIR_DRAWS // n)  # fair walks per pass
 
     # draw j of a pass adds offsets[j] to each walk's skipped stream seed
-    offsets = rng.np_draw_offsets(_FAIR_WIDTH)
+    offsets = _fair_offsets()
 
     def fair(streams, z, left):
         # Fair-coin walks from sites z whose next draw is output 0 of their

@@ -24,14 +24,16 @@ enumeration of all binary policies for small N.
 
 The solver works on plain lists indexed by site, W at z + N and the policy
 at z + N - 1, and needs no numpy.  optimize() makes one list call to
-cheat_model.triple per solve, on the honest start.  improve_policy hands
-back its eps list with the (p0, p1, pc) lists of the actions it picked,
-which it has already worked out to compare them, and evaluate_policy
-solves the next sweep from those lists.  So a sweep is one forward
-elimination pass, one back substitution pass that also checks every
-row's residual, and one improvement loop.  The site-keyed dicts and the
-bound verdict exist only on the returned WalkSolution, built on first
-use.  A site-keyed policy is validated once, by check_policy, where it
+cheat_model.triple per solve, on the honest start; eps_max and its triple
+are made once per model.  improve_policy hands back its eps list, the p0
+and p1 lists of the actions it picked, and the next system's right-hand
+side: each picked action's pc (N+z)/(2N), a product it has already formed
+to compare the actions, with the top row's p0 W(N) added.  evaluate_policy
+solves the next sweep from those lists as they are.  So a sweep is one
+forward elimination pass, one back substitution pass that also checks
+every row's residual, and one improvement loop.  The site-keyed dicts
+and the bound verdict exist only on the returned WalkSolution, built on
+first use.  A site-keyed policy is validated once, by check_policy, where it
 enters (its lists then go through cheat_model.columns, which checks
 nothing again), and a bare eps list by cheat_model.triple.
 
@@ -172,11 +174,12 @@ def check_policy(game: WalkGame, policy: WalkPolicy) -> list[float]:
 
 
 class _Improved(NamedTuple):
-    """improve_policy's eps list and the (p0, p1, pc) of each chosen action."""
+    """improve_policy's eps list, the p0 and p1 of each chosen action, and
+    the right-hand side of the system that policy's solve runs on."""
     eps: list[float]
     p0: list[float]
     p1: list[float]
-    pc: list[float]
+    rhs: list[float]
 
 
 def evaluate_policy(game: WalkGame,
@@ -186,16 +189,17 @@ def evaluate_policy(game: WalkGame,
     The policy is site-keyed, which check_policy checks, or a list of eps
     over the interior at index z + N - 1, which cheat_model.triple checks
     and turns into (p0, p1, pc) lists, or improve_policy's result for this
-    game, whose lists are solved as they are.  Direct tridiagonal (Thomas)
-    elimination.  The matrix has unit diagonal and off-diagonals -p0, -p1
-    with p0 + p1 <= 1, and the honest boundary rows keep it nonsingular;
-    the pivots and the per-equation residuals are checked anyway and a
-    failure raises RuntimeError.
+    game, whose p0, p1 and right-hand side are solved as they are.  Direct
+    tridiagonal (Thomas) elimination.  The matrix has unit diagonal and
+    off-diagonals -p0, -p1 with p0 + p1 <= 1, and the honest boundary rows
+    keep it nonsingular; the pivots and the per-equation residuals are
+    checked anyway and a failure raises RuntimeError.
     """
     n = game.n
     m = 2 * n - 1
+    targ = _targets(n)
     if isinstance(policy, _Improved):
-        eps, p0, p1, pc = policy
+        eps, p0, p1, rhs = policy
     elif isinstance(policy, list):
         eps = policy
         p0, p1, pc = cheat_model.triple(game.model, eps)
@@ -205,9 +209,10 @@ def evaluate_policy(game: WalkGame,
     if len(eps) != m:
         raise ValueError(f"policy list has {len(eps)} entries, the "
                          f"interior has {m} sites")
-    targ = _targets(n)
-    rhs = [c * g for c, g in zip(pc, targ[1:-1])]
-    rhs[m - 1] += p0[m - 1]  # the top row's p0 W(N), with W(N) = 1
+    if not isinstance(policy, _Improved):
+        # row z's pc (N+z)/(2N), and the top row's p0 W(N), with W(N) = 1
+        rhs = [c * g for c, g in zip(pc, targ[1:-1])]
+        rhs[m - 1] += p0[m - 1]
 
     # forward elimination on rows [1, -p0] with subdiagonal -p1: row i keeps
     # W(z) = d_i + q_i W(z+1), with q_i = -c'_i and d_i = d'_i of the
@@ -215,7 +220,6 @@ def evaluate_policy(game: WalkGame,
     # boundary W(-N) = 0 is the row d = q = 0 below the interior.
     q = d = 0.0
     qs, ds = [q], [d]
-    put_q, put_d = qs.append, ds.append
     for a0, a1, r in zip(p0, p1, rhs):
         piv = 1.0 - a1 * q
         if not piv > 1e-12:
@@ -223,8 +227,8 @@ def evaluate_policy(game: WalkGame,
                                "system is numerically singular")
         q = a0 / piv
         d = (r + a1 * d) / piv
-        put_q(q)
-        put_d(d)
+        qs.append(q)
+        ds.append(d)
 
     # back substitution down to the boundary row; once W(z-1) is known, so
     # is row z's residual W(z) - p0 W(z+1) - p1 W(z-1) - rhs, where the top
@@ -232,7 +236,6 @@ def evaluate_policy(game: WalkGame,
     x = ds.pop()
     qs.pop()  # the top row's q would multiply W(N)
     w = [1.0, x]  # W(z) from z = N downwards
-    put_w = w.append
     up = 0.0
     worst = 0.0
     for d, q, a0, a1, r in zip(reversed(ds), reversed(qs), reversed(p0),
@@ -241,7 +244,7 @@ def evaluate_policy(game: WalkGame,
         res = x - (a0 * up + a1 * down + r)
         if res > worst or -res > worst:
             worst, bad, site = abs(res), res, n + 1 - len(w)
-        put_w(down)
+        w.append(down)
         up, x = x, down
     if worst > _RESIDUAL_TOL:
         raise RuntimeError(f"solver residual {bad} at site {site} "
@@ -252,60 +255,76 @@ def evaluate_policy(game: WalkGame,
     return WalkSolution(w, eps, w[n] - targ[n], bound, 0)
 
 
+@lru_cache(maxsize=8)
+def _box(model: CheatModel) -> tuple[float, float, float, float, bool]:
+    # eps_max, its (p0, p1, pc), and whether the box is the standard one,
+    # whose quadratic has a vertex to try: the same in every sweep
+    e_hi = model.eps_max
+    return (e_hi, *cheat_model.triple(model, e_hi), model.variant == cheat_model.STD)
+
+
 def improve_policy(game: WalkGame, w: list[float]) -> _Improved:
     """Greedy one-step policy against the values w, ties to honest.
 
     w holds sites -N..N at index z + N; site z's best eps comes back at
-    index z + N - 1 of the result's eps list, and the (p0, p1, pc) of that
+    index z + N - 1 of the result's eps list, and the p0 and p1 of that
     eps, the cheat_model.triple entries bit for bit, at the same index of
-    its p0, p1 and pc lists.  evaluate_policy takes the result as it is.
+    its p0 and p1 lists.  Its rhs list holds the pc (N+z)/(2N) of each
+    chosen action, the product already formed to compare the candidates,
+    and the top row adds p0 W(N) with W(N) = 1: the right-hand side that
+    evaluate_policy would build from the triples, to the bit.
+    evaluate_policy takes the result as it is.
     """
     # q(eps) = t0 W(z+1) + t1 W(z-1) + tc (N+z)/(2N) with (t0, t1, tc) =
     # triple(eps); the honest coin is (1/2, 1/2, 0) in both models, so q(0)
-    # is W(z+1)/2 + W(z-1)/2.  In the standard box q is the quadratic
-    # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2.
-    # Python division by a tiny curvature overflows to +-inf, which clips
-    # like any far vertex.  Ties go to 0, then to the vertex.
-    model = game.model
+    # is W(z+1)/2 + W(z-1)/2 and its product tc (N+z)/(2N) is 0.0 (the
+    # targets are >= 0).  In the standard box q is the quadratic
+    # -a(wp - wm) eps^2 + ((wp - wm) - a(wp + wm)/2 + a*targ) eps + (wp + wm)/2,
+    # concave where bend = a(wp - wm) > 0, with its vertex at
+    # ((wp - wm) - a(wp + wm)/2 + a*targ) / (2 bend).  That is the textbook
+    # -(...) / (2 * -bend) to the bit: negation is exact and rounding is
+    # symmetric in sign.  Python division by a tiny bend overflows to
+    # +-inf, which clips like any far vertex.  Ties go to 0, then to the
+    # vertex.
+    e_hi, h0, h1, hc, vertex = _box(game.model)
+    a = game.model.a
     targ = _targets(game.n)[1:-1]
-    e_hi = model.eps_max
-    h0, h1, hc = cheat_model.triple(model, e_hi)
-    vertex = model.variant == cheat_model.STD
-    a = model.a
-    best, p0, p1, pc = [], [], [], []
-    put, put0, put1, putc = best.append, p0.append, p1.append, pc.append
+    best, p0, p1, rhs = [], [], [], []
     for wp, wm, g in zip(w[2:], w, targ):
         q0 = 0.5 * wp + 0.5 * wm
-        q_hi = h0 * wp + h1 * wm + hc * g
+        r_hi = hc * g
+        q_hi = h0 * wp + h1 * wm + r_hi
         if vertex:
             slope = wp - wm
-            curv = -a * slope
-            if curv < 0.0:
-                v = -(slope - a * (wp + wm) * 0.5 + a * g) / (2.0 * curv)
+            bend = a * slope
+            if bend > 0.0:
+                v = (slope - a * (wp + wm) * 0.5 + a * g) / (2.0 * bend)
                 if 0.0 < v < e_hi:
                     # cheat_model.triple(model, v) written out: the standard
                     # box at b = 1, where a*|v|**1 is a*v to the bit
                     c = a * v
                     keep = 1.0 - c
                     t0, t1 = keep * (0.5 + v), keep * (0.5 - v)
-                    q_v = t0 * wp + t1 * wm + c * g
+                    r = c * g
+                    q_v = t0 * wp + t1 * wm + r
                     if q_v > q0 and q_v >= q_hi:
-                        put(v)
-                        put0(t0)
-                        put1(t1)
-                        putc(c)
+                        best.append(v)
+                        p0.append(t0)
+                        p1.append(t1)
+                        rhs.append(r)
                         continue
         if q0 >= q_hi:
-            put(0.0)
-            put0(0.5)
-            put1(0.5)
-            putc(0.0)
+            best.append(0.0)
+            p0.append(0.5)
+            p1.append(0.5)
+            rhs.append(0.0)
         else:
-            put(e_hi)
-            put0(h0)
-            put1(h1)
-            putc(hc)
-    return _Improved(best, p0, p1, pc)
+            best.append(e_hi)
+            p0.append(h0)
+            p1.append(h1)
+            rhs.append(r_hi)
+    rhs[-1] += p0[-1]  # the top row's p0 W(N), with W(N) = 1
+    return _Improved(best, p0, p1, rhs)
 
 
 def honest_policy(game: WalkGame) -> WalkPolicy:

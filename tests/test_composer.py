@@ -939,13 +939,19 @@ class TestStrategyTriples:
         named = dict(zip(paths, values))
         want = {p: cheat_model.triple(model, e).as_tuple() for p, e in named.items()}
         strategy = composer.strategy_from_paths(ann, named)
-        calls, real = [], cheat_model.triple
+        calls, checks = [], []
+        real, check = cheat_model.columns, CheatModel.check_eps
 
         def counted(model, eps):
-            calls.append(eps)
+            calls.append(list(eps))
             return real(model, eps)
 
-        monkeypatch.setattr(cheat_model, "triple", counted)
+        def checked(model, eps):
+            checks.append(eps)
+            return check(model, eps)
+
+        monkeypatch.setattr(cheat_model, "columns", counted)
+        monkeypatch.setattr(CheatModel, "check_eps", checked)
         got = composer._triples(ann.up, model, strategy)
         for i, (at, u) in enumerate(zip(ann.path, ann.up)):
             if u >= 0:
@@ -956,8 +962,11 @@ class TestStrategyTriples:
                 assert pc == want[at][2], at
                 if named[at] != 0.0:
                     assert pc.hex() == want[at][2].hex(), at
-        # one scalar call per distinct value, 0.0 and -0.0 being one
-        assert len(calls) == len(set(values))
+        # one scalar check per distinct value, 0.0 and -0.0 being one, in
+        # row order, then one list call over those values
+        distinct = list(dict.fromkeys(e for e, u in zip(strategy, ann.up) if u >= 0))
+        assert len(distinct) == len(set(values))
+        assert checks == distinct and calls == [distinct]
 
     @pytest.mark.parametrize("model, bad", [
         (CheatModel(1.0, 2.0), 0.7), (CheatModel(1.0, 2.0), math.nan),

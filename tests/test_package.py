@@ -1,6 +1,6 @@
 """Package surface: lazy exports, and commands that never load numpy.
 
-The six `without_numpy` tests use no conftest.py fixture and load no
+The seven `without_numpy` tests use no conftest.py fixture and load no
 numpy in the test process, so CI also runs them, with --noconftest, where
 numpy is not installed.
 """
@@ -72,6 +72,11 @@ def run_without_numpy(commands, banned):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     return [tuple(run) for run in result["runs"]], result["loaded"]
+
+
+# the two ways a process enters cli.entry()
+ENTRY_STARTS = [[sys.executable, "-m", "coincomp"],
+                [sys.executable, "-c", "from coincomp.cli import entry; entry()"]]
 
 
 def run_in_process(capsys, argv):
@@ -173,12 +178,10 @@ def test_entry_processes_without_numpy(capsys):
     # real children, ended by cli.entry()'s os._exit after its flush: what
     # they print is what main() prints in process, and nothing is lost
     env = child_env()
-    starts = [[sys.executable, "-m", "coincomp"],
-              [sys.executable, "-c", "from coincomp.cli import entry; entry()"]]
     commands = [["walk", "solve", "--n", "40", "--model", "std:a=1,b=1"],
                 ["walk", "sweep", "--n-max", "60", "--model", "prime:a=1",
                  "--csv"]]
-    for start in starts:
+    for start in ENTRY_STARTS:
         for argv in commands:
             proc = subprocess.run(start + argv, capture_output=True, env=env,
                                   timeout=120)
@@ -192,6 +195,37 @@ def test_entry_processes_without_numpy(capsys):
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr.startswith(b"error: ")
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+
+def test_help_takes_the_exit_path_without_numpy(monkeypatch, capsys):
+    # --help's SystemExit ends the process through cli.entry()'s flush and
+    # os._exit: into a pipe the child prints main()'s help text and exits 0,
+    # and into a pipe whose reader has gone it exits 1 with one `error:`
+    # line, buffered or not, where argparse itself drops the failed write
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps at
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    want = capsys.readouterr().out.encode()
+    assert want.startswith(b"usage: coincomp")
+    env = child_env()
+    env["COLUMNS"] = "80"
+    for start in ENTRY_STARTS:
+        proc = subprocess.run(start + ["--help"], capture_output=True, env=env,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(start + ["--help"], stdout=write_end,
+                                      stderr=subprocess.PIPE,
+                                      env={**env, **unbuffered}, timeout=60)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith(b"error: ")
+            assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 def test_compose_annotates_the_tree_once_without_numpy(monkeypatch, capsys,

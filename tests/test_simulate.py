@@ -238,6 +238,21 @@ class TestWalk:
         r = simulate.simulate_walk(g, sol.policy, 200_000, 8)
         assert divergence(r.wins, r.trials, sol.bias + 0.5) <= DIVERGENCE_LIMIT
 
+    def test_fair_offsets_made_once(self, monkeypatch):
+        # the fair phase's seed offsets are the same in every call: made on
+        # first use and kept read-only, with every report unchanged
+        game = walk.WalkGame(5, CheatModel(1.0, 1.0, PRIME))
+        policy = walk.honest_policy(game)
+        want = [simulate.simulate_walk(game, policy, 2_000, seed) for seed in (1, 2)]
+        calls, make = [], rng.np_draw_offsets
+        monkeypatch.setattr(rng, "np_draw_offsets",
+                            lambda width: calls.append(width) or make(width))
+        simulate._fair_offsets.cache_clear()
+        got = [simulate.simulate_walk(game, policy, 2_000, seed) for seed in (1, 2)]
+        assert got == want
+        assert calls == [simulate._FAIR_WIDTH]
+        assert not simulate._fair_offsets().flags.writeable
+
 
 # one cheap run of each simulator, given its seed
 SEEDED = {

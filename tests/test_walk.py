@@ -315,19 +315,41 @@ class TestImprovePolicy:
                 for i in range(2 * n - 1)]
         assert walk.improve_policy(g, w).eps == want
 
+    @staticmethod
+    def _assert_record_of_the_eps(g, got):
+        # evaluate_policy solves from the record without checking it, so
+        # every eps must be in the box's domain, every p0 and p1 must be
+        # cheat_model.triple's at that eps, bit for bit, and every rhs entry
+        # its pc (N+z)/(2N), the top row's plus p0 W(N) with W(N) = 1
+        for e in got.eps:
+            g.model.check_eps(e)
+        p0, p1, pc = cheat_model.triple(g.model, got.eps)
+        rhs = [c * ((i + 1) / (2.0 * g.n)) for i, c in enumerate(pc)]
+        rhs[-1] += p0[-1]
+        assert [list(map(float.hex, col)) for col in got[1:]] == \
+            [list(map(float.hex, col)) for col in (p0, p1, rhs)]
+
     @given(*W_CASES)
     @settings(max_examples=150, deadline=None)
     def test_columns_are_the_triples_of_the_eps(self, variant, a, values):
-        # evaluate_policy solves from these lists without checking them, so
-        # every eps must be in the box's domain and every (p0, p1, pc) must
-        # be cheat_model.triple's at that eps, bit for bit
         g, w = self._game_and_w(variant, a, values)
+        self._assert_record_of_the_eps(g, walk.improve_policy(g, w))
+
+    # a value function as the solver makes them: W(-N) = 0, W(N) = 1 and
+    # increasing in between
+    @given(st.sampled_from([PRIME, STD]), st.sampled_from(WALK_A),
+           st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_record_on_increasing_w(self, variant, a, values):
+        n = (len(values) + 1) // 2
+        g = walk.WalkGame(n, CheatModel(a, 1.0, variant))
+        w = [0.0, *sorted(values[i % len(values)] for i in range(2 * n - 1)), 1.0]
         got = walk.improve_policy(g, w)
-        for e in got.eps:
-            g.model.check_eps(e)
-        want = cheat_model.triple(g.model, got.eps)
-        assert [list(map(float.hex, col)) for col in got[1:]] == \
-            [list(map(float.hex, col)) for col in want]
+        assert got.eps == [self._reference_site_best(g, w[i + 2], w[i],
+                                                     (i + 1) / (2.0 * n))
+                           for i in range(2 * n - 1)]
+        self._assert_record_of_the_eps(g, got)
 
     def test_std_actions_respect_domain(self):
         g = std_game(6)
@@ -584,13 +606,17 @@ class TestArrayPath:
             return real(model, eps)
 
         monkeypatch.setattr(cheat_model, "triple", counting)
-        sol = walk.optimize(walk.WalkGame(200, CheatModel(1.0, 1.0, variant)))
-        # one list call per solve, on the honest start, and improve_policy's
-        # one scalar call at eps_max per sweep
+        walk._box.cache_clear()
+        game = walk.WalkGame(200, CheatModel(1.0, 1.0, variant))
+        sol = walk.optimize(game)
+        # one list call per solve, on the honest start, and one scalar call
+        # at eps_max per model, whose triple improve_policy keeps for every
+        # later sweep and solve
         assert sol.iterations > 1
-        assert [type(eps) for eps in calls].count(list) == 1
-        assert calls[0] == [0.0] * 399
-        assert len(calls) == 1 + sol.iterations
+        assert calls == [[0.0] * 399, game.model.eps_max]
+        calls.clear()
+        assert walk.optimize(game) == sol
+        assert calls == [[0.0] * 399]
 
     def test_solution_holds_python_scalars(self):
         sol = walk.optimize(std_game(5))
