@@ -33,22 +33,30 @@ path.
 
 The tree passes (leading_order, a_new_of_b, exact_outcome and
 simulate_tree) read annotate's DAG columns, and its occurrence column
-only for a per-node strategy, never its path column, and write into
-lists made once per call, never a container per node, so a pass leaves
-nothing for Python's cyclic garbage collector to scan or free.  What depends on a subtree alone is computed
-once per distinct subtree: a best-of-15 tree has 12,869 internal nodes
-but 64 distinct internal subtrees.  _closed_form computes
+only for a per-node strategy, never its path column or any other
+per-node view, and write into lists made once per call, never a
+container per node, so a pass leaves nothing for Python's cyclic
+garbage collector to scan or free.  What depends on a subtree alone is
+computed once per distinct subtree: a best-of-15 tree has 12,869
+internal nodes but 64 distinct internal subtrees.  _closed_form computes
 |Delta|**(b/(b-1)) once per DAG row, and leading_order computes eps once
 per DAG row and returns that list.  S, derivative_in_b's L and lemma_sum
 are each one call of TreeAnnotation.node_sum on a value per row: one
 pass over the DAG rows, children before parents, each row adding its
 value to half its children's totals, so the sums cost one step per
-distinct subtree.  exact_outcome and simulate_tree run one loop over a
-node table from strategy_table: the DAG for a per-row strategy, and for
-a per-node one whose copies of each distinct subtree carry an equal eps,
-and the tree's nodes in postorder otherwise, with the answers of a
-per-node computation bit for bit (see strategy_table).  So a per-row
-strategy costs O(rows) from leading_order to the answer.
+distinct subtree.
+
+exact_outcome and simulate_tree run one loop over one node table, made
+by strategy_table, with one row per distinct subtree under the
+strategy.  For a per-row strategy that is the DAG itself.  A per-node
+one is read once, in postorder over the occurrence column, into one row
+per distinct (eps, up row, down row): copies of a subtree whose eps
+agree share a row, and copies that differ split.  The composed coin at
+a node is fixed by its bias and its two children's coins, so a row's
+triple and outcome depend on its subtree and its eps alone, and the
+answers are those of a per-node computation bit for bit.  A per-row
+strategy costs O(rows) from leading_order to the answer; a per-node
+one costs one step per node to read and one per row after.
 
 brute_force_min_pc checks its arguments and runs grid_oracle, the grid-search
 check on the closed form, importing it (and numpy) only then.
@@ -237,20 +245,17 @@ def derivative_in_b(tree: GameTree, a: float, b: float) -> float:
     return a * s ** (1.0 - b) * (log_sum / ((b - 1.0) * s) - math.log(s))
 
 
-def _triples(up, model: CheatModel, strategy,
-             where: str = "postorder position") -> tuple[list[float], ...]:
-    # p0, p1 and pc per row of a node table, leaf rows (up < 0) at 0.0;
-    # `where` names a row in the leaf message.  Each distinct eps is checked
-    # by model.check_eps where it first appears, in row order, and one
-    # cheat_model.columns call over the distinct list makes their triples,
-    # each the scalar triple bit for bit.
+def _triples(up, model: CheatModel, strategy) -> tuple[list[float], ...]:
+    # p0, p1 and pc per DAG row of a per-row strategy, leaf rows (up < 0)
+    # at 0.0.  Each distinct eps is checked by model.check_eps where it
+    # first appears, in row order.
     memo: dict[float, int] = {}
     keys = []
     for i, (eps, u) in enumerate(zip(strategy, up)):
         if u < 0:
             if eps != 0.0:
                 raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
-                                 f"{where} {i}; leaves take 0.0")
+                                 f"DAG row {i}; leaves take 0.0")
             keys.append(-1)
             continue
         k = memo.get(eps)
@@ -258,10 +263,62 @@ def _triples(up, model: CheatModel, strategy,
             model.check_eps(eps)
             k = memo[eps] = len(memo)
         keys.append(k)
+    return _gather(model, memo, keys)
+
+
+def _gather(model: CheatModel, memo: dict,
+            keys: list[int]) -> tuple[list[float], ...]:
+    # the triple columns of a table whose row reads memo's eps number
+    # keys[row], or 0.0 for a leaf's key -1: one cheat_model.columns call
+    # over the distinct, checked eps, each the scalar triple bit for bit
     cols = cheat_model.columns(model, list(memo))
     for col in cols:
-        col.append(0.0)  # what key -1, a leaf's, reads
+        col.append(0.0)  # what key -1 reads
     return tuple([col[k] for k in keys] for col in cols)
+
+
+def _node_rows(ann: TreeAnnotation, model: CheatModel,
+               strategy: Strategy) -> tuple[list, ...]:
+    # A per-node strategy read once, in postorder, into rows keyed by
+    # (eps, up row, down row), the leaves rows 0 and 1 by label.  `top` is
+    # the row of the last subtree read, and `stack` holds the rows of the
+    # earlier subtrees whose parent is still to come.  Only a tree with two
+    # or more Flips gets here (see _check_list), so its leaves are DAG rows
+    # 0 and 1.  A key met before has an eps equal to one already checked;
+    # a new key checks its eps unless an equal one was.  Counting positions
+    # (enumerate) made the loop about 40% slower, so a leaf's refusal looks
+    # its position up again: the first leaf whose eps is not 0.0.
+    dag_p_w = ann.dag_p_w
+    memo: dict[float, int] = {}
+    rows: dict[tuple, int] = {}
+    p_w, up, down, keys = [1.0, 0.0], [-1, -1], [-1, -1], [-1, -1]
+    stack: list[int] = []
+    top = -1
+    for k, eps in zip(ann.row, strategy):
+        if k < 2:
+            if eps != 0.0:
+                i = next(i for i, (j, e) in enumerate(zip(ann.row, strategy))
+                         if j < 2 and e != 0.0)
+                raise ValueError(f"strategy gives eps = {eps!r} to the leaf at "
+                                 f"postorder position {i}; leaves take 0.0")
+            stack.append(top)
+            top = k
+            continue
+        u = stack.pop()
+        key = eps, u, top
+        r = rows.get(key)
+        if r is None:
+            e = memo.get(eps)
+            if e is None:
+                model.check_eps(eps)
+                e = memo[eps] = len(memo)
+            r = rows[key] = len(up)
+            p_w.append(dag_p_w[k])
+            up.append(u)
+            down.append(top)
+            keys.append(e)
+        top = r
+    return (p_w, up, down, *_gather(model, memo, keys))
 
 
 def strategy_table(ann: TreeAnnotation, model: CheatModel,
@@ -269,28 +326,26 @@ def strategy_table(ann: TreeAnnotation, model: CheatModel,
     """The node table a tree pass runs on: (P_W, up, down, p0, p1, pc) columns.
 
     A per-row strategy gives the DAG, one row per distinct subtree, built
-    straight from the list.  A per-node one gives the DAG when every copy
-    of each distinct subtree carries an equal eps, and the tree's nodes in
-    postorder otherwise.  Either way children come before parents, the
+    straight from the list.  A per-node one is read once, in postorder,
+    into one row per distinct (eps, up row, down row), the leaves rows 0
+    and 1: copies of a subtree whose eps agree share a row, and copies
+    that differ split.  Either way children come before parents, the
     root is last, leaves have up and down -1, and every row's triple is
-    that of each node it stands for.  The strategy is checked where it is
-    read, in the same order: a DAG row of a per-node strategy takes the
-    eps of its first node in postorder, so an eps the model refuses is the
-    same in either table.
+    that of each node it stands for.  The strategy is checked as it is
+    read, in row order for a per-row strategy and in postorder for a
+    per-node one: each leaf's eps, and each distinct eps where it first
+    appears, so the first refusal is the first bad entry in that order.
     """
-    # 0.0 and -0.0 are equal here, and in _triples' memo, though the prime
-    # model's pc = a*eps keeps the sign.  No answer can see it: p0 and p1
-    # are the same floats at either zero in both boxes; pc enters only
-    # exact_outcome's pc + p0*oc[u] + p1*oc[dn], where every child's catch
-    # is +0.0 or positive (a leaf's is +0.0), so a -0.0 pc gives the same
-    # bits; and simulate's tables read only p0 and p0 + p1.
+    # 0.0 and -0.0 are one key here, in the memos and in _node_rows' rows,
+    # though the prime model's pc = a*eps keeps the sign.  No answer can
+    # see it: p0 and p1 are the same floats at either zero in both boxes;
+    # pc enters only exact_outcome's pc + p0*oc[u] + p1*oc[dn], where every
+    # child's catch is +0.0 or positive (a leaf's is +0.0), so a -0.0 pc
+    # gives the same bits; and simulate's tables read only p0 and p0 + p1.
     if not _check_list(ann, strategy):
-        by_row = [0.0 if i < 0 else strategy[i] for i in ann.dag_at]
-        if list(map(by_row.__getitem__, ann.row)) != strategy:
-            return (ann.p_w, ann.up, ann.down, *_triples(ann.up, model, strategy))
-        strategy = by_row
+        return _node_rows(ann, model, strategy)
     return (ann.dag_p_w, ann.dag_up, ann.dag_down,
-            *_triples(ann.dag_up, model, strategy, "DAG row"))
+            *_triples(ann.dag_up, model, strategy))
 
 
 def exact_outcome(tree: GameTree, model: CheatModel, strategy: Strategy) -> OutcomeTriple:

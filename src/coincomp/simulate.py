@@ -17,11 +17,11 @@ counted as overruns and settled by draw step_cap against the honest value
 (N+z)/(2N), so every trial contributes to exactly one count.
 
 Both games share one phase-1 loop.  A game is a set of per-node tables:
-composer.strategy_table's rows for a tree (the DAG of its distinct
-subtrees for a per-row strategy, or a per-node one whose copies of each
-subtree carry an equal eps, and its nodes in postorder otherwise), sites
--N..N as nodes 0..2N for a walk, plus one
-sink node for caught trials.  The loop draws a step-major
+composer.strategy_table's rows for a tree (one per distinct subtree
+under the strategy: the DAG for a per-row strategy, and for a per-node
+one a row per distinct eps and child rows, so copies that differ split),
+sites -N..N as nodes 0..2N for a walk, plus one sink node for caught
+trials.  The loop draws a step-major
 block of up to 64 steps for every uncaught trial in one call, row j
 holding draw k + j of each, and about 2**14 draws in all, so a block of
 more trials than that is one step deep.  It advances the trials row by
@@ -69,8 +69,9 @@ reads it through composer.strategy_table, which checks each distinct
 eps once, taking -0.0 as 0.0, and makes one cheat_model.columns call
 over them.
 A trial at a row draws against the row's thresholds, which are those of
-every node the row stands for, so the DAG and the postorder table play
-every trial alike: the leading-order best-of-15 strategy at eps_tot 0.2
+every node the row stands for, and a trial's draws depend only on the
+thresholds of the rows it visits, so the table plays every trial as the
+tree's nodes would: the leading-order best-of-15 strategy at eps_tot 0.2
 is 66 eps, one per row, and runs on those 66 rows, not 25,739 nodes,
 with only 26 distinct eps.  Timings before and after are in the README's
 Monte Carlo section.

@@ -73,6 +73,27 @@ def per_node(tree, by_row):
     return [by_row[k] for k in game_tree.annotate(tree).row]
 
 
+def table_rows(tree, by_path):
+    """The rows of the node table a per-node strategy runs on, counted by a
+    recursion over the tree objects and the path-keyed eps: one per leaf
+    label and one per distinct internal (eps, up key, down key), which
+    takes 0.0 and -0.0 as one eps.  A lone leaf is one row."""
+    if isinstance(tree, game_tree.Leaf):
+        return 1
+    keys = set()
+    _value_key(tree, "", by_path, keys)
+    return 2 + len(keys)
+
+
+def _value_key(node, at, by_path, keys):
+    if isinstance(node, game_tree.Leaf):
+        return node.label
+    key = (by_path[at], _value_key(node.up, at + "U", by_path, keys),
+           _value_key(node.down, at + "D", by_path, keys))
+    keys.add(key)
+    return key
+
+
 def distinct_flips(tree):
     """Every distinct Flip object of the tree, by identity."""
     found, todo = {}, [tree]

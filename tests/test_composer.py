@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from coincomp import cheat_model, composer, game_tree, grid_oracle, simulate
 from coincomp.cheat_model import CheatModel
 from conftest import (SMALL_SUITE, deep_chain, generated_trees, json_digest,
-                      per_node, unshared)
+                      per_node, table_rows, unshared)
 
 
 def by_path(tree, strategy):
@@ -590,7 +590,7 @@ class TestDerivativeInB:
 def exact_pass(tree, ann, triples):
     """The tree's outcome (p0, p1, pc) in Fractions, reading each internal
     node's float triple (postorder columns, as composer._triples returns
-    them over the postorder table) exactly."""
+    them over the tree's per-node up column) exactly."""
     by_path = {at: t for at, *t in zip(ann.path, *triples)}
 
     def visit(node, at):
@@ -711,8 +711,9 @@ def _result_bits(res):
 
 
 class TestDagTable:
-    """The DAG of distinct subtrees and the postorder table give the same
-    answers, bit for bit."""
+    """The node table of a per-row or a per-node strategy, one row per
+    distinct subtree under the strategy, gives the answers of a per-node
+    computation, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(tree=fair_trees())
@@ -730,15 +731,22 @@ class TestDagTable:
             == [repr(x) for x in composer.exact_outcome(plain, model, strategy)]
         assert simulate.simulate_tree(shared, model, strategy, 3000, 17) == \
             simulate.simulate_tree(plain, model, strategy, 3000, 17)
+        # rows are keyed by value, not by tree object: a per-node strategy
+        # on the shared tree and on the unshared one makes the same table
+        tables = [[[x.hex() if isinstance(x, float) else x for x in col]
+                   for col in composer.strategy_table(game_tree.annotate(t), model,
+                                                      strategy)]
+                  for t in (shared, plain)]
+        assert tables[0] == tables[1]
 
     @settings(max_examples=80, deadline=None)
     @given(tree=fair_trees(), seed=st.integers(0, 2 ** 32),
            model=st.sampled_from(_OUTCOME_MODELS + [_PRIME]), per_row=st.booleans())
     def test_table_follows_the_strategy(self, tree, seed, model, per_row):
-        # eps drawn per DAG row runs on the DAG; eps drawn per node, which
-        # gives copies of one subtree different eps, runs on the postorder
-        # table unless the draws happen to agree by value.  Either way the
-        # outcome is the recursion's, bit for bit.
+        # eps drawn per DAG row runs on the DAG's rows; eps drawn per node,
+        # which gives copies of one subtree different eps, splits the rows
+        # of copies that differ by value.  Either way the outcome is the
+        # recursion's, bit for bit.
         ann = game_tree.annotate(tree)
         pick = random.Random(seed).choice
         values = _PRIME_EPS_VALUES if model == _PRIME else _EPS_VALUES
@@ -753,26 +761,28 @@ class TestDagTable:
         agree = all(len(equal) == 1 for equal in copies.values())
         assert agree or not per_row
         table = composer.strategy_table(ann, model, strategy)
-        assert len(table[1]) == (len(ann.dag_up) if agree else len(ann.row))
         named = composer.strategy_to_paths(ann, strategy)
+        assert len(table[1]) == table_rows(tree, named)
+        assert agree == (len(table[1]) == len(ann.dag_up))
         assert [repr(x) for x in composer.exact_outcome(tree, model, strategy)] \
             == [repr(x) for x in float_pass(tree, model, named)]
 
     def test_copies_with_both_zeros_run_on_the_postorder_table(self):
-        # a subtree given 0.0 on one copy and -0.0 on another, beside a node
-        # whose copies truly differ, runs on the postorder table with the
-        # answers of +0.0 on both copies; without that other difference the
-        # zero copies agree by value and run on the DAG, with the same answers
+        # a subtree given 0.0 on one copy and -0.0 on another shares its
+        # row, with the answers of +0.0 on both copies; beside a node whose
+        # copies truly differ, only the rows of those copies and their
+        # ancestors split, and without it the table is the DAG
         sub = game_tree.gen_best_of(3)
         tree = game_tree.Flip(sub, game_tree.Flip(sub, game_tree.Leaf(1)))
         ann = game_tree.annotate(tree)
         for zero in (0.0, -0.0):
-            for differ, rows in ((0.05, len(ann.row)), (0.1, len(ann.dag_up))):
+            for differ in (0.05, 0.1):
                 named = {p: 0.1 for p, _ in ann.internal()}
                 named["UD"], named["DUD"], named["DUU"] = zero, -zero, differ
                 strategy = composer.strategy_from_paths(ann, named)
                 table = composer.strategy_table(ann, _PRIME, strategy)
-                assert len(table[1]) == rows
+                assert len(table[1]) == table_rows(tree, named)
+                assert (len(table[1]) == len(ann.dag_up)) == (differ == 0.1)
                 plus = composer.strategy_from_paths(
                     ann, {p: abs(e) for p, e in named.items()})
                 assert [[x.hex() for x in col] for col in table[3:5]] == \
@@ -787,13 +797,13 @@ class TestDagTable:
     @given(tree=generated_trees(), seed=st.integers(0, 2 ** 32),
            model=st.sampled_from(_OUTCOME_MODELS + [_PRIME]), per_row=st.booleans())
     def test_sign_of_a_zero_eps_changes_no_answer(self, tree, seed, model, per_row):
-        # eps drawn per DAG row runs on the DAG; eps drawn per node, which
-        # gives copies of one subtree different eps, runs on the postorder
-        # table unless the draws happen to agree by value.  Flipping the
-        # sign of any zero eps, within a row's copies or across rows, keeps
-        # the table and every answer: the outcome is the per-node
-        # recursion's, each node reading the triple of its own eps, bit
-        # for bit, and the Monte Carlo report is the same.
+        # eps drawn per DAG row runs on the DAG's rows; eps drawn per node,
+        # which gives copies of one subtree different eps, splits the rows
+        # of copies that differ by value.  Flipping the sign of any zero
+        # eps, within a row's copies or across rows, keeps the table's size
+        # and every answer: the outcome is the per-node recursion's, each
+        # node reading the triple of its own eps, bit for bit, and the
+        # Monte Carlo report is the same.
         ann = game_tree.annotate(tree)
         rand = random.Random(seed)
         values = _PRIME_EPS_VALUES if model == _PRIME else _EPS_VALUES
@@ -808,7 +818,8 @@ class TestDagTable:
             copies.setdefault(k, set()).add(e)  # 0.0 and -0.0 are one member
         agree = all(len(equal) == 1 for equal in copies.values())
         assert agree or not per_row
-        rows = len(ann.dag_up) if agree else len(ann.row)
+        rows = table_rows(tree, composer.strategy_to_paths(ann, strategy))
+        assert agree == (rows == len(ann.dag_up))
         outcome = [repr(x) for x in composer.exact_outcome(tree, model, strategy)]
         report = simulate.simulate_tree(tree, model, strategy, 300, seed)
         for s in (strategy, flipped):
@@ -819,9 +830,9 @@ class TestDagTable:
             assert simulate.simulate_tree(tree, model, s, 300, seed) == report
 
     def test_refusals_are_those_of_the_postorder_table(self):
-        # a DAG row takes its first node's eps, so the first refused node in
-        # postorder names the same eps on either table; a leaf's eps is
-        # refused at its own position
+        # a per-node strategy is checked in postorder, each distinct eps
+        # where it first appears, so the first refused node in postorder
+        # names the eps; a leaf's eps is refused at its own position
         tree = game_tree.gen_best_of(5)
         ann = game_tree.annotate(tree)
         model = CheatModel(1.0, 2.0)
@@ -836,8 +847,8 @@ class TestDagTable:
                 f"eps = 0.2 to the leaf at postorder position {leaf};")):
             composer.exact_outcome(tree, model, bad)
         # a root eps that is not a float, beside zeros on the other nodes:
-        # the copies agree by value, so the DAG table reads it, and
-        # cheat_model.triple refuses it as it would for any caller
+        # the table reads it as the root's key, and cheat_model.triple
+        # refuses it as it would for any caller
         for eps, error, message in [
                 ("x", TypeError, "bad operand type for abs(): 'str'"),
                 (10 ** 400, ValueError, "standard model requires |eps| <= 1/2"),
@@ -919,8 +930,9 @@ class TestPerRowStrategy:
 
 
 class TestStrategyTriples:
-    """A strategy's per-node triples over the postorder table: composer's
-    _triples, which strategy_table calls on either table."""
+    """composer._triples, which strategy_table calls on a per-row strategy,
+    run over the tree's per-node up column: a strategy's per-node triples,
+    one check per distinct eps and one cheat_model.columns call."""
 
     # repeated values and both zeros; prime takes eps >= 0, so -0.0 too
     MIXED = [0.0, -0.0, 0.1, 0.1, -0.0, 0.0, 0.05, 0.1, -0.0, 0.05, 0.0,

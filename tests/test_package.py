@@ -283,6 +283,20 @@ def test_per_row_strategy_reads_no_occurrence_column_without_numpy(monkeypatch):
     spread = [res.strategy[k] for k in list.__iter__(guarded[-1])]
     with pytest.raises(AssertionError, match="occurrence column"):
         composer.exact_outcome(tree, model, spread)
+    # a per-node strategy is read through the occurrence column alone, into
+    # rows keyed by value: with the first internal node's eps changed, that
+    # copy and its ancestors split from the shared rows, 73 rows against
+    # 66, and the outcome is the one a table of all 25,739 nodes gave.  No
+    # per-node view of the annotation is built.
+    held = game_tree.TreeAnnotation(*guarded[:-1], columns.row)
+    monkeypatch.setattr(composer, "annotate", lambda t: held)
+    first = next(i for i, k in enumerate(columns.row) if columns.dag_up[k] >= 0)
+    spread[first] += 0.01
+    assert len(composer.strategy_table(held, model, spread)[1]) == 73
+    assert [x.hex() for x in composer.exact_outcome(tree, model, spread)] == [
+        "0x1.2fb311282dfd4p-1", "0x1.96840007c37e4p-2", "0x1.42bbb4fc10ee6p-7"]
+    assert set(vars(held)).isdisjoint(["p_w", "up", "down", "delta", "path",
+                                       "depth"])
 
 
 def test_numpy_commands_fail_cleanly_without_numpy(tmp_path):

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from coincomp import cheat_model, composer, game_tree, rng, simulate, splitmix, walk
 from coincomp.cheat_model import CheatModel, PRIME, STD
 from coincomp.simulate import DIVERGENCE_LIMIT, divergence
-from conftest import BAD_SEEDS, finalize_input, seed_refused, unxorshift
+from conftest import (BAD_SEEDS, finalize_input, seed_refused, table_rows,
+                      unxorshift)
 
 
 class TestTree:
@@ -677,16 +678,17 @@ class TestTreeMatchesReference:
 
 
 class TestTreeTables:
-    """simulate_tree on the DAG and on the postorder table, against the
-    reference, which reads the tree's per-node columns."""
+    """simulate_tree on the node tables of per-row and per-node strategies,
+    against the reference, which reads the tree's per-node columns."""
 
     @pytest.mark.parametrize("per_row", [True, False], ids=["per-row", "per-node"])
     @pytest.mark.parametrize("model", [CheatModel(1.0, 2.0),
                                        CheatModel(1.0, 1.0, PRIME)],
                              ids=["std", "prime"])
     def test_seeded_strategies_match_reference(self, model, per_row):
-        # eps drawn per DAG row runs on the DAG's 18 rows, eps drawn per
-        # node on the 139 nodes of best-of-7
+        # eps drawn per DAG row runs on the DAG's 18 rows; eps drawn per
+        # node gives each of best-of-7's 69 internal nodes its own row,
+        # beside the two leaf rows
         ann = game_tree.annotate(_BO7)
         draw = random.Random(26).uniform
         if per_row:
@@ -695,14 +697,15 @@ class TestTreeTables:
         else:
             strategy = [draw(0.0, model.eps_max) if u >= 0 else 0.0 for u in ann.up]
         rows = len(composer.strategy_table(ann, model, strategy)[1])
-        assert rows == (18 if per_row else 139)
         named = composer.strategy_to_paths(ann, strategy)
+        assert rows == table_rows(_BO7, named) == (18 if per_row else 71)
         for trials, seed in ((7, 3), (20_000, 26)):
             assert simulate.simulate_tree(_BO7, model, strategy, trials, seed) == \
                 reference_simulate_tree(_BO7, model, named, trials, seed)
 
     def test_copies_with_both_zeros_match_reference(self):
-        # 0.0 on one copy of a subtree and -0.0 on another, under prime
+        # 0.0 on one copy of a subtree and -0.0 on another, under prime:
+        # the two copies share a row, and the copies left at 0.1 split
         ann = game_tree.annotate(_BO7)
         named = _everywhere(_BO7, 0.1)
         shared = next(k for k, u in enumerate(ann.dag_up)
@@ -712,7 +715,8 @@ class TestTreeTables:
         named[first], named[copy] = 0.0, -0.0
         strategy = composer.strategy_from_paths(ann, named)
         model = CheatModel(1.0, 1.0, PRIME)
-        assert len(composer.strategy_table(ann, model, strategy)[1]) == 139
+        assert len(composer.strategy_table(ann, model, strategy)[1]) == \
+            table_rows(_BO7, named) == 22
         assert simulate.simulate_tree(_BO7, model, strategy, 5000, 9) == \
             reference_simulate_tree(_BO7, model, named, 5000, 9)
 
